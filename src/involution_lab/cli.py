@@ -76,6 +76,23 @@ def _env_caps() -> dict:
 
 
 @contextmanager
+def _unlimited_int_digits():
+    # Exact values pass Python's int-to-str digit limit (4300 digits near
+    # t(2990)).  The limit is interpreter-wide, so it is lifted only here and
+    # restored on the way out; Python < 3.10.7 has no limit to lift.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@contextmanager
 def _out_stream(path: str | None):
     if path in (None, "-"):
         yield sys.stdout
@@ -101,10 +118,11 @@ def cmd_seq(args) -> int:
     if args.kind != "tau" and args.p is not None:
         raise _usage_error("seq: --p only applies to --kind tau")
     p = args.p if args.p is not None else 2
-    rows = [
-        {"n": str(n), "value": str(_seq_value(args.kind, n, p))}
-        for n in range(args.start, args.to + 1)
-    ]
+    with _unlimited_int_digits():
+        rows = [
+            {"n": str(n), "value": str(_seq_value(args.kind, n, p))}
+            for n in range(args.start, args.to + 1)
+        ]
     _emit_rows(args, ["n", "value"], rows, "rows")
     return 0
 
@@ -205,6 +223,8 @@ def cmd_period(args) -> int:
 def cmd_rho(args) -> int:
     if args.k_max < 1:
         raise _usage_error("rho: --k-max must be at least 1")
+    if args.bits < 1:
+        raise _usage_error("rho: --bits must be at least 1")
     fit = conjecture.fit_shift_digits(args.k_max, args.bits)
     with _out_stream(args.output) as fh:
         json.dump(fit.to_json_obj(), fh, sort_keys=True)

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import odd_part, val2
+from .algebra import val2
 from .errors import InconclusiveError, VerificationError
-from .sequences import involution_count
+from .twoadic import odd_factor_residues
 
 __all__ = [
     "PeriodReport",
@@ -268,14 +268,15 @@ def odd_product_congruence(s: int) -> bool:
 
 def odd_factor_mod_prefix(s: int, count: int) -> list[int]:
     """First ``count`` odd factors of the involution counts, reduced modulo
-    2**s.  Computed from the exact big-integer counts; a windowed-precision
-    modular recurrence for the odd factors is deliberately not offered (its
-    exponents dip below zero, and exact computation is cheap at this size).
+    2**s, in bounded memory by :func:`twoadic.odd_factor_residues`.
+
+    Precision rule: t(n) is stepped modulo 2**K with K = s + max h(n) + 2
+    over the window, h the proven exponent of two in t(n); no division is
+    needed.  Certification rule: the exponent v of each residue is read, not
+    assumed, and beta(n) mod 2**s is reported only when v + s <= K; otherwise
+    InconclusiveError is raised.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
-    mask = (1 << s) - 1
-    return [odd_part(involution_count(n)) & mask for n in range(count)]
+    return odd_factor_residues(s, count)
 
 
 def odd_factor_shift_congruence(s: int, n_max: int) -> bool:

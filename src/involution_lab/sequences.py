@@ -18,6 +18,7 @@ from .errors import ExactnessError
 __all__ = [
     "SequenceCache",
     "involution_count",
+    "involution_val2",
     "involution_count_direct",
     "signed_involution_count",
     "pth_root_count",
@@ -83,6 +84,15 @@ def involution_count(n: int) -> int:
     """Number of involutions on n letters, by the removal recurrence
     t(n) = t(n-1) + (n-1) t(n-2)."""
     return _t_cache.get(n)
+
+
+def involution_val2(n: int) -> int:
+    """Exact exponent of two in the involution count:
+    floor(n/2) - 2 floor(n/4) + floor((n+1)/4), i.e. k + r//2 + [r == 3].
+
+    The floor form stays valid down to n = -1, which odd_factor_step needs.
+    """
+    return n // 2 - 2 * (n // 4) + (n + 1) // 4
 
 
 def involution_count_direct(n: int) -> int:
@@ -276,12 +286,6 @@ def odd_factor(n: int) -> int:
     return odd_part(involution_count(n))
 
 
-def _ord2_closed(n: int) -> int:
-    # Exponent of two in the involution count; the floor form below is valid
-    # down to n = -1, which the step recurrence needs.
-    return n // 2 - 2 * (n // 4) + (n + 1) // 4
-
-
 def odd_factor_closed(n: int) -> int:
     """Odd factor by the graph-count formula: with n = 4k + r,
 
@@ -313,14 +317,14 @@ def odd_factor_step(n: int, prev: int, curr: int) -> int:
 
         beta(n+1) = 2**(h(r)-h(r+1)) beta(n) + 2**(h(r-1)-h(r+1)) n beta(n-1)
 
-    with h the exponent-of-two closed form.  The dyadic two-term sum must be
-    an integer; if not, the inputs were not genuine consecutive odd factors.
+    with h = involution_val2.  The dyadic two-term sum must be an integer;
+    if not, the inputs were not genuine consecutive odd factors.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     r = n % 4
-    e1 = _ord2_closed(r) - _ord2_closed(r + 1)
-    e2 = _ord2_closed(r - 1) - _ord2_closed(r + 1)
+    e1 = involution_val2(r) - involution_val2(r + 1)
+    e2 = involution_val2(r - 1) - involution_val2(r + 1)
     total = Dyadic(curr, -e1) + Dyadic(n * prev, -e2)
     try:
         return total.as_int()

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 from .algebra import INFINITY, Valuation, val2, val_p
 from .errors import ExactnessError
-from .sequences import involution_count, pth_root_count, signed_involution_count
+from .sequences import (
+    involution_count,
+    involution_val2,
+    pth_root_count,
+    signed_involution_count,
+)
 
 __all__ = [
     "chi_odd",
@@ -51,12 +56,6 @@ def tau_valuation_bound(n: int, p: int) -> int:
     """Proven lower bound floor(n/p) - floor(n/p**2) for the p-adic valuation
     of the p-th-root count."""
     return n // p - n // (p * p)
-
-
-def involution_val2(n: int) -> int:
-    """Exact exponent of two in the involution count:
-    floor(n/2) - 2 floor(n/4) + floor((n+1)/4), i.e. k + r//2 + [r == 3]."""
-    return n // 2 - 2 * (n // 4) + (n + 1) // 4
 
 
 def binomial_shift_bound_holds(k: int, i: int) -> bool:

@@ -2,10 +2,12 @@
 code protocol (0 pass, 1 verification failure, 2 usage, 3 inconclusive)."""
 
 import json
+import sys
 
 import pytest
 
 from involution_lab.cli import main
+from involution_lab.sequences import involution_count, odd_factor
 
 
 def run(capsys, *argv):
@@ -55,6 +57,24 @@ class TestSeq:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "seq", "--kind", "t", "--to", "4", "--p", "3")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind, n, value", [
+        ("t", 2995, involution_count), ("beta", 3100, odd_factor),
+    ])
+    def test_values_past_int_digit_limit(self, capsys, kind, n, value):
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, out, _ = run(capsys, "seq", "--kind", kind, "--from", str(n), "--to", str(n))
+        assert code == 0
+        assert get_limit() == limit
+        digits = out.splitlines()[1].removeprefix(f"{n},")
+        assert len(digits) > 4300 and digits.isdigit()
+        # Parse in short chunks, each under the interpreter's digit limit.
+        parsed = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i : i + 1000]
+            parsed = parsed * 10 ** len(chunk) + int(chunk)
+        assert parsed == value(n)
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "seq", "--kind", "g_alt", "--to", "21")
@@ -194,6 +214,10 @@ class TestRho:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "rho", "--k-max", "0")
         assert exc.value.code == 2
+        for bits in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "rho", "--k-max", "5", "--bits", bits)
+            assert exc.value.code == 2
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "rho", "--k-max", "50")
