@@ -14,10 +14,29 @@ from . import enumeration, periodicity, reference_tables, sequences, valuations
 from .algebra import BivariatePoly, val2, val_p
 from .errors import InvolutionLabError
 
-__all__ = ["CHECKS", "run_check"]
+__all__ = ["CHECKS", "EmptyRangeError", "run_check"]
 
 Params = dict
 CheckFn = Callable[[Params], tuple[bool, str]]
+
+
+class EmptyRangeError(ValueError):
+    """An explicit range bound leaves a check no cell to run."""
+
+
+def _upper(params: Params, key: str, default: int, low: int = 0) -> int:
+    """Upper end of a check's range: the explicit value when one is given
+    (zero included), else the default.  An explicit value below ``low``, the
+    range's first cell, would make the check pass vacuously, so it raises."""
+    value = params.get(key)
+    if value is None:
+        return default
+    if value < low:
+        raise EmptyRangeError(
+            f"--{key.replace('_', '-')} {value} leaves no cell to check; "
+            f"the range starts at {low}"
+        )
+    return value
 
 
 def _root_cap(params: Params) -> int:
@@ -32,7 +51,7 @@ def check_lemma21(params: Params) -> tuple[bool, str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
     p = params.get("p") or 2
-    n_max = params.get("n_max") or {2: 10, 3: 9, 5: 7}.get(p, 6)
+    n_max = _upper(params, "n_max", {2: 10, 3: 9, 5: 7}.get(p, 6))
     for n in range(n_max + 1):
         roots = enumeration.pth_roots(n, p, cap=_root_cap(params))
         groups = Counter(enumeration.refined_class(pi, p) for pi in roots)
@@ -59,7 +78,7 @@ def check_cor31(params: Params) -> tuple[bool, str]:
     """For p = 2 the refined classes correspond one-to-one with the
     admissible graphs, and the power-of-two fiber size matches the general
     class-size formula on every class."""
-    n_max = params.get("n_max") or 10
+    n_max = _upper(params, "n_max", 10)
     for n in range(n_max + 1):
         roots = enumeration.pth_roots(n, 2, cap=_root_cap(params))
         classes = sorted(
@@ -86,7 +105,7 @@ def check_cor31(params: Params) -> tuple[bool, str]:
 
 def check_thm32(params: Params) -> tuple[bool, str]:
     """Involution count reassembled from graph counts equals the recurrence."""
-    n_max = params.get("n_max") or 400
+    n_max = _upper(params, "n_max", 400)
     for n in range(n_max + 1):
         lhs = sequences.involution_count_via_graphs(n)
         rhs = sequences.involution_count(n)
@@ -97,8 +116,8 @@ def check_thm32(params: Params) -> tuple[bool, str]:
 
 def check_thm33(params: Params) -> tuple[bool, str]:
     """Exponent-of-two closed form, and the odd factor's graph formula."""
-    n_max = params.get("n_max") or 2000
-    beta_max = params.get("beta_max") or 400
+    n_max = _upper(params, "n_max", 2000)
+    beta_max = _upper(params, "beta_max", 400)
     for n in range(n_max + 1):
         lhs = val2(sequences.involution_count(n))
         rhs = valuations.involution_val2(n)
@@ -114,7 +133,7 @@ def check_thm33(params: Params) -> tuple[bool, str]:
 
 def check_thm41(params: Params) -> tuple[bool, str]:
     """Polynomial identity between the graph route and the recurrence."""
-    n_max = params.get("n_max") or 80
+    n_max = _upper(params, "n_max", 80)
     for n in range(n_max + 1):
         via = sequences.involution_poly_via_graphs(n)
         direct = sequences.involution_poly(n)
@@ -127,7 +146,7 @@ def check_thm41(params: Params) -> tuple[bool, str]:
 
 def check_prop42(params: Params) -> tuple[bool, str]:
     """Graph-polynomial recurrence equals the brute-force weight sum."""
-    n_max = params.get("n_max") or 13
+    n_max = _upper(params, "n_max", 13)
     for n in range(n_max + 1):
         rec = sequences.graph_poly(n)
         brute = enumeration.graph_weight_sum_bruteforce(n, vertex_cap=_vertex_cap(params))
@@ -137,7 +156,7 @@ def check_prop42(params: Params) -> tuple[bool, str]:
 
 
 def check_lemma51(params: Params) -> tuple[bool, str]:
-    k_max = params.get("k_max") or 256
+    k_max = _upper(params, "k_max", 256, 1)
     for k in range(1, k_max + 1):
         for i in range(1, k + 1):
             if not valuations.binomial_shift_bound_holds(k, i):
@@ -147,7 +166,7 @@ def check_lemma51(params: Params) -> tuple[bool, str]:
 
 def check_thm52(params: Params) -> tuple[bool, str]:
     """Signed-sum valuation closed form, zero case included."""
-    k_max = params.get("k_max") or 500
+    k_max = _upper(params, "k_max", 500)
     for n in range(4 * k_max + 4):
         computed = val2(sequences.signed_involution_count(n))
         predicted = valuations.signed_val2_predicted(n)
@@ -178,7 +197,7 @@ def _parity_check(k_max: int, residues: tuple[int, ...], kind: str) -> tuple[boo
 
 
 def check_cor53(params: Params) -> tuple[bool, str]:
-    k_max = params.get("k_max") or 500
+    k_max = _upper(params, "k_max", 500)
     for kind in ("t_even", "t_odd"):
         ok, detail = _parity_check(k_max, (2, 3), kind)
         if not ok:
@@ -187,16 +206,16 @@ def check_cor53(params: Params) -> tuple[bool, str]:
 
 
 def check_thm54(params: Params) -> tuple[bool, str]:
-    return _parity_check(params.get("k_max") or 500, (0,), "t_even")
+    return _parity_check(_upper(params, "k_max", 500), (0,), "t_even")
 
 
 def check_thm55(params: Params) -> tuple[bool, str]:
-    return _parity_check(params.get("k_max") or 500, (1,), "t_odd")
+    return _parity_check(_upper(params, "k_max", 500), (1,), "t_odd")
 
 
 def check_thm23(params: Params) -> tuple[bool, str]:
     """Valuation lower bound for the p-th-root counts."""
-    n_max = params.get("n_max") or 500
+    n_max = _upper(params, "n_max", 500)
     primes = (params.get("p"),) if params.get("p") else (2, 3, 5, 7)
     for p in primes:
         for n in range(n_max + 1):
@@ -208,7 +227,7 @@ def check_thm23(params: Params) -> tuple[bool, str]:
 
 
 def check_lemma64(params: Params) -> tuple[bool, str]:
-    s_max = params.get("s_max") or 16
+    s_max = _upper(params, "s_max", 16, 3)
     for s in range(3, s_max + 1):
         if not periodicity.odd_product_congruence(s):
             return False, f"odd product congruence fails at s={s}"
@@ -216,8 +235,8 @@ def check_lemma64(params: Params) -> tuple[bool, str]:
 
 
 def check_lemma65(params: Params) -> tuple[bool, str]:
-    s_max = params.get("s_max") or 6
-    n_max = params.get("n_max") or 128
+    s_max = _upper(params, "s_max", 6, 3)
+    n_max = _upper(params, "n_max", 128)
     for s in range(3, s_max + 1):
         if not periodicity.odd_factor_shift_congruence(s, n_max):
             return False, f"odd factor shift congruence fails at s={s}"
@@ -226,7 +245,7 @@ def check_lemma65(params: Params) -> tuple[bool, str]:
 
 def check_thm62(params: Params) -> tuple[bool, str]:
     """Odd moduli: purely periodic with smallest period exactly m."""
-    m_max = params.get("m_max") or 99
+    m_max = _upper(params, "m_max", 99, 1)
     for m in range(1, m_max + 1, 2):
         report = periodicity.involution_mod_period(m)
         if report.preperiod != 0 or report.period != m:
@@ -238,7 +257,7 @@ def check_thm62(params: Params) -> tuple[bool, str]:
 
 def check_thm63(params: Params) -> tuple[bool, str]:
     """Even moduli 2**k * ell: preperiod exactly 4k-2, period ell."""
-    m_max = params.get("m_max") or 96
+    m_max = _upper(params, "m_max", 96, 2)
     for m in range(2, m_max + 1, 2):
         try:
             periodicity.verify_even_modulus(m)
@@ -249,7 +268,7 @@ def check_thm63(params: Params) -> tuple[bool, str]:
 
 def check_thm66(params: Params) -> tuple[bool, str]:
     """Odd factors mod 2**s: pure smallest period 2**(s+1)."""
-    s_max = params.get("s_max") or 6
+    s_max = _upper(params, "s_max", 6, 3)
     for s in range(3, s_max + 1):
         try:
             report = periodicity.odd_factor_period(s)
@@ -263,7 +282,7 @@ def check_thm66(params: Params) -> tuple[bool, str]:
 def check_weights(params: Params) -> tuple[bool, str]:
     """Summed involution weights over each fiber equal fiber size times the
     graph weight, and the fiber sizes sum to the involution count."""
-    n_max = params.get("n_max") or 9
+    n_max = _upper(params, "n_max", 9)
     for n in range(n_max + 1):
         roots = enumeration.pth_roots(n, 2, cap=_root_cap(params))
         by_class: dict = {}
@@ -287,7 +306,7 @@ def check_weights(params: Params) -> tuple[bool, str]:
 
 
 def check_fibersum(params: Params) -> tuple[bool, str]:
-    n_max = params.get("n_max") or 12
+    n_max = _upper(params, "n_max", 12)
     for n in range(n_max + 1):
         total = sum(
             enumeration.fiber_size(g, n)
@@ -304,7 +323,7 @@ def check_coeffs(params: Params) -> tuple[bool, str]:
     n!/(2**i i! (n-2i)!)."""
     import math
 
-    n_max = params.get("n_max") or 60
+    n_max = _upper(params, "n_max", 60)
     for n in range(n_max + 1):
         poly = sequences.involution_poly(n)
         expected_terms = {}
@@ -324,7 +343,7 @@ def check_coeffs(params: Params) -> tuple[bool, str]:
 
 def check_cross(params: Params) -> tuple[bool, str]:
     """All four involution-count routes agree."""
-    n_max = params.get("n_max") or 400
+    n_max = _upper(params, "n_max", 400)
     for n in range(n_max + 1):
         t = sequences.involution_count(n)
         routes = {

@@ -143,12 +143,17 @@ def cmd_verify(args) -> int:
         "s_max": args.s_max,
         "m_max": args.m_max,
     }
+    for key in ("n_max", "k_max", "s_max", "m_max"):
+        if params[key] is not None and params[key] < 0:
+            raise _usage_error(f"verify: --{key.replace('_', '-')} must be nonnegative")
     params.update(_env_caps())
     names = sorted(checks.CHECKS) if args.check == "all" else [args.check]
     failed = False
     for name in names:
         try:
             ok, detail = checks.run_check(name, params)
+        except checks.EmptyRangeError as exc:
+            raise _usage_error(f"verify: {name}: {exc}") from None
         except (ResourceLimitError, InconclusiveError) as exc:
             print(f"{name}: INCONCLUSIVE: {exc}")
             return 3
@@ -171,6 +176,8 @@ def _expected_period(args) -> tuple[int, int] | None:
 
 
 def cmd_period(args) -> int:
+    if args.window is not None and args.window < 1:
+        raise _usage_error("period: --window must be positive")
     if args.t_mod is not None:
         if args.t_mod < 1:
             raise _usage_error("period: modulus must be positive")
@@ -275,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="involution counts modulo M")
     which.add_argument("--beta-mod-2s", type=int, default=None, metavar="S",
                        help="odd factors modulo 2**S")
-    p_period.add_argument("--window", type=int, default=None)
+    p_period.add_argument(
+        "--window", type=int, default=None,
+        help="with --t-mod, the cap on distinct states scanned; with "
+        "--beta-mod-2s, the number of values examined",
+    )
     p_period.add_argument(
         "--expect-paper",
         action="store_true",

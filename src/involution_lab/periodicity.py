@@ -7,20 +7,40 @@ eventually periodic and a first repeated state yields hard bounds: the tail
 is periodic from that state's position with a period dividing the state
 period.  Minimization then only has to test divisors of the state period
 and scan backwards for the true preperiod, and every rejected candidate is
-stored with a concrete counterexample index.  The generic window detector
-(for sequences without an attached state machine) requires the examined
-window to cover the preperiod plus ``margin`` full periods; within that
-precondition a periodicity-of-suffixes argument makes its answer exact, and
-outside it the detector fails loudly rather than guessing.
+stored with a concrete counterexample index.
+
+The first repeated state is found without a table of states, by a variant
+of Brent's cycle detection (Brent, BIT 20, 1980).  The state cycle length
+is a multiple of m, because n mod m is part of the state, so a saved
+checkpoint state can only recur m, 2m, ... steps later.  Checkpoints sit
+at n = m * 2**i and each is compared with the states up to 2**i * m steps
+ahead; a round whose checkpoint lies on the cycle and whose length is at
+least the cycle length finds it, and the first hit is the cycle length
+itself.  The values the stream yields are kept in an array of machine
+words, so the repeat's first position is read from them, and the array is
+then cut or extended to exactly the window the report covers: memory is
+that window, the preperiod bound plus two state cycles, in words.  The
+state cap keeps its meaning: the scan is inconclusive exactly when more
+than cap distinct states precede the first repeat, which is certain at
+once when m exceeds the cap and certain once the round at a checkpoint of
+at least cap ends without a hit.
+
+The generic window detector (for sequences without an attached state
+machine) requires the examined window to cover the preperiod plus
+``margin`` full periods; within that precondition a periodicity-of-suffixes
+argument makes its answer exact, and outside it the detector fails loudly
+rather than guessing.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .algebra import val2
-from .errors import InconclusiveError, VerificationError
+from .errors import InconclusiveError, ResourceLimitError, VerificationError
 from .twoadic import odd_factor_residues
 
 __all__ = [
@@ -69,8 +89,28 @@ class PeriodReport:
         }
 
 
-def _proper_divisors(d: int) -> list[int]:
-    return [x for x in range(1, d) if d % x == 0]
+def _divisors(d: int) -> list[int]:
+    """The divisors of d in ascending order, by trial division up to sqrt(d)."""
+    small, large = [], []
+    x = 1
+    while x * x <= d:
+        if d % x == 0:
+            small.append(x)
+            if x * x != d:
+                large.append(d // x)
+        x += 1
+    return small + large[::-1]
+
+
+def _first_mismatch(values: Sequence[int], d: int, start: int, stop: int) -> int | None:
+    """Smallest i in [start, stop) with values[i] != values[i + d], or None.
+
+    The two slices are compared in C first (a memoryview slices without
+    copying), so only a range that fails is scanned index by index.
+    """
+    if stop <= start or values[start:stop] == values[start + d:stop + d]:
+        return None
+    return next(i for i in range(start, stop) if values[i] != values[i + d])
 
 
 def _finalize(values: Sequence[int], modulus: int, lam: int, d: int) -> PeriodReport:
@@ -79,21 +119,19 @@ def _finalize(values: Sequence[int], modulus: int, lam: int, d: int) -> PeriodRe
     w = len(values)
     while lam > 0 and values[lam - 1] == values[lam - 1 + d]:
         lam -= 1
-    for i in range(lam, w - d):
-        if values[i] != values[i + d]:
-            raise VerificationError(
-                f"internal: period {d} fails at index {i} inside the window"
-            )
+    i = _first_mismatch(values, d, lam, w - d)
+    if i is not None:
+        raise VerificationError(
+            f"internal: period {d} fails at index {i} inside the window"
+        )
     rejected = []
-    for dd in _proper_divisors(d):
-        for i in range(lam, w - dd):
-            if values[i] != values[i + dd]:
-                rejected.append((dd, i))
-                break
-        else:
+    for dd in _divisors(d)[:-1]:
+        i = _first_mismatch(values, dd, lam, w - dd)
+        if i is None:
             raise VerificationError(
                 f"internal: divisor {dd} of {d} has no counterexample in window"
             )
+        rejected.append((dd, i))
     witness = lam - 1 if lam > 0 else None
     return PeriodReport(modulus, lam, d, w, tuple(rejected), witness)
 
@@ -145,10 +183,10 @@ def verify_report_witnesses(report: PeriodReport, values: Sequence[int]) -> bool
     vals = [v % report.modulus for v in values]
     w = min(len(vals), report.window_checked)
     lam, d = report.preperiod, report.period
-    if any(vals[i] != vals[i + d] for i in range(lam, w - d)):
+    if _first_mismatch(vals, d, lam, w - d) is not None:
         return False
     rejected = dict(report.rejected_divisors)
-    if sorted(rejected) != _proper_divisors(d):
+    if sorted(rejected) != _divisors(d)[:-1]:
         return False
     for dd, i in rejected.items():
         if i < lam or i + dd >= w or vals[i] == vals[i + dd]:
@@ -163,7 +201,11 @@ def verify_report_witnesses(report: PeriodReport, values: Sequence[int]) -> bool
 
 
 def involution_mod_stream(m: int) -> Iterator[int]:
-    """t(0) mod m, t(1) mod m, ... driven entirely in modular arithmetic."""
+    """t(0) mod m, t(1) mod m, ... driven entirely in modular arithmetic.
+
+    This is the one implementation of t(n+1) = t(n) + n t(n-1) mod m; the
+    prefix and the period scan both read it.
+    """
     if m < 1:
         raise ValueError("modulus must be positive")
     a, b = 1 % m, 1 % m
@@ -177,54 +219,86 @@ def involution_mod_stream(m: int) -> Iterator[int]:
 
 
 def involution_mod_prefix(m: int, count: int) -> list[int]:
-    out = []
-    for v in involution_mod_stream(m):
-        if len(out) == count:
-            break
-        out.append(v)
-    return out
+    return list(islice(involution_mod_stream(m), count))
+
+
+def _residue_array(m: int) -> array:
+    """An empty array of the narrowest machine word that holds 0..m-1."""
+    for typecode in "BHIQ":
+        if m <= 1 << (8 * array(typecode).itemsize):
+            return array(typecode)
+    raise ResourceLimitError(
+        f"modulus {m} needs a cycle of at least {m} states, more than memory holds"
+    )
 
 
 def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodReport:
     """Exact minimal preperiod and period of the involution counts mod m.
 
-    Runs the modular recurrence until the driving state first repeats
-    (guaranteed within m**3 states), which bounds the preperiod and gives a
-    multiple of the period; minimization and witnesses then work on a window
-    of that size.  The cap only guards against absurd moduli.
+    The driving state at n is (n mod m, t(n-1) mod m, t(n) mod m).  Its first
+    repeat, state ``first`` seen again at ``again``, bounds the preperiod by
+    first - 1 and gives the multiple again - first of the period;
+    minimization and witnesses then work on the window of 2 * again - first
+    + 1 values.
+
+    The repeat is found by Brent's cycle detection with checkpoints at
+    n = m * 2**i.  The cycle length is a multiple of m, so the hare is
+    compared with the checkpoint only every m steps, and the first hit in a
+    round is the cycle length; ``first`` is then the smallest n whose state
+    recurs one cycle later, read from the recorded values.  Every value the
+    hare steps into is kept in an array of machine words (all are below m),
+    which is then cut or extended to the window: memory is the window in
+    words, and no state table is kept.
+
+    The scan is inconclusive, and raises, exactly when more than
+    ``state_cap`` distinct states precede the first repeat (again - 1 >
+    cap).  A modulus above the cap raises at once, since the cycle holds at
+    least m states.  Otherwise, if again - 1 <= cap then both first and the
+    cycle length are at most cap, so the round at the first checkpoint of at
+    least cap, with the hare going at most cap steps ahead, finds the cycle;
+    a miss there raises.  The default cap min(m**3 + 4m, 10**7) only guards
+    against absurd moduli: m**3 states is the most there can be.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     cap = state_cap if state_cap is not None else min(m**3 + 4 * m, 10**7)
-    values = [1 % m, 1 % m]
-    seen: dict[tuple[int, int, int], int] = {}
-    a, b = values[0], values[1]
-    n = 1
-    while True:
-        state = (n % m, a, b)
-        hit = seen.get(state)
-        if hit is not None:
-            first, again = hit, n
-            break
-        seen[state] = n
-        if len(seen) > cap:
-            raise InconclusiveError(
-                f"no state repetition within {cap} steps for modulus {m}"
-            )
-        a, b = b, (b + n * a) % m
-        n += 1
-        values.append(b)
-    mu = again - first
+    inconclusive = InconclusiveError(
+        f"no state repetition within {cap} steps for modulus {m}"
+    )
+    if m > cap:
+        raise inconclusive
+    values = _residue_array(m)
+    stream = involution_mod_stream(m)
+    checkpoint, cycle = m, 0
+    while not cycle:
+        for j in range(m, min(checkpoint, cap) + 1, m):
+            hare = checkpoint + j
+            values.extend(islice(stream, hare + 1 - len(values)))
+            if (values[hare] == values[checkpoint]
+                    and values[hare - 1] == values[checkpoint - 1]):
+                cycle = j
+                break
+        else:
+            if checkpoint >= cap:
+                raise inconclusive
+            checkpoint *= 2
+    first = next(
+        n for n in range(1, checkpoint + 1)
+        if values[n - 1] == values[n - 1 + cycle] and values[n] == values[n + cycle]
+    )
+    again = first + cycle
+    if again - 1 > cap:
+        raise inconclusive
+    window = 2 * again - first + 1
+    if len(values) < window:
+        values.extend(islice(stream, window - len(values)))
+    else:
+        del values[window:]
     lam_bound = first - 1
-    while len(values) < lam_bound + 2 * mu + 2:
-        a, b = b, (b + n * a) % m
-        n += 1
-        values.append(b)
-    for d in range(1, mu + 1):
-        if mu % d:
-            continue
-        if all(values[i] == values[i + d] for i in range(lam_bound, lam_bound + mu)):
-            return _finalize(values, m, lam_bound, d)
+    with memoryview(values) as view:
+        for d in _divisors(cycle):
+            if _first_mismatch(view, d, lam_bound, lam_bound + cycle) is None:
+                return _finalize(view, m, lam_bound, d)
     raise VerificationError("internal: state period is not a value period")
 
 

@@ -137,6 +137,32 @@ class TestVerify:
         assert code == 0
         assert "n<=60" in out
 
+    def test_explicit_zero_is_used_as_given(self, capsys):
+        code, out, _ = run(capsys, "verify", "--check", "cross", "--n-max", "0")
+        assert code == 0
+        assert "n<=0" in out
+        code, out, _ = run(capsys, "verify", "--check", "thm62", "--m-max", "1")
+        assert code == 0
+        assert "m<=1" in out
+
+    def test_range_without_cells_is_usage_error(self, capsys):
+        # No odd modulus is at most 0, so a PASS would be vacuous.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", "thm62", "--m-max", "0")
+        assert exc.value.code == 2
+        assert "no cell" in capsys.readouterr().err
+
+    def test_negative_m_max_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", "thm63", "--m-max", "-4")
+        assert exc.value.code == 2
+
+    def test_negative_n_max_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", "cross", "--n-max", "-1")
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_env_cap_inconclusive(self, capsys, monkeypatch):
         monkeypatch.setenv("INVOLUTION_LAB_CAP", "50")
         code, out, _ = run(capsys, "verify", "--check", "lemma21", "--n-max", "8")
@@ -190,6 +216,18 @@ class TestPeriod:
         code, _, err = run(capsys, "period", "--t-mod", "12", "--window", "5")
         assert code == 3
         assert "no state repetition" in err
+
+    @pytest.mark.parametrize("argv", [
+        "--t-mod 12 --window -1",
+        "--t-mod 12 --window 0",
+        "--beta-mod-2s 2 --window 0",
+        "--beta-mod-2s 5 --window -4",
+    ])
+    def test_nonpositive_window_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "period", *argv.split())
+        assert exc.value.code == 2
+        assert "--window must be positive" in capsys.readouterr().err
 
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit) as exc:

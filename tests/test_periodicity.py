@@ -1,6 +1,9 @@
 """Period detection tests: the state-driven and window detectors against
-hand-checked periods, witness validity against fresh recomputation, and the
-congruence lemmas behind the odd-factor period."""
+hand-checked periods, witness validity against fresh recomputation, the
+cycle detector against a table-of-states reference, and the congruence
+lemmas behind the odd-factor period."""
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from involution_lab.algebra import odd_part
 from involution_lab.errors import InconclusiveError, VerificationError
 from involution_lab.periodicity import (
+    _divisors,
     detect_period,
     involution_mod_period,
     involution_mod_prefix,
@@ -21,6 +25,35 @@ from involution_lab.periodicity import (
     verify_report_witnesses,
 )
 from involution_lab.sequences import involution_count
+
+
+def table_mod_period(m, cap=float("inf")):
+    """Reference state detector: a dict of every state until the first
+    repeat, trial division for divisors, and index-by-index scans.  Returns
+    the report's JSON object and the index ``again`` of the first repeat."""
+    values, seen, n = [1 % m, 1 % m], {}, 1
+    while (n % m, values[-2], values[-1]) not in seen:
+        seen[n % m, values[-2], values[-1]] = n
+        if len(seen) > cap:
+            raise InconclusiveError(f"no state repetition within {cap} steps for modulus {m}")
+        values.append((values[-1] + n * values[-2]) % m)
+        n += 1
+    first, again = seen[n % m, values[-2], values[-1]], n
+    mu, lam = again - first, first - 1
+    while len(values) < lam + 2 * mu + 2:
+        values.append((values[-1] + n * values[-2]) % m)
+        n += 1
+    w = len(values)
+    d = next(d for d in range(1, mu + 1)
+             if mu % d == 0 and all(values[i] == values[i + d] for i in range(lam, lam + mu)))
+    while lam > 0 and values[lam - 1] == values[lam - 1 + d]:
+        lam -= 1
+    rejected = [[dd, next(i for i in range(lam, w - dd) if values[i] != values[i + dd])]
+                for dd in range(1, d) if d % dd == 0]
+    doc = {"modulus": m, "preperiod": lam, "period": d, "window_checked": w,
+           "witnesses": {"rejected_divisors": rejected,
+                         "preperiod_index": lam - 1 if lam else None}}
+    return doc, again
 
 
 class TestDetectPeriod:
@@ -84,6 +117,54 @@ class TestModularScan:
     def test_state_cap_inconclusive(self):
         with pytest.raises(InconclusiveError):
             involution_mod_period(12, state_cap=5)
+
+
+class TestCycleDetector:
+    def test_matches_state_table(self):
+        for m in range(1, 301):
+            assert involution_mod_period(m).to_json_obj() == table_mod_period(m)[0], m
+
+    def test_cap_boundary(self):
+        # The cap counts the distinct states before the first repeat, and
+        # again - 1 of them come first, so every smaller cap is inconclusive.
+        for m in range(1, 61):
+            doc, again = table_mod_period(m)
+            assert involution_mod_period(m, state_cap=again - 1).to_json_obj() == doc
+            with pytest.raises(InconclusiveError, match="no state repetition"):
+                table_mod_period(m, cap=again - 2)
+            for cap in range(again - 1):
+                with pytest.raises(InconclusiveError, match="no state repetition"):
+                    involution_mod_period(m, state_cap=cap)
+
+    def test_modulus_above_cap_raises_at_once(self):
+        # The state cycle holds at least m states, so nothing is stepped,
+        # even for a modulus no machine word holds.
+        for m in (20_000_000, 2**70):
+            with pytest.raises(InconclusiveError, match="within 10000000 steps"):
+                involution_mod_period(m)
+
+    def test_witnesses_on_window_shorter_than_period(self):
+        # The tail check has nothing to compare; the witnesses still hold.
+        report = involution_mod_period(15)
+        assert verify_report_witnesses(report, involution_mod_prefix(15, 10))
+        assert not verify_report_witnesses(report, involution_mod_prefix(15, 3))
+
+    def test_divisors_ascending(self):
+        for d in list(range(1, 400)) + [1024, 3 * 3 * 5 * 5 * 7, 999_983, 1_000_000]:
+            assert _divisors(d) == [x for x in range(1, d + 1) if d % x == 0]
+
+    def test_peak_memory_stays_small(self):
+        # Traced allocations only, so nothing earlier in this process counts.
+        # A table of every state peaked at about 25 MiB for m = 100003; the
+        # array of window values peaks at about 0.8 MiB.
+        tracemalloc.start()
+        try:
+            report = involution_mod_period(100_003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.preperiod, report.period) == (0, 100_003)
+        assert peak < 4 * 2**20
 
 
 class TestOddModuli:
