@@ -232,10 +232,6 @@ class Dyadic:
         """Exact multiplication by 2**k (k may be negative)."""
         return Dyadic(self.num, self.exp - k)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def as_int(self) -> int:
         if self.exp:
             raise ExactnessError(f"{self} is not an integer")
@@ -253,7 +249,8 @@ class Dyadic:
         return self.num == other.num and self.exp == other.exp
 
     def __hash__(self) -> int:
-        return hash((self.num, self.exp))
+        # Equal to the int's hash on integers, since Dyadic(n) == n.
+        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     def __lt__(self, other: "Dyadic | int") -> bool:
         a, b = self._cross(self._coerce(other))
@@ -335,9 +332,6 @@ class BivariatePoly:
 
     def coefficient(self, dx: int, dy: int) -> Dyadic:
         return self._terms.get((dx, dy), Dyadic(0))
-
-    def monomials(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._terms))
 
     def items(self) -> Iterator[tuple[tuple[int, int], Dyadic]]:
         return iter(sorted(self._terms.items()))

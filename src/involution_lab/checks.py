@@ -7,6 +7,7 @@ failure, so a red check always names the cell that broke.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Callable
 
@@ -40,17 +41,19 @@ def _upper(params: Params, key: str, default: int, low: int = 0) -> int:
 
 
 def _root_cap(params: Params) -> int:
-    return params.get("root_cap") or enumeration.DEFAULT_ROOT_CAP
+    cap = params.get("root_cap")
+    return enumeration.DEFAULT_ROOT_CAP if cap is None else cap
 
 
 def _vertex_cap(params: Params) -> int:
-    return params.get("vertex_cap") or enumeration.DEFAULT_VERTEX_CAP
+    cap = params.get("vertex_cap")
+    return enumeration.DEFAULT_VERTEX_CAP if cap is None else cap
 
 
 def check_lemma21(params: Params) -> tuple[bool, str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
-    p = params.get("p") or 2
+    p = 2 if params.get("p") is None else params["p"]
     n_max = _upper(params, "n_max", {2: 10, 3: 9, 5: 7}.get(p, 6))
     for n in range(n_max + 1):
         roots = enumeration.pth_roots(n, p, cap=_root_cap(params))
@@ -216,7 +219,7 @@ def check_thm55(params: Params) -> tuple[bool, str]:
 def check_thm23(params: Params) -> tuple[bool, str]:
     """Valuation lower bound for the p-th-root counts."""
     n_max = _upper(params, "n_max", 500)
-    primes = (params.get("p"),) if params.get("p") else (2, 3, 5, 7)
+    primes = (2, 3, 5, 7) if params.get("p") is None else (params["p"],)
     for p in primes:
         for n in range(n_max + 1):
             v = val_p(sequences.pth_root_count(n, p), p)
@@ -321,8 +324,6 @@ def check_fibersum(params: Params) -> tuple[bool, str]:
 def check_coeffs(params: Params) -> tuple[bool, str]:
     """Coefficient of x**(n-2i) y**i in the involution polynomial equals
     n!/(2**i i! (n-2i)!)."""
-    import math
-
     n_max = _upper(params, "n_max", 60)
     for n in range(n_max + 1):
         poly = sequences.involution_poly(n)

@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 
 from . import checks, conjecture, periodicity, sequences, valuations
-from .algebra import val2
+from .algebra import is_prime, val2
 from .errors import InconclusiveError, ResourceLimitError, VerificationError
 
 __all__ = ["main", "build_parser"]
@@ -72,7 +72,14 @@ def _env_caps() -> dict:
         raise _usage_error(
             f"bad INVOLUTION_LAB_CAP value {raw!r} (want N or N,V)"
         )
+    if min(caps.values()) < 1:
+        raise _usage_error(f"INVOLUTION_LAB_CAP caps must be positive, got {raw!r}")
     return caps
+
+
+def _check_prime(command: str, p: int | None) -> None:
+    if p is not None and not is_prime(p):
+        raise _usage_error(f"{command}: --p must be a prime, got {p}")
 
 
 @contextmanager
@@ -117,6 +124,7 @@ def cmd_seq(args) -> int:
         raise _usage_error(f"seq: bad range {args.start}..{args.to}")
     if args.kind != "tau" and args.p is not None:
         raise _usage_error("seq: --p only applies to --kind tau")
+    _check_prime("seq", args.p)
     p = args.p if args.p is not None else 2
     with _unlimited_int_digits():
         rows = [
@@ -146,6 +154,7 @@ def cmd_verify(args) -> int:
     for key in ("n_max", "k_max", "s_max", "m_max"):
         if params[key] is not None and params[key] < 0:
             raise _usage_error(f"verify: --{key.replace('_', '-')} must be nonnegative")
+    _check_prime("verify", args.p)
     params.update(_env_caps())
     names = sorted(checks.CHECKS) if args.check == "all" else [args.check]
     failed = False

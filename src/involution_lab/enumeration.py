@@ -26,7 +26,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from .algebra import BivariatePoly, Dyadic
+
+from .algebra import BivariatePoly, Dyadic, is_prime
 from .errors import ExactnessError, ResourceLimitError
 
 __all__ = [
@@ -107,8 +108,6 @@ def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutatio
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    from .algebra import is_prime
-
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     predicted = _predicted_root_count(n, p)

@@ -1,9 +1,19 @@
 """Sequence engines: recurrences and closed forms for the involution counts
 and their graph-side companions.
 
-Several quantities are computed along two independent routes (a direct
-recurrence and a closed form through the graph counts); the test suite pins
-the routes against each other and against the enumeration oracles.
+Each recurrence is written once, generic over the ring it runs in:
+
+* the removal recurrence u(n) = x u(n-1) + (n-1) y u(n-2) gives the
+  involution count at (1, 1), the signed count at (1, -1) and the
+  involution polynomial at (x, y);
+* the degree-and-collapse graph recurrence gives the graph counts at
+  (1, 1) and (1, -1) and the graph polynomial at (x, y).
+
+The graph-route closed forms (the count, its odd factor and the polynomial)
+share one term iterator.  Several quantities are computed along two
+independent routes (a direct recurrence and a closed form through the graph
+counts); the test suite pins the routes against each other and against the
+enumeration oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ import math
 import threading
 from typing import Callable
 
-from .algebra import BivariatePoly, Dyadic, binomial, odd_part, odd_product_ratio
+from .algebra import BivariatePoly, Dyadic, binomial, is_prime, odd_part, odd_product_ratio
 from .errors import ExactnessError
 
 __all__ = [
@@ -68,16 +78,19 @@ class SequenceCache:
         return fresh == self.prefix(upto)
 
 
-def _t_step(n: int, values: list) -> int:
-    return 1 if n < 2 else values[n - 1] + (n - 1) * values[n - 2]
+def _removal_step(one, x, y) -> Callable[[int, list], object]:
+    # Remove the largest letter: it is a fixed point (weight x) or pairs with
+    # one of the n - 1 others (weight y).  Any ring holding one, x and y.
+    def step(n: int, values: list):
+        if n < 2:
+            return x if n else one
+        return x * values[n - 1] + (n - 1) * y * values[n - 2]
+
+    return step
 
 
-def _signed_step(n: int, values: list) -> int:
-    return 1 if n < 2 else values[n - 1] - (n - 1) * values[n - 2]
-
-
-_t_cache = SequenceCache(_t_step)
-_signed_cache = SequenceCache(_signed_step)
+_t_cache = SequenceCache(_removal_step(1, 1, 1))
+_signed_cache = SequenceCache(_removal_step(1, 1, -1))
 
 
 def involution_count(n: int) -> int:
@@ -127,8 +140,6 @@ def pth_root_count(n: int, p: int) -> int:
     Counted by removing the cycle through the largest letter: it is fixed, or
     lies on a p-cycle with p-1 of the remaining letters in any order.
     """
-    from .algebra import is_prime
-
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     with _tau_lock:
@@ -143,17 +154,7 @@ def pth_root_count(n: int, p: int) -> int:
 _X = BivariatePoly.monomial(1, 0)
 _Y = BivariatePoly.monomial(0, 1)
 _HALF_X2_PLUS_Y = BivariatePoly({(2, 0): Dyadic(1, 1), (0, 1): Dyadic(1, 1)})
-
-
-def _t_poly_step(n: int, values: list) -> BivariatePoly:
-    if n == 0:
-        return BivariatePoly.one()
-    if n == 1:
-        return _X
-    return _X * values[n - 1] + (n - 1) * (_Y * values[n - 2])
-
-
-_t_poly_cache = SequenceCache(_t_poly_step)
+_t_poly_cache = SequenceCache(_removal_step(BivariatePoly.one(), _X, _Y))
 
 
 def involution_poly(n: int) -> BivariatePoly:
@@ -163,28 +164,41 @@ def involution_poly(n: int) -> BivariatePoly:
     return _t_poly_cache.get(n)
 
 
-def _graph_poly_step(n: int, values: list) -> BivariatePoly:
-    # Weight sum over the doubled-edge-free graphs.  Indexing below never
-    # goes negative thanks to the explicit guards (absent terms are zero).
-    def at(k: int) -> BivariatePoly:
-        return values[k] if k >= 0 else BivariatePoly.zero()
+def _graph_step(one, x, y, half) -> Callable[[int, list], object]:
+    # Weight sum over the doubled-edge-free graphs, with half = (x**2 + y)/2
+    # taken from the ring.  Any ring holding one, x, y and half.
+    xy = x * y
+    yy = y * y
+    yyyy = yy * yy
 
-    if n == 0:
-        return BivariatePoly.one()
-    if n % 2:
-        m = (n - 1) // 2
-        return _X * at(n - 1) + m * (_Y * at(n - 2))
-    m = n // 2
-    out = _HALF_X2_PLUS_Y * at(n - 2)
-    if m >= 2:
-        out = out + (m - 1) * (_X * _Y * at(n - 3))
-        out = out + (2 * binomial(m - 1, 2)) * at(n - 4).shift(0, 2)
-        if n >= 8:
-            out = out + (3 * binomial(m - 1, 3)) * at(n - 8).shift(0, 4)
-    return out
+    def step(n: int, values: list):
+        if n < 2:
+            return x if n else one
+        m = n // 2
+        if n % 2:
+            return x * values[n - 1] + m * y * values[n - 2]
+        out = half * values[n - 2]
+        if m >= 2:
+            out = out + (m - 1) * xy * values[n - 3]
+            out = out + 2 * binomial(m - 1, 2) * yy * values[n - 4]
+            if n >= 8:
+                out = out + 3 * binomial(m - 1, 3) * yyyy * values[n - 8]
+        return out
+
+    return step
 
 
-_graph_poly_cache = SequenceCache(_graph_poly_step)
+def _int_graph_cache(x: int, y: int) -> SequenceCache:
+    # The graph recurrence in the integers; exact only where 2 divides x**2 + y.
+    half, odd = divmod(x * x + y, 2)
+    if odd:
+        raise ExactnessError(f"(x^2 + y)/2 is not an integer at x={x}, y={y}")
+    return SequenceCache(_graph_step(1, x, y, half))
+
+
+_graph_poly_cache = SequenceCache(_graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y))
+_graph_at_one = _int_graph_cache(1, 1)
+_graph_at_minus_one = _int_graph_cache(1, -1)
 
 
 def graph_poly(n: int) -> BivariatePoly:
@@ -195,90 +209,53 @@ def graph_poly(n: int) -> BivariatePoly:
     return _graph_poly_cache.get(n)
 
 
-def _graph_scalar_cache(x: Dyadic, y: Dyadic) -> SequenceCache:
-    # The same recurrence evaluated in the dyadic scalars instead of the
-    # polynomial ring; O(1) work per index, which the polynomial route
-    # cannot match for four-digit n.
-    half_x2_plus_y = (x * x + y) / 2
-
-    def step(n: int, values: list) -> Dyadic:
-        def at(k: int) -> Dyadic:
-            return values[k] if k >= 0 else Dyadic(0)
-
-        if n == 0:
-            return Dyadic(1)
-        if n % 2:
-            m = (n - 1) // 2
-            return x * at(n - 1) + m * (y * at(n - 2))
-        m = n // 2
-        out = half_x2_plus_y * at(n - 2)
-        if m >= 2:
-            out = out + (m - 1) * (x * y * at(n - 3))
-            out = out + (2 * binomial(m - 1, 2)) * (y * y * at(n - 4))
-            if n >= 8:
-                yy = y * y
-                out = out + (3 * binomial(m - 1, 3)) * (yy * yy * at(n - 8))
-        return out
-
-    return SequenceCache(step)
-
-
-_graph_at_one = _graph_scalar_cache(Dyadic(1), Dyadic(1))
-_graph_at_minus_one = _graph_scalar_cache(Dyadic(1), Dyadic(-1))
-
-
 def graph_count(n: int) -> int:
     """graph_poly(n) at (1, 1): the number of admissible graphs without
-    doubled edges.  Integrality of the dyadic recurrence value is asserted."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _graph_at_one.get(n).as_int()
+    doubled edges."""
+    return _graph_at_one.get(n)
 
 
 def graph_count_signed(n: int) -> int:
-    """graph_poly(n) at (1, -1), again integrality-asserted."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _graph_at_minus_one.get(n).as_int()
+    """graph_poly(n) at (1, -1)."""
+    return _graph_at_minus_one.get(n)
 
 
-def involution_count_via_graphs(n: int) -> int:
-    """Involution count reassembled from the doubled-edge-free graph counts:
-    with n = 4k + r,
+def _graph_route_terms(n: int):
+    """Terms of the graph-route sum: with n = 4k + r,
 
-        t(n) = 2**(k + r//2) * sum_i 2**i C(k, i)
-               [oddprod(k + r//2) / oddprod(i + r//2)] g(4i + r)
+        S(n) = sum_i 2**i C(k, i) [oddprod(k + r//2) / oddprod(i + r//2)] g(4i + r)
 
-    where the odd-product ratio is computed as an explicit product, never by
-    dividing factorials.
+    yields (scale, 4i + r, k - i) for i = 0..k, scale being the coefficient
+    of g(4i + r) and k - i the number of doubled edges.  The odd-product
+    ratio is an explicit product, never a quotient of factorials.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     k, r = divmod(n, 4)
     fl = r // 2
-    total = 0
     for i in range(k + 1):
-        total += (
-            (1 << i)
-            * binomial(k, i)
-            * odd_product_ratio(i + fl, k + fl)
-            * graph_count(4 * i + r)
-        )
-    return (1 << (k + fl)) * total
+        yield (1 << i) * binomial(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i
+
+
+def _graph_count_sum(n: int) -> int:
+    return sum(scale * graph_count(m) for scale, m, _ in _graph_route_terms(n))
+
+
+def involution_count_via_graphs(n: int) -> int:
+    """Involution count reassembled from the doubled-edge-free graph counts:
+    t(n) = 2**(k + r//2) S(n) with n = 4k + r and S the graph-route sum."""
+    k, r = divmod(n, 4)
+    return _graph_count_sum(n) << (k + r // 2)
 
 
 def involution_poly_via_graphs(n: int) -> BivariatePoly:
     """Polynomial analogue of involution_count_via_graphs: each graph term
     picks up y**(2k-2i) for its doubled edges."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    k, r = divmod(n, 4)
-    fl = r // 2
     total = BivariatePoly.zero()
-    for i in range(k + 1):
-        scale = (1 << i) * binomial(k, i) * odd_product_ratio(i + fl, k + fl)
-        total = total + scale * graph_poly(4 * i + r).shift(0, 2 * (k - i))
-    return (1 << (k + fl)) * total
+    for scale, m, doubled in _graph_route_terms(n):
+        total = total + scale * graph_poly(m).shift(0, 2 * doubled)
+    k, r = divmod(n, 4)
+    return (1 << (k + r // 2)) * total
 
 
 def odd_factor(n: int) -> int:
@@ -287,29 +264,13 @@ def odd_factor(n: int) -> int:
 
 
 def odd_factor_closed(n: int) -> int:
-    """Odd factor by the graph-count formula: with n = 4k + r,
-
-        beta(n) = sum_i 2**(i - [r == 3]) C(k, i)
-                  [oddprod(k + r//2) / oddprod(i + r//2)] g(4i + r).
-
-    The i = 0, r = 3 term carries 2**(-1), so the sum is formed over dyadics
-    and asserted integral at the end.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    k, r = divmod(n, 4)
-    fl = r // 2
-    delta = 1 if r == 3 else 0
-    total = Dyadic(0)
-    for i in range(k + 1):
-        term = Dyadic(
-            binomial(k, i)
-            * odd_product_ratio(i + fl, k + fl)
-            * graph_count(4 * i + r),
-            delta - i,
-        )
-        total = total + term
-    return total.as_int()
+    """Odd factor by the graph-count formula: beta(n) = S(n) / 2**[r == 3]
+    with n = 4k + r and S the graph-route sum.  For r = 3 the sum must be
+    even; an odd sum raises ExactnessError."""
+    beta, rem = divmod(_graph_count_sum(n), 2 if n % 4 == 3 else 1)
+    if rem:
+        raise ExactnessError(f"graph-route sum for beta({n}) is odd")
+    return beta
 
 
 def odd_factor_step(n: int, prev: int, curr: int) -> int:

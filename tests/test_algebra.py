@@ -197,6 +197,24 @@ class TestDyadic:
         assert Dyadic(1, 1) < Dyadic(3, 2) < Dyadic(1)
         assert Dyadic(-1, 1) < 0 < Dyadic(1, 4)
 
+    @given(
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_equal_values_hash_equal(self, num, exp, extra):
+        # a == b must imply hash(a) == hash(b) across Dyadic and int; build
+        # several spellings of one value, the int among them when integral.
+        d = Dyadic(num, exp)
+        forms = [d, Dyadic(num << extra, exp + extra)]
+        if d.exp == 0:
+            forms.append(d.num)
+        for a in forms:
+            for b in forms:
+                assert a == b
+                assert hash(a) == hash(b)
+        assert (d in {d.num}) == (d.exp == 0)
+
     def test_as_int(self):
         assert Dyadic(10, 1).as_int() == 5
         with pytest.raises(ExactnessError):

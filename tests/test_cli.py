@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from involution_lab import checks
 from involution_lab.cli import main
+from involution_lab.errors import ResourceLimitError
 from involution_lab.sequences import involution_count, odd_factor
 
 
@@ -57,6 +59,13 @@ class TestSeq:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "seq", "--kind", "t", "--to", "4", "--p", "3")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("p", ["4", "0", "1", "-3"])
+    def test_nonprime_p_is_usage_error(self, capsys, p):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "seq", "--kind", "tau", "--p", p, "--to", "4")
+        assert exc.value.code == 2
+        assert "--p must be a prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, n, value", [
         ("t", 2995, involution_count), ("beta", 3100, odd_factor),
@@ -162,6 +171,42 @@ class TestVerify:
             run(capsys, "verify", "--check", "cross", "--n-max", "-1")
         assert exc.value.code == 2
         assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "lemma21 --p 0 --n-max 5",
+        "thm23 --p 0",
+        "lemma21 --p 4",
+        "thm32 --p 1 --n-max 3",
+    ])
+    def test_nonprime_p_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", *argv.split())
+        assert exc.value.code == 2
+        assert "--p must be a prime" in capsys.readouterr().err
+
+    def test_explicit_p_is_used_as_given(self):
+        # p = 0 is not replaced by the default p = 2 or by every prime.
+        with pytest.raises(ValueError, match="prime"):
+            checks.run_check("lemma21", {"p": 0, "n_max": 3})
+        with pytest.raises(ValueError, match="prime"):
+            checks.run_check("thm23", {"p": 0, "n_max": 3})
+        assert checks.run_check("thm23", {"p": 3, "n_max": 5}) == (
+            True, "valuation bound verified for p in (3,), n<=5"
+        )
+
+    @pytest.mark.parametrize("cap", ["0", "5,0", "0,8", "-3"])
+    def test_env_cap_below_one_is_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("INVOLUTION_LAB_CAP", cap)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", "fibersum", "--n-max", "4")
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_zero_cap_is_used_as_given(self):
+        with pytest.raises(ResourceLimitError):
+            checks.run_check("fibersum", {"n_max": 4, "vertex_cap": 0})
+        with pytest.raises(ResourceLimitError):
+            checks.run_check("weights", {"n_max": 4, "root_cap": 0})
 
     def test_env_cap_inconclusive(self, capsys, monkeypatch):
         monkeypatch.setenv("INVOLUTION_LAB_CAP", "50")

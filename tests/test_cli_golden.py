@@ -1,0 +1,76 @@
+"""Byte-identical gate for the command line.
+
+Each gate command is replayed in-process; its exit code and the sha256 of
+its stdout must equal the recorded values in ``tests/data/cli_golden.json``.
+A refactor that changes any printed byte fails here.
+
+The record is rewritten (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from involution_lab.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+_SEQ_KINDS = ("t", "tau", "beta", "g", "g_alt", "t_signed", "t_even", "t_odd")
+_CHECKS = (
+    "coeffs", "cor31", "cor53", "cross", "fibersum", "lemma21", "lemma51",
+    "lemma64", "lemma65", "prop42", "table1", "table2", "thm23", "thm32",
+    "thm33", "thm41", "thm52", "thm54", "thm55", "thm62", "thm63", "thm66",
+    "weights",
+)
+
+GATE_COMMANDS = (
+    [["seq", "--kind", kind, "--to", "60"] for kind in _SEQ_KINDS]
+    + [["seq", "--kind", "tau", "--p", "3", "--to", "60"]]
+    + [["table", "--k-max", "50"]]
+    + [["verify", "--check", name] for name in _CHECKS]
+    + [
+        ["period", "--t-mod", "12", "--expect-paper"],
+        ["period", "--beta-mod-2s", "3", "--expect-paper"],
+        ["rho", "--k-max", "1000"],
+    ]
+)
+
+
+def replay(argv: list[str]) -> dict:
+    """Exit code and stdout digest of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return {"argv": list(argv), "exit": code, "sha256": digest}
+
+
+def _recorded() -> list[dict]:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_gate_covers_every_command():
+    assert [entry["argv"] for entry in _recorded()] == GATE_COMMANDS
+
+
+@pytest.mark.parametrize("entry", _recorded(), ids=lambda e: " ".join(e["argv"]))
+def test_output_is_byte_identical(entry, monkeypatch):
+    monkeypatch.delenv("INVOLUTION_LAB_CAP", raising=False)
+    assert replay(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    os.environ.pop("INVOLUTION_LAB_CAP", None)
+    records = [replay(argv) for argv in GATE_COMMANDS]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    lines = ",\n".join(" " + json.dumps(record) for record in records)
+    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)

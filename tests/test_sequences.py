@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from involution_lab import sequences
 from involution_lab.algebra import BivariatePoly, Dyadic, val2
+from involution_lab.errors import ExactnessError
 from involution_lab.enumeration import graph_weight_sum_bruteforce, pth_roots
 from involution_lab.reference_tables import CORRECTED_G_AT_ONE, G_AT_MINUS_ONE, G_AT_ONE
 from involution_lab.sequences import (
@@ -120,6 +122,36 @@ class TestGraphPoly:
         for n in range(60):
             assert graph_poly(n).evaluate(1, 1).as_int() == graph_count(n)
             assert graph_poly(n).evaluate(1, -1).as_int() == graph_count_signed(n)
+
+
+class TestGenericRecurrences:
+    def test_int_graph_instance_needs_even_x2_plus_y(self):
+        # (x**2 + y)/2 must be an integer for the int instance to be exact.
+        with pytest.raises(ExactnessError):
+            sequences._int_graph_cache(1, 0)
+        with pytest.raises(ExactnessError):
+            sequences._int_graph_cache(2, 1)
+
+    @pytest.mark.parametrize("x, y", [(1, 1), (1, -1), (3, 1), (2, -2), (0, 4)])
+    def test_int_instances_match_poly_eval(self, x, y):
+        removal = SequenceCache(sequences._removal_step(1, x, y))
+        graph = sequences._int_graph_cache(x, y)
+        for n in range(25):
+            assert removal.get(n) == involution_poly(n).evaluate(x, y)
+            assert graph.get(n) == graph_poly(n).evaluate(x, y)
+
+    def test_int_routes_build_no_dyadic(self, monkeypatch):
+        def no_dyadic(self, *args):
+            raise AssertionError("Dyadic constructed on an int route")
+
+        monkeypatch.setattr(Dyadic, "__init__", no_dyadic)
+        graph = sequences._int_graph_cache(1, 1)
+        assert type(graph.get(200)) is int
+        for n in range(120):
+            assert type(graph_count(n)) is int
+            assert type(graph_count_signed(n)) is int
+            assert type(odd_factor_closed(n)) is int
+            assert type(involution_count_via_graphs(n)) is int
 
 
 class TestGraphCounts:
