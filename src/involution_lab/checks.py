@@ -1,350 +1,280 @@
 """Named verification batches behind ``involution-lab verify``.
 
-Each check recomputes a family of identities over a configurable range and
-returns (passed, detail); the detail carries the first counterexample on
-failure, so a red check always names the cell that broke.
+Each check is one row of ``ROWS``: a generator that recomputes a family of
+identities and yields a message for every counterexample; the flags it reads
+(a ``verify`` flag, or a ``*_cap`` enumeration cap), each mapped to its default
+and the first cell of its range (None when it is not a range); and the
+template of its pass verdict.  A default may be a function of the values
+resolved before it.  ``CHECKS[name](params)`` returns (passed, detail); the
+detail is the first counterexample on failure, so a red check always names
+the cell that broke.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from . import enumeration, periodicity, reference_tables, sequences, valuations
 from .algebra import BivariatePoly, val2, val_p
 from .errors import InvolutionLabError
 
-__all__ = ["CHECKS", "EmptyRangeError", "run_check"]
+__all__ = ["CHECKS", "ROWS", "EmptyRangeError", "option", "resolve"]
 
-Params = dict
-CheckFn = Callable[[Params], tuple[bool, str]]
+# thm33 checks the odd factor's graph formula this far; no flag moves it.
+_BETA_MAX = 400
 
 
 class EmptyRangeError(ValueError):
-    """An explicit range bound leaves a check no cell to run."""
+    """An explicit range bound is negative or leaves a check no cell to run."""
 
 
-def _upper(params: Params, key: str, default: int, low: int = 0) -> int:
-    """Upper end of a check's range: the explicit value when one is given
-    (zero included), else the default.  An explicit value below ``low``, the
-    range's first cell, would make the check pass vacuously, so it raises."""
-    value = params.get(key)
-    if value is None:
-        return default
-    if value < low:
-        raise EmptyRangeError(
-            f"--{key.replace('_', '-')} {value} leaves no cell to check; "
-            f"the range starts at {low}"
-        )
-    return value
+def option(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _root_cap(params: Params) -> int:
-    cap = params.get("root_cap")
-    return enumeration.DEFAULT_ROOT_CAP if cap is None else cap
+def resolve(name: str, params: dict) -> dict:
+    """Values of the flags check ``name`` reads: the explicit value when one
+    is given (zero included), else the default.  An explicit range bound that
+    is negative or below the range's first cell would make the check pass
+    vacuously, so it raises."""
+    values: dict = {}
+    for key, (default, first) in ROWS[name][1].items():
+        value = params.get(key)
+        if value is None:
+            value = default(values) if callable(default) else default
+        elif first is not None and value < first:
+            raise EmptyRangeError(
+                f"{option(key)} must be nonnegative" if value < 0 else
+                f"{option(key)} {value} leaves no cell to check; the range starts at {first}"
+            )
+        values[key] = value
+    return values
 
 
-def _vertex_cap(params: Params) -> int:
-    cap = params.get("vertex_cap")
-    return enumeration.DEFAULT_VERTEX_CAP if cap is None else cap
+def _check(name: str, params: dict) -> tuple[bool, str]:
+    cells, _, passed = ROWS[name]
+    values = resolve(name, params)
+    try:
+        return False, next(cells(**values))
+    except StopIteration as done:  # a generator may return extra template fields
+        return True, passed.format(**values, **(done.value or {}))
 
 
-def check_lemma21(params: Params) -> tuple[bool, str]:
+def _lemma21_n_max(values: dict) -> int:
+    return {2: 10, 3: 9, 5: 7}.get(values["p"], 6)
+
+
+def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
-    p = 2 if params.get("p") is None else params["p"]
-    n_max = _upper(params, "n_max", {2: 10, 3: 9, 5: 7}.get(p, 6))
     for n in range(n_max + 1):
-        roots = enumeration.pth_roots(n, p, cap=_root_cap(params))
+        roots = enumeration.pth_roots(n, p, cap=root_cap)
         groups = Counter(enumeration.refined_class(pi, p) for pi in roots)
-        total = 0
-        for cls, actual in sorted(groups.items(), key=lambda kv: (kv[0].bag, kv[0].cycles)):
+        for cls, actual in sorted(groups.items()):
             predicted = enumeration.class_size(cls, p, n)
             if predicted != actual:
-                return False, (
-                    f"p={p}, n={n}, class {cls.to_json_obj()}: formula gives "
-                    f"{predicted}, enumeration gives {actual}"
-                )
-            total += predicted
-        if total != len(roots):
-            return False, f"p={p}, n={n}: class sizes sum to {total}, not {len(roots)}"
-        if total != sequences.pth_root_count(n, p):
-            return False, (
-                f"p={p}, n={n}: enumerated {total} roots, recurrence says "
-                f"{sequences.pth_root_count(n, p)}"
-            )
-    return True, f"fiber law verified for p={p}, n<={n_max}"
+                yield (f"p={p}, n={n}, class {cls.to_json_obj()}: formula gives "
+                       f"{predicted}, enumeration gives {actual}")
+        count = sequences.pth_root_count(n, p)
+        if len(roots) != count:
+            yield f"p={p}, n={n}: enumerated {len(roots)} roots, recurrence says {count}"
 
 
-def check_cor31(params: Params) -> tuple[bool, str]:
+def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     """For p = 2 the refined classes correspond one-to-one with the
     admissible graphs, and the power-of-two fiber size matches the general
     class-size formula on every class."""
-    n_max = _upper(params, "n_max", 10)
     for n in range(n_max + 1):
-        roots = enumeration.pth_roots(n, 2, cap=_root_cap(params))
-        classes = sorted(
-            {enumeration.refined_class(pi, 2) for pi in roots},
-            key=lambda c: (c.bag, c.cycles),
-        )
-        graphs = enumeration.multigraphs(n, vertex_cap=_vertex_cap(params))
+        roots = enumeration.pth_roots(n, 2, cap=root_cap)
+        classes = sorted({enumeration.refined_class(pi, 2) for pi in roots})
+        graphs = enumeration.multigraphs(n, vertex_cap=vertex_cap)
         mapped = sorted(enumeration.class_graph(c, n) for c in classes)
         if mapped != sorted(graphs):
-            return False, f"n={n}: classes map to {len(mapped)} graphs, expected {len(graphs)}"
+            yield f"n={n}: classes map to {len(mapped)} graphs, expected {len(graphs)}"
         for cls in classes:
             g = enumeration.class_graph(cls, n)
             if enumeration.graph_class(g, n) != cls:
-                return False, f"n={n}: graph round-trip broke on {cls.to_json_obj()}"
+                yield f"n={n}: graph round-trip broke on {cls.to_json_obj()}"
             lhs = enumeration.fiber_size(g, n)
             rhs = enumeration.class_size(cls, 2, n)
             if lhs != rhs:
-                return False, (
-                    f"n={n}, graph {g.to_json_obj()}: fiber size {lhs} != "
-                    f"class size {rhs}"
-                )
-    return True, f"graph correspondence verified for n<={n_max}"
+                yield f"n={n}, graph {g.to_json_obj()}: fiber size {lhs} != class size {rhs}"
 
 
-def check_thm32(params: Params) -> tuple[bool, str]:
+def _thm32(n_max: int) -> Iterator[str]:
     """Involution count reassembled from graph counts equals the recurrence."""
-    n_max = _upper(params, "n_max", 400)
     for n in range(n_max + 1):
         lhs = sequences.involution_count_via_graphs(n)
         rhs = sequences.involution_count(n)
         if lhs != rhs:
-            return False, f"n={n}: graph route {lhs} != recurrence {rhs}"
-    return True, f"count identity verified for n<={n_max}"
+            yield f"n={n}: graph route {lhs} != recurrence {rhs}"
 
 
-def check_thm33(params: Params) -> tuple[bool, str]:
+def _thm33(n_max: int) -> Iterator[str]:
     """Exponent-of-two closed form, and the odd factor's graph formula."""
-    n_max = _upper(params, "n_max", 2000)
-    beta_max = _upper(params, "beta_max", 400)
     for n in range(n_max + 1):
         lhs = val2(sequences.involution_count(n))
         rhs = valuations.involution_val2(n)
         if lhs != rhs:
-            return False, f"n={n}: val2 of count is {lhs}, closed form {rhs}"
-    for n in range(beta_max + 1):
+            yield f"n={n}: val2 of count is {lhs}, closed form {rhs}"
+    for n in range(_BETA_MAX + 1):
         lhs = sequences.odd_factor(n)
         rhs = sequences.odd_factor_closed(n)
         if lhs != rhs:
-            return False, f"n={n}: odd factor {lhs} != graph formula {rhs}"
-    return True, f"valuation closed form (n<={n_max}) and odd factor (n<={beta_max}) verified"
+            yield f"n={n}: odd factor {lhs} != graph formula {rhs}"
 
 
-def check_thm41(params: Params) -> tuple[bool, str]:
+def _thm41(n_max: int) -> Iterator[str]:
     """Polynomial identity between the graph route and the recurrence."""
-    n_max = _upper(params, "n_max", 80)
     for n in range(n_max + 1):
         via = sequences.involution_poly_via_graphs(n)
-        direct = sequences.involution_poly(n)
-        if via != direct:
-            return False, f"n={n}: polynomial routes disagree"
+        if via != sequences.involution_poly(n):
+            yield f"n={n}: polynomial routes disagree"
         if not via.is_integral:
-            return False, f"n={n}: graph route left a non-integer coefficient"
-    return True, f"polynomial identity verified for n<={n_max}"
+            yield f"n={n}: graph route left a non-integer coefficient"
 
 
-def check_prop42(params: Params) -> tuple[bool, str]:
+def _prop42(n_max: int, vertex_cap: int) -> Iterator[str]:
     """Graph-polynomial recurrence equals the brute-force weight sum."""
-    n_max = _upper(params, "n_max", 13)
     for n in range(n_max + 1):
         rec = sequences.graph_poly(n)
-        brute = enumeration.graph_weight_sum_bruteforce(n, vertex_cap=_vertex_cap(params))
-        if rec != brute:
-            return False, f"n={n}: recurrence and graph enumeration disagree"
-    return True, f"graph polynomial verified against enumeration for n<={n_max}"
+        if rec != enumeration.graph_weight_sum_bruteforce(n, vertex_cap=vertex_cap):
+            yield f"n={n}: recurrence and graph enumeration disagree"
 
 
-def check_lemma51(params: Params) -> tuple[bool, str]:
-    k_max = _upper(params, "k_max", 256, 1)
+def _lemma51(k_max: int) -> Iterator[str]:
     for k in range(1, k_max + 1):
         for i in range(1, k + 1):
             if not valuations.binomial_shift_bound_holds(k, i):
-                return False, f"bound fails at k={k}, i={i}"
-    return True, f"shifted binomial bound verified for k<={k_max}"
+                yield f"bound fails at k={k}, i={i}"
 
 
-def check_thm52(params: Params) -> tuple[bool, str]:
+def _thm52(k_max: int) -> Iterator[str]:
     """Signed-sum valuation closed form, zero case included."""
-    k_max = _upper(params, "k_max", 500)
     for n in range(4 * k_max + 4):
         computed = val2(sequences.signed_involution_count(n))
         predicted = valuations.signed_val2_predicted(n)
         if computed != predicted:
-            return False, f"n={n}: computed {computed}, predicted {predicted}"
-    return True, f"signed valuations verified for k<={k_max}"
+            yield f"n={n}: computed {computed}, predicted {predicted}"
 
 
-def _parity_check(k_max: int, residues: tuple[int, ...], kind: str) -> tuple[bool, str]:
-    predictor = {
-        "t_even": valuations.even_val2_predicted,
-        "t_odd": valuations.odd_val2_predicted,
-    }[kind]
-    counter = {
-        "t_even": valuations.even_involution_count,
-        "t_odd": valuations.odd_involution_count,
-    }[kind]
-    for k in range(k_max + 1):
-        for r in residues:
-            n = 4 * k + r
-            predicted = predictor(n)
-            if predicted is None:
-                return False, f"n={n}: no closed form on this residue class"
-            computed = val2(counter(n))
-            if computed != predicted:
-                return False, f"n={n} ({kind}): computed {computed}, predicted {predicted}"
-    return True, f"{kind} valuations verified on residues {residues} for k<={k_max}"
+def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> Iterator[str]:
+    """Even/odd count valuations against their closed forms on n = 4k + r."""
+    for kind in kinds:
+        for k in range(k_max + 1):
+            for r in residues:
+                report = valuations.valuation_report(4 * k + r, kind)
+                if report.predicted is None:
+                    yield f"n={report.n}: no closed form on this residue class"
+                elif not report.matches:
+                    yield (f"n={report.n} ({kind}): computed {report.computed}, "
+                           f"predicted {report.predicted}")
 
 
-def check_cor53(params: Params) -> tuple[bool, str]:
-    k_max = _upper(params, "k_max", 500)
-    for kind in ("t_even", "t_odd"):
-        ok, detail = _parity_check(k_max, (2, 3), kind)
-        if not ok:
-            return ok, detail
-    return True, f"equal even/odd valuations verified for k<={k_max}"
-
-
-def check_thm54(params: Params) -> tuple[bool, str]:
-    return _parity_check(_upper(params, "k_max", 500), (0,), "t_even")
-
-
-def check_thm55(params: Params) -> tuple[bool, str]:
-    return _parity_check(_upper(params, "k_max", 500), (1,), "t_odd")
-
-
-def check_thm23(params: Params) -> tuple[bool, str]:
+def _thm23(p: int | None, n_max: int) -> Iterator[str]:
     """Valuation lower bound for the p-th-root counts."""
-    n_max = _upper(params, "n_max", 500)
-    primes = (2, 3, 5, 7) if params.get("p") is None else (params["p"],)
-    for p in primes:
+    primes = (2, 3, 5, 7) if p is None else (p,)
+    for q in primes:
         for n in range(n_max + 1):
-            v = val_p(sequences.pth_root_count(n, p), p)
-            bound = valuations.tau_valuation_bound(n, p)
+            v = val_p(sequences.pth_root_count(n, q), q)
+            bound = valuations.tau_valuation_bound(n, q)
             if not v >= bound:
-                return False, f"p={p}, n={n}: valuation {v} below bound {bound}"
-    return True, f"valuation bound verified for p in {primes}, n<={n_max}"
+                yield f"p={q}, n={n}: valuation {v} below bound {bound}"
+    return {"primes": primes}
 
 
-def check_lemma64(params: Params) -> tuple[bool, str]:
-    s_max = _upper(params, "s_max", 16, 3)
+def _lemma64(s_max: int) -> Iterator[str]:
     for s in range(3, s_max + 1):
         if not periodicity.odd_product_congruence(s):
-            return False, f"odd product congruence fails at s={s}"
-    return True, f"odd product congruence verified for 3<=s<={s_max}"
+            yield f"odd product congruence fails at s={s}"
 
 
-def check_lemma65(params: Params) -> tuple[bool, str]:
-    s_max = _upper(params, "s_max", 6, 3)
-    n_max = _upper(params, "n_max", 128)
+def _lemma65(s_max: int, n_max: int) -> Iterator[str]:
     for s in range(3, s_max + 1):
         if not periodicity.odd_factor_shift_congruence(s, n_max):
-            return False, f"odd factor shift congruence fails at s={s}"
-    return True, f"odd factor shift congruence verified for 3<=s<={s_max}, n<={n_max}"
+            yield f"odd factor shift congruence fails at s={s}"
 
 
-def check_thm62(params: Params) -> tuple[bool, str]:
+def _thm62(m_max: int) -> Iterator[str]:
     """Odd moduli: purely periodic with smallest period exactly m."""
-    m_max = _upper(params, "m_max", 99, 1)
     for m in range(1, m_max + 1, 2):
         report = periodicity.involution_mod_period(m)
         if report.preperiod != 0 or report.period != m:
-            return False, (
-                f"m={m}: preperiod {report.preperiod}, period {report.period}"
-            )
-    return True, f"odd moduli verified for m<={m_max}"
+            yield f"m={m}: preperiod {report.preperiod}, period {report.period}"
 
 
-def check_thm63(params: Params) -> tuple[bool, str]:
+def _thm63(m_max: int) -> Iterator[str]:
     """Even moduli 2**k * ell: preperiod exactly 4k-2, period ell."""
-    m_max = _upper(params, "m_max", 96, 2)
     for m in range(2, m_max + 1, 2):
         try:
             periodicity.verify_even_modulus(m)
         except InvolutionLabError as exc:
-            return False, str(exc)
-    return True, f"even moduli verified for m<={m_max}"
+            yield str(exc)
 
 
-def check_thm66(params: Params) -> tuple[bool, str]:
+def _thm66(s_max: int) -> Iterator[str]:
     """Odd factors mod 2**s: pure smallest period 2**(s+1)."""
-    s_max = _upper(params, "s_max", 6, 3)
     for s in range(3, s_max + 1):
         try:
             report = periodicity.odd_factor_period(s)
         except InvolutionLabError as exc:
-            return False, str(exc)
+            yield str(exc)
+            continue
         if report.preperiod != 0 or report.period != 1 << (s + 1):
-            return False, f"s={s}: report {report.preperiod}/{report.period}"
-    return True, f"odd factor periods verified for 3<=s<={s_max}"
+            yield f"s={s}: report {report.preperiod}/{report.period}"
 
 
-def check_weights(params: Params) -> tuple[bool, str]:
+def _fiber_sum(n: int, vertex_cap: int) -> Iterator[str]:
+    graphs = enumeration.multigraphs(n, vertex_cap=vertex_cap)
+    fibers = sum(enumeration.fiber_size(g, n) for g in graphs)
+    count = sequences.involution_count(n)
+    if fibers != count:
+        yield f"n={n}: fibers sum to {fibers}, count is {count}"
+
+
+def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     """Summed involution weights over each fiber equal fiber size times the
     graph weight, and the fiber sizes sum to the involution count."""
-    n_max = _upper(params, "n_max", 9)
     for n in range(n_max + 1):
-        roots = enumeration.pth_roots(n, 2, cap=_root_cap(params))
         by_class: dict = {}
-        for pi in roots:
+        for pi in enumeration.pth_roots(n, 2, cap=root_cap):
             by_class.setdefault(enumeration.refined_class(pi, 2), []).append(pi)
         for cls, members in by_class.items():
             g = enumeration.class_graph(cls, n)
             total = BivariatePoly.zero()
             for pi in members:
                 total = total + enumeration.involution_weight(pi)
-            expected = enumeration.fiber_size(g, n) * enumeration.graph_weight(g, n)
-            if total != expected:
-                return False, f"n={n}, graph {g.to_json_obj()}: weight identity fails"
-        fibers = sum(
-            enumeration.fiber_size(g, n)
-            for g in enumeration.multigraphs(n, vertex_cap=_vertex_cap(params))
-        )
-        if fibers != sequences.involution_count(n):
-            return False, f"n={n}: fibers sum to {fibers}, count is {sequences.involution_count(n)}"
-    return True, f"weight identity verified for n<={n_max}"
+            if total != enumeration.fiber_size(g, n) * enumeration.graph_weight(g, n):
+                yield f"n={n}, graph {g.to_json_obj()}: weight identity fails"
+        yield from _fiber_sum(n, vertex_cap)
 
 
-def check_fibersum(params: Params) -> tuple[bool, str]:
-    n_max = _upper(params, "n_max", 12)
+def _fibersum(n_max: int, vertex_cap: int) -> Iterator[str]:
     for n in range(n_max + 1):
-        total = sum(
-            enumeration.fiber_size(g, n)
-            for g in enumeration.multigraphs(n, vertex_cap=_vertex_cap(params))
-        )
-        expected = sequences.involution_count(n)
-        if total != expected:
-            return False, f"n={n}: fibers sum to {total}, count is {expected}"
-    return True, f"fiber sums verified for n<={n_max}"
+        yield from _fiber_sum(n, vertex_cap)
 
 
-def check_coeffs(params: Params) -> tuple[bool, str]:
+def _coeffs(n_max: int) -> Iterator[str]:
     """Coefficient of x**(n-2i) y**i in the involution polynomial equals
     n!/(2**i i! (n-2i)!)."""
-    n_max = _upper(params, "n_max", 60)
     for n in range(n_max + 1):
-        poly = sequences.involution_poly(n)
-        expected_terms = {}
-        for i in range(n // 2 + 1):
-            j = n - 2 * i
-            expected_terms[(j, i)] = math.factorial(n) // (
-                (1 << i) * math.factorial(i) * math.factorial(j)
-            )
-        for (dx, dy), coeff in poly.items():
+        expected_terms = {
+            (n - 2 * i, i): math.perm(n, 2 * i) // ((1 << i) * math.factorial(i))
+            for i in range(n // 2 + 1)
+        }
+        for (dx, dy), coeff in sequences.involution_poly(n).items():
             want = expected_terms.pop((dx, dy), None)
             if want is None or coeff != want:
-                return False, f"n={n}: coefficient at x^{dx} y^{dy} is {coeff}, want {want}"
+                yield f"n={n}: coefficient at x^{dx} y^{dy} is {coeff}, want {want}"
         if expected_terms:
-            return False, f"n={n}: missing terms {sorted(expected_terms)}"
-    return True, f"coefficient law verified for n<={n_max}"
+            yield f"n={n}: missing terms {sorted(expected_terms)}"
 
 
-def check_cross(params: Params) -> tuple[bool, str]:
+def _cross(n_max: int) -> Iterator[str]:
     """All four involution-count routes agree."""
-    n_max = _upper(params, "n_max", 400)
     for n in range(n_max + 1):
         t = sequences.involution_count(n)
         routes = {
@@ -354,16 +284,12 @@ def check_cross(params: Params) -> tuple[bool, str]:
         }
         for name, value in routes.items():
             if value != t:
-                return False, f"n={n}: {name} gives {value}, recurrence {t}"
-    return True, f"cross-engine agreement verified for n<={n_max}"
+                yield f"n={n}: {name} gives {value}, recurrence {t}"
 
 
-def _table_check(reference: dict, computed, table: str) -> tuple[bool, str]:
-    bad = []
-    for n, want in sorted(reference.items()):
-        got = computed(n)
-        if got != want:
-            bad.append((n, got, want))
+def _table(reference: dict, computed, table: str) -> Iterator[str]:
+    """Every reference cell, reproduced verbatim; a failure names them all."""
+    bad = [(n, got, want) for n, want in sorted(reference.items()) if (got := computed(n)) != want]
     if bad:
         cells = "; ".join(
             f"{reference_tables.cell_name(table, n)}: computed {got}, reference {want}"
@@ -377,46 +303,40 @@ def _table_check(reference: dict, computed, table: str) -> tuple[bool, str]:
                 "identity, and the printed rows are the computed n=21 and n=22 "
                 "values -- see reference_tables]"
             )
-        return False, cells + note
-    return True, f"all {len(reference)} {table} reference cells reproduced"
+        yield cells + note
 
 
-def check_table1(params: Params) -> tuple[bool, str]:
-    return _table_check(reference_tables.G_AT_ONE, sequences.graph_count, "g(1,1)")
+_ROOTS = {"root_cap": (enumeration.DEFAULT_ROOT_CAP, None)}
+_VERTICES = {"vertex_cap": (enumeration.DEFAULT_VERTEX_CAP, None)}
+_CAPS = {**_ROOTS, **_VERTICES}
+_G1, _G2 = reference_tables.G_AT_ONE, reference_tables.G_AT_MINUS_ONE
 
-
-def check_table2(params: Params) -> tuple[bool, str]:
-    return _table_check(
-        reference_tables.G_AT_MINUS_ONE, sequences.graph_count_signed, "g(1,-1)"
-    )
-
-
-CHECKS: dict[str, CheckFn] = {
-    "lemma21": check_lemma21,
-    "thm23": check_thm23,
-    "cor31": check_cor31,
-    "thm32": check_thm32,
-    "thm33": check_thm33,
-    "thm41": check_thm41,
-    "prop42": check_prop42,
-    "lemma51": check_lemma51,
-    "thm52": check_thm52,
-    "cor53": check_cor53,
-    "thm54": check_thm54,
-    "thm55": check_thm55,
-    "thm62": check_thm62,
-    "thm63": check_thm63,
-    "lemma64": check_lemma64,
-    "lemma65": check_lemma65,
-    "thm66": check_thm66,
-    "table1": check_table1,
-    "table2": check_table2,
-    "weights": check_weights,
-    "fibersum": check_fibersum,
-    "coeffs": check_coeffs,
-    "cross": check_cross,
+ROWS: dict[str, tuple[Callable[..., Iterator[str]], dict[str, tuple], str]] = {
+    "lemma21": (_lemma21, {"p": (2, None), "n_max": (_lemma21_n_max, 0), **_ROOTS}, "fiber law verified for p={p}, n<={n_max}"),
+    "thm23": (_thm23, {"p": (None, None), "n_max": (500, 0)}, "valuation bound verified for p in {primes}, n<={n_max}"),
+    "cor31": (_cor31, {"n_max": (10, 0), **_CAPS}, "graph correspondence verified for n<={n_max}"),
+    "thm32": (_thm32, {"n_max": (400, 0)}, "count identity verified for n<={n_max}"),
+    "thm33": (_thm33, {"n_max": (2000, 0)}, f"valuation closed form (n<={{n_max}}) and odd factor (n<={_BETA_MAX}) verified"),
+    "thm41": (_thm41, {"n_max": (80, 0)}, "polynomial identity verified for n<={n_max}"),
+    "prop42": (_prop42, {"n_max": (13, 0), **_VERTICES}, "graph polynomial verified against enumeration for n<={n_max}"),
+    "lemma51": (_lemma51, {"k_max": (256, 1)}, "shifted binomial bound verified for k<={k_max}"),
+    "thm52": (_thm52, {"k_max": (500, 0)}, "signed valuations verified for k<={k_max}"),
+    "cor53": (partial(_parity, (2, 3), ("t_even", "t_odd")), {"k_max": (500, 0)}, "equal even/odd valuations verified for k<={k_max}"),
+    "thm54": (partial(_parity, (0,), ("t_even",)), {"k_max": (500, 0)}, "t_even valuations verified on residues (0,) for k<={k_max}"),
+    "thm55": (partial(_parity, (1,), ("t_odd",)), {"k_max": (500, 0)}, "t_odd valuations verified on residues (1,) for k<={k_max}"),
+    "thm62": (_thm62, {"m_max": (99, 1)}, "odd moduli verified for m<={m_max}"),
+    "thm63": (_thm63, {"m_max": (96, 2)}, "even moduli verified for m<={m_max}"),
+    "lemma64": (_lemma64, {"s_max": (16, 3)}, "odd product congruence verified for 3<=s<={s_max}"),
+    "lemma65": (_lemma65, {"s_max": (6, 3), "n_max": (128, 0)}, "odd factor shift congruence verified for 3<=s<={s_max}, n<={n_max}"),
+    "thm66": (_thm66, {"s_max": (6, 3)}, "odd factor periods verified for 3<=s<={s_max}"),
+    "table1": (partial(_table, _G1, sequences.graph_count, "g(1,1)"), {}, f"all {len(_G1)} g(1,1) reference cells reproduced"),
+    "table2": (partial(_table, _G2, sequences.graph_count_signed, "g(1,-1)"), {}, f"all {len(_G2)} g(1,-1) reference cells reproduced"),
+    "weights": (_weights, {"n_max": (9, 0), **_CAPS}, "weight identity verified for n<={n_max}"),
+    "fibersum": (_fibersum, {"n_max": (12, 0), **_VERTICES}, "fiber sums verified for n<={n_max}"),
+    "coeffs": (_coeffs, {"n_max": (60, 0)}, "coefficient law verified for n<={n_max}"),
+    "cross": (_cross, {"n_max": (400, 0)}, "cross-engine agreement verified for n<={n_max}"),
 }
 
-
-def run_check(name: str, params: Params) -> tuple[bool, str]:
-    return CHECKS[name](params)
+CHECKS: dict[str, Callable[[dict], tuple[bool, str]]] = {
+    name: partial(_check, name) for name in ROWS
+}

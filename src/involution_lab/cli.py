@@ -30,6 +30,9 @@ from .errors import InconclusiveError, ResourceLimitError, VerificationError
 __all__ = ["main", "build_parser"]
 
 _SEQ_KINDS = ("t", "tau", "beta", "g", "g_alt", "t_signed", "t_even", "t_odd")
+_VERIFY_FLAGS = ("p", "n_max", "k_max", "s_max", "m_max")
+# Largest --p accepted: primality is tested by trial division.
+_P_MAX = 10**6
 
 
 def _usage_error(message: str) -> "SystemExit":
@@ -78,8 +81,8 @@ def _env_caps() -> dict:
 
 
 def _check_prime(command: str, p: int | None) -> None:
-    if p is not None and not is_prime(p):
-        raise _usage_error(f"{command}: --p must be a prime, got {p}")
+    if p is not None and not (p <= _P_MAX and is_prime(p)):
+        raise _usage_error(f"{command}: --p must be a prime at most {_P_MAX}, got {p}")
 
 
 @contextmanager
@@ -144,25 +147,23 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {
-        "p": args.p,
-        "n_max": args.n_max,
-        "k_max": args.k_max,
-        "s_max": args.s_max,
-        "m_max": args.m_max,
-    }
-    for key in ("n_max", "k_max", "s_max", "m_max"):
-        if params[key] is not None and params[key] < 0:
-            raise _usage_error(f"verify: --{key.replace('_', '-')} must be nonnegative")
     _check_prime("verify", args.p)
-    params.update(_env_caps())
     names = sorted(checks.CHECKS) if args.check == "all" else [args.check]
+    given = {key: getattr(args, key) for key in _VERIFY_FLAGS if getattr(args, key) is not None}
+    params = {**given, **_env_caps()}
+    read: set[str] = set()
+    for name in names:  # every range is checked before the first check runs
+        try:
+            read.update(checks.resolve(name, params))
+        except checks.EmptyRangeError as exc:
+            raise _usage_error(f"verify: {name}: {exc}") from None
+    ignored = [checks.option(key) for key in given if key not in read]
+    if ignored:
+        raise _usage_error(f"verify: {args.check} does not read {', '.join(ignored)}")
     failed = False
     for name in names:
         try:
-            ok, detail = checks.run_check(name, params)
-        except checks.EmptyRangeError as exc:
-            raise _usage_error(f"verify: {name}: {exc}") from None
+            ok, detail = checks.CHECKS[name](params)
         except (ResourceLimitError, InconclusiveError) as exc:
             print(f"{name}: INCONCLUSIVE: {exc}")
             return 3
@@ -278,11 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=sorted(checks.CHECKS) + ["all"],
     )
-    p_verify.add_argument("--p", type=int, default=None)
-    p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--k-max", type=int, default=None)
-    p_verify.add_argument("--s-max", type=int, default=None)
-    p_verify.add_argument("--m-max", type=int, default=None)
+    for key in _VERIFY_FLAGS:
+        p_verify.add_argument(checks.option(key), type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_period = sub.add_parser("period", help="report a modular period")

@@ -3,6 +3,7 @@ code protocol (0 pass, 1 verification failure, 2 usage, 3 inconclusive)."""
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from involution_lab import checks
 from involution_lab.cli import main
 from involution_lab.errors import ResourceLimitError
 from involution_lab.sequences import involution_count, odd_factor
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -60,7 +63,8 @@ class TestSeq:
             run(capsys, "seq", "--kind", "t", "--to", "4", "--p", "3")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("p", ["4", "0", "1", "-3"])
+    # The last prime would take about 10**9 trial divisions to test.
+    @pytest.mark.parametrize("p", ["4", "0", "1", "-3", "1000000000000000003"])
     def test_nonprime_p_is_usage_error(self, capsys, p):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "seq", "--kind", "tau", "--p", p, "--to", "4")
@@ -177,6 +181,7 @@ class TestVerify:
         "thm23 --p 0",
         "lemma21 --p 4",
         "thm32 --p 1 --n-max 3",
+        "thm23 --p 1000000000000000003 --n-max 1",
     ])
     def test_nonprime_p_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -187,12 +192,48 @@ class TestVerify:
     def test_explicit_p_is_used_as_given(self):
         # p = 0 is not replaced by the default p = 2 or by every prime.
         with pytest.raises(ValueError, match="prime"):
-            checks.run_check("lemma21", {"p": 0, "n_max": 3})
+            checks.CHECKS["lemma21"]({"p": 0, "n_max": 3})
         with pytest.raises(ValueError, match="prime"):
-            checks.run_check("thm23", {"p": 0, "n_max": 3})
-        assert checks.run_check("thm23", {"p": 3, "n_max": 5}) == (
+            checks.CHECKS["thm23"]({"p": 0, "n_max": 3})
+        assert checks.CHECKS["thm23"]({"p": 3, "n_max": 5}) == (
             True, "valuation bound verified for p in (3,), n<=5"
         )
+
+    @pytest.mark.parametrize("argv", [
+        "thm32 --s-max 9",
+        "table1 --n-max 5",
+        "lemma64 --p 3",
+        "thm62 --m-max 5 --k-max 2",
+    ])
+    def test_flag_the_check_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", *argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not read" in captured.err
+
+    def test_all_validates_every_range_before_running(self, capsys):
+        # lemma64's range starts at s = 3; no check may print before that.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--check", "all", "--s-max", "2")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lemma64" in captured.err and "no cell" in captured.err
+
+    def test_dispatch_goes_through_the_registry(self, capsys, monkeypatch):
+        calls = []
+
+        def stub(params):
+            calls.append(params)
+            return True, "stubbed"
+
+        monkeypatch.setitem(checks.CHECKS, "thm32", stub)
+        code, out, _ = run(capsys, "verify", "--check", "thm32", "--n-max", "7")
+        assert code == 0
+        assert out == "thm32: PASS: stubbed\n"
+        assert len(calls) == 1 and calls[0]["n_max"] == 7
 
     @pytest.mark.parametrize("cap", ["0", "5,0", "0,8", "-3"])
     def test_env_cap_below_one_is_usage_error(self, capsys, monkeypatch, cap):
@@ -204,9 +245,9 @@ class TestVerify:
 
     def test_zero_cap_is_used_as_given(self):
         with pytest.raises(ResourceLimitError):
-            checks.run_check("fibersum", {"n_max": 4, "vertex_cap": 0})
+            checks.CHECKS["fibersum"]({"n_max": 4, "vertex_cap": 0})
         with pytest.raises(ResourceLimitError):
-            checks.run_check("weights", {"n_max": 4, "root_cap": 0})
+            checks.CHECKS["weights"]({"n_max": 4, "root_cap": 0})
 
     def test_env_cap_inconclusive(self, capsys, monkeypatch):
         monkeypatch.setenv("INVOLUTION_LAB_CAP", "50")
@@ -224,6 +265,27 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--check", "fibersum", "--n-max", "4")
         assert exc.value.code == 2
+
+
+def _readme_default(default) -> str:
+    if callable(default):  # lemma21's --n-max default depends on --p
+        by_p = "; ".join(f"p={p}: {default({'p': p})}" for p in (2, 3, 5))
+        return f"{by_p}; larger p: {default({'p': 7})}"
+    return "none" if default is None else str(default)
+
+
+def test_readme_check_table_matches_registry():
+    expected = []
+    for name in sorted(checks.ROWS):
+        _, flags, _ = checks.ROWS[name]
+        if not flags:
+            expected.append(f"| `{name}` | — | — | — |")
+        for key, (default, first) in flags.items():
+            read = key.replace("_", " ") if key.endswith("_cap") else f"`{checks.option(key)}`"
+            first_cell = "—" if first is None else first
+            expected.append(f"| `{name}` | {read} | {_readme_default(default)} | {first_cell} |")
+    section = README.read_text(encoding="utf-8").split("### Checks\n", 1)[1].split("\n#", 1)[0]
+    assert [line for line in section.splitlines() if line.startswith("| `")] == expected
 
 
 class TestPeriod:

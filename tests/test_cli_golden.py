@@ -30,6 +30,16 @@ _CHECKS = (
     "thm33", "thm41", "thm52", "thm54", "thm55", "thm62", "thm63", "thm66",
     "weights",
 )
+# One non-default invocation of every check that reads a flag.
+_CHECK_OVERRIDES = (
+    "lemma21 --p 5", "thm23 --p 3 --n-max 40", "cor31 --n-max 6",
+    "thm32 --n-max 50", "thm33 --n-max 100", "thm41 --n-max 15",
+    "prop42 --n-max 6", "lemma51 --k-max 1", "thm52 --k-max 20",
+    "cor53 --k-max 20", "thm54 --k-max 20", "thm55 --k-max 20",
+    "lemma64 --s-max 5", "lemma65 --s-max 4 --n-max 32", "thm62 --m-max 31",
+    "thm63 --m-max 24", "thm66 --s-max 4", "weights --n-max 5",
+    "fibersum --n-max 6", "coeffs --n-max 20", "cross --n-max 0",
+)
 
 GATE_COMMANDS = (
     [["seq", "--kind", kind, "--to", "60"] for kind in _SEQ_KINDS]
@@ -41,6 +51,7 @@ GATE_COMMANDS = (
         ["period", "--beta-mod-2s", "3", "--expect-paper"],
         ["rho", "--k-max", "1000"],
     ]
+    + [["verify", "--check", *line.split()] for line in _CHECK_OVERRIDES]
 )
 
 
