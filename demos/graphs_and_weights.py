@@ -47,7 +47,7 @@ print()
 print("Counting only the graphs without doubled edges gives the g-sequence;")
 print("the recurrence and the brute-force enumeration agree:")
 print("  recurrence :", [graph_count(n) for n in range(12)])
-print("  brute force:", [graph_weight_sum_bruteforce(n).evaluate(1, 1).as_int() for n in range(12)])
+print("  brute force:", [int(graph_weight_sum_bruteforce(n).evaluate(1, 1)) for n in range(12)])
 
 print()
 print("Their weight sums match coefficientwise too, dyadic coefficients and all:")

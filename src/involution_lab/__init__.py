@@ -22,7 +22,6 @@ digit-fitting scan.
 from .algebra import (
     INFINITY,
     BivariatePoly,
-    Dyadic,
     Valuation,
     binomial,
     odd_part,

@@ -1,20 +1,24 @@
-"""Exact arithmetic kernel: p-adic valuations, dyadic rationals, and sparse
-bivariate polynomials.
+"""Exact arithmetic kernel: p-adic valuations and sparse bivariate
+polynomials with dyadic coefficients.
 
 Plain Python integers carry all arbitrary-precision work (they are exact,
 round-trip through decimal strings, and compare correctly, which is the whole
-contract).  ``Dyadic`` keeps denominators as explicit powers of two, and
-``BivariatePoly`` stores only nonzero coefficients so that equality of
-polynomials is structural equality.  Every value here is immutable and every
-operation is a pure function, so results are safe to share across threads.
+contract).  ``BivariatePoly`` stores integer numerators over one shared power
+of two, in a canonical form, so that equality of polynomials is structural
+equality; coefficients and values leave it as ``fractions.Fraction``.  Every
+value here is immutable and every operation is a pure function, so results
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import ExactnessError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "INFINITY",
@@ -27,7 +31,6 @@ __all__ = [
     "odd_product_ratio",
     "arithmetic_product",
     "binomial",
-    "Dyadic",
     "BivariatePoly",
 ]
 
@@ -80,6 +83,10 @@ INFINITY = _Infinity()
 
 #: A p-adic valuation: a nonnegative ``int``, or ``INFINITY`` for zero.
 Valuation = Union[int, _Infinity]
+
+#: An exact rational: an ``int``, or anything with ``numerator`` and
+#: ``denominator`` such as ``fractions.Fraction``.
+Rational = Union[int, "Fraction"]
 
 
 def is_prime(p: int) -> bool:
@@ -159,157 +166,91 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class Dyadic:
-    """An exact rational with a power-of-two denominator, num / 2**exp.
-
-    Canonical form: exp == 0, or num is odd.  A negative ``exp`` passed to
-    the constructor means multiplication by 2**(-exp) and is folded into the
-    numerator.  Arithmetic never rounds; division raises ExactnessError when
-    the quotient is not itself dyadic.
-    """
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num: int, exp: int = 0):
-        if num == 0:
-            exp = 0
-        elif exp < 0:
-            num <<= -exp
-            exp = 0
-        else:
-            shift = min(exp, val2(num))
-            if shift:
-                num >>= shift
-                exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Dyadic values are immutable")
-
-    @staticmethod
-    def _coerce(value: "Dyadic | int") -> "Dyadic":
-        if isinstance(value, Dyadic):
-            return value
-        if isinstance(value, int):
-            return Dyadic(value)
-        raise TypeError(f"cannot interpret {value!r} as a dyadic rational")
-
-    def __add__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
-
-    def __sub__(self, other: "Dyadic | int") -> "Dyadic":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: "Dyadic | int") -> "Dyadic":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        return Dyadic(self.num * o.num, self.exp + o.exp)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        if o.num == 0:
-            raise ZeroDivisionError("dyadic division by zero")
-        a = self.num << o.exp
-        b_odd = odd_part(o.num) if o.num else 0
-        twos = val2(o.num)
-        if a % b_odd:
-            raise ExactnessError(f"{self} / {o} is not a dyadic rational")
-        return Dyadic(a // b_odd, self.exp + twos)
-
-    def mul_pow2(self, k: int) -> "Dyadic":
-        """Exact multiplication by 2**k (k may be negative)."""
-        return Dyadic(self.num, self.exp - k)
-
-    def as_int(self) -> int:
-        if self.exp:
-            raise ExactnessError(f"{self} is not an integer")
-        return self.num
-
-    def _cross(self, other: "Dyadic") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        return self.num == other.num and self.exp == other.exp
-
-    def __hash__(self) -> int:
-        # Equal to the int's hash on integers, since Dyadic(n) == n.
-        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
-
-    def __lt__(self, other: "Dyadic | int") -> bool:
-        a, b = self._cross(self._coerce(other))
-        return a < b
-
-    def __le__(self, other: "Dyadic | int") -> bool:
-        a, b = self._cross(self._coerce(other))
-        return a <= b
-
-    def __gt__(self, other: "Dyadic | int") -> bool:
-        a, b = self._cross(self._coerce(other))
-        return a > b
-
-    def __ge__(self, other: "Dyadic | int") -> bool:
-        a, b = self._cross(self._coerce(other))
-        return a >= b
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def __repr__(self) -> str:
-        if self.exp == 0:
-            return f"Dyadic({self.num})"
-        return f"Dyadic({self.num}, {self.exp})"
-
-    def __str__(self) -> str:
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
+def _ratio(c: Rational) -> tuple[int, int]:
+    if isinstance(c, int):
+        return c, 1
+    try:
+        return c.numerator, c.denominator
+    except AttributeError:
+        raise TypeError(f"cannot interpret {c!r} as a rational") from None
 
 
-DyadicLike = Union[Dyadic, int]
+def _dyadic(c: Rational) -> tuple[int, int]:
+    """(num, k) with c == num / 2**k; c's denominator must be a power of
+    two."""
+    num, den = _ratio(c)
+    if den & (den - 1):
+        raise ExactnessError(f"{c} is not a dyadic rational")
+    return num, den.bit_length() - 1
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    # Imported only where a value leaves a polynomial: fractions pulls in
+    # decimal, which would cost every CLI process about 0.5 MB and 4 ms.
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
+def _power_table(num: int, den: int, m: int) -> list[int]:
+    """table[i] = num**i * den**(m - i): the powers of num/den up to m over
+    the common denominator den**m."""
+    table = [den**m]
+    for _ in range(m):
+        table.append(table[-1] * num // den)
+    return table
 
 
 class BivariatePoly:
     """Sparse polynomial in x and y with dyadic coefficients.
 
-    Terms map (deg_x, deg_y) to a nonzero Dyadic, so two polynomials are
-    equal exactly when their term dictionaries are equal.
+    Stored as integer numerators over one shared power of two: the value is
+    the sum of terms[(i, j)] * x**i * y**j / 2**exp.  No numerator is zero,
+    and exp == 0 or some numerator is odd, so two polynomials are equal
+    exactly when their numerators and exponents are.  Coefficients and
+    values leave a polynomial as ``fractions.Fraction``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_exp")
 
-    def __init__(self, terms: "dict[tuple[int, int], DyadicLike] | Iterable[tuple[tuple[int, int], DyadicLike]] | None" = None):
-        clean: dict[tuple[int, int], Dyadic] = {}
+    def __init__(
+        self,
+        terms: "dict[tuple[int, int], Rational] | Iterable[tuple[tuple[int, int], Rational]] | None" = None,
+        exp: int = 0,
+    ):
+        """Terms map (deg_x, deg_y) to an int or a dyadic rational; repeated
+        monomials add up, and the whole sum is divided by 2**exp."""
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp}")
+        nums: dict[tuple[int, int], int] = {}
         if terms:
+            scale = 0  # every numerator so far is over 2**(exp + scale)
             items = terms.items() if isinstance(terms, dict) else terms
-            for (dx, dy), coeff in items:
+            for (dx, dy), c in items:
                 if dx < 0 or dy < 0:
                     raise ValueError(f"negative degree in monomial ({dx}, {dy})")
-                c = Dyadic._coerce(coeff)
-                if c:
-                    prev = clean.get((dx, dy))
-                    c = c if prev is None else prev + c
-                    if c:
-                        clean[(dx, dy)] = c
-                    else:
-                        clean.pop((dx, dy), None)
+                if not isinstance(c, int):
+                    c, k = _dyadic(c)
+                    if k > scale:
+                        nums = {key: v << (k - scale) for key, v in nums.items()}
+                        scale = k
+                    c <<= scale - k
+                elif scale:
+                    c <<= scale
+                nums[dx, dy] = nums.get((dx, dy), 0) + c
+            exp += scale
+        clean = {}
+        low = 0
+        for key, c in nums.items():
+            if c:
+                clean[key] = c
+                low |= c
+        # The lowest set bit of the OR is the least 2-adic valuation.
+        shift = min(exp, (low & -low).bit_length() - 1) if low else exp
+        if shift:
+            clean = {key: c >> shift for key, c in clean.items()}
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_exp", exp - shift)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BivariatePoly values are immutable")
@@ -323,18 +264,25 @@ class BivariatePoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def constant(cls, c: DyadicLike) -> "BivariatePoly":
+    def constant(cls, c: Rational) -> "BivariatePoly":
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, dx: int, dy: int, coeff: DyadicLike = 1) -> "BivariatePoly":
+    def monomial(cls, dx: int, dy: int, coeff: Rational = 1) -> "BivariatePoly":
         return cls({(dx, dy): coeff})
 
-    def coefficient(self, dx: int, dy: int) -> Dyadic:
-        return self._terms.get((dx, dy), Dyadic(0))
+    def _lowest(self, c: int) -> tuple[int, int]:
+        """The coefficient c / 2**exp in lowest terms, as (numerator, k)
+        over 2**k."""
+        k = min(self._exp, (c & -c).bit_length() - 1)
+        return c >> k, self._exp - k
 
-    def items(self) -> Iterator[tuple[tuple[int, int], Dyadic]]:
-        return iter(sorted(self._terms.items()))
+    def coefficient(self, dx: int, dy: int) -> Fraction:
+        return _fraction(self._terms.get((dx, dy), 0), 1 << self._exp)
+
+    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        den = 1 << self._exp
+        return iter([(key, _fraction(c, den)) for key, c in sorted(self._terms.items())])
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -343,97 +291,84 @@ class BivariatePoly:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Dyadic)):
-            other = BivariatePoly.constant(other)
         if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self._terms == other._terms
+            try:
+                other = BivariatePoly.constant(other)
+            except (TypeError, ExactnessError):
+                return NotImplemented
+        return self._exp == other._exp and self._terms == other._terms
 
-    def __add__(self, other: "BivariatePoly | DyadicLike") -> "BivariatePoly":
-        if isinstance(other, (int, Dyadic)):
+    def __add__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
+        if not isinstance(other, BivariatePoly):
             other = BivariatePoly.constant(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return BivariatePoly(out)
+        hi, lo = (self, other) if self._exp >= other._exp else (other, self)
+        shift = hi._exp - lo._exp
+        out = dict(hi._terms)
+        for key, c in lo._terms.items():
+            out[key] = out.get(key, 0) + (c << shift)
+        return BivariatePoly(out, hi._exp)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -c for k, c in self._terms.items()})
+        return BivariatePoly({k: -c for k, c in self._terms.items()}, self._exp)
 
-    def __sub__(self, other: "BivariatePoly | DyadicLike") -> "BivariatePoly":
-        if isinstance(other, (int, Dyadic)):
-            other = BivariatePoly.constant(other)
+    def __sub__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
         return self + (-other)
 
-    def __mul__(self, other: "BivariatePoly | DyadicLike") -> "BivariatePoly":
-        if isinstance(other, (int, Dyadic)):
-            c = Dyadic._coerce(other)
-            if not c:
-                return BivariatePoly.zero()
-            return BivariatePoly({k: v * c for k, v in self._terms.items()})
-        out: dict[tuple[int, int], Dyadic] = {}
+    def __mul__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
+        if not isinstance(other, BivariatePoly):
+            other = BivariatePoly.constant(other)
+        out: dict[tuple[int, int], int] = {}
         for (ax, ay), ac in self._terms.items():
             for (bx, by), bc in other._terms.items():
                 key = (ax + bx, ay + by)
-                acc = out.get(key)
-                prod = ac * bc
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return BivariatePoly(out)
+                out[key] = out.get(key, 0) + ac * bc
+        return BivariatePoly(out, self._exp + other._exp)
 
     __rmul__ = __mul__
 
     def shift(self, dx: int, dy: int) -> "BivariatePoly":
         """Multiply by the monomial x**dx * y**dy."""
-        return BivariatePoly({(a + dx, b + dy): c for (a, b), c in self._terms.items()})
+        return BivariatePoly({(a + dx, b + dy): c for (a, b), c in self._terms.items()}, self._exp)
 
-    def evaluate(self, x: DyadicLike, y: DyadicLike) -> Dyadic:
-        """Exact evaluation; powers of the points are cached per call."""
-        xv, yv = Dyadic._coerce(x), Dyadic._coerce(y)
-        xpow: dict[int, Dyadic] = {0: Dyadic(1)}
-        ypow: dict[int, Dyadic] = {0: Dyadic(1)}
-
-        def power(table: dict[int, Dyadic], base: Dyadic, e: int) -> Dyadic:
-            while e not in table:
-                m = max(table)
-                table[m + 1] = table[m] * base
-            return table[e]
-
-        total = Dyadic(0)
-        for (dx, dy), coeff in self._terms.items():
-            total = total + coeff * power(xpow, xv, dx) * power(ypow, yv, dy)
-        return total
+    def evaluate(self, x: Rational, y: Rational) -> Fraction:
+        """Exact value at a rational point, as a Fraction."""
+        (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
+        xpow = _power_table(xn, xd, max((dx for dx, _ in self._terms), default=0))
+        ypow = _power_table(yn, yd, max((dy for _, dy in self._terms), default=0))
+        total = sum(c * xpow[dx] * ypow[dy] for (dx, dy), c in self._terms.items())
+        return _fraction(total, (xpow[0] * ypow[0]) << self._exp)
 
     @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer (exponent 0)."""
-        return all(c.exp == 0 for c in self._terms.values())
+        return self._exp == 0
 
     def to_json_terms(self) -> list[list]:
         """Wire form: [deg_x, deg_y, numerator-string, exponent] quadruples,
-        sorted lexicographically by degrees."""
-        return [[dx, dy, str(c.num), c.exp] for (dx, dy), c in sorted(self._terms.items())]
+        each coefficient in lowest terms, sorted lexicographically by
+        degrees."""
+        out = []
+        for (dx, dy), c in sorted(self._terms.items()):
+            num, k = self._lowest(c)
+            out.append([dx, dy, str(num), k])
+        return out
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Iterable]) -> "BivariatePoly":
-        return cls({(int(dx), int(dy)): Dyadic(int(num), int(exp)) for dx, dy, num, exp in data})
+        rows = [(int(dx), int(dy), int(num), int(k)) for dx, dy, num, k in data]
+        exp = max([0, *(k for *_, k in rows)])
+        return cls((((dx, dy), num << (exp - k)) for dx, dy, num, k in rows), exp)
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
         for (dx, dy), c in sorted(self._terms.items(), reverse=True):
-            factors = [] if c == 1 and (dx or dy) else [str(c)]
+            num, k = self._lowest(c)
+            text = str(num) if k == 0 else f"{num}/{1 << k}"
+            factors = [] if text == "1" and (dx or dy) else [text]
             if dx:
                 factors.append("x" if dx == 1 else f"x^{dx}")
             if dy:

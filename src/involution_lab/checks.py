@@ -279,7 +279,7 @@ def _cross(n_max: int) -> Iterator[str]:
         t = sequences.involution_count(n)
         routes = {
             "direct sum": sequences.involution_count_direct(n),
-            "polynomial at (1,1)": sequences.involution_poly(n).evaluate(1, 1).as_int(),
+            "polynomial at (1,1)": sequences.involution_poly(n).evaluate(1, 1),
             "graph formula": sequences.involution_count_via_graphs(n),
         }
         for name, value in routes.items():

@@ -107,7 +107,11 @@ def _out_stream(path: str | None):
     if path in (None, "-"):
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _usage_error(f"cannot write --output {path}: {exc.strerror or exc}") from None
+        with fh:
             yield fh
 
 

@@ -27,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import BivariatePoly, Dyadic, is_prime
+from .algebra import BivariatePoly, is_prime
 from .errors import ExactnessError, ResourceLimitError
 
 __all__ = [
@@ -411,7 +411,7 @@ def involution_weight(pi: Permutation) -> BivariatePoly:
     return BivariatePoly.monomial(lengths.count(1), lengths.count(2))
 
 
-_HALF_X2_PLUS_Y = BivariatePoly({(2, 0): Dyadic(1, 1), (0, 1): Dyadic(1, 1)})
+_HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
 
 
 def graph_weight(g: ConstrainedGraph, n: int) -> BivariatePoly:

@@ -9,9 +9,10 @@ class ExactnessError(InvolutionLabError):
     """A computation that must be exact produced a remainder.
 
     Raised when a division guaranteed exact by a counting identity is not,
-    or when a quantity obtained through dyadic intermediates fails its
-    final integrality assertion.  Seeing this means an internal invariant
-    is broken, not that the caller passed a bad argument.
+    when a quantity obtained through dyadic intermediates fails its final
+    integrality assertion (an internal invariant is broken), or when a
+    polynomial is given a coefficient whose denominator is not a power of
+    two.
     """
 
 

@@ -22,7 +22,7 @@ import math
 import threading
 from typing import Callable
 
-from .algebra import BivariatePoly, Dyadic, binomial, is_prime, odd_part, odd_product_ratio
+from .algebra import BivariatePoly, binomial, is_prime, odd_part, odd_product_ratio
 from .errors import ExactnessError
 
 __all__ = [
@@ -153,7 +153,7 @@ def pth_root_count(n: int, p: int) -> int:
 
 _X = BivariatePoly.monomial(1, 0)
 _Y = BivariatePoly.monomial(0, 1)
-_HALF_X2_PLUS_Y = BivariatePoly({(2, 0): Dyadic(1, 1), (0, 1): Dyadic(1, 1)})
+_HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
 _t_poly_cache = SequenceCache(_removal_step(BivariatePoly.one(), _X, _Y))
 
 
@@ -278,18 +278,17 @@ def odd_factor_step(n: int, prev: int, curr: int) -> int:
 
         beta(n+1) = 2**(h(r)-h(r+1)) beta(n) + 2**(h(r-1)-h(r+1)) n beta(n-1)
 
-    with h = involution_val2.  The dyadic two-term sum must be an integer;
-    if not, the inputs were not genuine consecutive odd factors.
+    with h = involution_val2.  Over the common denominator 2**e the sum must
+    be an integer; if not, the inputs were not genuine consecutive odd
+    factors.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     r = n % 4
     e1 = involution_val2(r) - involution_val2(r + 1)
     e2 = involution_val2(r - 1) - involution_val2(r + 1)
-    total = Dyadic(curr, -e1) + Dyadic(n * prev, -e2)
-    try:
-        return total.as_int()
-    except ExactnessError:
-        raise ValueError(
-            f"inputs {prev}, {curr} are not consecutive odd factors at n={n}"
-        ) from None
+    e = max(-e1, -e2, 0)
+    beta, rem = divmod((curr << (e + e1)) + ((n * prev) << (e + e2)), 1 << e)
+    if rem:
+        raise ValueError(f"inputs {prev}, {curr} are not consecutive odd factors at n={n}")
+    return beta

@@ -1,9 +1,13 @@
 """Exact arithmetic kernel tests.
 
 Valuations are checked against repeated exact division, binomial valuations
-against an independent carry-counting oracle, and the dyadic/polynomial
-arithmetic against round-trip properties on randomized operands.
+against an independent carry-counting oracle, and the polynomial
+arithmetic against a Fraction oracle and round-trip properties on randomized
+operands.
 """
+
+import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,6 @@ from hypothesis import strategies as st
 from involution_lab.algebra import (
     INFINITY,
     BivariatePoly,
-    Dyadic,
     arithmetic_product,
     binomial,
     odd_part,
@@ -153,76 +156,24 @@ class TestBinomial:
         assert binomial(n, k) == binomial(n - 1, k) + binomial(n - 1, k - 1)
 
 
-dyadics = st.builds(
-    Dyadic,
-    st.integers(min_value=-(10**12), max_value=10**12),
-    st.integers(min_value=0, max_value=40),
+monomials = st.tuples(st.integers(0, 6), st.integers(0, 6))
+dyadic_fractions = st.builds(
+    lambda num, k: Fraction(num, 1 << k), st.integers(-50, 50), st.integers(0, 8)
 )
+term_lists = st.lists(st.tuples(monomials, dyadic_fractions), max_size=8)
 
 
-class TestDyadic:
-    def test_canonical_form(self):
-        assert Dyadic(12, 2) == Dyadic(3)
-        assert Dyadic(12, 2).exp == 0
-        assert Dyadic(6, 3) == Dyadic(3, 2)
-        assert Dyadic(0, 7) == Dyadic(0)
-        assert Dyadic(1, -3) == Dyadic(8)
+def value_of(terms) -> dict:
+    """Oracle: the coefficient of each monomial, summed as Fractions."""
+    acc = {}
+    for key, c in terms:
+        acc[key] = acc.get(key, 0) + Fraction(c)
+    return {key: c for key, c in acc.items() if c}
 
-    @given(dyadics)
-    def test_canonical_invariant(self, d):
-        assert d.exp >= 0
-        assert d.exp == 0 or d.num % 2 != 0
-        if d.num == 0:
-            assert d.exp == 0
 
-    @given(dyadics, dyadics)
-    def test_addition_round_trip(self, a, b):
-        assert (a + b) - b == a
-
-    @given(dyadics, dyadics.filter(bool))
-    def test_multiplication_round_trip(self, a, b):
-        assert (a * b) / b == a
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(ExactnessError):
-            Dyadic(1) / Dyadic(3)
-        with pytest.raises(ZeroDivisionError):
-            Dyadic(1) / Dyadic(0)
-
-    def test_pow2_scaling(self):
-        assert Dyadic(5).mul_pow2(-3) == Dyadic(5, 3)
-        assert Dyadic(5, 3).mul_pow2(3) == Dyadic(5)
-
-    def test_comparisons(self):
-        assert Dyadic(1, 1) < Dyadic(3, 2) < Dyadic(1)
-        assert Dyadic(-1, 1) < 0 < Dyadic(1, 4)
-
-    @given(
-        st.integers(min_value=-(10**12), max_value=10**12),
-        st.integers(min_value=-6, max_value=6),
-        st.integers(min_value=0, max_value=6),
-    )
-    def test_equal_values_hash_equal(self, num, exp, extra):
-        # a == b must imply hash(a) == hash(b) across Dyadic and int; build
-        # several spellings of one value, the int among them when integral.
-        d = Dyadic(num, exp)
-        forms = [d, Dyadic(num << extra, exp + extra)]
-        if d.exp == 0:
-            forms.append(d.num)
-        for a in forms:
-            for b in forms:
-                assert a == b
-                assert hash(a) == hash(b)
-        assert (d in {d.num}) == (d.exp == 0)
-
-    def test_as_int(self):
-        assert Dyadic(10, 1).as_int() == 5
-        with pytest.raises(ExactnessError):
-            Dyadic(5, 1).as_int()
-
-    def test_str(self):
-        assert str(Dyadic(29)) == "29"
-        assert str(Dyadic(3, 2)) == "3/4"
+def is_canonical(p: BivariatePoly) -> bool:
+    nums = p._terms.values()
+    return all(nums) and p._exp >= 0 and (p._exp == 0 or any(c % 2 for c in nums))
 
 
 class TestBivariatePoly:
@@ -231,9 +182,11 @@ class TestBivariatePoly:
 
     def test_eval_examples(self):
         p = self.x2_plus_y()
-        assert p.evaluate(1, 1) == Dyadic(2)
-        assert p.evaluate(1, -1) == Dyadic(0)
-        assert BivariatePoly.zero().evaluate(7, -3) == Dyadic(0)
+        assert p.evaluate(1, 1) == 2
+        assert p.evaluate(1, -1) == 0
+        assert BivariatePoly.zero().evaluate(7, -3) == 0
+        assert type(p.evaluate(1, 1)) is Fraction
+        assert p.evaluate(Fraction(1, 3), 1) == Fraction(10, 9)
 
     def test_no_zero_terms_stored(self):
         p = BivariatePoly({(1, 0): 1}) - BivariatePoly({(1, 0): 1})
@@ -241,9 +194,13 @@ class TestBivariatePoly:
         assert p == BivariatePoly.zero()
 
     def test_structural_equality(self):
-        a = BivariatePoly({(2, 0): Dyadic(1, 1), (0, 1): Dyadic(1, 1)})
-        b = (BivariatePoly({(2, 0): 1, (0, 1): 1}) * Dyadic(1, 1))
-        assert a == b
+        a = BivariatePoly({(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+        b = BivariatePoly({(2, 0): 1, (0, 1): 1}) * Fraction(1, 2)
+        c = BivariatePoly({(2, 0): 4, (0, 1): 4}, 3)
+        assert a == b == c
+        assert BivariatePoly({(0, 0): 6}, 2) == Fraction(3, 2)
+        assert BivariatePoly.one() == 1
+        assert BivariatePoly.one() != Fraction(1, 3)
 
     def test_product(self):
         x = BivariatePoly.monomial(1, 0)
@@ -255,7 +212,7 @@ class TestBivariatePoly:
         assert p == BivariatePoly({(3, 2): 1, (1, 3): 1})
 
     def test_json_round_trip(self):
-        p = BivariatePoly({(2, 0): Dyadic(1, 1), (0, 1): Dyadic(-3, 2), (5, 4): 7})
+        p = BivariatePoly({(2, 0): Fraction(1, 2), (0, 1): Fraction(-3, 4), (5, 4): 7})
         terms = p.to_json_terms()
         assert terms == sorted(terms)
         assert terms == [[0, 1, "-3", 2], [2, 0, "1", 1], [5, 4, "7", 0]]
@@ -263,21 +220,73 @@ class TestBivariatePoly:
 
     def test_is_integral(self):
         assert BivariatePoly({(1, 1): 4}).is_integral
-        assert not self.x2_plus_y().__mul__(Dyadic(1, 1)).is_integral
+        assert BivariatePoly({(1, 1): 4}, 2).is_integral
+        assert not self.x2_plus_y().__mul__(Fraction(1, 2)).is_integral
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                st.integers(-50, 50),
-            ),
-            max_size=8,
-        )
-    )
-    def test_eval_is_ring_homomorphism(self, terms):
+    def test_coefficients_leave_as_fractions(self):
+        p = BivariatePoly({(2, 0): 1, (0, 1): 3}, 1)
+        assert p.coefficient(0, 1) == Fraction(3, 2)
+        assert p.coefficient(5, 5) == 0
+        assert list(p.items()) == [((0, 1), Fraction(3, 2)), ((2, 0), Fraction(1, 2))]
+        assert all(type(c) is Fraction for _, c in p.items())
+
+    def test_str(self):
+        half = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
+        assert str(half * half + BivariatePoly.monomial(2, 1)) == "1/4*x^4 + 3/2*x^2*y + 1/4*y^2"
+        assert str(BivariatePoly({(1, 0): -1, (0, 0): Fraction(-3, 2)})) == "-1*x + -3/2"
+        assert str(BivariatePoly({(0, 0): 29})) == "29"
+        assert str(BivariatePoly.zero()) == "0"
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            BivariatePoly({(-1, 0): 1})
+        with pytest.raises(ValueError):
+            BivariatePoly({(1, 0): 1}, -1)
+        with pytest.raises(TypeError):
+            BivariatePoly({(1, 0): 0.5})
+
+    @given(term_lists, st.integers(0, 6))
+    def test_spellings_of_one_value_are_equal(self, terms, extra):
+        p = BivariatePoly(terms)
+        assert is_canonical(p)
+        assert dict(p.items()) == value_of(terms)
+        exp = max((c.denominator.bit_length() - 1 for _, c in terms), default=0) + extra
+        unit = Fraction(1, 1 << extra)
+        spellings = [
+            BivariatePoly(terms[::-1]),
+            BivariatePoly([(key, int(c * (1 << exp))) for key, c in terms], exp),
+            BivariatePoly([(key, part) for key, c in terms for part in (c - unit, unit)]),
+            BivariatePoly(value_of(terms)),
+        ]
+        for q in spellings:
+            assert q == p
+            assert is_canonical(q)
+
+    @given(term_lists, term_lists)
+    def test_equality_is_value_equality(self, a, b):
+        assert (BivariatePoly(a) == BivariatePoly(b)) == (value_of(a) == value_of(b))
+
+    @given(term_lists)
+    def test_json_round_trip_in_lowest_terms(self, terms):
+        p = BivariatePoly(terms)
+        wire = p.to_json_terms()
+        assert BivariatePoly.from_json_terms(json.loads(json.dumps(wire))) == p
+        for dx, dy, num, k in wire:
+            assert k >= 0 and (k == 0 or int(num) % 2)
+            assert Fraction(int(num), 1 << k) == p.coefficient(dx, dy)
+
+    @given(st.fractions().filter(lambda c: c.denominator & (c.denominator - 1)))
+    def test_non_dyadic_coefficient_raises(self, c):
+        with pytest.raises(ExactnessError):
+            BivariatePoly({(1, 0): c})
+        with pytest.raises(ExactnessError):
+            self.x2_plus_y() * c
+
+    @given(term_lists, st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+    def test_eval_is_ring_homomorphism(self, terms, x, y):
         p = BivariatePoly(terms)
         q = self.x2_plus_y()
-        x, y = Dyadic(3, 1), Dyadic(-5, 2)
         lhs = (p * q + q).evaluate(x, y)
         rhs = p.evaluate(x, y) * q.evaluate(x, y) + q.evaluate(x, y)
         assert lhs == rhs
+        assert p.evaluate(x, y) == sum(c * x**dx * y**dy for (dx, dy), c in value_of(terms).items())

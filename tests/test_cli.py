@@ -2,6 +2,8 @@
 code protocol (0 pass, 1 verification failure, 2 usage, 3 inconclusive)."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from involution_lab.cli import main
 from involution_lab.errors import ResourceLimitError
 from involution_lab.sequences import involution_count, odd_factor
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -368,3 +371,44 @@ class TestRho:
         _, first, _ = run(capsys, "rho", "--k-max", "50")
         _, second, _ = run(capsys, "rho", "--k-max", "50")
         assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    "seq --kind g --to 3",
+    "table --k-max 3",
+    "period --t-mod 3",
+    "rho --k-max 3",
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--output", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"involution-lab: cannot write --output {target}: No such file or directory"]
+
+
+def test_cli_does_not_import_fractions():
+    # fractions pulls in decimal; a fresh interpreter shows what a CLI run
+    # loads, since other tests in this process have imported both.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from involution_lab import cli\n"
+        "loaded = [sorted({'fractions', 'decimal'} & set(sys.modules))]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['rho', '--k-max', '100'], ['period', '--beta-mod-2s', '8'],\n"
+        "                 ['table', '--k-max', '5']):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "        loaded.append(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], [], []]

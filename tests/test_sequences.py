@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involution_lab import sequences
-from involution_lab.algebra import BivariatePoly, Dyadic, val2
+from involution_lab.algebra import BivariatePoly, val2
 from involution_lab.errors import ExactnessError
 from involution_lab.enumeration import graph_weight_sum_bruteforce, pth_roots
 from involution_lab.reference_tables import CORRECTED_G_AT_ONE, G_AT_MINUS_ONE, G_AT_ONE
@@ -47,7 +47,7 @@ class TestInvolutionCount:
     def test_routes_agree(self):
         for n in range(201):
             assert involution_count_direct(n) == involution_count(n)
-            assert involution_poly(n).evaluate(1, 1).as_int() == involution_count(n)
+            assert involution_poly(n).evaluate(1, 1) == involution_count(n)
 
     def test_matches_enumeration(self):
         for n in range(9):
@@ -58,7 +58,7 @@ class TestInvolutionCount:
 
     def test_signed_matches_poly(self):
         for n in range(401):
-            assert involution_poly(n).evaluate(1, -1).as_int() == signed_involution_count(n)
+            assert involution_poly(n).evaluate(1, -1) == signed_involution_count(n)
 
 
 class TestPthRootCount:
@@ -90,8 +90,8 @@ class TestInvolutionPoly:
         assert involution_poly(2) == x * x + y
 
     def test_eval_examples(self):
-        assert involution_poly(4).evaluate(1, 1) == Dyadic(10)
-        assert involution_poly(6).evaluate(1, -1) == Dyadic(16)
+        assert involution_poly(4).evaluate(1, 1) == 10
+        assert involution_poly(6).evaluate(1, -1) == 16
 
     def test_coefficient_law(self):
         for n in range(41):
@@ -110,8 +110,7 @@ class TestGraphPoly:
         assert graph_poly(1) == BivariatePoly.monomial(1, 0)
 
     def test_g4_by_hand(self):
-        half = Dyadic(1, 1)
-        blob = BivariatePoly({(2, 0): half, (0, 1): half})
+        blob = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
         assert graph_poly(4) == blob * blob + BivariatePoly.monomial(2, 1)
 
     def test_matches_bruteforce(self):
@@ -120,8 +119,8 @@ class TestGraphPoly:
 
     def test_scalar_routes_match_poly_eval(self):
         for n in range(60):
-            assert graph_poly(n).evaluate(1, 1).as_int() == graph_count(n)
-            assert graph_poly(n).evaluate(1, -1).as_int() == graph_count_signed(n)
+            assert graph_poly(n).evaluate(1, 1) == graph_count(n)
+            assert graph_poly(n).evaluate(1, -1) == graph_count_signed(n)
 
 
 class TestGenericRecurrences:
@@ -141,10 +140,11 @@ class TestGenericRecurrences:
             assert graph.get(n) == graph_poly(n).evaluate(x, y)
 
     def test_int_routes_build_no_dyadic(self, monkeypatch):
-        def no_dyadic(self, *args):
-            raise AssertionError("Dyadic constructed on an int route")
+        # Dyadic values live only in polynomials; the int routes build none.
+        def no_poly(self, *args):
+            raise AssertionError("BivariatePoly constructed on an int route")
 
-        monkeypatch.setattr(Dyadic, "__init__", no_dyadic)
+        monkeypatch.setattr(BivariatePoly, "__init__", no_poly)
         graph = sequences._int_graph_cache(1, 1)
         assert type(graph.get(200)) is int
         for n in range(120):
@@ -152,6 +152,7 @@ class TestGenericRecurrences:
             assert type(graph_count_signed(n)) is int
             assert type(odd_factor_closed(n)) is int
             assert type(involution_count_via_graphs(n)) is int
+            assert type(odd_factor_step(n + 1, odd_factor(n), odd_factor(n + 1))) is int
 
 
 class TestGraphCounts:
@@ -200,7 +201,7 @@ class TestGraphFormulas:
     def test_poly_examples(self):
         assert involution_poly_via_graphs(2) == involution_poly(2)
         assert involution_poly_via_graphs(0) == BivariatePoly.one()
-        assert involution_poly_via_graphs(6).evaluate(1, -1) == Dyadic(16)
+        assert involution_poly_via_graphs(6).evaluate(1, -1) == 16
 
     def test_poly_identity_and_integrality(self):
         for n in range(41):
