@@ -11,10 +11,10 @@ machine-checkable witnesses for the minimality claims.
 
 import json
 
-from involution_lab.algebra import val2
 from involution_lab.periodicity import (
     involution_mod_period,
     involution_mod_prefix,
+    mod_period_law,
     odd_factor_mod_prefix,
     odd_factor_period,
 )
@@ -23,10 +23,7 @@ print("counts mod m:")
 print("  m | preperiod | period | (for even m = 2^k ell: expect 4k-2, ell)")
 for m in (3, 7, 15, 2, 4, 8, 12, 96):
     rep = involution_mod_period(m)
-    note = ""
-    if m % 2 == 0:
-        k = val2(m)
-        note = f"expected ({4 * k - 2}, {m >> k})"
+    note = f"expected {mod_period_law(m)}" if m % 2 == 0 else ""
     print(f"{m:3d} | {rep.preperiod:9d} | {rep.period:6d} | {note}")
 
 print()

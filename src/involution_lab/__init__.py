@@ -66,6 +66,7 @@ from .periodicity import (
     PeriodReport,
     detect_period,
     involution_mod_period,
+    mod_period_law,
     odd_factor_period,
     verify_even_modulus,
     verify_odd_modulus,

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from . import enumeration, periodicity, reference_tables, sequences, valuations
 from .algebra import BivariatePoly, val2, val_p
-from .errors import InvolutionLabError
+from .errors import VerificationError
 
 __all__ = ["CHECKS", "ROWS", "EmptyRangeError", "option", "resolve"]
 
@@ -198,33 +198,24 @@ def _lemma65(s_max: int, n_max: int) -> Iterator[str]:
             yield f"odd factor shift congruence fails at s={s}"
 
 
-def _thm62(m_max: int) -> Iterator[str]:
-    """Odd moduli: purely periodic with smallest period exactly m."""
-    for m in range(1, m_max + 1, 2):
+def _mod_period(first: int, m_max: int) -> Iterator[str]:
+    """The counts mod m, for m = first, first + 2, ... up to m_max, follow
+    periodicity.mod_period_law: odd m from first = 1, even m from 2."""
+    for m in range(first, m_max + 1, 2):
         report = periodicity.involution_mod_period(m)
-        if report.preperiod != 0 or report.period != m:
-            yield f"m={m}: preperiod {report.preperiod}, period {report.period}"
-
-
-def _thm63(m_max: int) -> Iterator[str]:
-    """Even moduli 2**k * ell: preperiod exactly 4k-2, period ell."""
-    for m in range(2, m_max + 1, 2):
-        try:
-            periodicity.verify_even_modulus(m)
-        except InvolutionLabError as exc:
-            yield str(exc)
+        law = periodicity.mod_period_law(m)
+        if (report.preperiod, report.period) != law:
+            yield (f"m={m}: preperiod {report.preperiod}, period {report.period}; "
+                   f"the law gives {law[0]}, {law[1]}")
 
 
 def _thm66(s_max: int) -> Iterator[str]:
-    """Odd factors mod 2**s: pure smallest period 2**(s+1)."""
+    """Odd factors mod 2**s: odd_factor_period holds each report to the law."""
     for s in range(3, s_max + 1):
         try:
-            report = periodicity.odd_factor_period(s)
-        except InvolutionLabError as exc:
+            periodicity.odd_factor_period(s)
+        except VerificationError as exc:
             yield str(exc)
-            continue
-        if report.preperiod != 0 or report.period != 1 << (s + 1):
-            yield f"s={s}: report {report.preperiod}/{report.period}"
 
 
 def _fiber_sum(n: int, vertex_cap: int) -> Iterator[str]:
@@ -324,8 +315,8 @@ ROWS: dict[str, tuple[Callable[..., Iterator[str]], dict[str, tuple], str]] = {
     "cor53": (partial(_parity, (2, 3), ("t_even", "t_odd")), {"k_max": (500, 0)}, "equal even/odd valuations verified for k<={k_max}"),
     "thm54": (partial(_parity, (0,), ("t_even",)), {"k_max": (500, 0)}, "t_even valuations verified on residues (0,) for k<={k_max}"),
     "thm55": (partial(_parity, (1,), ("t_odd",)), {"k_max": (500, 0)}, "t_odd valuations verified on residues (1,) for k<={k_max}"),
-    "thm62": (_thm62, {"m_max": (99, 1)}, "odd moduli verified for m<={m_max}"),
-    "thm63": (_thm63, {"m_max": (96, 2)}, "even moduli verified for m<={m_max}"),
+    "thm62": (partial(_mod_period, 1), {"m_max": (99, 1)}, "odd moduli verified for m<={m_max}"),
+    "thm63": (partial(_mod_period, 2), {"m_max": (96, 2)}, "even moduli verified for m<={m_max}"),
     "lemma64": (_lemma64, {"s_max": (16, 3)}, "odd product congruence verified for 3<=s<={s_max}"),
     "lemma65": (_lemma65, {"s_max": (6, 3), "n_max": (128, 0)}, "odd factor shift congruence verified for 3<=s<={s_max}, n<={n_max}"),
     "thm66": (_thm66, {"s_max": (6, 3)}, "odd factor periods verified for 3<=s<={s_max}"),

@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 
 from . import checks, conjecture, periodicity, sequences, valuations
-from .algebra import is_prime, val2
+from .algebra import is_prime
 from .errors import InconclusiveError, ResourceLimitError, VerificationError
 
 __all__ = ["main", "build_parser"]
@@ -106,13 +106,13 @@ def _unlimited_int_digits():
 def _out_stream(path: str | None):
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        try:
-            fh = open(path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise _usage_error(f"cannot write --output {path}: {exc.strerror or exc}") from None
-        with fh:
+        return
+    # A failing open, write or close (a full disk) is a usage error.
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+    except OSError as exc:
+        raise _usage_error(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
 def _emit_rows(args, fieldnames: list[str], rows: list[dict], doc_key: str) -> None:
@@ -177,18 +177,6 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _expected_period(args) -> tuple[int, int] | None:
-    if not args.expect_paper:
-        return None
-    if args.t_mod is not None:
-        m = args.t_mod
-        if m % 2:
-            return (0, m)
-        k = val2(m)
-        return (4 * k - 2, m >> k)
-    return (0, 1 << (args.beta_mod_2s + 1))
-
-
 def cmd_period(args) -> int:
     if args.window is not None and args.window < 1:
         raise _usage_error("period: --window must be positive")
@@ -196,24 +184,24 @@ def cmd_period(args) -> int:
         if args.t_mod < 1:
             raise _usage_error("period: modulus must be positive")
         report = periodicity.involution_mod_period(args.t_mod, state_cap=args.window)
+        expected = periodicity.mod_period_law(args.t_mod)
     else:
         s = args.beta_mod_2s
         if s < 1:
             raise _usage_error("period: s must be positive")
-        if s >= 3:
-            report = periodicity.odd_factor_period(s, window=args.window)
-        else:
-            if args.expect_paper:
-                raise _usage_error(
-                    f"period: no closed-form expectation is asserted for s={s}; "
-                    "rerun without --expect-paper"
-                )
-            # No closed form sizes this window; 12 full periods of the s = 2
-            # case (period 16) still cost nothing.
-            window = args.window if args.window is not None else 12 << (s + 1)
-            values = periodicity.odd_factor_mod_prefix(s, window)
-            report = periodicity.detect_period(values, 1 << s)
-    expected = _expected_period(args)
+        if args.window is not None:
+            raise _usage_error("period: --window only applies to --t-mod")
+        if args.expect_paper and s < 3:
+            raise _usage_error(
+                f"period: no closed-form expectation is asserted for s={s}; "
+                "rerun without --expect-paper"
+            )
+        report = periodicity.odd_factor_period(s)
+        # odd_factor_period raises unless the report is the law, so the
+        # report it returns is the expectation.
+        expected = (report.preperiod, report.period)
+    if not args.expect_paper:
+        expected = None
     doc = report.to_json_obj()
     matches = None
     if expected is not None:
@@ -295,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="odd factors modulo 2**S")
     p_period.add_argument(
         "--window", type=int, default=None,
-        help="with --t-mod, the cap on distinct states scanned; with "
-        "--beta-mod-2s, the number of values examined",
+        help="with --t-mod, the cap on distinct states scanned",
     )
     p_period.add_argument(
         "--expect-paper",

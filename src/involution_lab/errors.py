@@ -17,7 +17,7 @@ class ExactnessError(InvolutionLabError):
 
 
 class ResourceLimitError(InvolutionLabError):
-    """Predicted enumeration size exceeds the configured cap."""
+    """A predicted enumeration or scan size exceeds its cap."""
 
 
 class InconclusiveError(InvolutionLabError):

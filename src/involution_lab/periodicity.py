@@ -1,35 +1,39 @@
 """Eventual-period analysis of the involution counts modulo m and of their
 odd factors modulo powers of two.
 
-Soundness model.  The reduced count stream is driven by the deterministic
-finite state (n mod m, t(n-1) mod m, t(n) mod m), so the stream is
-eventually periodic and a first repeated state yields hard bounds: the tail
-is periodic from that state's position with a period dividing the state
-period.  Minimization then only has to test divisors of the state period
-and scan backwards for the true preperiod, and every rejected candidate is
-stored with a concrete counterexample index.
+Soundness model.  Every report is certified along one path, ``_certify``:
+it is given a window of values whose tail from an index lam_bound is known
+to repeat with some period multiple.  The smallest period divides that
+multiple, so only its divisors are tried, each across one stretch of the
+multiple from lam_bound, and the first that holds is the period.  The
+preperiod is then scanned backwards from lam_bound, the period is re-checked
+across the whole window, and every proper divisor of it is rejected with a
+concrete counterexample index.
 
-The first repeated state is found without a table of states, by a variant
-of Brent's cycle detection (Brent, BIT 20, 1980).  The state cycle length
-is a multiple of m, because n mod m is part of the state, so a saved
-checkpoint state can only recur m, 2m, ... steps later.  Checkpoints sit
-at n = m * 2**i and each is compared with the states up to 2**i * m steps
-ahead; a round whose checkpoint lies on the cycle and whose length is at
-least the cycle length finds it, and the first hit is the cycle length
-itself.  The values the stream yields are kept in an array of machine
-words, so the repeat's first position is read from them, and the array is
-then cut or extended to exactly the window the report covers: memory is
-that window, the preperiod bound plus two state cycles, in words.  The
-state cap keeps its meaning: the scan is inconclusive exactly when more
-than cap distinct states precede the first repeat, which is certain at
-once when m exceeds the cap and certain once the round at a checkpoint of
-at least cap ends without a hit.
+For the counts mod m the bound and the multiple come from the deterministic
+finite state (n mod m, t(n-1) mod m, t(n) mod m): its first repeat bounds
+the preperiod, and its cycle length is a multiple of the period.  The first
+repeat is found without a table of states, by a variant of Brent's cycle
+detection (Brent, BIT 20, 1980).  The state cycle length is a multiple of
+m, because n mod m is part of the state, so a saved checkpoint state can
+only recur m, 2m, ... steps later.  Checkpoints sit at n = m * 2**i and each
+is compared with the states up to 2**i * m steps ahead; a round whose
+checkpoint lies on the cycle and whose length is at least the cycle length
+finds it, and the first hit is the cycle length itself.  The values are
+kept in an array of machine words, cut or extended to exactly the window
+the report covers: the preperiod bound plus two state cycles.  The scan is
+inconclusive exactly when more than the state cap of distinct states
+precede the first repeat.  For the odd factors mod 2**s the bound is 0 and
+the multiple is the proven period (see ``odd_factor_period``).
+
+The periods the paper proves are stated here once: ``mod_period_law`` for
+the counts mod m, and inside ``odd_factor_period`` for the odd factors.
 
 The generic window detector (for sequences without an attached state
-machine) requires the examined window to cover the preperiod plus
-``margin`` full periods; within that precondition a periodicity-of-suffixes
-argument makes its answer exact, and outside it the detector fails loudly
-rather than guessing.
+machine, and the tests' independent reference) requires the examined window
+to cover the preperiod plus ``margin`` full periods; within that
+precondition a periodicity-of-suffixes argument makes its answer exact, and
+outside it the detector fails loudly rather than guessing.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .algebra import val2
 from .errors import InconclusiveError, ResourceLimitError, VerificationError
-from .twoadic import odd_factor_residues
+from .twoadic import STEP_CAP, odd_factor_residues
 
 __all__ = [
     "PeriodReport",
@@ -50,6 +54,7 @@ __all__ = [
     "involution_mod_stream",
     "involution_mod_prefix",
     "involution_mod_period",
+    "mod_period_law",
     "verify_odd_modulus",
     "verify_even_modulus",
     "odd_product_congruence",
@@ -232,6 +237,20 @@ def _residue_array(m: int) -> array:
     )
 
 
+def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> PeriodReport:
+    """Report on a window of at least lam_bound + 2 * multiple values whose
+    tail from lam_bound repeats with period ``multiple``: the smallest
+    divisor of it that holds across one stretch of ``multiple`` values from
+    lam_bound is the period, and _finalize does the rest."""
+    with memoryview(values) as view:
+        for d in _divisors(multiple):
+            if _first_mismatch(view, d, lam_bound, lam_bound + multiple) is None:
+                return _finalize(view, modulus, lam_bound, d)
+    raise VerificationError(
+        f"{multiple} is not a period of the values mod {modulus} from index {lam_bound}"
+    )
+
+
 def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodReport:
     """Exact minimal preperiod and period of the involution counts mod m.
 
@@ -256,12 +275,12 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
     least m states.  Otherwise, if again - 1 <= cap then both first and the
     cycle length are at most cap, so the round at the first checkpoint of at
     least cap, with the hare going at most cap steps ahead, finds the cycle;
-    a miss there raises.  The default cap min(m**3 + 4m, 10**7) only guards
-    against absurd moduli: m**3 states is the most there can be.
+    a miss there raises.  The default cap min(m**3 + 4m, STEP_CAP = 10**7)
+    only guards against absurd moduli: m**3 states is the most there can be.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    cap = state_cap if state_cap is not None else min(m**3 + 4 * m, 10**7)
+    cap = state_cap if state_cap is not None else min(m**3 + 4 * m, STEP_CAP)
     inconclusive = InconclusiveError(
         f"no state repetition within {cap} steps for modulus {m}"
     )
@@ -294,35 +313,37 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
         values.extend(islice(stream, window - len(values)))
     else:
         del values[window:]
-    lam_bound = first - 1
-    with memoryview(values) as view:
-        for d in _divisors(cycle):
-            if _first_mismatch(view, d, lam_bound, lam_bound + cycle) is None:
-                return _finalize(view, m, lam_bound, d)
-    raise VerificationError("internal: state period is not a value period")
+    return _certify(values, m, first - 1, cycle)
+
+
+def mod_period_law(m: int) -> tuple[int, int]:
+    """(preperiod, period) the paper proves for the involution counts mod m:
+    purely periodic with period m for odd m (Theorem 6.2), and preperiod
+    4k - 2 with period ell for m = 2**k * ell, k >= 1 (Theorem 6.3)."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    k = val2(m)
+    return (4 * k - 2 if k else 0, m >> k)
 
 
 def verify_odd_modulus(m: int, *, state_cap: int | None = None) -> bool:
-    """True when the involution counts mod an odd m are purely periodic with
-    smallest period exactly m."""
+    """True when the report for an odd modulus m is ``mod_period_law(m)``."""
     if m % 2 == 0:
         raise ValueError("modulus must be odd")
     report = involution_mod_period(m, state_cap=state_cap)
-    return report.preperiod == 0 and report.period == m
+    return (report.preperiod, report.period) == mod_period_law(m)
 
 
 def verify_even_modulus(m: int, *, state_cap: int | None = None) -> PeriodReport:
-    """Period report for an even modulus m = 2**k * ell, checked against the
-    required preperiod 4k - 2 and period ell; a mismatch raises instead of
-    passing silently."""
+    """Period report for an even modulus m, checked against
+    ``mod_period_law(m)``; a mismatch raises instead of passing silently."""
     if m < 2 or m % 2:
         raise ValueError("modulus must be even")
-    k = val2(m)
-    ell = m >> k
     report = involution_mod_period(m, state_cap=state_cap)
-    if report.preperiod != 4 * k - 2 or report.period != ell:
+    law = mod_period_law(m)
+    if (report.preperiod, report.period) != law:
         raise VerificationError(
-            f"modulus {m}: expected preperiod {4 * k - 2} and period {ell}, "
+            f"modulus {m}: expected preperiod {law[0]} and period {law[1]}, "
             f"found preperiod {report.preperiod} and period {report.period}"
         )
     return report
@@ -341,15 +362,7 @@ def odd_product_congruence(s: int) -> bool:
 
 
 def odd_factor_mod_prefix(s: int, count: int) -> list[int]:
-    """First ``count`` odd factors of the involution counts, reduced modulo
-    2**s, in bounded memory by :func:`twoadic.odd_factor_residues`.
-
-    Precision rule: t(n) is stepped modulo 2**K with K = s + max h(n) + 2
-    over the window, h the proven exponent of two in t(n); no division is
-    needed.  Certification rule: the exponent v of each residue is read, not
-    assumed, and beta(n) mod 2**s is reported only when v + s <= K; otherwise
-    InconclusiveError is raised.
-    """
+    """beta(n) mod 2**s for 0 <= n < count; see :func:`twoadic.odd_factor_residues`."""
     return odd_factor_residues(s, count)
 
 
@@ -362,39 +375,24 @@ def odd_factor_shift_congruence(s: int, n_max: int) -> bool:
     return all(vals[n + shift] == vals[n] for n in range(n_max + 1))
 
 
-def odd_factor_period(s: int, *, window: int | None = None) -> PeriodReport:
-    """Report that the odd factors mod 2**s are purely periodic with
-    smallest period 2**(s+1).
+def odd_factor_period(s: int) -> PeriodReport:
+    """Minimal period of the odd factors mod 2**s, held to Theorem 6.6.
 
-    Candidate periods are exactly the divisors of 2**(s+1): the smallest
-    period must divide any period, so verifying 2**(s+1) across the window
-    and exhibiting a counterexample for every proper divisor pins minimality.
+    For s >= 3 the odd factors mod 2**s are purely periodic with smallest
+    period 2**(s+1) (Theorem 6.6); a report that says otherwise raises
+    VerificationError.  Below s = 3 they are reductions of those mod 8, so
+    16 is a period, and no law is asserted.  That proven multiple is
+    certified from index 0 across 3 * 2**(s+1) values (12 * 2**(s+1) below
+    s = 3).
     """
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    period = 1 << (s + 1)
-    w = window if window is not None else 3 * period
-    if w < 2 * period + 2:
-        raise InconclusiveError(
-            f"window {w} cannot certify a period of {period}"
+    multiple = 1 << (max(s, 3) + 1)
+    residues = odd_factor_mod_prefix(s, 3 << (s + 1 if s >= 3 else s + 3))
+    values = _residue_array(1 << s)
+    values.extend(residues)
+    report = _certify(values, 1 << s, 0, multiple)
+    if s >= 3 and (report.preperiod, report.period) != (0, multiple):
+        raise VerificationError(
+            f"odd factors mod 2**{s}: expected pure period {multiple}, found "
+            f"preperiod {report.preperiod} and period {report.period}"
         )
-    values = odd_factor_mod_prefix(s, w)
-    for i in range(w - period):
-        if values[i] != values[i + period]:
-            raise VerificationError(
-                f"odd factors mod 2**{s}: expected period {period} fails at "
-                f"index {i}"
-            )
-    rejected = []
-    for j in range(s + 1):
-        dd = 1 << j
-        for i in range(w - dd):
-            if values[i] != values[i + dd]:
-                rejected.append((dd, i))
-                break
-        else:
-            raise VerificationError(
-                f"odd factors mod 2**{s}: {dd} is also a period in-window, "
-                f"so {period} is not minimal"
-            )
-    return PeriodReport(1 << s, 0, period, w, tuple(rejected), None)
+    return report

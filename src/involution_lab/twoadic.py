@@ -19,10 +19,14 @@ from itertools import islice
 from typing import Iterator
 
 from .algebra import INFINITY, Valuation, val2
-from .errors import ExactnessError, InconclusiveError
+from .errors import ExactnessError, InconclusiveError, ResourceLimitError
 from .sequences import involution_val2
 
-__all__ = ["odd_factor_residues", "even_count_val2_upto"]
+__all__ = ["STEP_CAP", "odd_factor_residues", "even_count_val2_upto"]
+
+# Most steps a scan may plan: odd_factor_residues refuses a longer window,
+# and it is the ceiling of the default state cap of the period scan mod m.
+STEP_CAP = 10**7
 
 # First precision of even_count_val2_upto, in bits above k_max.  The
 # exponents observed at n = 4k + 1 exceed k by about log2(k), so one pass is
@@ -53,9 +57,14 @@ def odd_factor_residues(s: int, count: int) -> list[int]:
     Certification rule: h only sizes K.  At each n the valuation v of the
     residue is read, not assumed; the residue shifted right by v is beta(n)
     mod 2**(K - v).  A zero residue, or v + s > K, raises InconclusiveError.
+    A count above STEP_CAP raises ResourceLimitError before any stepping.
     """
     if s < 1:
         raise ValueError("s must be positive")
+    if count > STEP_CAP:
+        raise ResourceLimitError(
+            f"{count} odd factors asked for, more than the cap of {STEP_CAP} steps"
+        )
     if count <= 0:
         return []
     # h(n + 4) = h(n) + 1, so the window's maximum is among its last four.

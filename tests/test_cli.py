@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,23 @@ class TestPeriod:
         assert exc.value.code == 2
         assert "--window must be positive" in capsys.readouterr().err
 
+    def test_window_with_beta_is_usage_error(self, capsys):
+        # --window is the state cap of --t-mod only; the 2-adic window
+        # follows from s.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "period", "--beta-mod-2s", "3", "--window", "100")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window only applies to --t-mod" in captured.err
+
+    def test_huge_beta_window_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "period", "--beta-mod-2s", "30")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert "more than the cap of 10000000 steps" in err
+
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "period", "--t-mod", "3", "--beta-mod-2s", "3")
@@ -387,6 +405,25 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"involution-lab: cannot write --output {target}: No such file or directory"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    "seq --kind t --to 3",
+    "table --k-max 3",
+    "period --t-mod 3",
+    "rho --k-max 10",
+])
+def test_failing_write_is_usage_error(capsys, argv):
+    # /dev/full opens, then every write fails with ENOSPC.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--output", "/dev/full"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "involution-lab: cannot write --output /dev/full: No space left on device"
+    ]
 
 
 def test_cli_does_not_import_fractions():

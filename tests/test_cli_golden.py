@@ -52,6 +52,14 @@ GATE_COMMANDS = (
         ["rho", "--k-max", "1000"],
     ]
     + [["verify", "--check", *line.split()] for line in _CHECK_OVERRIDES]
+    + [
+        ["period", "--beta-mod-2s", "1", "--format", "json"],
+        ["period", "--beta-mod-2s", "2", "--format", "json"],
+        ["period", "--beta-mod-2s", "12"],
+        ["period", "--t-mod", "7", "--expect-paper"],
+        ["period", "--t-mod", "12", "--format", "json"],
+        ["verify", "--check", "thm66", "--s-max", "8"],
+    ]
 )
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from involution_lab import periodicity
 from involution_lab.algebra import odd_part
 from involution_lab.errors import InconclusiveError, VerificationError
 from involution_lab.periodicity import (
@@ -16,6 +17,7 @@ from involution_lab.periodicity import (
     detect_period,
     involution_mod_period,
     involution_mod_prefix,
+    mod_period_law,
     odd_factor_mod_prefix,
     odd_factor_period,
     odd_factor_shift_congruence,
@@ -167,6 +169,16 @@ class TestCycleDetector:
         assert peak < 4 * 2**20
 
 
+class TestModPeriodLaw:
+    def test_examples(self):
+        cases = {1: (0, 1), 15: (0, 15), 2: (2, 1), 12: (6, 3), 8: (10, 1), 96: (18, 3)}
+        assert {m: mod_period_law(m) for m in cases} == cases
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(ValueError):
+            mod_period_law(0)
+
+
 class TestOddModuli:
     def test_examples(self):
         assert verify_odd_modulus(3)
@@ -236,12 +248,18 @@ class TestOddFactorPeriod:
         assert sorted(dict(report.rejected_divisors)) == [1 << j for j in range(s + 1)]
 
     def test_agrees_with_window_detector(self):
-        for s in (3, 4):
-            period = 1 << (s + 1)
-            values = odd_factor_mod_prefix(s, 3 * period)
-            generic = detect_period(values, 1 << s)
+        for s in (1, 2, 3, 4):
             report = odd_factor_period(s)
-            assert (generic.preperiod, generic.period) == (report.preperiod, report.period)
+            values = odd_factor_mod_prefix(s, report.window_checked)
+            generic = detect_period(values, 1 << s)
+            assert generic == report
+
+    def test_report_off_the_law_raises(self, monkeypatch):
+        # Residues with period 8 instead of 16 must not pass as Theorem 6.6.
+        monkeypatch.setattr(periodicity, "odd_factor_mod_prefix",
+                            lambda s, count: [n % 8 for n in range(count)])
+        with pytest.raises(VerificationError, match="expected pure period 16"):
+            odd_factor_period(3)
 
     def test_witnesses_reverify(self):
         report = odd_factor_period(4)
@@ -257,11 +275,7 @@ class TestOddFactorPeriod:
 
     def test_small_s_rejected(self):
         with pytest.raises(ValueError):
-            odd_factor_period(2)
-
-    def test_short_window_inconclusive(self):
-        with pytest.raises(InconclusiveError):
-            odd_factor_period(3, window=20)
+            odd_factor_period(0)
 
     def test_contradicting_window_surfaces(self):
         # A window long enough to certify but fed a wrong expectation is a

@@ -14,7 +14,7 @@ import pytest
 from involution_lab import twoadic
 from involution_lab.algebra import odd_part
 from involution_lab.conjecture import even_count_val2
-from involution_lab.errors import ExactnessError, InconclusiveError
+from involution_lab.errors import ExactnessError, InconclusiveError, ResourceLimitError
 from involution_lab.sequences import involution_count
 from involution_lab.twoadic import even_count_val2_upto, odd_factor_residues
 
@@ -32,6 +32,11 @@ class TestOddFactorResidues:
     def test_validation(self):
         with pytest.raises(ValueError):
             odd_factor_residues(0, 10)
+
+    def test_count_over_cap_refused_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(twoadic, "_recurrence_mod", None)
+        with pytest.raises(ResourceLimitError, match="cap of 10000000"):
+            odd_factor_residues(3, twoadic.STEP_CAP + 1)
 
     def test_short_precision_is_inconclusive(self, monkeypatch):
         # With h understated, K = 5 falls short at t(7) = 8 * 29, whose
