@@ -32,7 +32,7 @@ print(" ", involution_mod_prefix(12, 24))
 
 print()
 print("Odd factors mod 8 repeat every 16 (and not every 8):")
-print(" ", odd_factor_mod_prefix(3, 32))
+print(" ", odd_factor_mod_prefix(3, 32).tolist())
 report = odd_factor_period(3)
 print("report:", json.dumps(report.to_json_obj(), sort_keys=True))
 dd = dict(report.rejected_divisors)

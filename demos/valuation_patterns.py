@@ -9,8 +9,10 @@ checked, by a single mysterious 2-adic constant whose binary digits the
 library fits from the data.
 """
 
+from itertools import islice
+
 from involution_lab.conjecture import fit_shift_digits
-from involution_lab.valuations import table_fieldnames, table_row
+from involution_lab.valuations import table_fieldnames, table_rows
 
 FIELDS = ["n", "k", "r", "ord_t", "ord_t_signed", "ord_t_even", "ord_t_odd"]
 
@@ -18,8 +20,7 @@ print("Exponent of two in: count, signed sum, even count, odd count")
 print("(predictions in brackets; 'unknown' = no proven closed form)")
 header = " ".join(f"{f:>9s}" for f in FIELDS)
 print(header)
-for n in range(25):
-    row = table_row(n)
+for row in islice(table_rows(6), 25):
     cells = [row[f] for f in FIELDS[:3]]
     for kind in ("t", "t_signed", "t_even", "t_odd"):
         cells.append(f"{row['ord_' + kind]}[{row['predicted_' + kind]}]")

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from typing import Iterable
 
 from . import checks, conjecture, periodicity, sequences, valuations
 from .algebra import is_prime
@@ -115,14 +116,14 @@ def _out_stream(path: str | None):
         raise _usage_error(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
-def _emit_rows(args, fieldnames: list[str], rows: list[dict], doc_key: str) -> None:
+def _emit_rows(args, fieldnames: list[str], rows: Iterable[dict], doc_key: str) -> None:
     with _out_stream(args.output) as fh:
         if args.format == "csv":
             writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         else:
-            json.dump({doc_key: rows}, fh, sort_keys=True)
+            json.dump({doc_key: list(rows)}, fh, sort_keys=True)
             fh.write("\n")
 
 
@@ -145,7 +146,8 @@ def cmd_seq(args) -> int:
 def cmd_table(args) -> int:
     if args.k_max < 0:
         raise _usage_error("table: --k-max must be nonnegative")
-    rows = [valuations.table_row(n) for n in range(4 * args.k_max + 4)]
+    # Every column is certified here, before the first byte is written.
+    rows = valuations.table_rows(args.k_max)
     _emit_rows(args, valuations.table_fieldnames(), rows, "rows")
     return 0
 

@@ -44,8 +44,8 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .algebra import val2
-from .errors import InconclusiveError, ResourceLimitError, VerificationError
-from .twoadic import STEP_CAP, odd_factor_residues
+from .errors import InconclusiveError, VerificationError
+from .twoadic import STEP_CAP, _residue_array, odd_factor_residues
 
 __all__ = [
     "PeriodReport",
@@ -227,16 +227,6 @@ def involution_mod_prefix(m: int, count: int) -> list[int]:
     return list(islice(involution_mod_stream(m), count))
 
 
-def _residue_array(m: int) -> array:
-    """An empty array of the narrowest machine word that holds 0..m-1."""
-    for typecode in "BHIQ":
-        if m <= 1 << (8 * array(typecode).itemsize):
-            return array(typecode)
-    raise ResourceLimitError(
-        f"modulus {m} needs a cycle of at least {m} states, more than memory holds"
-    )
-
-
 def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> PeriodReport:
     """Report on a window of at least lam_bound + 2 * multiple values whose
     tail from lam_bound repeats with period ``multiple``: the smallest
@@ -361,8 +351,9 @@ def odd_product_congruence(s: int) -> bool:
     return prod == 1
 
 
-def odd_factor_mod_prefix(s: int, count: int) -> list[int]:
-    """beta(n) mod 2**s for 0 <= n < count; see :func:`twoadic.odd_factor_residues`."""
+def odd_factor_mod_prefix(s: int, count: int) -> array:
+    """beta(n) mod 2**s for 0 <= n < count, in an array of machine words;
+    see :func:`twoadic.odd_factor_residues`."""
     return odd_factor_residues(s, count)
 
 
@@ -386,9 +377,7 @@ def odd_factor_period(s: int) -> PeriodReport:
     s = 3).
     """
     multiple = 1 << (max(s, 3) + 1)
-    residues = odd_factor_mod_prefix(s, 3 << (s + 1 if s >= 3 else s + 3))
-    values = _residue_array(1 << s)
-    values.extend(residues)
+    values = odd_factor_mod_prefix(s, 3 << (s + 1 if s >= 3 else s + 3))
     report = _certify(values, 1 << s, 0, multiple)
     if s >= 3 and (report.preperiod, report.period) != (0, multiple):
         raise VerificationError(

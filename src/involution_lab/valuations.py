@@ -1,4 +1,5 @@
-"""Closed-form 2-adic (and p-adic) valuations of the involution counts.
+"""Closed-form 2-adic (and p-adic) valuations of the involution counts, and
+the valuation table that holds them against computed exponents.
 
 Writing n = 4k + r with 0 <= r < 4, the exponent of two is known exactly for
 the involution count itself and for the signed sum at every n, and for the
@@ -6,12 +7,20 @@ even/odd counts at every n except two residue classes: the odd count at
 r = 0 and the even count at r = 1 have no proven closed form.  Those two
 predictions are reported as None, never guessed; the digit-fitting scanner
 in :mod:`involution_lab.conjecture` consumes the computed column instead.
+
+Computed exponents come along two routes.  ``valuation_report`` reads them
+from the exact counts, including the exact even and odd counts; it is the
+oracle behind the verification batches.  ``table_rows``, the one table path,
+reads all four columns from :func:`twoadic.valuation_columns`, in memory
+that stays bounded as the table grows, and builds each row with
+``table_row``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .algebra import INFINITY, Valuation, val2, val_p
 from .errors import ExactnessError
@@ -21,6 +30,7 @@ from .sequences import (
     pth_root_count,
     signed_involution_count,
 )
+from .twoadic import valuation_columns
 
 __all__ = [
     "chi_odd",
@@ -36,10 +46,10 @@ __all__ = [
     "ValuationReport",
     "REPORT_KINDS",
     "valuation_report",
-    "valuation_table",
     "format_valuation",
     "table_fieldnames",
     "table_row",
+    "table_rows",
 ]
 
 
@@ -157,28 +167,22 @@ _PREDICTED = {
 }
 
 
+def _prediction(n: int, kind: str, computed: Valuation) -> tuple[Valuation | None, bool]:
+    """The closed-form prediction at n, and whether the computed value
+    matches it (never, where there is no prediction)."""
+    predicted = _PREDICTED[kind](n)
+    return predicted, predicted is not None and computed == predicted
+
+
 def valuation_report(n: int, kind: str, p: int = 2) -> ValuationReport:
+    """The cell at n of one kind, computed from the exact counts."""
     if kind == "tau":
         computed = val_p(pth_root_count(n, p), p)
         return ValuationReport(n, kind, computed, None, False)
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     computed = val2(_COMPUTED[kind](n))
-    predicted = _PREDICTED[kind](n)
-    matches = predicted is not None and computed == predicted
-    return ValuationReport(n, kind, computed, predicted, matches)
-
-
-def valuation_table(k_max: int) -> list[ValuationReport]:
-    """Reports for every n = 4k + r with k <= k_max and every kind, in
-    (n, kind) order."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    out = []
-    for n in range(4 * k_max + 4):
-        for kind in REPORT_KINDS:
-            out.append(valuation_report(n, kind))
-    return out
+    return ValuationReport(n, kind, computed, *_prediction(n, kind, computed))
 
 
 def format_valuation(v: "Valuation | None") -> str:
@@ -199,13 +203,25 @@ def table_fieldnames() -> list[str]:
     return names
 
 
-def table_row(n: int) -> dict[str, str]:
-    """One flat table row for the CSV/JSON emitters."""
+def table_row(n: int, computed: Sequence[Valuation]) -> dict[str, str]:
+    """One flat table row for the CSV/JSON emitters, from the computed
+    exponents at n in REPORT_KINDS order."""
     k, r = divmod(n, 4)
     row: dict[str, str] = {"n": str(n), "k": str(k), "r": str(r)}
-    for kind in REPORT_KINDS:
-        rep = valuation_report(n, kind)
-        row[f"ord_{kind}"] = format_valuation(rep.computed)
-        row[f"predicted_{kind}"] = format_valuation(rep.predicted)
-        row[f"match_{kind}"] = str(rep.matches).lower()
+    for kind, value in zip(REPORT_KINDS, computed):
+        predicted, matches = _prediction(n, kind, value)
+        row[f"ord_{kind}"] = format_valuation(value)
+        row[f"predicted_{kind}"] = format_valuation(predicted)
+        row[f"match_{kind}"] = str(matches).lower()
     return row
+
+
+def table_rows(k_max: int) -> Iterator[dict[str, str]]:
+    """The table rows for every n = 4k + r with k <= k_max, in n order.
+
+    Every computed column is certified before this returns, so a failure
+    raises before the first row exists; the rows are then built lazily.
+    """
+    columns = valuation_columns(k_max)
+    cells = zip(*(columns[kind] for kind in REPORT_KINDS))
+    return (table_row(n, computed) for n, computed in enumerate(cells))

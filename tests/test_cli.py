@@ -363,6 +363,15 @@ class TestPeriod:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", ["table --k-max 100000000", "rho --k-max 100000000"])
+def test_huge_column_window_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "more than the cap of 10000000 steps" in err
+
+
 class TestRho:
     def test_single_constraint(self, capsys):
         code, out, _ = run(capsys, "rho", "--k-max", "1")

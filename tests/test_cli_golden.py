@@ -59,6 +59,8 @@ GATE_COMMANDS = (
         ["period", "--t-mod", "7", "--expect-paper"],
         ["period", "--t-mod", "12", "--format", "json"],
         ["verify", "--check", "thm66", "--s-max", "8"],
+        ["table", "--k-max", "1000"],
+        ["table", "--k-max", "30", "--format", "json"],
     ]
 )
 

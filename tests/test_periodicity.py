@@ -4,6 +4,7 @@ cycle detector against a table-of-states reference, and the congruence
 lemmas behind the odd-factor period."""
 
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -257,7 +258,7 @@ class TestOddFactorPeriod:
     def test_report_off_the_law_raises(self, monkeypatch):
         # Residues with period 8 instead of 16 must not pass as Theorem 6.6.
         monkeypatch.setattr(periodicity, "odd_factor_mod_prefix",
-                            lambda s, count: [n % 8 for n in range(count)])
+                            lambda s, count: array("B", (n % 8 for n in range(count))))
         with pytest.raises(VerificationError, match="expected pure period 16"):
             odd_factor_period(3)
 

@@ -22,10 +22,9 @@ from involution_lab.valuations import (
     odd_val2_predicted,
     signed_val2_predicted,
     table_fieldnames,
-    table_row,
+    table_rows,
     tau_valuation_bound,
     valuation_report,
-    valuation_table,
 )
 
 
@@ -144,7 +143,7 @@ class TestReports:
         assert rep.predicted is None and not rep.matches
 
     def test_row_n6(self):
-        row = table_row(6)
+        row = list(table_rows(1))[6]
         assert (row["ord_t"], row["ord_t_signed"], row["ord_t_even"], row["ord_t_odd"]) == (
             "2",
             "4",
@@ -154,22 +153,31 @@ class TestReports:
         assert row["match_t"] == "true"
 
     def test_row_n0_and_n13(self):
-        row = table_row(0)
-        assert row["ord_t_odd"] == "inf"
-        assert row["predicted_t_odd"] == "unknown"
-        row = table_row(13)
-        assert row["ord_t_even"] == "5"
-        assert row["predicted_t_even"] == "unknown"
+        rows = list(table_rows(3))
+        assert rows[0]["ord_t_odd"] == "inf"
+        assert rows[0]["predicted_t_odd"] == "unknown"
+        assert rows[13]["ord_t_even"] == "5"
+        assert rows[13]["predicted_t_even"] == "unknown"
 
     def test_table_shape(self):
-        reports = valuation_table(3)
-        assert len(reports) == 16 * 4
-        assert {rep.kind for rep in reports} == {"t", "t_signed", "t_even", "t_odd"}
-        proven = [rep for rep in reports if rep.predicted is not None]
-        assert all(rep.matches for rep in proven)
+        rows = list(table_rows(3))
+        assert [row["n"] for row in rows] == [str(n) for n in range(16)]
+        for row in rows:
+            for kind in ("t", "t_signed", "t_even", "t_odd"):
+                proven = row[f"predicted_{kind}"] != "unknown"
+                assert row[f"match_{kind}"] == ("true" if proven else "false")
+
+    def test_rows_match_reports(self):
+        for row in table_rows(20):
+            n = int(row["n"])
+            for kind in ("t", "t_signed", "t_even", "t_odd"):
+                rep = valuation_report(n, kind)
+                assert row[f"ord_{kind}"] == format_valuation(rep.computed)
+                assert row[f"predicted_{kind}"] == format_valuation(rep.predicted)
+                assert row[f"match_{kind}"] == str(rep.matches).lower()
 
     def test_serialization(self):
         assert format_valuation(INFINITY) == "inf"
         assert format_valuation(None) == "unknown"
         assert format_valuation(17) == "17"
-        assert set(table_row(5)) == set(table_fieldnames())
+        assert all(set(row) == set(table_fieldnames()) for row in table_rows(1))
