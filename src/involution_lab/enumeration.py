@@ -26,6 +26,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import BivariatePoly, is_prime
 from .errors import ExactnessError, ResourceLimitError
@@ -155,18 +156,46 @@ def least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
 
 
+def _labeled_cycle_counts(pi: Permutation, p: int) -> dict[tuple[int, ...], int]:
+    """One walk over the cycles of pi: each element is labeled as it is
+    visited, the p-th-root check reads the cycle lengths of that same walk,
+    and each labeled cycle is counted as its least rotation."""
+    seen = [False] * (len(pi) + 1)
+    counts: dict[tuple[int, ...], int] = {}
+    for start in range(1, len(pi) + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        labels = [(start - 1) // p + 1]
+        j = pi[start - 1]
+        while j != start:
+            seen[j] = True
+            labels.append((j - 1) // p + 1)
+            j = pi[j - 1]
+        if p % len(labels):
+            raise ValueError("permutation is not a p-th root of the identity")
+        # The walk starts at the least element, so labels[0] is the least
+        # label and the least rotation is among those that start with it.
+        low = labels[0]
+        if labels.count(low) == 1:
+            key = tuple(labels)
+        else:
+            key = min(
+                tuple(labels[i:] + labels[:i])
+                for i, label in enumerate(labels)
+                if label == low
+            )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def label_cycles(pi: Permutation, p: int) -> Counter:
     """Multiset of labeled cycles of pi: label (i-1)//p + 1 applied entrywise
     to each disjoint cycle, each result stored as its least rotation."""
-    if not is_pth_root(pi, p):
-        raise ValueError("permutation is not a p-th root of the identity")
-    out: Counter = Counter()
-    for cyc in permutation_cycles(pi):
-        out[least_rotation(tuple((i - 1) // p + 1 for i in cyc))] += 1
-    return out
+    return Counter(_labeled_cycle_counts(pi, p))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RefinedClass:
     """Key of a refined equivalence class.
 
@@ -187,19 +216,19 @@ class RefinedClass:
 
 
 def refined_class(pi: Permutation, p: int) -> RefinedClass:
-    labeled = label_cycles(pi, p)
     t = len(pi) // p
     bag = []
-    rest: dict[tuple[int, ...], int] = {}
-    for cyc, mult in labeled.items():
-        label = cyc[0]
-        if len(cyc) == p and len(set(cyc)) == 1 and label <= t:
-            bag.append(label)
-        elif len(cyc) == 1 and mult == p and label <= t:
+    rest = []
+    for cyc, mult in _labeled_cycle_counts(pi, p).items():
+        label = cyc[0]  # the least label: cycles are least rotations
+        if label <= t and (
+            (len(cyc) == 1 and mult == p)
+            or (len(cyc) == p and max(cyc) == label)
+        ):
             bag.append(label)
         else:
-            rest[cyc] = mult
-    return RefinedClass(tuple(sorted(bag)), tuple(sorted(rest.items())))
+            rest.append((cyc, mult))
+    return RefinedClass(tuple(sorted(bag)), tuple(sorted(rest)))
 
 
 def _validate_refined_class(cls: RefinedClass, p: int, n: int) -> None:
@@ -259,7 +288,7 @@ def class_size(cls: RefinedClass, p: int, n: int) -> int:
     return size
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ConstrainedGraph:
     """Loopless multigraph on labeled vertices with max degree two, edge
     multiplicity at most two, and (when the vertex count came from an odd n)
@@ -286,32 +315,30 @@ class ConstrainedGraph:
 
 
 def _graph_vertex_count(n: int) -> int:
-    t, r = divmod(n, 2)
-    return t + (1 if r else 0)
+    return (n + 1) // 2  # one vertex per block of two letters, the last maybe short
 
 
 def _validate_graph(g: ConstrainedGraph, n: int) -> None:
-    v = _graph_vertex_count(n)
+    v = (n + 1) // 2  # _graph_vertex_count, inlined on this hot path
     if g.vertex_count != v:
         raise ValueError(f"graph has {g.vertex_count} vertices, n={n} needs {v}")
     deg = [0] * (v + 1)
-    prev = None
+    prev_a = prev_b = 0
     for a, b, m in g.edges:
         if not (1 <= a < b <= v):
             raise ValueError(f"bad edge endpoints ({a}, {b})")
-        if m not in (1, 2):
+        if m != 1 and m != 2:
             raise ValueError(f"edge ({a}, {b}) has multiplicity {m}")
-        if prev is not None and (a, b) <= prev:
+        if a < prev_a or (a == prev_a and b <= prev_b):
             raise ValueError("edges not sorted by endpoints / duplicate pair")
-        prev = (a, b)
+        prev_a, prev_b = a, b
         deg[a] += m
         deg[b] += m
-    limit = [2] * (v + 1)
-    if n % 2:
-        limit[v] = 1
-    for u in range(1, v + 1):
-        if deg[u] > limit[u]:
-            raise ValueError(f"vertex {u} has degree {deg[u]} > {limit[u]}")
+    if max(deg, default=0) > 2 or (n % 2 and deg[v] > 1):
+        for u in range(1, v + 1):
+            limit = 1 if n % 2 and u == v else 2
+            if deg[u] > limit:
+                raise ValueError(f"vertex {u} has degree {deg[u]} > {limit}")
 
 
 def class_graph(cls: RefinedClass, n: int) -> ConstrainedGraph:
@@ -350,11 +377,17 @@ def graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
     return RefinedClass(tuple(bag), tuple(sorted(cycles.items())))
 
 
-def multigraphs(
-    n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP, doubled_edges: bool = True
-) -> list[ConstrainedGraph]:
-    """Every admissible multigraph for the given n, exactly once, sorted by
-    edge tuple.  ``doubled_edges=False`` restricts to simple graphs."""
+def _walk_graphs(
+    n: int, vertex_cap: int, max_mult: int, visit: Callable[[ConstrainedGraph], None]
+) -> None:
+    """Hand every admissible graph with edge multiplicity at most
+    ``max_mult`` to ``visit``, once each, in sorted edge-tuple order.
+
+    A depth-first walk over edge lists: each prefix is emitted before its
+    extensions, and the next edge (a, b, m) is tried in increasing order
+    after the last pair, skipping saturated vertices, so the preorder is the
+    sorted order and one call of ``walk`` yields one graph.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     v = _graph_vertex_count(n)
@@ -362,34 +395,53 @@ def multigraphs(
         raise ResourceLimitError(
             f"{v} vertices exceed the vertex cap of {vertex_cap}"
         )
-    limit = [2] * (v + 1)
+    free = [2] * (v + 1)  # degree each vertex may still take
     if n % 2:
-        limit[v] = 1
-    pairs = [(a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1)]
-    deg = [0] * (v + 1)
+        free[v] = 1
+    # options[a][b][room]: the (multiplicity, edge) choices of the pair when
+    # the smaller free degree of its ends is room.  Built once, so every
+    # graph shares these edge tuples.
+    options = [
+        [
+            [
+                tuple((m, (a, b, m)) for m in range(1, min(room, max_mult) + 1))
+                for room in range(3)
+            ]
+            for b in range(v + 1)
+        ]
+        for a in range(v + 1)
+    ]
     edges: list[tuple[int, int, int]] = []
-    found: list[tuple[tuple[int, int, int], ...]] = []
-    max_mult = 2 if doubled_edges else 1
 
-    def walk(i: int) -> None:
-        if i == len(pairs):
-            found.append(tuple(edges))
-            return
-        a, b = pairs[i]
-        walk(i + 1)
-        room = min(limit[a] - deg[a], limit[b] - deg[b], max_mult)
-        for mult in range(1, room + 1):
-            deg[a] += mult
-            deg[b] += mult
-            edges.append((a, b, mult))
-            walk(i + 1)
-            edges.pop()
-            deg[a] -= mult
-            deg[b] -= mult
+    def walk(a0: int, b0: int) -> None:
+        visit(ConstrainedGraph(v, tuple(edges)))
+        for a in range(a0, v + 1):
+            free_a = free[a]
+            if free_a:
+                options_a = options[a]
+                for b in range(b0 + 1 if a == a0 else a + 1, v + 1):
+                    free_b = free[b]
+                    if free_b:
+                        for mult, edge in options_a[b][free_a if free_a < free_b else free_b]:
+                            free[a] = free_a - mult
+                            free[b] = free_b - mult
+                            edges.append(edge)
+                            walk(a, b)
+                            edges.pop()
+                        free[a] = free_a
+                        free[b] = free_b
 
-    walk(0)
-    found.sort()
-    return [ConstrainedGraph(v, e) for e in found]
+    walk(1, 1)
+
+
+def multigraphs(
+    n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP, doubled_edges: bool = True
+) -> list[ConstrainedGraph]:
+    """Every admissible multigraph for the given n, exactly once, sorted by
+    edge tuple.  ``doubled_edges=False`` restricts to simple graphs."""
+    out: list[ConstrainedGraph] = []
+    _walk_graphs(n, vertex_cap, 2 if doubled_edges else 1, out.append)
+    return out
 
 
 def simple_graphs(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[ConstrainedGraph]:
@@ -448,8 +500,13 @@ def graph_count_bruteforce(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> i
 def graph_weight_sum_bruteforce(
     n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> BivariatePoly:
-    """Sum of graph_weight over the admissible graphs with no doubled edge."""
+    """Sum of graph_weight over the admissible graphs with no doubled edge,
+    streamed: each graph is added as the walk reaches it, none is kept."""
     total = BivariatePoly.zero()
-    for g in simple_graphs(n, vertex_cap=vertex_cap):
+
+    def add(g: ConstrainedGraph) -> None:
+        nonlocal total
         total = total + graph_weight(g, n)
+
+    _walk_graphs(n, vertex_cap, 1, add)
     return total

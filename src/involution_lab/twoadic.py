@@ -35,11 +35,25 @@ from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError
 from .sequences import involution_val2
 
-__all__ = ["STEP_CAP", "odd_factor_residues", "valuation_columns", "even_count_val2_upto"]
+__all__ = [
+    "STEP_CAP",
+    "BIT_STEP_CAP",
+    "odd_factor_residues",
+    "valuation_columns",
+    "even_count_val2_upto",
+]
 
 # Most steps a scan may plan: every scan here refuses a longer window, and
 # it is the ceiling of the default state cap of the period scan mod m.
 STEP_CAP = 10**7
+
+# Most bit-steps (steps times the bits of each residue) one pass may plan.
+# A step on K-bit residues costs time in proportion to K, so STEP_CAP alone
+# does not bound a scan's time.  `rho --k-max 100000` plans 4.0 * 10**10 and
+# `period --beta-mod-2s 16` 3.9 * 10**10, and each runs in under 20 s on a
+# 2-vCPU host; the cap refuses passes a few times longer, such as
+# `period --beta-mod-2s 17`.
+BIT_STEP_CAP = 10**11
 
 # First precision of the exponent columns, in bits above k_max.  The
 # exponents observed up to n = 4k + 3 exceed k by about log2(k), so one pass
@@ -87,6 +101,14 @@ def _refuse_window(count: int, what: str) -> None:
         )
 
 
+def _refuse_bits(count: int, bits: int, what: str) -> None:
+    if count * bits > BIT_STEP_CAP:
+        raise ResourceLimitError(
+            f"{count} {what} on {bits}-bit residues asked for, more than the "
+            f"cap of {BIT_STEP_CAP} bit-steps"
+        )
+
+
 def odd_factor_residues(s: int, count: int) -> array:
     """beta(n) mod 2**s for 0 <= n < count, from t(n) mod 2**K, in an array
     of the narrowest machine word that holds them.
@@ -96,7 +118,8 @@ def odd_factor_residues(s: int, count: int) -> array:
     Certification rule: h only sizes K.  At each n the valuation v of the
     residue is read, not assumed; the residue shifted right by v is beta(n)
     mod 2**(K - v).  A zero residue, or v + s > K, raises InconclusiveError.
-    A count above STEP_CAP raises ResourceLimitError before any stepping.
+    A count above STEP_CAP, or more than BIT_STEP_CAP bit-steps, raises
+    ResourceLimitError before any stepping.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -106,6 +129,7 @@ def odd_factor_residues(s: int, count: int) -> array:
         return out
     # h(n + 4) = h(n) + 1, so the window's maximum is among its last four.
     bits = s + max(involution_val2(n) for n in range(max(count - 4, 0), count)) + 2
+    _refuse_bits(count, bits, "odd factors")
     mask = (1 << s) - 1
     for n, residue in enumerate(islice(_recurrence_mod(bits, 1), count)):
         v = val2(residue)
@@ -159,12 +183,15 @@ def _certified_columns(
 ) -> list[list[Valuation]]:
     """The doubling driver: run passes from K = k_max + _START_MARGIN,
     doubling K until every cell is certified.  A window of more than
-    STEP_CAP steps raises ResourceLimitError before any stepping."""
+    STEP_CAP steps raises ResourceLimitError before any stepping, and a pass
+    of more than BIT_STEP_CAP bit-steps before that pass."""
     _refuse_window(indices.stop, "recurrence steps")
     bits = k_max + _START_MARGIN
-    while (columns := _columns_pass(bits, kinds, indices)) is None:
+    while True:
+        _refuse_bits(indices.stop, bits, "recurrence steps")
+        if (columns := _columns_pass(bits, kinds, indices)) is not None:
+            return columns
         bits *= 2
-    return columns
 
 
 def valuation_columns(k_max: int) -> dict[str, list[Valuation]]:

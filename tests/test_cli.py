@@ -372,6 +372,17 @@ def test_huge_column_window_is_refused_at_once(capsys, argv):
     assert "more than the cap of 10000000 steps" in err
 
 
+@pytest.mark.parametrize("argv", ["table --k-max 2000000", "period --beta-mod-2s 20"])
+def test_costly_window_is_refused_at_once(capsys, argv):
+    # Under the step cap, but each step would work on residues of one to two
+    # million bits: the bit-step budget refuses before any stepping.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "bit-steps" in err
+
+
 class TestRho:
     def test_single_constraint(self, capsys):
         code, out, _ = run(capsys, "rho", "--k-max", "1")

@@ -3,6 +3,9 @@ filtering all of S_n, hand counts, and the published worked example, and the
 counting formulas are validated against grouping the enumerations.
 """
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from involution_lab.algebra import BivariatePoly
@@ -140,6 +143,56 @@ class TestRefinedClass:
         assert refined_class(pi, 2) == RefinedClass((), (((1, 2), 2),))
 
 
+def reference_label_cycles(pi, p):
+    """label_cycles rebuilt from the cycle decomposition: check the root,
+    then label each cycle entrywise and take its least rotation."""
+    if not is_pth_root(pi, p):
+        raise ValueError("permutation is not a p-th root of the identity")
+    out = Counter()
+    for cyc in permutation_cycles(pi):
+        out[least_rotation(tuple((i - 1) // p + 1 for i in cyc))] += 1
+    return out
+
+
+def reference_refined_class(pi, p):
+    t = len(pi) // p
+    bag = []
+    rest = {}
+    for cyc, mult in reference_label_cycles(pi, p).items():
+        label = cyc[0]
+        if len(cyc) == p and len(set(cyc)) == 1 and label <= t:
+            bag.append(label)
+        elif len(cyc) == 1 and mult == p and label <= t:
+            bag.append(label)
+        else:
+            rest[cyc] = mult
+    return RefinedClass(tuple(sorted(bag)), tuple(sorted(rest.items())))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("p,n_max", [(2, 9), (3, 9), (5, 7)])
+    def test_every_root(self, p, n_max):
+        for n in range(n_max + 1):
+            for pi in pth_roots(n, p):
+                labeled = label_cycles(pi, p)
+                assert type(labeled) is Counter
+                assert labeled == reference_label_cycles(pi, p)
+                assert refined_class(pi, p) == reference_refined_class(pi, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_non_root_of_six_letters(self, p):
+        non_roots = 0
+        for pi in itertools.permutations(range(1, 7)):
+            if is_pth_root(pi, p):
+                continue
+            non_roots += 1
+            for f in (label_cycles, refined_class, reference_label_cycles):
+                with pytest.raises(ValueError) as exc:
+                    f(pi, p)
+                assert str(exc.value) == "permutation is not a p-th root of the identity"
+        assert non_roots == 720 - len(pth_roots(6, p))
+
+
 class TestClassSize:
     def test_worked_example(self):
         cls = refined_class(EXAMPLE_PI, 3)
@@ -217,6 +270,28 @@ class TestGraphs:
         with pytest.raises(ResourceLimitError):
             multigraphs(40)
         assert len(multigraphs(18, vertex_cap=9)) > 0
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_matches_filter_oracle(self, n):
+        # Every assignment of a multiplicity to every vertex pair, kept when
+        # the degrees are within their limits, then sorted: the graph twin of
+        # filtered_pth_roots.
+        v = (n + 1) // 2
+        limit = [2] * (v + 1)
+        if n % 2:
+            limit[v] = 1
+        pairs = list(itertools.combinations(range(1, v + 1), 2))
+        for max_mult, enumerated in ((2, multigraphs(n)), (1, simple_graphs(n))):
+            graphs = []
+            for mults in itertools.product(range(max_mult + 1), repeat=len(pairs)):
+                deg = [0] * (v + 1)
+                for (a, b), m in zip(pairs, mults):
+                    deg[a] += m
+                    deg[b] += m
+                if all(d <= cap for d, cap in zip(deg, limit)):
+                    edges = tuple((a, b, m) for (a, b), m in zip(pairs, mults) if m)
+                    graphs.append(ConstrainedGraph(v, edges))
+            assert enumerated == sorted(graphs)
 
     def test_classes_biject_with_graphs(self):
         for n in range(9):
@@ -301,6 +376,13 @@ class TestWeights:
                 for pi in members:
                     total = total + involution_weight(pi)
                 assert total == fiber_size(g, n) * graph_weight(g, n)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_streamed_weight_sum_matches_list(self, n):
+        total = BivariatePoly.zero()
+        for g in simple_graphs(n):
+            total = total + graph_weight(g, n)
+        assert graph_weight_sum_bruteforce(n) == total
 
     def test_bruteforce_weight_sums(self):
         assert graph_weight_sum_bruteforce(4).evaluate(1, -1) == -1

@@ -40,6 +40,13 @@ class TestOddFactorResidues:
         with pytest.raises(ResourceLimitError, match="cap of 10000000"):
             odd_factor_residues(3, twoadic.STEP_CAP + 1)
 
+    def test_bit_steps_over_cap_refused_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(twoadic, "_recurrence_mod", None)
+        monkeypatch.setattr(twoadic, "BIT_STEP_CAP", 10**4)
+        # 600 steps on 3 + h(599) + 2 = 156-bit residues: 93,600 bit-steps.
+        with pytest.raises(ResourceLimitError, match="600 odd factors on 156-bit residues"):
+            odd_factor_residues(3, 600)
+
     def test_short_precision_is_inconclusive(self, monkeypatch):
         # With h understated, K = 5 falls short at t(7) = 8 * 29, whose
         # residue 8 is nonzero; certification must refuse, not report 1.
@@ -90,6 +97,15 @@ class TestEvenCountVal2:
     def test_validation(self):
         with pytest.raises(ValueError):
             even_count_val2_upto(-1)
+
+    def test_bit_steps_over_cap_refused_before_the_pass(self, monkeypatch):
+        # 1202 steps: the pass at K = 300 fits the budget and falls short,
+        # the restart at K = 600 would not fit and is refused unstarted.
+        passes = _count_passes(monkeypatch)
+        monkeypatch.setattr(twoadic, "BIT_STEP_CAP", 1202 * 300)
+        with pytest.raises(ResourceLimitError, match="1202 recurrence steps on 600-bit"):
+            even_count_val2_upto(300)
+        assert passes == [300]
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
         monkeypatch.setattr(twoadic, "_recurrence_mod", None)
