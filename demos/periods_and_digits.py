@@ -15,9 +15,9 @@ from involution_lab.periodicity import (
     involution_mod_period,
     involution_mod_prefix,
     mod_period_law,
-    odd_factor_mod_prefix,
     odd_factor_period,
 )
+from involution_lab.twoadic import odd_factor_residues
 
 print("counts mod m:")
 print("  m | preperiod | period | (for even m = 2^k ell: expect 4k-2, ell)")
@@ -32,7 +32,7 @@ print(" ", involution_mod_prefix(12, 24))
 
 print()
 print("Odd factors mod 8 repeat every 16 (and not every 8):")
-print(" ", odd_factor_mod_prefix(3, 32).tolist())
+print(" ", odd_factor_residues(3, 32).tolist())
 report = odd_factor_period(3)
 print("report:", json.dumps(report.to_json_obj(), sort_keys=True))
 dd = dict(report.rejected_divisors)

@@ -6,8 +6,9 @@ columns with predictions), ``verify`` (named identity batches), ``period``
 default or a single JSON document with ``--format json``; identical
 invocations produce identical bytes.
 
-Exit codes: 0 all good, 1 a verification failed, 2 usage error, 3 a scan
-was inconclusive or an enumeration cap was exceeded.
+Exit codes: 0 all good, 1 a verification failed or an exact result was
+not exact, 2 usage error, 3 a scan was inconclusive or an enumeration cap
+was exceeded.
 
 The environment variable ``INVOLUTION_LAB_CAP`` overrides the enumeration
 caps: a single integer sets the permutation cap, a pair ``ROOTS,VERTICES``
@@ -26,7 +27,7 @@ from typing import Iterable
 
 from . import checks, conjecture, periodicity, sequences, valuations
 from .algebra import is_prime
-from .errors import InconclusiveError, ResourceLimitError, VerificationError
+from .errors import ExactnessError, InconclusiveError, ResourceLimitError, VerificationError
 
 __all__ = ["main", "build_parser"]
 
@@ -311,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, InconclusiveError) as exc:
         print(f"involution-lab: {exc}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
+    except (VerificationError, ExactnessError) as exc:
         print(f"involution-lab: {exc}", file=sys.stderr)
         return 1
 

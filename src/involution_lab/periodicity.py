@@ -11,7 +11,9 @@ across the whole window, and every proper divisor of it is rejected with a
 concrete counterexample index.
 
 For the counts mod m the bound and the multiple come from the deterministic
-finite state (n mod m, t(n-1) mod m, t(n) mod m): its first repeat bounds
+finite state (n mod m, t(n-1) mod m, t(n) mod m), whose values are read
+from the removal recurrence's residue stream
+:func:`involution_lab.sequences.removal_residues`: its first repeat bounds
 the preperiod, and its cycle length is a multiple of the period.  The first
 repeat is found without a table of states, by a variant of Brent's cycle
 detection (Brent, BIT 20, 1980).  The state cycle length is a multiple of
@@ -23,8 +25,9 @@ finds it, and the first hit is the cycle length itself.  The values are
 kept in an array of machine words, cut or extended to exactly the window
 the report covers: the preperiod bound plus two state cycles.  The scan is
 inconclusive exactly when more than the state cap of distinct states
-precede the first repeat.  For the odd factors mod 2**s the bound is 0 and
-the multiple is the proven period (see ``odd_factor_period``).
+precede the first repeat.  For the odd factors mod 2**s, read from
+:func:`involution_lab.twoadic.odd_factor_residues`, the bound is 0 and the
+multiple is the proven period (see ``odd_factor_period``).
 
 The periods the paper proves are stated here once: ``mod_period_law`` for
 the counts mod m, and inside ``odd_factor_period`` for the odd factors.
@@ -41,24 +44,23 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import val2
 from .errors import InconclusiveError, VerificationError
+from .sequences import removal_residues
 from .twoadic import STEP_CAP, _residue_array, odd_factor_residues
 
 __all__ = [
     "PeriodReport",
     "detect_period",
     "verify_report_witnesses",
-    "involution_mod_stream",
     "involution_mod_prefix",
     "involution_mod_period",
     "mod_period_law",
     "verify_odd_modulus",
     "verify_even_modulus",
     "odd_product_congruence",
-    "odd_factor_mod_prefix",
     "odd_factor_shift_congruence",
     "odd_factor_period",
 ]
@@ -205,26 +207,9 @@ def verify_report_witnesses(report: PeriodReport, values: Sequence[int]) -> bool
     return True
 
 
-def involution_mod_stream(m: int) -> Iterator[int]:
-    """t(0) mod m, t(1) mod m, ... driven entirely in modular arithmetic.
-
-    This is the one implementation of t(n+1) = t(n) + n t(n-1) mod m; the
-    prefix and the period scan both read it.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    a, b = 1 % m, 1 % m
-    yield a
-    yield b
-    n = 1
-    while True:
-        a, b = b, (b + n * a) % m
-        n += 1
-        yield b
-
-
 def involution_mod_prefix(m: int, count: int) -> list[int]:
-    return list(islice(involution_mod_stream(m), count))
+    """t(0) mod m, ..., t(count - 1) mod m."""
+    return list(islice(removal_residues(m), count))
 
 
 def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> PeriodReport:
@@ -277,7 +262,7 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
     if m > cap:
         raise inconclusive
     values = _residue_array(m)
-    stream = involution_mod_stream(m)
+    stream = removal_residues(m)
     checkpoint, cycle = m, 0
     while not cycle:
         for j in range(m, min(checkpoint, cap) + 1, m):
@@ -351,18 +336,12 @@ def odd_product_congruence(s: int) -> bool:
     return prod == 1
 
 
-def odd_factor_mod_prefix(s: int, count: int) -> array:
-    """beta(n) mod 2**s for 0 <= n < count, in an array of machine words;
-    see :func:`twoadic.odd_factor_residues`."""
-    return odd_factor_residues(s, count)
-
-
 def odd_factor_shift_congruence(s: int, n_max: int) -> bool:
     """Check beta(n + 2**(s+1)) = beta(n) modulo 2**s for all n <= n_max."""
     if s < 3:
         raise ValueError("s must be at least 3")
     shift = 1 << (s + 1)
-    vals = odd_factor_mod_prefix(s, n_max + shift + 1)
+    vals = odd_factor_residues(s, n_max + shift + 1)
     return all(vals[n + shift] == vals[n] for n in range(n_max + 1))
 
 
@@ -377,7 +356,7 @@ def odd_factor_period(s: int) -> PeriodReport:
     s = 3).
     """
     multiple = 1 << (max(s, 3) + 1)
-    values = odd_factor_mod_prefix(s, 3 << (s + 1 if s >= 3 else s + 3))
+    values = odd_factor_residues(s, 3 << (s + 1 if s >= 3 else s + 3))
     report = _certify(values, 1 << s, 0, multiple)
     if s >= 3 and (report.preperiod, report.period) != (0, multiple):
         raise VerificationError(

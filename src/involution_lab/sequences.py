@@ -3,9 +3,11 @@ and their graph-side companions.
 
 Each recurrence is written once, generic over the ring it runs in:
 
-* the removal recurrence u(n) = x u(n-1) + (n-1) y u(n-2) gives the
-  involution count at (1, 1), the signed count at (1, -1) and the
-  involution polynomial at (x, y);
+* the removal recurrence u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p): its
+  exact step gives the involution count at (1, 1), the signed count at
+  (1, -1), the involution polynomial at (x, y) and, for a prime p, the
+  count of p-th roots of the identity; its residue stream mod m for p = 2,
+  ``removal_residues``, feeds the 2-adic engine and the period scan mod m;
 * the degree-and-collapse graph recurrence gives the graph counts at
   (1, 1) and (1, -1) and the graph polynomial at (x, y).
 
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable
+from typing import Callable, Iterator
 
 from .algebra import BivariatePoly, binomial, is_prime, odd_part, odd_product_ratio
 from .errors import ExactnessError
 
 __all__ = [
     "SequenceCache",
+    "removal_residues",
     "involution_count",
     "involution_val2",
     "involution_count_direct",
@@ -49,8 +52,7 @@ class SequenceCache:
 
     A single lock serializes extension (single writer); reads of already
     computed entries take no lock, which is safe under the append-only
-    discipline.  ``selftest`` recomputes a prefix from scratch and compares,
-    guarding against cache corruption.
+    discipline.
     """
 
     def __init__(self, step: Callable[[int, list], object]):
@@ -71,22 +73,45 @@ class SequenceCache:
         self.get(n)
         return self._values[: n + 1]
 
-    def selftest(self, upto: int) -> bool:
-        fresh: list = []
-        for i in range(upto + 1):
-            fresh.append(self._step(i, fresh))
-        return fresh == self.prefix(upto)
 
-
-def _removal_step(one, x, y) -> Callable[[int, list], object]:
-    # Remove the largest letter: it is a fixed point (weight x) or pairs with
-    # one of the n - 1 others (weight y).  Any ring holding one, x and y.
+def _removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
+    # Remove the largest letter: it is a fixed point (weight x) or lies on a
+    # p-cycle with p - 1 of the n - 1 others in any order (weight y).  Any
+    # ring holding one, x and y.
     def step(n: int, values: list):
-        if n < 2:
-            return x if n else one
-        return x * values[n - 1] + (n - 1) * y * values[n - 2]
+        if n < p:
+            return x * values[n - 1] if n else one
+        return x * values[n - 1] + math.perm(n - 1, p - 1) * y * values[n - p]
 
     return step
+
+
+def removal_residues(m: int, y: int = 1) -> Iterator[int]:
+    """u(0) mod m, u(1) mod m, ... for u(n) = u(n-1) + (n-1) y u(n-2) with
+    u(0) = u(1) = 1 (the involution counts at y = 1, the signed sums at
+    y = -1), keeping only the last two residues.  A power-of-two m is
+    reduced by a mask, about twice as fast as ``%`` on residues of
+    thousands of bits.  A modulus below 1 raises ValueError at the call."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    return _removal_residues(m, y)
+
+
+def _removal_residues(m: int, y: int) -> Iterator[int]:
+    prev = curr = 1 % m
+    yield prev
+    yield curr
+    c = 0  # (n - 1) y once raised for the step to u(n)
+    if m & (m - 1):
+        while True:
+            c += y
+            prev, curr = curr, (curr + c * prev) % m
+            yield curr
+    mask = m - 1
+    while True:
+        c += y
+        prev, curr = curr, (curr + c * prev) & mask
+        yield curr
 
 
 _t_cache = SequenceCache(_removal_step(1, 1, 1))
@@ -130,7 +155,7 @@ def signed_involution_count(n: int) -> int:
     return _signed_cache.get(n)
 
 
-_tau_caches: dict[int, SequenceCache] = {}
+_tau_caches: dict[int, SequenceCache] = {2: _t_cache}
 _tau_lock = threading.Lock()
 
 
@@ -145,9 +170,7 @@ def pth_root_count(n: int, p: int) -> int:
     with _tau_lock:
         cache = _tau_caches.get(p)
         if cache is None:
-            cache = _tau_caches[p] = SequenceCache(
-                lambda m, v: 1 if m < p else v[m - 1] + math.perm(m - 1, p - 1) * v[m - p]
-            )
+            cache = _tau_caches[p] = SequenceCache(_removal_step(1, 1, 1, p))
     return cache.get(n)
 
 

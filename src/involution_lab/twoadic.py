@@ -3,8 +3,10 @@ stepped modulo a power of two.
 
 The odd factors modulo 2**s, and the exponents of two in the count t(n), the
 signed sum s(n) and the even and odd counts (t(n) +- s(n)) / 2, only depend
-on low bits of t(n) and s(n).  This module runs their removal recurrences
-modulo 2**K and keeps only the last two residues, so memory stays O(K) bits
+on low bits of t(n) and s(n).  This module reads them from the removal
+recurrence's residue stream modulo 2**K,
+:func:`involution_lab.sequences.removal_residues` (at y = 1 for t, y = -1
+for s), which keeps only the last two residues, so memory stays O(K) bits
 per step instead of the O(n**2 log n) bits of the exact caches in
 :mod:`involution_lab.sequences`; those caches remain the oracle the tests
 compare against.
@@ -29,11 +31,10 @@ from __future__ import annotations
 
 from array import array
 from itertools import islice
-from typing import Iterator
 
 from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError
-from .sequences import involution_val2
+from .sequences import involution_val2, removal_residues
 
 __all__ = [
     "STEP_CAP",
@@ -70,20 +71,6 @@ _COLUMNS = {
     "t_even": (lambda t, s: t + s, 1, "count + signed sum"),
     "t_odd": (lambda t, s: t - s, 1, "count - signed sum"),
 }
-
-
-def _recurrence_mod(bits: int, sign: int) -> Iterator[int]:
-    """u(0), u(1), ... modulo 2**bits, for u(n) = u(n-1) + sign (n-1) u(n-2)
-    with u(0) = u(1) = 1: the involution counts for sign = 1, the signed
-    sums for sign = -1.  No division anywhere."""
-    mask = (1 << bits) - 1
-    prev = curr = 1
-    yield prev
-    n = 1
-    while True:
-        yield curr
-        prev, curr = curr, (curr + sign * n * prev) & mask
-        n += 1
 
 
 def _residue_array(m: int) -> array:
@@ -131,7 +118,7 @@ def odd_factor_residues(s: int, count: int) -> array:
     bits = s + max(involution_val2(n) for n in range(max(count - 4, 0), count)) + 2
     _refuse_bits(count, bits, "odd factors")
     mask = (1 << s) - 1
-    for n, residue in enumerate(islice(_recurrence_mod(bits, 1), count)):
+    for n, residue in enumerate(islice(removal_residues(1 << bits), count)):
         v = val2(residue)
         if v is INFINITY or v + s > bits:
             raise InconclusiveError(
@@ -168,7 +155,7 @@ def _columns_pass(
     mask = (1 << bits) - 1
     readers = [_COLUMNS[kind] for kind in kinds]
     columns: list[list[Valuation]] = [[] for _ in kinds]
-    steps = enumerate(zip(_recurrence_mod(bits, 1), _recurrence_mod(bits, -1)))
+    steps = enumerate(zip(removal_residues(mask + 1, 1), removal_residues(mask + 1, -1)))
     for n, (t, signed) in islice(steps, indices.start, indices.stop, indices.step):
         for column, (residue_of, halved, name) in zip(columns, readers):
             v = _read_val2(residue_of(t, signed) & mask, bits, n, halved, name)

@@ -18,7 +18,7 @@ tests/test_sequences.py.
 import time
 from collections import Counter
 
-from involution_lab import enumeration, periodicity, sequences, valuations
+from involution_lab import enumeration, periodicity, sequences, twoadic, valuations
 from involution_lab.algebra import INFINITY, val2, val_p
 from involution_lab.conjecture import fit_shift_digits
 from involution_lab.reference_tables import CORRECTED_G_AT_ONE, G_AT_MINUS_ONE, G_AT_ONE
@@ -208,7 +208,7 @@ def test_criterion_08_periodicity():
         crit.equal(
             (report.preperiod, report.period), (0, 1 << (s + 1)), f"odd factors s={s}"
         )
-        values = periodicity.odd_factor_mod_prefix(s, (1 << s) + 3)
+        values = twoadic.odd_factor_residues(s, (1 << s) + 3)
         crit.check(
             values[(1 << s) + 2] != values[2],
             f"s={s}: half-period witness at index 2 vanished",

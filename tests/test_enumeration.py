@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from involution_lab import enumeration
 from involution_lab.algebra import BivariatePoly
 from involution_lab.enumeration import (
     ConstrainedGraph,
@@ -269,7 +270,16 @@ class TestGraphs:
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
             multigraphs(40)
-        assert len(multigraphs(18, vertex_cap=9)) > 0
+        # Nine vertices pass a cap of 9: stop at the first graph, rather
+        # than build all 2,313,638 of them.
+        class FirstGraph(Exception):
+            pass
+
+        def stop(graph):
+            raise FirstGraph
+
+        with pytest.raises(FirstGraph):
+            enumeration._walk_graphs(18, 9, 2, stop)
 
     @pytest.mark.parametrize("n", range(11))
     def test_matches_filter_oracle(self, n):

@@ -19,7 +19,6 @@ from involution_lab.periodicity import (
     involution_mod_period,
     involution_mod_prefix,
     mod_period_law,
-    odd_factor_mod_prefix,
     odd_factor_period,
     odd_factor_shift_congruence,
     odd_product_congruence,
@@ -28,6 +27,7 @@ from involution_lab.periodicity import (
     verify_report_witnesses,
 )
 from involution_lab.sequences import involution_count
+from involution_lab.twoadic import odd_factor_residues
 
 
 def table_mod_period(m, cap=float("inf")):
@@ -251,27 +251,27 @@ class TestOddFactorPeriod:
     def test_agrees_with_window_detector(self):
         for s in (1, 2, 3, 4):
             report = odd_factor_period(s)
-            values = odd_factor_mod_prefix(s, report.window_checked)
+            values = odd_factor_residues(s, report.window_checked)
             generic = detect_period(values, 1 << s)
             assert generic == report
 
     def test_report_off_the_law_raises(self, monkeypatch):
         # Residues with period 8 instead of 16 must not pass as Theorem 6.6.
-        monkeypatch.setattr(periodicity, "odd_factor_mod_prefix",
+        monkeypatch.setattr(periodicity, "odd_factor_residues",
                             lambda s, count: array("B", (n % 8 for n in range(count))))
         with pytest.raises(VerificationError, match="expected pure period 16"):
             odd_factor_period(3)
 
     def test_witnesses_reverify(self):
         report = odd_factor_period(4)
-        values = odd_factor_mod_prefix(4, report.window_checked)
+        values = odd_factor_residues(4, report.window_checked)
         assert verify_report_witnesses(report, values)
 
     def test_half_period_fails_at_index_two(self):
         # If 2**s were a period the odd factors at 2 and 2**s + 2 would
         # agree; they never do for s in 3..6.
         for s in (3, 4, 5, 6):
-            values = odd_factor_mod_prefix(s, (1 << s) + 3)
+            values = odd_factor_residues(s, (1 << s) + 3)
             assert values[(1 << s) + 2] != values[2]
 
     def test_small_s_rejected(self):
@@ -283,7 +283,7 @@ class TestOddFactorPeriod:
         # VerificationError, not a silent report; emulate by asking for a
         # window in which the expected period genuinely fails (impossible
         # for the true sequence, so craft one via the generic detector).
-        values = odd_factor_mod_prefix(3, 48)
+        values = odd_factor_residues(3, 48)
         broken = values[:]
         broken[40] = (broken[40] + 1) % 8
         with pytest.raises((InconclusiveError, VerificationError)):

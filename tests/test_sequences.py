@@ -4,6 +4,7 @@ misprinted reference cells pinned to their recurrence-confirmed values).
 """
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from involution_lab.sequences import (
     odd_factor_closed,
     odd_factor_step,
     pth_root_count,
+    removal_residues,
     signed_involution_count,
 )
 
@@ -70,6 +72,7 @@ class TestPthRootCount:
     def test_reduces_to_involutions(self):
         for n in range(40):
             assert pth_root_count(n, 2) == involution_count(n)
+        assert sequences._tau_caches[2] is sequences._t_cache
 
     @pytest.mark.parametrize("p,n_max", [(2, 8), (3, 8), (5, 7), (7, 7)])
     def test_matches_enumeration(self, p, n_max):
@@ -248,11 +251,22 @@ class TestOddFactor:
             odd_factor_step(0, 1, 1)
 
 
+class TestRemovalResidues:
+    # Both reductions (mask for a power of two, % otherwise) and both signs.
+    @pytest.mark.parametrize("m", [1, 2, 12, 1024, 1000003, 2**200])
+    @pytest.mark.parametrize("y, exact", [(1, involution_count), (-1, signed_involution_count)])
+    def test_matches_exact_counts(self, m, y, exact):
+        assert list(islice(removal_residues(m, y), 300)) == [exact(n) % m for n in range(300)]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            removal_residues(0)
+
+
 class TestSequenceCache:
     def test_prefix_consistency(self):
         cache = SequenceCache(lambda n, v: 1 if n < 2 else v[n - 1] + (n - 1) * v[n - 2])
         assert cache.get(10) == 9496
-        assert cache.selftest(30)
         assert cache.prefix(5) == [1, 1, 2, 4, 10, 26]
 
     def test_negative_index_rejected(self):

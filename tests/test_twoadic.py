@@ -14,6 +14,7 @@ import pytest
 
 from involution_lab import twoadic
 from involution_lab.algebra import odd_part
+from involution_lab.cli import main
 from involution_lab.conjecture import even_count_val2
 from involution_lab.errors import ExactnessError, InconclusiveError, ResourceLimitError
 from involution_lab.sequences import involution_count
@@ -36,12 +37,12 @@ class TestOddFactorResidues:
             odd_factor_residues(0, 10)
 
     def test_count_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "_recurrence_mod", None)
+        monkeypatch.setattr(twoadic, "removal_residues", None)
         with pytest.raises(ResourceLimitError, match="cap of 10000000"):
             odd_factor_residues(3, twoadic.STEP_CAP + 1)
 
     def test_bit_steps_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "_recurrence_mod", None)
+        monkeypatch.setattr(twoadic, "removal_residues", None)
         monkeypatch.setattr(twoadic, "BIT_STEP_CAP", 10**4)
         # 600 steps on 3 + h(599) + 2 = 156-bit residues: 93,600 bit-steps.
         with pytest.raises(ResourceLimitError, match="600 odd factors on 156-bit residues"):
@@ -71,13 +72,13 @@ def _count_passes(monkeypatch) -> list[int]:
 
 def _corrupt_signed_sums(monkeypatch) -> None:
     """Add one to every signed sum, so t + s and t - s are odd at n = 0."""
-    real = twoadic._recurrence_mod
+    real = twoadic.removal_residues
 
-    def corrupted(bits, sign):
-        for value in real(bits, sign):
-            yield value + (sign < 0)
+    def corrupted(m, y=1):
+        for value in real(m, y):
+            yield value + (y < 0)
 
-    monkeypatch.setattr(twoadic, "_recurrence_mod", corrupted)
+    monkeypatch.setattr(twoadic, "removal_residues", corrupted)
 
 
 class TestEvenCountVal2:
@@ -108,7 +109,7 @@ class TestEvenCountVal2:
         assert passes == [300]
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "_recurrence_mod", None)
+        monkeypatch.setattr(twoadic, "removal_residues", None)
         # 4 * k_max + 2 steps: the largest k_max within the cap is 2499999.
         with pytest.raises(ResourceLimitError, match="10000002 recurrence steps"):
             even_count_val2_upto(2_500_000)
@@ -134,12 +135,19 @@ class TestValuationColumns:
         with pytest.raises(ExactnessError, match="signed sum is odd at n=0"):
             valuation_columns(3)
 
+    def test_odd_sum_exits_1_from_the_cli(self, monkeypatch, capsys):
+        _corrupt_signed_sums(monkeypatch)
+        assert main(["table", "--k-max", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "involution-lab: count + signed sum is odd at n=0\n"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             valuation_columns(-1)
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "_recurrence_mod", None)
+        monkeypatch.setattr(twoadic, "removal_residues", None)
         # 4 * k_max + 4 steps: the largest k_max within the cap is 2499999.
         with pytest.raises(ResourceLimitError, match="10000004 recurrence steps"):
             valuation_columns(2_500_000)
