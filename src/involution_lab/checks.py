@@ -67,20 +67,33 @@ def _lemma21_n_max(values: dict) -> int:
     return {2: 10, 3: 9, 5: 7}.get(values["p"], 6)
 
 
+def _root_tally(n: int, p: int, root_cap: int, key: Callable) -> dict:
+    """The p-th roots on n letters counted by ``key`` as the enumeration
+    walk emits them; no root is kept."""
+    counts: dict = {}
+
+    def add(pi):
+        k = key(pi)
+        counts[k] = counts.get(k, 0) + 1
+
+    enumeration._walk_roots(n, p, root_cap, add)
+    return counts
+
+
 def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
     for n in range(n_max + 1):
-        roots = enumeration.pth_roots(n, p, cap=root_cap)
-        groups = Counter(enumeration.refined_class(pi, p) for pi in roots)
+        groups = _root_tally(n, p, root_cap, lambda pi: enumeration.refined_class(pi, p))
         for cls, actual in sorted(groups.items()):
             predicted = enumeration.class_size(cls, p, n)
             if predicted != actual:
                 yield (f"p={p}, n={n}, class {cls.to_json_obj()}: formula gives "
                        f"{predicted}, enumeration gives {actual}")
+        roots = sum(groups.values())
         count = sequences.pth_root_count(n, p)
-        if len(roots) != count:
-            yield f"p={p}, n={n}: enumerated {len(roots)} roots, recurrence says {count}"
+        if roots != count:
+            yield f"p={p}, n={n}: enumerated {roots} roots, recurrence says {count}"
 
 
 def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
@@ -88,14 +101,15 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     admissible graphs, and the power-of-two fiber size matches the general
     class-size formula on every class."""
     for n in range(n_max + 1):
-        roots = enumeration.pth_roots(n, 2, cap=root_cap)
-        classes = sorted({enumeration.refined_class(pi, 2) for pi in roots})
-        graphs = enumeration.multigraphs(n, vertex_cap=vertex_cap)
-        mapped = sorted(enumeration.class_graph(c, n) for c in classes)
-        if mapped != sorted(graphs):
-            yield f"n={n}: classes map to {len(mapped)} graphs, expected {len(graphs)}"
-        for cls in classes:
-            g = enumeration.class_graph(cls, n)
+        classes = sorted(_root_tally(n, 2, root_cap, lambda pi: enumeration.refined_class(pi, 2)))
+        graphs = [enumeration.class_graph(c, n) for c in classes]
+        mapped = Counter(graphs)
+        enumerated = Counter(enumeration.multigraphs(n, vertex_cap=vertex_cap))
+        if mapped != enumerated:
+            g = min((mapped - enumerated) | (enumerated - mapped))
+            yield (f"n={n}: {mapped[g]} classes map to graph {g.to_json_obj()}, "
+                   f"the enumeration gives it {enumerated[g]} times")
+        for cls, g in zip(classes, graphs):
             if enumeration.graph_class(g, n) != cls:
                 yield f"n={n}: graph round-trip broke on {cls.to_json_obj()}"
             lhs = enumeration.fiber_size(g, n)
@@ -219,8 +233,10 @@ def _thm66(s_max: int) -> Iterator[str]:
 
 
 def _fiber_sum(n: int, vertex_cap: int) -> Iterator[str]:
-    graphs = enumeration.multigraphs(n, vertex_cap=vertex_cap)
-    fibers = sum(enumeration.fiber_size(g, n) for g in graphs)
+    """The fibers 2**(n//2 - doubled edges) of the admissible graphs sum to
+    the involution count; graphs are tallied by signature, none is built."""
+    tally = enumeration._graph_tally(n, vertex_cap, 2)
+    fibers = sum(count << (n // 2 - doubled) for (doubled, *_), count in tally.items())
     count = sequences.involution_count(n)
     if fibers != count:
         yield f"n={n}: fibers sum to {fibers}, count is {count}"
@@ -230,14 +246,15 @@ def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     """Summed involution weights over each fiber equal fiber size times the
     graph weight, and the fiber sizes sum to the involution count."""
     for n in range(n_max + 1):
+        # Per class, the involutions counted by (fixed points, transpositions).
         by_class: dict = {}
-        for pi in enumeration.pth_roots(n, 2, cap=root_cap):
-            by_class.setdefault(enumeration.refined_class(pi, 2), []).append(pi)
-        for cls, members in by_class.items():
+        tally = _root_tally(n, 2, root_cap, lambda pi: (
+            enumeration.refined_class(pi, 2), enumeration._involution_degrees(pi)))
+        for (cls, degrees), count in tally.items():
+            by_class.setdefault(cls, {})[degrees] = count
+        for cls, degrees in sorted(by_class.items()):
             g = enumeration.class_graph(cls, n)
-            total = BivariatePoly.zero()
-            for pi in members:
-                total = total + enumeration.involution_weight(pi)
+            total = BivariatePoly(degrees)
             if total != enumeration.fiber_size(g, n) * enumeration.graph_weight(g, n):
                 yield f"n={n}, graph {g.to_json_obj()}: weight identity fails"
         yield from _fiber_sum(n, vertex_cap)

@@ -38,9 +38,7 @@ __all__ = [
     "permutation_cycles",
     "is_pth_root",
     "pth_roots",
-    "filtered_pth_roots",
     "least_rotation",
-    "label_cycles",
     "RefinedClass",
     "refined_class",
     "class_size",
@@ -98,14 +96,14 @@ def _predicted_root_count(n: int, p: int) -> int:
     return counts[n]
 
 
-def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutation]:
-    """All permutations of {1..n} whose p-th power is the identity, in
-    lexicographic order of image tuples.
+def _walk_roots(n: int, p: int, cap: int, visit: Callable[[Permutation], None]) -> None:
+    """Hand every permutation of {1..n} whose p-th power is the identity to
+    ``visit``, once each, as its image tuple.
 
     The smallest unplaced element is either fixed or opens a p-cycle with
-    p-1 of the remaining elements in any of their (p-1)! arrangements; this
-    walks each root exactly once.  Raises ResourceLimitError (naming the
-    predicted count) rather than starting a hopeless enumeration.
+    p-1 of the remaining elements in any of their (p-1)! arrangements.
+    Raises ResourceLimitError (naming the predicted count) before walking,
+    rather than start a hopeless enumeration.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -117,11 +115,10 @@ def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutatio
             f"enumeration of {predicted} p-th roots exceeds the cap of {cap}"
         )
     images = list(range(n + 1))  # index 0 unused
-    out: list[Permutation] = []
 
     def build(free: tuple[int, ...]) -> None:
         if not free:
-            out.append(tuple(images[1:]))
+            visit(tuple(images[1:]))
             return
         e, rest = free[0], free[1:]
         images[e] = e
@@ -136,18 +133,15 @@ def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutatio
         images[e] = e
 
     build(tuple(range(1, n + 1)))
+
+
+def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutation]:
+    """All permutations of {1..n} whose p-th power is the identity, in
+    lexicographic order of image tuples."""
+    out: list[Permutation] = []
+    _walk_roots(n, p, cap, out.append)
     out.sort()
     return out
-
-
-def filtered_pth_roots(n: int, p: int) -> list[Permutation]:
-    """Micro-oracle: filter all n! permutations.  Only sensible for n <= 7;
-    exists to cross-check the recursive generator."""
-    return [
-        pi
-        for pi in itertools.permutations(range(1, n + 1))
-        if is_pth_root(pi, p)
-    ]
 
 
 def least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -187,12 +181,6 @@ def _labeled_cycle_counts(pi: Permutation, p: int) -> dict[tuple[int, ...], int]
             )
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def label_cycles(pi: Permutation, p: int) -> Counter:
-    """Multiset of labeled cycles of pi: label (i-1)//p + 1 applied entrywise
-    to each disjoint cycle, each result stored as its least rotation."""
-    return Counter(_labeled_cycle_counts(pi, p))
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -377,16 +365,33 @@ def graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
     return RefinedClass(tuple(bag), tuple(sorted(cycles.items())))
 
 
+#: (doubled edges, x power, isolated interior vertices, edge total): what a
+#: graph's fiber size and weight depend on.
+Signature = tuple[int, int, int, int]
+
+# By free degree: a vertex with one left weighs x (an interior vertex of
+# degree one, or the final vertex of an odd n at degree zero), and an
+# interior vertex with two left is isolated.
+_X_AT_FREE = (0, 1, 0)
+_ISOLATED_AT_FREE = (0, 0, 1)
+
+
 def _walk_graphs(
-    n: int, vertex_cap: int, max_mult: int, visit: Callable[[ConstrainedGraph], None]
+    n: int,
+    vertex_cap: int,
+    max_mult: int,
+    visit: Callable[[list[tuple[int, int, int]], Signature], None],
 ) -> None:
     """Hand every admissible graph with edge multiplicity at most
-    ``max_mult`` to ``visit``, once each, in sorted edge-tuple order.
+    ``max_mult`` to ``visit``, once each, in sorted edge-tuple order, as its
+    live edge list (copy it to keep it) and its signature.
 
     A depth-first walk over edge lists: each prefix is emitted before its
     extensions, and the next edge (a, b, m) is tried in increasing order
     after the last pair, skipping saturated vertices, so the preorder is the
-    sorted order and one call of ``walk`` yields one graph.
+    sorted order and one call of ``walk`` yields one graph.  The signature
+    is updated edge by edge from each endpoint's free degree, so no graph is
+    re-read.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -398,23 +403,34 @@ def _walk_graphs(
     free = [2] * (v + 1)  # degree each vertex may still take
     if n % 2:
         free[v] = 1
-    # options[a][b][room]: the (multiplicity, edge) choices of the pair when
-    # the smaller free degree of its ends is room.  Built once, so every
-    # graph shares these edge tuples.
-    options = [
-        [
+
+    def pair_options(a: int, b: int) -> list[list[tuple]]:
+        """By [free_a][free_b]: the (multiplicity, edge, doubled step, x step,
+        isolated step) of each edge the pair can still take."""
+        edges = [(a, b, m) for m in range(3)]  # shared by every graph
+        return [
             [
-                tuple((m, (a, b, m)) for m in range(1, min(room, max_mult) + 1))
-                for room in range(3)
+                tuple(
+                    (
+                        m,
+                        edges[m],
+                        int(m == 2),
+                        sum(_X_AT_FREE[f - m] - _X_AT_FREE[f] for f in (free_a, free_b)),
+                        sum(_ISOLATED_AT_FREE[f - m] - _ISOLATED_AT_FREE[f] for f in (free_a, free_b)),
+                    )
+                    for m in range(1, min(free_a, free_b, max_mult) + 1)
+                )
+                for free_b in range(3)
             ]
-            for b in range(v + 1)
+            for free_a in range(3)
         ]
-        for a in range(v + 1)
-    ]
+
+    # Built once per walk; only pairs a < b are ever tried.
+    options = [[pair_options(a, b) if a < b else None for b in range(v + 1)] for a in range(v + 1)]
     edges: list[tuple[int, int, int]] = []
 
-    def walk(a0: int, b0: int) -> None:
-        visit(ConstrainedGraph(v, tuple(edges)))
+    def walk(a0: int, b0: int, doubled: int, x_power: int, isolated: int, total: int) -> None:
+        visit(edges, (doubled, x_power, isolated, total))
         for a in range(a0, v + 1):
             free_a = free[a]
             if free_a:
@@ -422,16 +438,28 @@ def _walk_graphs(
                 for b in range(b0 + 1 if a == a0 else a + 1, v + 1):
                     free_b = free[b]
                     if free_b:
-                        for mult, edge in options_a[b][free_a if free_a < free_b else free_b]:
+                        for mult, edge, dd, dx, di in options_a[b][free_a][free_b]:
                             free[a] = free_a - mult
                             free[b] = free_b - mult
                             edges.append(edge)
-                            walk(a, b)
+                            walk(a, b, doubled + dd, x_power + dx, isolated + di, total + mult)
                             edges.pop()
                         free[a] = free_a
                         free[b] = free_b
 
-    walk(1, 1)
+    walk(1, 1, 0, n % 2, n // 2, 0)
+
+
+def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:
+    """Number of admissible graphs of each signature, counted as the walk
+    reaches them; no graph is built."""
+    counts: dict[Signature, int] = {}
+
+    def add(edges: list, signature: Signature) -> None:
+        counts[signature] = counts.get(signature, 0) + 1
+
+    _walk_graphs(n, vertex_cap, max_mult, add)
+    return counts
 
 
 def multigraphs(
@@ -439,8 +467,12 @@ def multigraphs(
 ) -> list[ConstrainedGraph]:
     """Every admissible multigraph for the given n, exactly once, sorted by
     edge tuple.  ``doubled_edges=False`` restricts to simple graphs."""
+    v = _graph_vertex_count(n)
     out: list[ConstrainedGraph] = []
-    _walk_graphs(n, vertex_cap, 2 if doubled_edges else 1, out.append)
+    _walk_graphs(
+        n, vertex_cap, 2 if doubled_edges else 1,
+        lambda edges, _: out.append(ConstrainedGraph(v, tuple(edges))),
+    )
     return out
 
 
@@ -455,15 +487,31 @@ def fiber_size(g: ConstrainedGraph, n: int) -> int:
     return 2 ** (n // 2 - g.doubled_edge_count())
 
 
+def _involution_degrees(pi: Permutation) -> tuple[int, int]:
+    """(fixed points, transpositions) of an involution; anything else
+    raises ValueError."""
+    fixed = 0
+    for i, j in enumerate(pi, 1):
+        if j == i:
+            fixed += 1
+        elif pi[j - 1] != i:
+            raise ValueError("permutation is not an involution")
+    return fixed, (len(pi) - fixed) // 2
+
+
 def involution_weight(pi: Permutation) -> BivariatePoly:
     """Monomial x**(fixed points) * y**(transpositions)."""
-    lengths = [len(c) for c in permutation_cycles(pi)]
-    if any(length > 2 for length in lengths):
-        raise ValueError("permutation is not an involution")
-    return BivariatePoly.monomial(lengths.count(1), lengths.count(2))
+    return BivariatePoly.monomial(*_involution_degrees(pi))
 
 
 _HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
+
+
+def _signature_weight(x_power: int, isolated: int, edge_total: int) -> BivariatePoly:
+    out = BivariatePoly.monomial(x_power, edge_total)
+    for _ in range(isolated):
+        out = out * _HALF_X2_PLUS_Y
+    return out
 
 
 def graph_weight(g: ConstrainedGraph, n: int) -> BivariatePoly:
@@ -486,27 +534,20 @@ def graph_weight(g: ConstrainedGraph, n: int) -> BivariatePoly:
             x_power += 1
     if r and g.degree(t + 1) == 0:
         x_power += 1
-    out = BivariatePoly.monomial(x_power, g.edge_total())
-    for _ in range(halves):
-        out = out * _HALF_X2_PLUS_Y
-    return out
+    return _signature_weight(x_power, halves, g.edge_total())
 
 
 def graph_count_bruteforce(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Number of admissible graphs with no doubled edge."""
-    return len(simple_graphs(n, vertex_cap=vertex_cap))
+    return sum(_graph_tally(n, vertex_cap, 1).values())
 
 
 def graph_weight_sum_bruteforce(
     n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> BivariatePoly:
-    """Sum of graph_weight over the admissible graphs with no doubled edge,
-    streamed: each graph is added as the walk reaches it, none is kept."""
+    """Sum of graph_weight over the admissible graphs with no doubled edge:
+    one weight per signature, times the number of graphs that carry it."""
     total = BivariatePoly.zero()
-
-    def add(g: ConstrainedGraph) -> None:
-        nonlocal total
-        total = total + graph_weight(g, n)
-
-    _walk_graphs(n, vertex_cap, 1, add)
+    for (_, x_power, isolated, edge_total), count in _graph_tally(n, vertex_cap, 1).items():
+        total = total + count * _signature_weight(x_power, isolated, edge_total)
     return total

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from involution_lab import checks
+from involution_lab import checks, enumeration
 from involution_lab.cli import main
+from involution_lab.enumeration import ConstrainedGraph, RefinedClass
 from involution_lab.errors import ResourceLimitError
 from involution_lab.sequences import involution_count, odd_factor
 
@@ -264,11 +265,63 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "fibersum", "--n-max", "8")
         assert code == 0
 
+    def test_env_root_cap_names_predicted_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("INVOLUTION_LAB_CAP", "9495")
+        code, out, _ = run(capsys, "verify", "--check", "cor31", "--n-max", "10")
+        assert code == 3
+        assert out == "cor31: INCONCLUSIVE: enumeration of 9496 p-th roots exceeds the cap of 9495\n"
+
+    @pytest.mark.parametrize("name", ["fibersum", "prop42"])
+    def test_env_vertex_cap_below_vertex_count(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("INVOLUTION_LAB_CAP", "10000000,3")
+        code, out, _ = run(capsys, "verify", "--check", name, "--n-max", "8")
+        assert code == 3
+        assert out == f"{name}: INCONCLUSIVE: 4 vertices exceed the vertex cap of 3\n"
+
     def test_env_cap_malformed(self, capsys, monkeypatch):
         monkeypatch.setenv("INVOLUTION_LAB_CAP", "lots")
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--check", "fibersum", "--n-max", "4")
         assert exc.value.code == 2
+
+
+class TestCor31Mismatch:
+    """The correspondence check names the first graph found on one side only."""
+
+    N = 4
+    EMPTY = ConstrainedGraph(2, ())  # the graph of the class {1, 2; -}
+
+    def test_class_missing_from_the_class_set(self, monkeypatch):
+        # Every root of the class {1, 2; -} is read as the doubled-pair
+        # class, so no class maps to the empty graph.
+        real = enumeration.refined_class
+        lost = RefinedClass((1, 2), ())
+
+        def corrupted(pi, p):
+            cls = real(pi, p)
+            return RefinedClass((), (((1, 2), 2),)) if cls == lost else cls
+
+        monkeypatch.setattr(enumeration, "refined_class", corrupted)
+        passed, detail = checks.CHECKS["cor31"]({"n_max": self.N})
+        assert not passed
+        assert detail == ("n=4: 0 classes map to graph {'vertices': 2, 'edges': []}, "
+                          "the enumeration gives it 1 times")
+
+    def test_graph_missing_from_the_enumeration(self, monkeypatch):
+        real = enumeration.multigraphs
+
+        def corrupted(n, **kwargs):
+            return [g for g in real(n, **kwargs) if n != self.N or g != self.EMPTY]
+
+        monkeypatch.setattr(enumeration, "multigraphs", corrupted)
+        passed, detail = checks.CHECKS["cor31"]({"n_max": self.N})
+        assert not passed
+        assert detail == ("n=4: 1 classes map to graph {'vertices': 2, 'edges': []}, "
+                          "the enumeration gives it 0 times")
+
+    def test_pass_text_unchanged(self):
+        assert checks.CHECKS["cor31"]({"n_max": self.N}) == (
+            True, "graph correspondence verified for n<=4")
 
 
 def _readme_default(default) -> str:

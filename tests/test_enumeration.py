@@ -4,26 +4,30 @@ counting formulas are validated against grouping the enumerations.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from involution_lab import enumeration
 from involution_lab.algebra import BivariatePoly
+from involution_lab.checks import CHECKS
 from involution_lab.enumeration import (
     ConstrainedGraph,
     RefinedClass,
     class_graph,
     class_size,
     fiber_size,
-    filtered_pth_roots,
     graph_class,
     graph_count_bruteforce,
     graph_weight,
     graph_weight_sum_bruteforce,
     involution_weight,
     is_pth_root,
-    label_cycles,
     least_rotation,
     multigraphs,
     permutation_cycles,
@@ -33,6 +37,30 @@ from involution_lab.enumeration import (
 )
 from involution_lab.errors import ResourceLimitError
 from involution_lab.sequences import involution_count
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def filtered_pth_roots(n, p):
+    """Micro-oracle: filter all n! permutations.  Only sensible for n <= 7;
+    exists to cross-check the enumeration walk."""
+    return [
+        pi
+        for pi in itertools.permutations(range(1, n + 1))
+        if is_pth_root(pi, p)
+    ]
+
+
+def label_cycles(pi, p):
+    """Multiset of labeled cycles of pi, rebuilt from the cycle
+    decomposition: check the root, then apply the label (i-1)//p + 1
+    entrywise to each disjoint cycle and take its least rotation."""
+    if not is_pth_root(pi, p):
+        raise ValueError("permutation is not a p-th root of the identity")
+    out = Counter()
+    for cyc in permutation_cycles(pi):
+        out[least_rotation(tuple((i - 1) // p + 1 for i in cyc))] += 1
+    return out
 
 
 def perm_from_cycles(n, cycles):
@@ -90,6 +118,7 @@ class TestPthRoots:
 class TestLabelMap:
     def test_worked_example(self):
         labeled = label_cycles(EXAMPLE_PI, 3)
+        assert enumeration._labeled_cycle_counts(EXAMPLE_PI, 3) == labeled
         assert dict(labeled) == {
             (1, 2, 3): 3,
             (4, 5, 6): 1,
@@ -144,22 +173,11 @@ class TestRefinedClass:
         assert refined_class(pi, 2) == RefinedClass((), (((1, 2), 2),))
 
 
-def reference_label_cycles(pi, p):
-    """label_cycles rebuilt from the cycle decomposition: check the root,
-    then label each cycle entrywise and take its least rotation."""
-    if not is_pth_root(pi, p):
-        raise ValueError("permutation is not a p-th root of the identity")
-    out = Counter()
-    for cyc in permutation_cycles(pi):
-        out[least_rotation(tuple((i - 1) // p + 1 for i in cyc))] += 1
-    return out
-
-
 def reference_refined_class(pi, p):
     t = len(pi) // p
     bag = []
     rest = {}
-    for cyc, mult in reference_label_cycles(pi, p).items():
+    for cyc, mult in label_cycles(pi, p).items():
         label = cyc[0]
         if len(cyc) == p and len(set(cyc)) == 1 and label <= t:
             bag.append(label)
@@ -175,9 +193,7 @@ class TestAgainstReference:
     def test_every_root(self, p, n_max):
         for n in range(n_max + 1):
             for pi in pth_roots(n, p):
-                labeled = label_cycles(pi, p)
-                assert type(labeled) is Counter
-                assert labeled == reference_label_cycles(pi, p)
+                assert enumeration._labeled_cycle_counts(pi, p) == label_cycles(pi, p)
                 assert refined_class(pi, p) == reference_refined_class(pi, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -187,7 +203,7 @@ class TestAgainstReference:
             if is_pth_root(pi, p):
                 continue
             non_roots += 1
-            for f in (label_cycles, refined_class, reference_label_cycles):
+            for f in (enumeration._labeled_cycle_counts, refined_class, label_cycles):
                 with pytest.raises(ValueError) as exc:
                     f(pi, p)
                 assert str(exc.value) == "permutation is not a p-th root of the identity"
@@ -275,7 +291,7 @@ class TestGraphs:
         class FirstGraph(Exception):
             pass
 
-        def stop(graph):
+        def stop(edges, signature):
             raise FirstGraph
 
         with pytest.raises(FirstGraph):
@@ -399,3 +415,92 @@ class TestWeights:
         for n in range(10):
             poly = graph_weight_sum_bruteforce(n)
             assert poly.evaluate(1, 1) == graph_count_bruteforce(n)
+
+
+def graph_signature(g, n):
+    """(doubled edges, x power, isolated interior vertices, edge total) read
+    from the public per-graph functions."""
+    t, r = divmod(n, 2)
+    degrees = [g.degree(u) for u in range(1, t + 1)]
+    x_power = degrees.count(1) + (1 if r and g.degree(t + 1) == 0 else 0)
+    return (g.doubled_edge_count(), x_power, degrees.count(0), g.edge_total())
+
+
+class TestStreamedWalks:
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_enumerated_graph_is_valid(self, n):
+        for g in multigraphs(n):
+            enumeration._validate_graph(g, n)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_tally_matches_per_graph_signatures(self, n):
+        for max_mult, graphs in ((2, multigraphs(n)), (1, simple_graphs(n))):
+            expected = Counter(graph_signature(g, n) for g in graphs)
+            assert enumeration._graph_tally(n, 8, max_mult) == expected
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_bruteforce_count_matches_list(self, n):
+        assert graph_count_bruteforce(n) == len(simple_graphs(n))
+
+    @pytest.mark.parametrize("p,n_max", [(2, 6), (3, 6), (5, 5)])
+    def test_streamed_roots_sorted_equal_list(self, p, n_max):
+        for n in range(n_max + 1):
+            streamed = []
+            enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, streamed.append)
+            assert len(set(streamed)) == len(streamed)
+            assert sorted(streamed) == pth_roots(n, p) == filtered_pth_roots(n, p)
+
+    def test_caps_fire_before_walking(self):
+        def visit(*args):
+            raise AssertionError("walked past the cap")
+
+        with pytest.raises(ResourceLimitError, match="9496"):
+            enumeration._walk_roots(10, 2, 9495, visit)
+        with pytest.raises(ResourceLimitError, match="4 vertices"):
+            enumeration._walk_graphs(8, 3, 2, visit)
+
+
+class TestStreamedMemory:
+    # Traced allocations only, so nothing earlier in this process counts.
+    # Built as full lists, these checks peaked at about 1.5 MiB and 0.98 MiB.
+    @pytest.mark.parametrize("name,params,limit", [
+        ("fibersum", {"n_max": 13}, 256 * 1024),
+        ("lemma21", {"p": 3, "n_max": 9}, 384 * 1024),
+    ])
+    def test_oracle_peak_stays_small(self, name, params, limit):
+        tracemalloc.start()
+        try:
+            passed, _ = CHECKS[name](params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < limit
+
+    def test_fibersum_cli_peaks_near_import_floor(self):
+        # Each fresh wrapper interpreter has one child, so its children's
+        # ru_maxrss (kilobytes on Linux) is that child's peak RSS.
+        script = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run([sys.executable, *sys.argv[1:]],\n"
+            "                      stdout=subprocess.DEVNULL).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+
+        def peak_kb(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, peak = map(int, proc.stdout.split())
+            assert code == 0
+            return peak
+
+        floor = peak_kb("-c", "import involution_lab.cli")
+        run = peak_kb("-m", "involution_lab.cli", "verify", "--check", "fibersum", "--n-max", "15")
+        # Built as a list of every graph, the run sat about 13 MB above the floor.
+        assert run - floor < 3 * 1024
