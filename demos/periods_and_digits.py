@@ -10,13 +10,10 @@ machine-checkable witnesses for the minimality claims.
 """
 
 import json
+from itertools import islice
 
-from involution_lab.periodicity import (
-    involution_mod_period,
-    involution_mod_prefix,
-    mod_period_law,
-    odd_factor_period,
-)
+from involution_lab.periodicity import involution_mod_period, mod_period_law, odd_factor_period
+from involution_lab.sequences import removal_residues
 from involution_lab.twoadic import odd_factor_residues
 
 print("counts mod m:")
@@ -28,7 +25,7 @@ for m in (3, 7, 15, 2, 4, 8, 12, 96):
 
 print()
 print("The first values mod 12 show the preperiod of 6 directly:")
-print(" ", involution_mod_prefix(12, 24))
+print(" ", list(islice(removal_residues(12), 24)))
 
 print()
 print("Odd factors mod 8 repeat every 16 (and not every 8):")

@@ -23,11 +23,8 @@ from .algebra import (
     INFINITY,
     BivariatePoly,
     Valuation,
-    binomial,
     odd_part,
-    odd_product,
     odd_product_ratio,
-    arithmetic_product,
     val2,
     val_p,
 )
@@ -64,12 +61,9 @@ from .valuations import (
 )
 from .periodicity import (
     PeriodReport,
-    detect_period,
     involution_mod_period,
     mod_period_law,
     odd_factor_period,
-    verify_even_modulus,
-    verify_odd_modulus,
 )
 from .conjecture import TwoAdicPrefix, even_count_val2, fit_shift_digits
 

@@ -27,10 +27,7 @@ __all__ = [
     "val_p",
     "val2",
     "odd_part",
-    "odd_product",
     "odd_product_ratio",
-    "arithmetic_product",
-    "binomial",
     "BivariatePoly",
 ]
 
@@ -139,31 +136,13 @@ def odd_part(x: int) -> int:
     return x >> val2(x)
 
 
-def odd_product(n: int) -> int:
-    """Product of the first n odd integers, 1*3*5*...*(2n-1); 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.prod(range(1, 2 * n, 2))
-
-
 def odd_product_ratio(lo: int, hi: int) -> int:
-    """odd_product(hi) // odd_product(lo), computed as the explicit product
-    (2*lo+1)(2*lo+3)...(2*hi-1) to avoid the giant intermediate factorials."""
+    """The product of the first hi odd integers over that of the first lo,
+    computed as the explicit product (2*lo+1)(2*lo+3)...(2*hi-1) to avoid
+    the giant intermediate factorials."""
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got {lo}, {hi}")
     return math.prod(range(2 * lo + 1, 2 * hi, 2))
-
-
-def arithmetic_product(a: int, b: int, n: int) -> int:
-    """The product a(a+b)(a+2b)...(a+(n-1)b); empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.prod(a + i * b for i in range(n))
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the counting convention C(n, k) = 0 for k > n."""
-    return math.comb(n, k)
 
 
 def _ratio(c: Rational) -> tuple[int, int]:
@@ -344,22 +323,6 @@ class BivariatePoly:
     def is_integral(self) -> bool:
         """True when every coefficient is an integer (exponent 0)."""
         return self._exp == 0
-
-    def to_json_terms(self) -> list[list]:
-        """Wire form: [deg_x, deg_y, numerator-string, exponent] quadruples,
-        each coefficient in lowest terms, sorted lexicographically by
-        degrees."""
-        out = []
-        for (dx, dy), c in sorted(self._terms.items()):
-            num, k = self._lowest(c)
-            out.append([dx, dy, str(num), k])
-        return out
-
-    @classmethod
-    def from_json_terms(cls, data: Iterable[Iterable]) -> "BivariatePoly":
-        rows = [(int(dx), int(dy), int(num), int(k)) for dx, dy, num, k in data]
-        exp = max([0, *(k for *_, k in rows)])
-        return cls((((dx, dy), num << (exp - k)) for dx, dy, num, k in rows), exp)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -117,14 +117,16 @@ def _out_stream(path: str | None):
         raise _usage_error(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
-def _emit_rows(args, fieldnames: list[str], rows: Iterable[dict], doc_key: str) -> None:
+def _emit_rows(args, fieldnames: list[str], rows: Iterable[dict], doc: dict | None = None) -> None:
+    """The one output writer: CSV rows written as they come, or one JSON
+    document, ``doc`` when given and {"rows": [...]} otherwise."""
     with _out_stream(args.output) as fh:
         if args.format == "csv":
             writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         else:
-            json.dump({doc_key: list(rows)}, fh, sort_keys=True)
+            json.dump({"rows": list(rows)} if doc is None else doc, fh, sort_keys=True)
             fh.write("\n")
 
 
@@ -140,7 +142,7 @@ def cmd_seq(args) -> int:
             {"n": str(n), "value": str(_seq_value(args.kind, n, p))}
             for n in range(args.start, args.to + 1)
         ]
-    _emit_rows(args, ["n", "value"], rows, "rows")
+    _emit_rows(args, ["n", "value"], rows)
     return 0
 
 
@@ -149,7 +151,7 @@ def cmd_table(args) -> int:
         raise _usage_error("table: --k-max must be nonnegative")
     # Every column is certified here, before the first byte is written.
     rows = valuations.table_rows(args.k_max)
-    _emit_rows(args, valuations.table_fieldnames(), rows, "rows")
+    _emit_rows(args, valuations.table_fieldnames(), rows)
     return 0
 
 
@@ -206,26 +208,16 @@ def cmd_period(args) -> int:
     if not args.expect_paper:
         expected = None
     doc = report.to_json_obj()
+    row = {k: str(doc[k]) for k in ("modulus", "preperiod", "period", "window_checked")}
     matches = None
     if expected is not None:
         matches = (report.preperiod, report.period) == expected
         doc["expected"] = {"preperiod": expected[0], "period": expected[1]}
         doc["matches_expected"] = matches
-    with _out_stream(args.output) as fh:
-        if args.format == "json":
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        else:
-            fields = ["modulus", "preperiod", "period", "window_checked"]
-            row = {k: str(doc[k]) for k in fields}
-            if expected is not None:
-                fields += ["expected_preperiod", "expected_period", "matches_expected"]
-                row["expected_preperiod"] = str(expected[0])
-                row["expected_period"] = str(expected[1])
-                row["matches_expected"] = str(matches).lower()
-            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
-            writer.writerow(row)
+        row["expected_preperiod"] = str(expected[0])
+        row["expected_period"] = str(expected[1])
+        row["matches_expected"] = str(matches).lower()
+    _emit_rows(args, list(row), [row], doc)
     if expected is not None:
         print(f"period: {'PASS' if matches else 'FAIL'}", file=sys.stderr)
         return 0 if matches else 1
@@ -238,9 +230,7 @@ def cmd_rho(args) -> int:
     if args.bits < 1:
         raise _usage_error("rho: --bits must be at least 1")
     fit = conjecture.fit_shift_digits(args.k_max, args.bits)
-    with _out_stream(args.output) as fh:
-        json.dump(fit.to_json_obj(), fh, sort_keys=True)
-        fh.write("\n")
+    _emit_rows(args, [], [], fit.to_json_obj())
     return 0 if fit.consistent else 1
 
 
@@ -300,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--k-max", type=int, required=True)
     p_rho.add_argument("--bits", type=int, default=11)
     p_rho.add_argument("--output", "-o", default=None)
-    p_rho.set_defaults(func=cmd_rho)
+    p_rho.set_defaults(func=cmd_rho, format="json")
 
     return parser
 

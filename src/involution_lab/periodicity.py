@@ -31,12 +31,6 @@ multiple is the proven period (see ``odd_factor_period``).
 
 The periods the paper proves are stated here once: ``mod_period_law`` for
 the counts mod m, and inside ``odd_factor_period`` for the odd factors.
-
-The generic window detector (for sequences without an attached state
-machine, and the tests' independent reference) requires the examined window
-to cover the preperiod plus ``margin`` full periods; within that
-precondition a periodicity-of-suffixes argument makes its answer exact, and
-outside it the detector fails loudly rather than guessing.
 """
 
 from __future__ import annotations
@@ -49,17 +43,12 @@ from typing import Sequence
 from .algebra import val2
 from .errors import InconclusiveError, VerificationError
 from .sequences import removal_residues
-from .twoadic import STEP_CAP, _residue_array, odd_factor_residues
+from .twoadic import STEP_CAP, _refuse_window, _residue_array, odd_factor_residues
 
 __all__ = [
     "PeriodReport",
-    "detect_period",
-    "verify_report_witnesses",
-    "involution_mod_prefix",
     "involution_mod_period",
     "mod_period_law",
-    "verify_odd_modulus",
-    "verify_even_modulus",
     "odd_product_congruence",
     "odd_factor_shift_congruence",
     "odd_factor_period",
@@ -141,75 +130,6 @@ def _finalize(values: Sequence[int], modulus: int, lam: int, d: int) -> PeriodRe
         rejected.append((dd, i))
     witness = lam - 1 if lam > 0 else None
     return PeriodReport(modulus, lam, d, w, tuple(rejected), witness)
-
-
-def _prefix_function(seq: Sequence[int]) -> list[int]:
-    # Classic border table: pf[i] = length of the longest proper border of
-    # seq[:i+1].  Minimal string period of seq[:L] is L - pf[L-1].
-    pf = [0] * len(seq)
-    k = 0
-    for i in range(1, len(seq)):
-        while k and seq[i] != seq[k]:
-            k = pf[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        pf[i] = k
-    return pf
-
-
-def detect_period(values: Sequence[int], modulus: int, *, margin: int = 3) -> PeriodReport:
-    """Minimal preperiod and period of an eventually periodic value window.
-
-    Precondition: the window must cover the preperiod plus ``margin`` full
-    true periods (the state-driven callers size their windows to guarantee
-    this).  When no suffix of the window shows a period with that much slack
-    the scan is inconclusive and raises; it never returns a guess.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if margin < 2:
-        raise ValueError("margin must be at least 2")
-    vals = [v % modulus for v in values]
-    w = len(vals)
-    if w < margin:
-        raise InconclusiveError(f"window of {w} values is too small")
-    rev = vals[::-1]
-    pf = _prefix_function(rev)
-    for length in range(w, 0, -1):
-        d = length - pf[length - 1]
-        if margin * d <= length:
-            return _finalize(vals, modulus, w - length, d)
-    raise InconclusiveError(
-        f"no periodic suffix with margin {margin} in a window of {w} values"
-    )
-
-
-def verify_report_witnesses(report: PeriodReport, values: Sequence[int]) -> bool:
-    """Re-check a report against a fresh window: tail periodicity, every
-    rejected-divisor counterexample, and the preperiod witness."""
-    vals = [v % report.modulus for v in values]
-    w = min(len(vals), report.window_checked)
-    lam, d = report.preperiod, report.period
-    if _first_mismatch(vals, d, lam, w - d) is not None:
-        return False
-    rejected = dict(report.rejected_divisors)
-    if sorted(rejected) != _divisors(d)[:-1]:
-        return False
-    for dd, i in rejected.items():
-        if i < lam or i + dd >= w or vals[i] == vals[i + dd]:
-            return False
-    if lam > 0:
-        i = report.preperiod_witness
-        if i != lam - 1 or vals[i] == vals[i + d]:
-            return False
-    elif report.preperiod_witness is not None:
-        return False
-    return True
-
-
-def involution_mod_prefix(m: int, count: int) -> list[int]:
-    """t(0) mod m, ..., t(count - 1) mod m."""
-    return list(islice(removal_residues(m), count))
 
 
 def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> PeriodReport:
@@ -301,34 +221,13 @@ def mod_period_law(m: int) -> tuple[int, int]:
     return (4 * k - 2 if k else 0, m >> k)
 
 
-def verify_odd_modulus(m: int, *, state_cap: int | None = None) -> bool:
-    """True when the report for an odd modulus m is ``mod_period_law(m)``."""
-    if m % 2 == 0:
-        raise ValueError("modulus must be odd")
-    report = involution_mod_period(m, state_cap=state_cap)
-    return (report.preperiod, report.period) == mod_period_law(m)
-
-
-def verify_even_modulus(m: int, *, state_cap: int | None = None) -> PeriodReport:
-    """Period report for an even modulus m, checked against
-    ``mod_period_law(m)``; a mismatch raises instead of passing silently."""
-    if m < 2 or m % 2:
-        raise ValueError("modulus must be even")
-    report = involution_mod_period(m, state_cap=state_cap)
-    law = mod_period_law(m)
-    if (report.preperiod, report.period) != law:
-        raise VerificationError(
-            f"modulus {m}: expected preperiod {law[0]} and period {law[1]}, "
-            f"found preperiod {report.preperiod} and period {report.period}"
-        )
-    return report
-
-
 def odd_product_congruence(s: int) -> bool:
     """Check that the product of the first 2**(s-1) odd integers is 1 modulo
-    2**s (asserted only for s >= 3)."""
+    2**s (asserted only for s >= 3).  More than STEP_CAP factors raises
+    ResourceLimitError before the first is multiplied."""
     if s < 3:
         raise ValueError("s must be at least 3")
+    _refuse_window(1 << (s - 1), f"odd factors of the product at s={s}")
     mod = 1 << s
     prod = 1
     for i in range(1 << (s - 1)):

@@ -24,7 +24,7 @@ import math
 import threading
 from typing import Callable, Iterator
 
-from .algebra import BivariatePoly, binomial, is_prime, odd_part, odd_product_ratio
+from .algebra import BivariatePoly, is_prime, odd_part, odd_product_ratio
 from .errors import ExactnessError
 
 __all__ = [
@@ -68,10 +68,6 @@ class SequenceCache:
                 while len(self._values) <= n:
                     self._values.append(self._step(len(self._values), self._values))
         return self._values[n]
-
-    def prefix(self, n: int) -> list:
-        self.get(n)
-        return self._values[: n + 1]
 
 
 def _removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
@@ -203,9 +199,9 @@ def _graph_step(one, x, y, half) -> Callable[[int, list], object]:
         out = half * values[n - 2]
         if m >= 2:
             out = out + (m - 1) * xy * values[n - 3]
-            out = out + 2 * binomial(m - 1, 2) * yy * values[n - 4]
+            out = out + 2 * math.comb(m - 1, 2) * yy * values[n - 4]
             if n >= 8:
-                out = out + 3 * binomial(m - 1, 3) * yyyy * values[n - 8]
+                out = out + 3 * math.comb(m - 1, 3) * yyyy * values[n - 8]
         return out
 
     return step
@@ -257,7 +253,7 @@ def _graph_route_terms(n: int):
     k, r = divmod(n, 4)
     fl = r // 2
     for i in range(k + 1):
-        yield (1 << i) * binomial(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i
+        yield (1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i
 
 
 def _graph_count_sum(n: int) -> int:

@@ -22,14 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .algebra import INFINITY, Valuation, val2, val_p
+from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError
-from .sequences import (
-    involution_count,
-    involution_val2,
-    pth_root_count,
-    signed_involution_count,
-)
+from .sequences import involution_count, involution_val2, signed_involution_count
 from .twoadic import valuation_columns
 
 __all__ = [
@@ -174,11 +169,8 @@ def _prediction(n: int, kind: str, computed: Valuation) -> tuple[Valuation | Non
     return predicted, predicted is not None and computed == predicted
 
 
-def valuation_report(n: int, kind: str, p: int = 2) -> ValuationReport:
+def valuation_report(n: int, kind: str) -> ValuationReport:
     """The cell at n of one kind, computed from the exact counts."""
-    if kind == "tau":
-        computed = val_p(pth_root_count(n, p), p)
-        return ValuationReport(n, kind, computed, None, False)
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     computed = val2(_COMPUTED[kind](n))

@@ -1,10 +1,11 @@
-"""Period detection tests: the state-driven and window detectors against
-hand-checked periods, witness validity against fresh recomputation, the
-cycle detector against a table-of-states reference, and the congruence
-lemmas behind the odd-factor period."""
+"""Period detection tests: the certified reports against hand-checked
+periods, against the paper's laws, and against an independent
+table-of-states and index-scan reference, witnesses included; and the
+congruence lemmas behind the odd-factor period."""
 
 import tracemalloc
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,28 +13,41 @@ from hypothesis import strategies as st
 
 from involution_lab import periodicity
 from involution_lab.algebra import odd_part
-from involution_lab.errors import InconclusiveError, VerificationError
+from involution_lab.errors import InconclusiveError, ResourceLimitError, VerificationError
 from involution_lab.periodicity import (
     _divisors,
-    detect_period,
     involution_mod_period,
-    involution_mod_prefix,
     mod_period_law,
     odd_factor_period,
     odd_factor_shift_congruence,
     odd_product_congruence,
-    verify_even_modulus,
-    verify_odd_modulus,
-    verify_report_witnesses,
 )
-from involution_lab.sequences import involution_count
+from involution_lab.sequences import involution_count, removal_residues
 from involution_lab.twoadic import odd_factor_residues
+
+
+def reference_report(values, modulus, lam, mu):
+    """Reference minimisation by index-by-index scans: the smallest divisor
+    of ``mu`` that holds across one stretch from ``lam`` is the period, the
+    preperiod shrinks from ``lam``, and each proper divisor of the period
+    gets its first counterexample.  Returns the report's JSON object."""
+    w = len(values)
+    d = next(d for d in range(1, mu + 1)
+             if mu % d == 0 and all(values[i] == values[i + d] for i in range(lam, lam + mu)))
+    while lam > 0 and values[lam - 1] == values[lam - 1 + d]:
+        lam -= 1
+    rejected = [[dd, next(i for i in range(lam, w - dd) if values[i] != values[i + dd])]
+                for dd in range(1, d) if d % dd == 0]
+    return {"modulus": modulus, "preperiod": lam, "period": d, "window_checked": w,
+            "witnesses": {"rejected_divisors": rejected,
+                          "preperiod_index": lam - 1 if lam else None}}
 
 
 def table_mod_period(m, cap=float("inf")):
     """Reference state detector: a dict of every state until the first
-    repeat, trial division for divisors, and index-by-index scans.  Returns
-    the report's JSON object and the index ``again`` of the first repeat."""
+    repeat, then ``reference_report`` on a window of two state cycles past
+    it.  Returns the report's JSON object and the index ``again`` of the
+    first repeat."""
     values, seen, n = [1 % m, 1 % m], {}, 1
     while (n % m, values[-2], values[-1]) not in seen:
         seen[n % m, values[-2], values[-1]] = n
@@ -46,70 +60,20 @@ def table_mod_period(m, cap=float("inf")):
     while len(values) < lam + 2 * mu + 2:
         values.append((values[-1] + n * values[-2]) % m)
         n += 1
-    w = len(values)
-    d = next(d for d in range(1, mu + 1)
-             if mu % d == 0 and all(values[i] == values[i + d] for i in range(lam, lam + mu)))
-    while lam > 0 and values[lam - 1] == values[lam - 1 + d]:
-        lam -= 1
-    rejected = [[dd, next(i for i in range(lam, w - dd) if values[i] != values[i + dd])]
-                for dd in range(1, d) if d % dd == 0]
-    doc = {"modulus": m, "preperiod": lam, "period": d, "window_checked": w,
-           "witnesses": {"rejected_divisors": rejected,
-                         "preperiod_index": lam - 1 if lam else None}}
-    return doc, again
-
-
-class TestDetectPeriod:
-    def test_involutions_mod_3(self):
-        report = detect_period(involution_mod_prefix(3, 40), 3)
-        assert (report.preperiod, report.period) == (0, 3)
-        assert involution_mod_prefix(3, 6) == [1, 1, 2, 1, 1, 2]
-
-    def test_constant(self):
-        report = detect_period([2] * 25, 5)
-        assert (report.preperiod, report.period) == (0, 1)
-        assert report.rejected_divisors == ()
-
-    def test_involutions_mod_4(self):
-        # 1,1,2,0,2,2,0,0,... : eventually 0, after six exceptional values.
-        report = detect_period(involution_mod_prefix(4, 60), 4)
-        assert (report.preperiod, report.period) == (6, 1)
-        assert report.preperiod_witness == 5
-
-    def test_too_small_window(self):
-        with pytest.raises(InconclusiveError):
-            detect_period([1, 2], 7)
-        with pytest.raises(InconclusiveError):
-            detect_period(list(range(30)), 31)
-
-    def test_witnesses_reverify(self):
-        values = involution_mod_prefix(12, 200)
-        report = detect_period(values, 12)
-        assert (report.preperiod, report.period) == (6, 3)
-        assert verify_report_witnesses(report, involution_mod_prefix(12, 200))
-
-    def test_agrees_with_state_detector(self):
-        for m in (2, 3, 5, 7, 8, 9, 12, 15, 16, 24, 45):
-            state_report = involution_mod_period(m)
-            window = state_report.preperiod + 4 * state_report.period + 8
-            window_report = detect_period(involution_mod_prefix(m, window), m)
-            assert (window_report.preperiod, window_report.period) == (
-                state_report.preperiod,
-                state_report.period,
-            )
+    return reference_report(values, m, lam, mu), again
 
 
 class TestModularScan:
     def test_matches_exact_reduction(self):
         for m in (2, 3, 16, 99, 512):
-            prefix = involution_mod_prefix(m, 10**4 + 1)
+            prefix = list(islice(removal_residues(m), 10**4 + 1))
             for n in (0, 1, 2, 500, 2000, 10**4):
                 assert prefix[n] == involution_count(n) % m
 
     @given(st.integers(min_value=1, max_value=512), st.integers(min_value=0, max_value=600))
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_reduction_sampled(self, m, n):
-        assert involution_mod_prefix(m, n + 1)[n] == involution_count(n) % m
+        assert next(islice(removal_residues(m), n, None)) == involution_count(n) % m
 
     def test_state_detector_reports(self):
         cases = {2: (2, 1), 3: (0, 3), 4: (6, 1), 8: (10, 1), 12: (6, 3), 15: (0, 15)}
@@ -146,12 +110,6 @@ class TestCycleDetector:
             with pytest.raises(InconclusiveError, match="within 10000000 steps"):
                 involution_mod_period(m)
 
-    def test_witnesses_on_window_shorter_than_period(self):
-        # The tail check has nothing to compare; the witnesses still hold.
-        report = involution_mod_period(15)
-        assert verify_report_witnesses(report, involution_mod_prefix(15, 10))
-        assert not verify_report_witnesses(report, involution_mod_prefix(15, 3))
-
     def test_divisors_ascending(self):
         for d in list(range(1, 400)) + [1024, 3 * 3 * 5 * 5 * 7, 999_983, 1_000_000]:
             assert _divisors(d) == [x for x in range(1, d + 1) if d % x == 0]
@@ -180,15 +138,16 @@ class TestModPeriodLaw:
             mod_period_law(0)
 
 
+def law_holds(m):
+    report = involution_mod_period(m)
+    return (report.preperiod, report.period) == mod_period_law(m)
+
+
 class TestOddModuli:
     def test_examples(self):
-        assert verify_odd_modulus(3)
-        assert verify_odd_modulus(1)
-        assert verify_odd_modulus(15)
-
-    def test_even_rejected(self):
-        with pytest.raises(ValueError):
-            verify_odd_modulus(6)
+        assert law_holds(3)
+        assert law_holds(1)
+        assert law_holds(15)
 
     def test_smallest_period_is_m_not_a_divisor(self):
         # m = 9: the period is 9 itself, not 3.
@@ -198,24 +157,18 @@ class TestOddModuli:
 
     def test_range(self):
         for m in range(1, 60, 2):
-            assert verify_odd_modulus(m)
+            assert law_holds(m)
 
 
 class TestEvenModuli:
     def test_examples(self):
-        assert (verify_even_modulus(2).preperiod, verify_even_modulus(2).period) == (2, 1)
-        report = verify_even_modulus(12)
-        assert (report.preperiod, report.period) == (6, 3)
-        report = verify_even_modulus(8)
-        assert (report.preperiod, report.period) == (10, 1)
+        for m, expected in {2: (2, 1), 12: (6, 3), 8: (10, 1)}.items():
+            report = involution_mod_period(m)
+            assert (report.preperiod, report.period) == expected == mod_period_law(m)
 
     def test_range(self):
         for m in range(2, 60, 2):
-            verify_even_modulus(m)  # raises on any mismatch
-
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError):
-            verify_even_modulus(9)
+            assert law_holds(m)
 
 
 class TestOddProductCongruence:
@@ -227,6 +180,11 @@ class TestOddProductCongruence:
     def test_below_three_rejected(self):
         with pytest.raises(ValueError):
             odd_product_congruence(2)
+
+    def test_over_step_cap_refused_before_multiplying(self):
+        # 2**24 factors at s = 25 would take seconds; the refusal is at once.
+        with pytest.raises(ResourceLimitError, match="cap of 10000000 steps"):
+            odd_product_congruence(25)
 
 
 class TestOddFactorCongruence:
@@ -248,12 +206,17 @@ class TestOddFactorPeriod:
         assert report.modulus == 1 << s
         assert sorted(dict(report.rejected_divisors)) == [1 << j for j in range(s + 1)]
 
-    def test_agrees_with_window_detector(self):
-        for s in (1, 2, 3, 4):
+    def test_witnesses_reverify(self):
+        # The whole report, witnesses included, against the reference: odd
+        # factors read from the exact counts, not the 2-adic engine, and
+        # minimised from index 0 over the proven multiple 2**(max(s, 3) + 1).
+        for s in range(1, 7):
             report = odd_factor_period(s)
-            values = odd_factor_residues(s, report.window_checked)
-            generic = detect_period(values, 1 << s)
-            assert generic == report
+            window = report.window_checked
+            values = [odd_part(involution_count(n)) % (1 << s) for n in range(window)]
+            multiple = 1 << (max(s, 3) + 1)
+            assert window >= 2 * multiple
+            assert report.to_json_obj() == reference_report(values, 1 << s, 0, multiple), s
 
     def test_report_off_the_law_raises(self, monkeypatch):
         # Residues with period 8 instead of 16 must not pass as Theorem 6.6.
@@ -261,11 +224,6 @@ class TestOddFactorPeriod:
                             lambda s, count: array("B", (n % 8 for n in range(count))))
         with pytest.raises(VerificationError, match="expected pure period 16"):
             odd_factor_period(3)
-
-    def test_witnesses_reverify(self):
-        report = odd_factor_period(4)
-        values = odd_factor_residues(4, report.window_checked)
-        assert verify_report_witnesses(report, values)
 
     def test_half_period_fails_at_index_two(self):
         # If 2**s were a period the odd factors at 2 and 2**s + 2 would
@@ -278,16 +236,14 @@ class TestOddFactorPeriod:
         with pytest.raises(ValueError):
             odd_factor_period(0)
 
-    def test_contradicting_window_surfaces(self):
-        # A window long enough to certify but fed a wrong expectation is a
-        # VerificationError, not a silent report; emulate by asking for a
-        # window in which the expected period genuinely fails (impossible
-        # for the true sequence, so craft one via the generic detector).
-        values = odd_factor_residues(3, 48)
-        broken = values[:]
-        broken[40] = (broken[40] + 1) % 8
-        with pytest.raises((InconclusiveError, VerificationError)):
-            detect_period(broken, 8)
+    def test_contradicting_window_surfaces(self, monkeypatch):
+        # Residues that do not repeat every 16: no divisor of the proven
+        # multiple holds, and the certifier refuses to report.
+        monkeypatch.setattr(periodicity, "odd_factor_residues",
+                            lambda s, count: array("B", (n % 5 for n in range(count))))
+        with pytest.raises(VerificationError,
+                           match="16 is not a period of the values mod 8 from index 0"):
+            odd_factor_period(3)
 
 
 class TestJsonShape:

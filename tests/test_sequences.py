@@ -267,7 +267,7 @@ class TestSequenceCache:
     def test_prefix_consistency(self):
         cache = SequenceCache(lambda n, v: 1 if n < 2 else v[n - 1] + (n - 1) * v[n - 2])
         assert cache.get(10) == 9496
-        assert cache.prefix(5) == [1, 1, 2, 4, 10, 26]
+        assert [cache.get(n) for n in range(6)] == [1, 1, 2, 4, 10, 26]
 
     def test_negative_index_rejected(self):
         cache = SequenceCache(lambda n, v: n)
