@@ -218,6 +218,15 @@ class TestOddFactorPeriod:
             assert window >= 2 * multiple
             assert report.to_json_obj() == reference_report(values, 1 << s, 0, multiple), s
 
+    def test_agrees_with_window_detector(self):
+        # The report against the reference scan run over the same 2-adic
+        # engine residues the certifier reads, on its own window.
+        for s in (1, 2, 3, 4):
+            report = odd_factor_period(s)
+            values = odd_factor_residues(s, report.window_checked)
+            multiple = 1 << (max(s, 3) + 1)
+            assert report.to_json_obj() == reference_report(values, 1 << s, 0, multiple), s
+
     def test_report_off_the_law_raises(self, monkeypatch):
         # Residues with period 8 instead of 16 must not pass as Theorem 6.6.
         monkeypatch.setattr(periodicity, "odd_factor_residues",
