@@ -65,6 +65,6 @@ from .periodicity import (
     mod_period_law,
     odd_factor_period,
 )
-from .conjecture import TwoAdicPrefix, even_count_val2, fit_shift_digits
+from .conjecture import TwoAdicPrefix, fit_shift_digits
 
 __version__ = "0.1.0"

@@ -166,17 +166,10 @@ def _lemma51(k_max: int) -> Iterator[str]:
                 yield f"bound fails at k={k}, i={i}"
 
 
-def _thm52(k_max: int) -> Iterator[str]:
-    """Signed-sum valuation closed form, zero case included."""
-    for n in range(4 * k_max + 4):
-        computed = val2(sequences.signed_involution_count(n))
-        predicted = valuations.signed_val2_predicted(n)
-        if computed != predicted:
-            yield f"n={n}: computed {computed}, predicted {predicted}"
-
-
 def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> Iterator[str]:
-    """Even/odd count valuations against their closed forms on n = 4k + r."""
+    """Column valuations against their closed forms on n = 4k + r, k <= k_max;
+    for the signed sum (r = 0..3) that is every n < 4 k_max + 4, zero case
+    included."""
     for kind in kinds:
         for k in range(k_max + 1):
             for r in residues:
@@ -328,7 +321,7 @@ ROWS: dict[str, tuple[Callable[..., Iterator[str]], dict[str, tuple], str]] = {
     "thm41": (_thm41, {"n_max": (80, 0)}, "polynomial identity verified for n<={n_max}"),
     "prop42": (_prop42, {"n_max": (13, 0), **_VERTICES}, "graph polynomial verified against enumeration for n<={n_max}"),
     "lemma51": (_lemma51, {"k_max": (256, 1)}, "shifted binomial bound verified for k<={k_max}"),
-    "thm52": (_thm52, {"k_max": (500, 0)}, "signed valuations verified for k<={k_max}"),
+    "thm52": (partial(_parity, (0, 1, 2, 3), ("t_signed",)), {"k_max": (500, 0)}, "signed valuations verified for k<={k_max}"),
     "cor53": (partial(_parity, (2, 3), ("t_even", "t_odd")), {"k_max": (500, 0)}, "equal even/odd valuations verified for k<={k_max}"),
     "thm54": (partial(_parity, (0,), ("t_even",)), {"k_max": (500, 0)}, "t_even valuations verified on residues (0,) for k<={k_max}"),
     "thm55": (partial(_parity, (1,), ("t_odd",)), {"k_max": (500, 0)}, "t_odd valuations verified on residues (1,) for k<={k_max}"),

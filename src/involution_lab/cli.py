@@ -31,7 +31,17 @@ from .errors import ExactnessError, InconclusiveError, ResourceLimitError, Verif
 
 __all__ = ["main", "build_parser"]
 
-_SEQ_KINDS = ("t", "tau", "beta", "g", "g_alt", "t_signed", "t_even", "t_odd")
+# seq --kind: each kind's value at n; only tau reads the prime p.
+_SEQ_VALUES = {
+    "t": lambda n, p: sequences.involution_count(n),
+    "tau": sequences.pth_root_count,
+    "beta": lambda n, p: sequences.odd_factor(n),
+    "g": lambda n, p: sequences.graph_count(n),
+    "g_alt": lambda n, p: sequences.graph_count_signed(n),
+    "t_signed": lambda n, p: sequences.signed_involution_count(n),
+    "t_even": lambda n, p: valuations.even_involution_count(n),
+    "t_odd": lambda n, p: valuations.odd_involution_count(n),
+}
 _VERIFY_FLAGS = ("p", "n_max", "k_max", "s_max", "m_max")
 # Largest --p accepted: primality is tested by trial division.
 _P_MAX = 10**6
@@ -40,26 +50,6 @@ _P_MAX = 10**6
 def _usage_error(message: str) -> "SystemExit":
     print(f"involution-lab: {message}", file=sys.stderr)
     return SystemExit(2)
-
-
-def _seq_value(kind: str, n: int, p: int) -> int:
-    if kind == "t":
-        return sequences.involution_count(n)
-    if kind == "tau":
-        return sequences.pth_root_count(n, p)
-    if kind == "beta":
-        return sequences.odd_factor(n)
-    if kind == "g":
-        return sequences.graph_count(n)
-    if kind == "g_alt":
-        return sequences.graph_count_signed(n)
-    if kind == "t_signed":
-        return sequences.signed_involution_count(n)
-    if kind == "t_even":
-        return valuations.even_involution_count(n)
-    if kind == "t_odd":
-        return valuations.odd_involution_count(n)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _env_caps() -> dict:
@@ -137,12 +127,11 @@ def cmd_seq(args) -> int:
         raise _usage_error("seq: --p only applies to --kind tau")
     _check_prime("seq", args.p)
     p = args.p if args.p is not None else 2
+    value = _SEQ_VALUES[args.kind]
+    # Rows are computed as they are written; an error stops the stream there.
     with _unlimited_int_digits():
-        rows = [
-            {"n": str(n), "value": str(_seq_value(args.kind, n, p))}
-            for n in range(args.start, args.to + 1)
-        ]
-    _emit_rows(args, ["n", "value"], rows)
+        rows = ({"n": str(n), "value": str(value(n, p))} for n in range(args.start, args.to + 1))
+        _emit_rows(args, ["n", "value"], rows)
     return 0
 
 
@@ -246,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="path, or - for stdout")
 
     p_seq = sub.add_parser("seq", help="emit a sequence prefix as n,value rows")
-    p_seq.add_argument("--kind", choices=_SEQ_KINDS, required=True)
+    p_seq.add_argument("--kind", choices=_SEQ_VALUES, required=True)
     p_seq.add_argument("--from", dest="start", type=int, default=0)
     p_seq.add_argument("--to", type=int, required=True)
     p_seq.add_argument("--p", type=int, default=None, help="prime for --kind tau")

@@ -18,28 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Valuation, val2
+from .algebra import val2
 from .twoadic import even_count_val2_upto
-from .valuations import even_involution_count
 
 __all__ = [
-    "even_count_val2",
     "Violation",
     "TwoAdicPrefix",
     "fit_shift_digits",
 ]
-
-
-def even_count_val2(k: int) -> Valuation:
-    """Exact exponent of two in the even-involution count at n = 4k + 1.
-
-    This is the exact oracle, read from the big-integer counts;
-    fit_shift_digits takes the same values from the bounded-memory
-    :func:`twoadic.even_count_val2_upto`.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return val2(even_involution_count(4 * k + 1))
 
 
 @dataclass(frozen=True)
@@ -90,12 +76,13 @@ def fit_shift_digits(k_max: int, bit_budget: int = 11) -> TwoAdicPrefix:
     """Fit the shift's digit prefix from all k <= k_max.
 
     The exponents come from :func:`twoadic.even_count_val2_upto`, in memory
-    that stays bounded as k_max grows.  Even k (where the pattern predicts
-    exponent exactly k) are verified as a side condition.  Odd-k constraints
-    are merged in increasing k, so a contradictory constraint system is
-    reported with the smallest failing k and the first conflicting digit.
-    Inside the fold the full determined precision is kept; only the report
-    is trimmed to the bit budget.
+    that stays bounded as k_max grows; the exact oracle for the same cells
+    is ``valuation_report(4 * k + 1, "t_even")``.  Even k (where the pattern
+    predicts exponent exactly k) are verified as a side condition.  Odd-k
+    constraints are merged in increasing k, so a contradictory constraint
+    system is reported with the smallest failing k and the first conflicting
+    digit.  Inside the fold the full determined precision is kept; only the
+    report is trimmed to the bit budget.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")

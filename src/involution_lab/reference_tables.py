@@ -8,12 +8,14 @@ n = 20 entry, 19467494, was dropped).  The printed rows fail the odd-index
 recurrence g(2n+1) = g(2n) + n*g(2n-1) at n = 21, and they contradict the
 involution-count identity (``sequences.involution_count_via_graphs``) at
 n = 20 and 21; ``CORRECTED_G_AT_ONE`` satisfies both, and the printed cells
-equal the computed values one row further on.  The brute-force graph
-oracle does not reach these rows: under its default vertex cap of 8 it
-stops at n = 16.  The misprinted rows are kept verbatim because
-``verify --check table1`` certifies reproduction of the reference as given;
-its failure message points here.  The acceptance gate's criterion 1 applies
-``CORRECTED_G_AT_ONE`` as errata instead.
+equal the computed values one row further on.  Under its default vertex
+cap of 8 the brute-force graph oracle stops at n = 16; a raised cap
+(``INVOLUTION_LAB_CAP``) reaches these rows, and
+``enumeration.graph_count_bruteforce`` gives the corrected values at
+n = 20 and 21 (timings in the README).  The misprinted rows are kept
+verbatim because ``verify --check table1`` certifies reproduction of the
+reference as given; its failure message points here.  The acceptance gate's
+criterion 1 applies ``CORRECTED_G_AT_ONE`` as errata instead.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .errors import ExactnessError, InconclusiveError, ResourceLimitError
 from .sequences import involution_val2, removal_residues
 
 __all__ = [
+    "COLUMNS",
     "STEP_CAP",
     "BIT_STEP_CAP",
     "odd_factor_residues",
@@ -62,10 +63,12 @@ BIT_STEP_CAP = 10**11
 # wrong answer.
 _START_MARGIN = 64
 
-# How each exponent column reads the stepped pair (t(n), s(n)) mod 2**K:
-# the residue of the number it takes the exponent of, whether the column is
-# half that number, and the number's name for errors.
-_COLUMNS = {
+# The four exponent columns, each described once: the number it takes the
+# exponent of, built from the pair (t(n), s(n)) (exact integers, or residues
+# mod 2**K); 1 when the column is half that number, else 0; and the number's
+# name for errors.  The residue passes here and the exact oracle in
+# :mod:`involution_lab.valuations` both read this table.
+COLUMNS = {
     "t": (lambda t, s: t, 0, "count"),
     "t_signed": (lambda t, s: s, 0, "signed sum"),
     "t_even": (lambda t, s: t + s, 1, "count + signed sum"),
@@ -153,7 +156,7 @@ def _columns_pass(
     """One pass at precision 2**bits: for each kind, its exponent column at
     the n in ``indices``; None as soon as a cell asks for more precision."""
     mask = (1 << bits) - 1
-    readers = [_COLUMNS[kind] for kind in kinds]
+    readers = [COLUMNS[kind] for kind in kinds]
     columns: list[list[Valuation]] = [[] for _ in kinds]
     steps = enumerate(zip(removal_residues(mask + 1, 1), removal_residues(mask + 1, -1)))
     for n, (t, signed) in islice(steps, indices.start, indices.stop, indices.step):
@@ -192,7 +195,7 @@ def valuation_columns(k_max: int) -> dict[str, list[Valuation]]:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    kinds = tuple(_COLUMNS)
+    kinds = tuple(COLUMNS)
     columns = _certified_columns(k_max, kinds, slice(0, 4 * k_max + 4, 1))
     return dict(zip(kinds, columns))
 

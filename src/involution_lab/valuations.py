@@ -8,12 +8,12 @@ r = 0 and the even count at r = 1 have no proven closed form.  Those two
 predictions are reported as None, never guessed; the digit-fitting scanner
 in :mod:`involution_lab.conjecture` consumes the computed column instead.
 
-Computed exponents come along two routes.  ``valuation_report`` reads them
-from the exact counts, including the exact even and odd counts; it is the
-oracle behind the verification batches.  ``table_rows``, the one table path,
-reads all four columns from :func:`twoadic.valuation_columns`, in memory
-that stays bounded as the table grows, and builds each row with
-``table_row``.
+Computed exponents come along two routes, and both build each column's
+number from t(n) and s(n) by its rule in :data:`twoadic.COLUMNS`.
+``valuation_report`` reads them from the exact counts; it is the oracle
+behind the verification batches.  ``table_rows``, the one table path, reads
+all four columns from :func:`twoadic.valuation_columns`, in memory that
+stays bounded as the table grows, and builds each row with ``table_row``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError
 from .sequences import involution_count, involution_val2, signed_involution_count
-from .twoadic import valuation_columns
+from .twoadic import COLUMNS, valuation_columns
 
 __all__ = [
     "chi_odd",
@@ -93,22 +93,26 @@ def signed_val2_predicted(n: int) -> Valuation:
     return k + r // 2
 
 
+def _exact_count(n: int, kind: str) -> int:
+    """The number of column ``kind`` at n, exactly: its COLUMNS rule applied
+    to the exact count and signed sum, halved where the rule says so.  An
+    odd number where it must be halved raises ExactnessError, with the text
+    the residue engine uses."""
+    number_of, halved, name = COLUMNS[kind]
+    number = number_of(involution_count(n), signed_involution_count(n))
+    if number & halved:
+        raise ExactnessError(f"{name} is odd at n={n}")
+    return number >> halved
+
+
 def even_involution_count(n: int) -> int:
     """(count + signed sum) / 2, exactly."""
-    total = involution_count(n) + signed_involution_count(n)
-    half, rem = divmod(total, 2)
-    if rem:
-        raise ExactnessError("count + signed sum is odd")
-    return half
+    return _exact_count(n, "t_even")
 
 
 def odd_involution_count(n: int) -> int:
     """(count - signed sum) / 2, exactly."""
-    total = involution_count(n) - signed_involution_count(n)
-    half, rem = divmod(total, 2)
-    if rem:
-        raise ExactnessError("count - signed sum is odd")
-    return half
+    return _exact_count(n, "t_odd")
 
 
 def even_val2_predicted(n: int) -> Valuation | None:
@@ -145,14 +149,7 @@ class ValuationReport:
     matches: bool
 
 
-REPORT_KINDS = ("t", "t_signed", "t_even", "t_odd")
-
-_COMPUTED = {
-    "t": involution_count,
-    "t_signed": signed_involution_count,
-    "t_even": even_involution_count,
-    "t_odd": odd_involution_count,
-}
+REPORT_KINDS = tuple(COLUMNS)
 
 _PREDICTED = {
     "t": involution_val2,
@@ -173,7 +170,7 @@ def valuation_report(n: int, kind: str) -> ValuationReport:
     """The cell at n of one kind, computed from the exact counts."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    computed = val2(_COMPUTED[kind](n))
+    computed = val2(_exact_count(n, kind))
     return ValuationReport(n, kind, computed, *_prediction(n, kind, computed))
 
 

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from involution_lab import checks, enumeration
+from involution_lab import checks, cli, enumeration, valuations
 from involution_lab.cli import main
 from involution_lab.enumeration import ConstrainedGraph, RefinedClass
-from involution_lab.errors import ResourceLimitError
+from involution_lab.errors import ExactnessError, ResourceLimitError
 from involution_lab.sequences import involution_count, odd_factor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +94,21 @@ class TestSeq:
             parsed = parsed * 10 ** len(chunk) + int(chunk)
         assert parsed == value(n)
 
+    @pytest.mark.parametrize("error, exit_code", [
+        (ExactnessError("broken"), 1), (ResourceLimitError("broken"), 3),
+    ])
+    def test_rows_are_written_as_they_are_computed(self, capsys, monkeypatch, error, exit_code):
+        def value(n, p):
+            if n == 5:
+                raise error
+            return involution_count(n)
+
+        monkeypatch.setitem(cli._SEQ_VALUES, "t", value)
+        code, out, err = run(capsys, "seq", "--kind", "t", "--to", "10")
+        assert code == exit_code
+        assert out == "n,value\n0,1\n1,1\n2,2\n3,4\n4,10\n"
+        assert err == "involution-lab: broken\n"
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "seq", "--kind", "g_alt", "--to", "21")
         _, second, _ = run(capsys, "seq", "--kind", "g_alt", "--to", "21")
@@ -144,6 +159,20 @@ class TestVerify:
         assert code == 1
         assert "row n=20" in out and "row n=21" in out
         assert "known misprints" in out
+
+    @pytest.mark.parametrize("name, kinds, verdict", [
+        ("thm52", ("t_signed",), "n=2 (t_signed): computed INFINITY, predicted 0"),
+        ("cor53", ("t_even", "t_odd"), "n=6 (t_even): computed 1, predicted 0"),
+        ("thm54", ("t_even",), "n=4 (t_even): computed 2, predicted 0"),
+        ("thm55", ("t_odd",), "n=1 (t_odd): computed INFINITY, predicted 0"),
+    ])
+    def test_parity_check_names_its_first_counterexample(self, capsys, monkeypatch,
+                                                         name, kinds, verdict):
+        for kind in kinds:
+            monkeypatch.setitem(valuations._PREDICTED, kind, lambda n: 0)
+        code, out, _ = run(capsys, "verify", "--check", name)
+        assert code == 1
+        assert out == f"{name}: FAIL: {verdict}\n"
 
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

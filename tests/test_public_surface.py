@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 import involution_lab
+from involution_lab import twoadic, valuations
+
+SRC = Path(involution_lab.__file__).parent
 
 MODULES = sorted(
     f"involution_lab.{info.name}" for info in pkgutil.iter_modules(involution_lab.__path__)
@@ -28,6 +31,17 @@ REMOVED = {
         "involution_mod_prefix",  # islice(sequences.removal_residues(m), count)
     ],
     "algebra": ["odd_product", "arithmetic_product", "binomial"],  # math.prod, math.comb
+    "conjecture": ["even_count_val2"],  # valuation_report(4 * k + 1, "t_even").computed
+}
+
+# The only underscore names one module of the package reads from another,
+# as (reading module, owner.name).  Any other shared helper goes public.
+PRIVATE_CROSSINGS = {
+    ("checks", "enumeration._walk_roots"),
+    ("checks", "enumeration._graph_tally"),
+    ("checks", "enumeration._involution_degrees"),
+    ("periodicity", "twoadic._refuse_window"),
+    ("periodicity", "twoadic._residue_array"),
 }
 
 
@@ -59,3 +73,33 @@ def test_removed_names_are_gone():
     assert not hasattr(involution_lab.algebra.BivariatePoly, "to_json_terms")
     assert not hasattr(involution_lab.algebra.BivariatePoly, "from_json_terms")
     assert not hasattr(involution_lab.sequences.SequenceCache, "prefix")
+
+
+def test_every_table_lists_the_same_columns():
+    assert tuple(valuations._PREDICTED) == valuations.REPORT_KINDS == tuple(twoadic.COLUMNS)
+
+
+def _private_crossings(path: Path) -> set[tuple[str, str]]:
+    """Underscore names the module at ``path`` imports from, or reads as an
+    attribute of, another module of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules: dict[str, str] = {}  # local name -> package module
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    names.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return {(path.stem, name) for name in names}
+
+
+def test_private_names_stay_inside_their_module():
+    crossings = set().union(*(_private_crossings(path) for path in sorted(SRC.glob("*.py"))))
+    assert crossings == PRIVATE_CROSSINGS

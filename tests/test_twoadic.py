@@ -12,10 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from involution_lab import twoadic
+from involution_lab import twoadic, valuations
 from involution_lab.algebra import odd_part
 from involution_lab.cli import main
-from involution_lab.conjecture import even_count_val2
 from involution_lab.errors import ExactnessError, InconclusiveError, ResourceLimitError
 from involution_lab.sequences import involution_count
 from involution_lab.twoadic import even_count_val2_upto, odd_factor_residues, valuation_columns
@@ -81,13 +80,18 @@ def _corrupt_signed_sums(monkeypatch) -> None:
     monkeypatch.setattr(twoadic, "removal_residues", corrupted)
 
 
+def _exact_even_column(k_max):
+    """The exact oracle for even_count_val2_upto: n = 4k + 1, k <= k_max."""
+    return [valuation_report(4 * k + 1, "t_even").computed for k in range(k_max + 1)]
+
+
 class TestEvenCountVal2:
     def test_matches_exact_oracle(self):
-        assert even_count_val2_upto(300) == [even_count_val2(k) for k in range(301)]
+        assert even_count_val2_upto(300) == _exact_even_column(300)
 
     def test_doubling_restart(self, monkeypatch):
         passes = _count_passes(monkeypatch)
-        assert even_count_val2_upto(300) == [even_count_val2(k) for k in range(301)]
+        assert even_count_val2_upto(300) == _exact_even_column(300)
         assert passes[:2] == [300, 600]
 
     def test_odd_sum_raises(self, monkeypatch):
@@ -134,6 +138,18 @@ class TestValuationColumns:
         _corrupt_signed_sums(monkeypatch)
         with pytest.raises(ExactnessError, match="signed sum is odd at n=0"):
             valuation_columns(3)
+
+    def test_odd_sum_reads_the_same_from_the_exact_oracle(self, monkeypatch):
+        real = valuations.signed_involution_count
+        monkeypatch.setattr(valuations, "signed_involution_count", lambda n: real(n) + 1)
+        with pytest.raises(ExactnessError) as exact:
+            valuation_report(0, "t_even")
+        _corrupt_signed_sums(monkeypatch)
+        with pytest.raises(ExactnessError) as engine:
+            valuation_columns(3)
+        assert str(exact.value) == str(engine.value) == "count + signed sum is odd at n=0"
+        with pytest.raises(ExactnessError, match="^count - signed sum is odd at n=0$"):
+            valuation_report(0, "t_odd")
 
     def test_odd_sum_exits_1_from_the_cli(self, monkeypatch, capsys):
         _corrupt_signed_sums(monkeypatch)

@@ -4,6 +4,7 @@ plus the report/table serialization contracts."""
 import pytest
 
 from involution_lab.algebra import INFINITY, val2, val_p
+from involution_lab.enumeration import pth_roots
 from involution_lab.sequences import (
     involution_count,
     pth_root_count,
@@ -98,6 +99,18 @@ class TestParityCounts:
         assert (even_involution_count(4), odd_involution_count(4)) == (4, 6)
         assert (even_involution_count(0), odd_involution_count(0)) == (1, 0)
         assert odd_involution_count(9) == 1296
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_against_enumerated_involutions(self, n):
+        # Independent of the column rules: every involution on n letters,
+        # counted by the parity of its number of transpositions.
+        by_parity = [0, 0]
+        for pi in pth_roots(n, 2):
+            moved = sum(image != i for i, image in enumerate(pi, 1))
+            by_parity[moved // 2 % 2] += 1
+        even, odd = by_parity
+        assert (even_involution_count(n), odd_involution_count(n)) == (even, odd)
+        assert signed_involution_count(n) == even - odd
 
     def test_sum_and_difference(self):
         for n in range(401):
