@@ -19,11 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from involution_lab.cli import main
+from involution_lab.cli import _SEQ_VALUES, main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
-_SEQ_KINDS = ("t", "tau", "beta", "g", "g_alt", "t_signed", "t_even", "t_odd")
 _CHECKS = (
     "coeffs", "cor31", "cor53", "cross", "fibersum", "lemma21", "lemma51",
     "lemma64", "lemma65", "prop42", "table1", "table2", "thm23", "thm32",
@@ -42,7 +41,7 @@ _CHECK_OVERRIDES = (
 )
 
 GATE_COMMANDS = (
-    [["seq", "--kind", kind, "--to", "60"] for kind in _SEQ_KINDS]
+    [["seq", "--kind", kind, "--to", "60"] for kind in _SEQ_VALUES]
     + [["seq", "--kind", "tau", "--p", "3", "--to", "60"]]
     + [["table", "--k-max", "50"]]
     + [["verify", "--check", name] for name in _CHECKS]
@@ -66,6 +65,8 @@ GATE_COMMANDS = (
     # n = 3000), so these also pin how seq lifts that limit.
     + [["seq", "--kind", kind, "--to", "3000"] for kind in ("t_signed", "t_even", "t_odd")]
     + [["seq", "--kind", "t_even", "--to", "3000", "--format", "json"]]
+    # t, beta and g to 3000 as well (4,588, 4,362 and 4,137 digits).
+    + [["seq", "--kind", kind, "--to", "3000"] for kind in ("t", "beta", "g")]
 )
 
 
