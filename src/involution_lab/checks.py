@@ -67,24 +67,11 @@ def _lemma21_n_max(values: dict) -> int:
     return {2: 10, 3: 9, 5: 7}.get(values["p"], 6)
 
 
-def _root_tally(n: int, p: int, root_cap: int, key: Callable) -> dict:
-    """The p-th roots on n letters counted by ``key`` as the enumeration
-    walk emits them; no root is kept."""
-    counts: dict = {}
-
-    def add(pi):
-        k = key(pi)
-        counts[k] = counts.get(k, 0) + 1
-
-    enumeration._walk_roots(n, p, root_cap, add)
-    return counts
-
-
 def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
     for n in range(n_max + 1):
-        groups = _root_tally(n, p, root_cap, lambda pi: enumeration.refined_class(pi, p))
+        groups = enumeration._class_tally(n, p, root_cap)
         for cls, actual in sorted(groups.items()):
             predicted = enumeration.class_size(cls, p, n)
             if predicted != actual:
@@ -101,7 +88,7 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     admissible graphs, and the power-of-two fiber size matches the general
     class-size formula on every class."""
     for n in range(n_max + 1):
-        classes = sorted(_root_tally(n, 2, root_cap, lambda pi: enumeration.refined_class(pi, 2)))
+        classes = sorted(enumeration._class_tally(n, 2, root_cap))
         graphs = [enumeration.class_graph(c, n) for c in classes]
         mapped = Counter(graphs)
         enumerated = Counter(enumeration.multigraphs(n, vertex_cap=vertex_cap))
@@ -241,8 +228,7 @@ def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     for n in range(n_max + 1):
         # Per class, the involutions counted by (fixed points, transpositions).
         by_class: dict = {}
-        tally = _root_tally(n, 2, root_cap, lambda pi: (
-            enumeration.refined_class(pi, 2), enumeration._involution_degrees(pi)))
+        tally = enumeration._class_tally(n, 2, root_cap, enumeration._involution_degrees)
         for (cls, degrees), count in tally.items():
             by_class.setdefault(cls, {})[degrees] = count
         for cls, degrees in sorted(by_class.items()):

@@ -18,6 +18,11 @@ The objects:
 * for p = 2, the loopless multigraph picture of a refined class: one edge
   per 2-cycle joining two distinct labels, edge multiplicity at most two,
   vertex degree at most two (the trailing odd vertex at most one).
+
+The root walk labels each cycle as it places it and hands every root over
+with its labeled cycles; the oracles tally roots by that cycle multiset and
+build one refined class per distinct multiset.  The graph walk hands every
+graph over with its signature, and the oracles tally graphs by signature.
 """
 
 from __future__ import annotations
@@ -96,14 +101,18 @@ def _predicted_root_count(n: int, p: int) -> int:
     return counts[n]
 
 
-def _walk_roots(n: int, p: int, cap: int, visit: Callable[[Permutation], None]) -> None:
+def _walk_roots(
+    n: int, p: int, cap: int, visit: Callable[[Permutation, list[tuple[int, ...]]], None]
+) -> None:
     """Hand every permutation of {1..n} whose p-th power is the identity to
-    ``visit``, once each, as its image tuple.
+    ``visit``, once each, as its image tuple and its live list of labeled
+    cycles (copy it to keep it).
 
     The smallest unplaced element is either fixed or opens a p-cycle with
-    p-1 of the remaining elements in any of their (p-1)! arrangements.
-    Raises ResourceLimitError (naming the predicted count) before walking,
-    rather than start a hopeless enumeration.
+    p-1 of the remaining elements in any of their (p-1)! arrangements.  Each
+    cycle is labeled when it is placed, so every root below that placement
+    shares its labels.  Raises ResourceLimitError (naming the predicted
+    count) before walking, rather than start a hopeless enumeration.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -115,13 +124,16 @@ def _walk_roots(n: int, p: int, cap: int, visit: Callable[[Permutation], None]) 
             f"enumeration of {predicted} p-th roots exceeds the cap of {cap}"
         )
     images = list(range(n + 1))  # index 0 unused
+    label = [(x - 1) // p + 1 for x in range(n + 1)]
+    cycles: list[tuple[int, ...]] = []
 
     def build(free: tuple[int, ...]) -> None:
         if not free:
-            visit(tuple(images[1:]))
+            visit(tuple(images[1:]), cycles)
             return
         e, rest = free[0], free[1:]
         images[e] = e
+        cycles.append((label[e],))
         build(rest)
         for chosen in itertools.combinations(rest, p - 1):
             remaining = tuple(x for x in rest if x not in chosen)
@@ -129,7 +141,10 @@ def _walk_roots(n: int, p: int, cap: int, visit: Callable[[Permutation], None]) 
                 cycle = (e, *order)
                 for i in range(p):
                     images[cycle[i]] = cycle[(i + 1) % p]
+                # e is the least element, so its label is the least label.
+                cycles[-1] = _least_labeled_rotation([label[x] for x in cycle])
                 build(remaining)
+        cycles.pop()
         images[e] = e
 
     build(tuple(range(1, n + 1)))
@@ -139,7 +154,7 @@ def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutatio
     """All permutations of {1..n} whose p-th power is the identity, in
     lexicographic order of image tuples."""
     out: list[Permutation] = []
-    _walk_roots(n, p, cap, out.append)
+    _walk_roots(n, p, cap, lambda pi, cycles: out.append(pi))
     out.sort()
     return out
 
@@ -148,6 +163,17 @@ def least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least rotation; reflections are NOT identified, so
     (4,5,6) and (4,6,5) stay distinct."""
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def _least_labeled_rotation(labels: list[int]) -> tuple[int, ...]:
+    """Least rotation of a labeled cycle whose first label is its least:
+    only the rotations that start with that label compete."""
+    low = labels[0]
+    if labels.count(low) == 1:
+        return tuple(labels)
+    return min(
+        tuple(labels[i:] + labels[:i]) for i, label in enumerate(labels) if label == low
+    )
 
 
 def _labeled_cycle_counts(pi: Permutation, p: int) -> dict[tuple[int, ...], int]:
@@ -168,17 +194,8 @@ def _labeled_cycle_counts(pi: Permutation, p: int) -> dict[tuple[int, ...], int]
             j = pi[j - 1]
         if p % len(labels):
             raise ValueError("permutation is not a p-th root of the identity")
-        # The walk starts at the least element, so labels[0] is the least
-        # label and the least rotation is among those that start with it.
-        low = labels[0]
-        if labels.count(low) == 1:
-            key = tuple(labels)
-        else:
-            key = min(
-                tuple(labels[i:] + labels[:i])
-                for i, label in enumerate(labels)
-                if label == low
-            )
+        # The walk starts at the least element, so labels[0] is the least label.
+        key = _least_labeled_rotation(labels)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -203,11 +220,13 @@ class RefinedClass:
         }
 
 
-def refined_class(pi: Permutation, p: int) -> RefinedClass:
-    t = len(pi) // p
+def _class_from_counts(counts: dict[tuple[int, ...], int], n: int, p: int) -> RefinedClass:
+    """The refined class of the roots on n letters with these labeled-cycle
+    counts: fully used block labels go to the bag, the rest stay cycles."""
+    t = n // p
     bag = []
     rest = []
-    for cyc, mult in _labeled_cycle_counts(pi, p).items():
+    for cyc, mult in counts.items():
         label = cyc[0]  # the least label: cycles are least rotations
         if label <= t and (
             (len(cyc) == 1 and mult == p)
@@ -217,6 +236,34 @@ def refined_class(pi: Permutation, p: int) -> RefinedClass:
         else:
             rest.append((cyc, mult))
     return RefinedClass(tuple(sorted(bag)), tuple(sorted(rest)))
+
+
+def refined_class(pi: Permutation, p: int) -> RefinedClass:
+    return _class_from_counts(_labeled_cycle_counts(pi, p), len(pi), p)
+
+
+def _class_tally(
+    n: int, p: int, cap: int, extra: Callable[[Permutation], object] | None = None
+) -> dict:
+    """The p-th roots on n letters counted by refined class, or by
+    (class, ``extra(pi)``) when ``extra`` is given.  Roots are counted by
+    their sorted labeled cycles as the walk emits them; each distinct cycle
+    multiset is then classed once.  No root is kept."""
+    by_cycles: dict = {}
+
+    def add(pi: Permutation, cycles: list[tuple[int, ...]]) -> None:
+        key = (tuple(sorted(cycles)), extra(pi) if extra else None)
+        by_cycles[key] = by_cycles.get(key, 0) + 1
+
+    _walk_roots(n, p, cap, add)
+    classes: dict = {}
+    counts: dict = {}
+    for (multiset, x), count in by_cycles.items():
+        if multiset not in classes:
+            classes[multiset] = _class_from_counts(Counter(multiset), n, p)
+        key = classes[multiset] if extra is None else (classes[multiset], x)
+        counts[key] = counts.get(key, 0) + count
+    return counts
 
 
 def _validate_refined_class(cls: RefinedClass, p: int, n: int) -> None:

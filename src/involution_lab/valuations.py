@@ -97,9 +97,12 @@ def _exact_count(n: int, kind: str) -> int:
     """The number of column ``kind`` at n, exactly: its COLUMNS rule applied
     to the exact count and signed sum, halved where the rule says so.  An
     odd number where it must be halved raises ExactnessError, with the text
-    the residue engine uses."""
+    the residue engine uses.  Every rule is linear in (t, s), so a sequence
+    it weighs by zero is not computed."""
     number_of, halved, name = COLUMNS[kind]
-    number = number_of(involution_count(n), signed_involution_count(n))
+    t = involution_count(n) if number_of(1, 0) else 0
+    s = signed_involution_count(n) if number_of(0, 1) else 0
+    number = number_of(t, s)
     if number & halved:
         raise ExactnessError(f"{name} is odd at n={n}")
     return number >> halved

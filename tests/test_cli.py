@@ -321,16 +321,16 @@ class TestCor31Mismatch:
     EMPTY = ConstrainedGraph(2, ())  # the graph of the class {1, 2; -}
 
     def test_class_missing_from_the_class_set(self, monkeypatch):
-        # Every root of the class {1, 2; -} is read as the doubled-pair
-        # class, so no class maps to the empty graph.
-        real = enumeration.refined_class
+        # Every cycle multiset of the class {1, 2; -} is classed as the
+        # doubled-pair class, so no class maps to the empty graph.
+        real = enumeration._class_from_counts
         lost = RefinedClass((1, 2), ())
 
-        def corrupted(pi, p):
-            cls = real(pi, p)
+        def corrupted(counts, n, p):
+            cls = real(counts, n, p)
             return RefinedClass((), (((1, 2), 2),)) if cls == lost else cls
 
-        monkeypatch.setattr(enumeration, "refined_class", corrupted)
+        monkeypatch.setattr(enumeration, "_class_from_counts", corrupted)
         passed, detail = checks.CHECKS["cor31"]({"n_max": self.N})
         assert not passed
         assert detail == ("n=4: 0 classes map to graph {'vertices': 2, 'edges': []}, "

@@ -446,18 +446,59 @@ class TestStreamedWalks:
     def test_streamed_roots_sorted_equal_list(self, p, n_max):
         for n in range(n_max + 1):
             streamed = []
-            enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, streamed.append)
+            enumeration._walk_roots(
+                n, p, enumeration.DEFAULT_ROOT_CAP, lambda pi, cycles: streamed.append(pi))
             assert len(set(streamed)) == len(streamed)
             assert sorted(streamed) == pth_roots(n, p) == filtered_pth_roots(n, p)
 
     def test_caps_fire_before_walking(self):
-        def visit(*args):
+        def visit(live, summary):
             raise AssertionError("walked past the cap")
 
         with pytest.raises(ResourceLimitError, match="9496"):
             enumeration._walk_roots(10, 2, 9495, visit)
         with pytest.raises(ResourceLimitError, match="4 vertices"):
             enumeration._walk_graphs(8, 3, 2, visit)
+
+
+class TestClassTally:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_walk_cycles_give_each_roots_class(self, p):
+        for n in range(9):
+            seen = []
+
+            def visit(pi, cycles):
+                cls = enumeration._class_from_counts(Counter(cycles), n, p)
+                seen.append((cls, refined_class(pi, p)))
+
+            enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, visit)
+            assert len(seen) == len(pth_roots(n, p))
+            assert all(walked == direct for walked, direct in seen)
+
+    def test_one_class_build_per_cycle_multiset(self, monkeypatch):
+        # A work count, not a timing: lemma21 at p = 3, n <= 9 classes each
+        # distinct labeled-cycle multiset once and never re-reads a root.
+        expected = set()
+        for n in range(10):
+            enumeration._walk_roots(
+                n, 3, enumeration.DEFAULT_ROOT_CAP,
+                lambda pi, cycles, n=n: expected.add((n, tuple(sorted(cycles)))))
+        real = enumeration._class_from_counts
+        built = []
+
+        def counted(counts, n, p):
+            built.append((n, tuple(sorted(Counter(counts).elements()))))
+            return real(counts, n, p)
+
+        def refused(pi, p):
+            raise AssertionError("refined_class re-read a root")
+
+        monkeypatch.setattr(enumeration, "_class_from_counts", counted)
+        monkeypatch.setattr(enumeration, "refined_class", refused)
+        assert CHECKS["lemma21"]({"p": 3, "n_max": 9}) == (
+            True, "fiber law verified for p=3, n<=9")
+        assert len(built) == len(set(built))
+        assert set(built) == expected
 
 
 class TestStreamedMemory:

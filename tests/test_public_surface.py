@@ -37,7 +37,7 @@ REMOVED = {
 # The only underscore names one module of the package reads from another,
 # as (reading module, owner.name).  Any other shared helper goes public.
 PRIVATE_CROSSINGS = {
-    ("checks", "enumeration._walk_roots"),
+    ("checks", "enumeration._class_tally"),
     ("checks", "enumeration._graph_tally"),
     ("checks", "enumeration._involution_degrees"),
     ("periodicity", "twoadic._refuse_window"),

@@ -1,6 +1,12 @@
 """Valuation closed forms against exact valuations of the sequence engines,
 plus the report/table serialization contracts."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from involution_lab.algebra import INFINITY, val2, val_p
@@ -27,6 +33,8 @@ from involution_lab.valuations import (
     tau_valuation_bound,
     valuation_report,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestBound:
@@ -194,3 +202,27 @@ class TestReports:
         assert format_valuation(None) == "unknown"
         assert format_valuation(17) == "17"
         assert all(set(row) == set(table_fieldnames()) for row in table_rows(1))
+
+
+@pytest.mark.parametrize("kind,filled,empty", [
+    ("t", "_t_cache", "_signed_cache"),
+    ("t_signed", "_signed_cache", "_t_cache"),
+])
+def test_exact_oracle_reads_only_its_column(kind, filled, empty):
+    # A fresh interpreter: in this process other tests have filled the caches.
+    script = (
+        "import json, sys\n"
+        "from involution_lab import sequences, valuations\n"
+        "valuations.valuation_report(50, sys.argv[1])\n"
+        "print(json.dumps({name: len(getattr(sequences, name)._values)\n"
+        "                  for name in ('_t_cache', '_signed_cache')}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, kind],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {filled: 51, empty: 0}
