@@ -24,7 +24,6 @@ from .algebra import (
     BivariatePoly,
     Valuation,
     odd_part,
-    odd_product_ratio,
     val2,
     val_p,
 )

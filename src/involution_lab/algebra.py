@@ -6,13 +6,17 @@ round-trip through decimal strings, and compare correctly, which is the whole
 contract).  ``BivariatePoly`` stores integer numerators over one shared power
 of two, in a canonical form, so that equality of polynomials is structural
 equality; coefficients and values leave it as ``fractions.Fraction``.  Every
-value here is immutable and every operation is a pure function, so results
-are safe to share across threads.
+operation ends in one normalizer, which drops zero numerators and takes out
+their common power of two; the constructor is the checked entry for outside
+input and hands its merged numerators to that same normalizer.  Every value
+here is immutable and every operation is a pure function, so results are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import ExactnessError
@@ -27,7 +31,6 @@ __all__ = [
     "val_p",
     "val2",
     "odd_part",
-    "odd_product_ratio",
     "BivariatePoly",
 ]
 
@@ -136,15 +139,6 @@ def odd_part(x: int) -> int:
     return x >> val2(x)
 
 
-def odd_product_ratio(lo: int, hi: int) -> int:
-    """The product of the first hi odd integers over that of the first lo,
-    computed as the explicit product (2*lo+1)(2*lo+3)...(2*hi-1) to avoid
-    the giant intermediate factorials."""
-    if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got {lo}, {hi}")
-    return math.prod(range(2 * lo + 1, 2 * hi, 2))
-
-
 def _ratio(c: Rational) -> tuple[int, int]:
     if isinstance(c, int):
         return c, 1
@@ -175,8 +169,12 @@ def _power_table(num: int, den: int, m: int) -> list[int]:
     """table[i] = num**i * den**(m - i): the powers of num/den up to m over
     the common denominator den**m."""
     table = [den**m]
-    for _ in range(m):
-        table.append(table[-1] * num // den)
+    if den == 1:
+        for _ in range(m):
+            table.append(table[-1] * num)
+    else:
+        for _ in range(m):
+            table.append(table[-1] * num // den)
     return table
 
 
@@ -188,6 +186,11 @@ class BivariatePoly:
     and exp == 0 or some numerator is odd, so two polynomials are equal
     exactly when their numerators and exponents are.  Coefficients and
     values leave a polynomial as ``fractions.Fraction``.
+
+    The constructor is the checked entry for outside input: it validates
+    every degree and coefficient.  Every operation (``+``, ``-``, ``*``,
+    ``shift``) already holds canonical int numerators and builds its result
+    through the one normalizer, ``_normalized``, without those checks.
     """
 
     __slots__ = ("_terms", "_exp")
@@ -218,18 +221,31 @@ class BivariatePoly:
                     c <<= scale
                 nums[dx, dy] = nums.get((dx, dy), 0) + c
             exp += scale
-        clean = {}
-        low = 0
-        for key, c in nums.items():
-            if c:
-                clean[key] = c
-                low |= c
-        # The lowest set bit of the OR is the least 2-adic valuation.
-        shift = min(exp, (low & -low).bit_length() - 1) if low else exp
-        if shift:
-            clean = {key: c >> shift for key, c in clean.items()}
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_exp", exp - shift)
+        canonical = BivariatePoly._normalized(nums, exp)
+        object.__setattr__(self, "_terms", canonical._terms)
+        object.__setattr__(self, "_exp", canonical._exp)
+
+    @classmethod
+    def _normalized(cls, nums: dict[tuple[int, int], int], exp: int) -> "BivariatePoly":
+        """The polynomial sum nums[key] * x**i * y**j / 2**exp in canonical
+        form.  ``nums`` maps nonnegative degrees to ints and is owned by the
+        result from here on.  Zero numerators are dropped and the common
+        power of two is taken out; nothing else is checked."""
+        if 0 in nums.values():
+            nums = {key: c for key, c in nums.items() if c}
+        if not nums:
+            exp = 0
+        elif exp:
+            low = reduce(or_, nums.values())
+            # The lowest set bit of the OR is the least 2-adic valuation.
+            shift = min(exp, (low & -low).bit_length() - 1)
+            if shift:
+                nums = {key: c >> shift for key, c in nums.items()}
+                exp -= shift
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", nums)
+        object.__setattr__(poly, "_exp", exp)
+        return poly
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BivariatePoly values are immutable")
@@ -285,31 +301,46 @@ class BivariatePoly:
         out = dict(hi._terms)
         for key, c in lo._terms.items():
             out[key] = out.get(key, 0) + (c << shift)
-        return BivariatePoly(out, hi._exp)
+        return BivariatePoly._normalized(out, hi._exp)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -c for k, c in self._terms.items()}, self._exp)
+        return BivariatePoly._normalized({k: -c for k, c in self._terms.items()}, self._exp)
 
     def __sub__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
         return self + (-other)
 
     def __mul__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
+        if isinstance(other, int):
+            return BivariatePoly._normalized({k: c * other for k, c in self._terms.items()}, self._exp)
         if not isinstance(other, BivariatePoly):
             other = BivariatePoly.constant(other)
+        exp = self._exp + other._exp
+        a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # A one-term factor shifts the keys and scales, in one pass.
+            ((bx, by), bc), = b.items()
+            return BivariatePoly._normalized(
+                {(ax + bx, ay + by): ac * bc for (ax, ay), ac in a.items()}, exp)
         out: dict[tuple[int, int], int] = {}
-        for (ax, ay), ac in self._terms.items():
-            for (bx, by), bc in other._terms.items():
+        for (ax, ay), ac in a.items():
+            for (bx, by), bc in b.items():
                 key = (ax + bx, ay + by)
                 out[key] = out.get(key, 0) + ac * bc
-        return BivariatePoly(out, self._exp + other._exp)
+        return BivariatePoly._normalized(out, exp)
 
     __rmul__ = __mul__
 
     def shift(self, dx: int, dy: int) -> "BivariatePoly":
-        """Multiply by the monomial x**dx * y**dy."""
-        return BivariatePoly({(a + dx, b + dy): c for (a, b), c in self._terms.items()}, self._exp)
+        """Multiply by the monomial x**dx * y**dy.  A negative shift goes
+        through the checked constructor, which rejects a negative degree."""
+        out = {(a + dx, b + dy): c for (a, b), c in self._terms.items()}
+        if dx < 0 or dy < 0:
+            return BivariatePoly(out, self._exp)
+        return BivariatePoly._normalized(out, self._exp)
 
     def evaluate(self, x: Rational, y: Rational) -> Fraction:
         """Exact value at a rational point, as a Fraction."""

@@ -24,7 +24,7 @@ import math
 import threading
 from typing import Callable, Iterator
 
-from .algebra import BivariatePoly, is_prime, odd_part, odd_product_ratio
+from .algebra import BivariatePoly, is_prime, odd_part
 from .errors import ExactnessError
 
 __all__ = [
@@ -131,14 +131,14 @@ def involution_val2(n: int) -> int:
 
 def involution_count_direct(n: int) -> int:
     """Same count as the explicit sum over cycle types: the involutions with
-    i transpositions and j fixed points number n!/(2**i i! j!)."""
+    i transpositions and j fixed points number n!/(2**i i! j!).  Each term
+    is stepped from the one before it, by (j + 2)(j + 1)/(2i)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    fact_n = math.factorial(n)
-    for i in range(n // 2 + 1):
+    total = term = 1
+    for i in range(1, n // 2 + 1):
         j = n - 2 * i
-        term, rem = divmod(fact_n, (1 << i) * math.factorial(i) * math.factorial(j))
+        term, rem = divmod(term * (j + 2) * (j + 1), 2 * i)
         if rem:
             raise ExactnessError("cycle-type term is not an integer")
         total += term
@@ -244,16 +244,21 @@ def _graph_route_terms(n: int):
 
         S(n) = sum_i 2**i C(k, i) [oddprod(k + r//2) / oddprod(i + r//2)] g(4i + r)
 
-    yields (scale, 4i + r, k - i) for i = 0..k, scale being the coefficient
-    of g(4i + r) and k - i the number of doubled edges.  The odd-product
-    ratio is an explicit product, never a quotient of factorials.
+    yields (scale, 4i + r, k - i) for i = k down to 0, scale being the
+    coefficient of g(4i + r) and k - i the number of doubled edges.  The
+    odd-product ratio (2(i + r//2) + 1)(2(i + r//2) + 3)...(2(k + r//2) - 1)
+    is an explicit product, never a quotient of factorials: it starts at 1
+    for i = k and takes one more factor, 2(i + r//2) - 1, as i steps down.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     k, r = divmod(n, 4)
     fl = r // 2
-    for i in range(k + 1):
-        yield (1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i
+    ratio = 1
+    for i in range(k, -1, -1):
+        yield (1 << i) * math.comb(k, i) * ratio, 4 * i + r, k - i
+        if i:
+            ratio *= 2 * (i + fl) - 1
 
 
 def _graph_count_sum(n: int) -> int:

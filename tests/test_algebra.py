@@ -13,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from involution_lab import sequences
 from involution_lab.algebra import (
     INFINITY,
     BivariatePoly,
     odd_part,
-    odd_product_ratio,
     val2,
     val_p,
 )
 from involution_lab.errors import ExactnessError
+from involution_lab.sequences import SequenceCache, graph_poly, involution_poly
 
 
 def val_by_division(x: int, p: int) -> int:
@@ -107,6 +108,15 @@ class TestOddPart:
         m = odd_part(x)
         assert m % 2 == 1 or m % 2 == -1
         assert m * 2 ** val2(x) == x
+
+
+def odd_product_ratio(lo: int, hi: int) -> int:
+    """Reference: the product of the first hi odd integers over that of the
+    first lo, as the explicit product (2*lo+1)(2*lo+3)...(2*hi-1).  The
+    graph route (``sequences._graph_route_terms``) steps it instead."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"need 0 <= lo <= hi, got {lo}, {hi}")
+    return math.prod(range(2 * lo + 1, 2 * hi, 2))
 
 
 def odd_product(n: int) -> int:
@@ -274,3 +284,63 @@ class TestBivariatePoly:
         rhs = p.evaluate(x, y) * q.evaluate(x, y) + q.evaluate(x, y)
         assert lhs == rhs
         assert p.evaluate(x, y) == sum(c * x**dx * y**dy for (dx, dy), c in value_of(terms).items())
+
+
+polys = term_lists.map(BivariatePoly)
+
+
+class TestKernelFastPaths:
+    """Every operation builds its result through the private normalizer;
+    each must equal the naive term formula fed to the public constructor,
+    and be canonical."""
+
+    @given(polys, polys, st.integers(-40, 40), monomials, dyadic_fractions.filter(bool))
+    def test_operations_match_the_constructor(self, a, b, c, mono, coeff):
+        dx, dy = mono
+        mono_poly = BivariatePoly.monomial(dx, dy, coeff)
+        shifted = [((ax + dx, ay + dy), ac) for (ax, ay), ac in a.items()]
+        scaled = BivariatePoly([(key, ac * c) for key, ac in a.items()])
+        mono_product = BivariatePoly([(key, ac * coeff) for key, ac in shifted])
+        cases = [
+            (a + b, BivariatePoly([*a.items(), *b.items()])),
+            (-a, BivariatePoly([(key, -ac) for key, ac in a.items()])),
+            (a * b, BivariatePoly([((ax + bx, ay + by), ac * bc)
+                                   for (ax, ay), ac in a.items() for (bx, by), bc in b.items()])),
+            (a * c, scaled),
+            (c * a, scaled),
+            (a * mono_poly, mono_product),
+            (mono_poly * a, mono_product),
+            (a.shift(dx, dy), BivariatePoly(shifted)),
+        ]
+        for got, want in cases:
+            assert got == want
+            assert is_canonical(got)
+
+    def test_negative_shift_is_still_checked(self):
+        x2 = BivariatePoly.monomial(2, 0)
+        assert x2.shift(-1, 0) == BivariatePoly.monomial(1, 0)
+        with pytest.raises(ValueError):
+            x2.shift(-3, 0)
+
+    def test_recurrences_skip_the_checked_constructor(self, monkeypatch):
+        # A work count, not a timing: building the polynomial caches from
+        # fresh must never go through the validating __init__.
+        one = BivariatePoly.one()
+        x, y = sequences._X, sequences._Y
+        monkeypatch.setattr(sequences, "_t_poly_cache",
+                            SequenceCache(sequences._removal_step(one, x, y)))
+        monkeypatch.setattr(sequences, "_graph_poly_cache", SequenceCache(
+            sequences._graph_step(one, x, y, sequences._HALF_X2_PLUS_Y)))
+        calls = []
+        checked_init = BivariatePoly.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls.append(args)
+            checked_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BivariatePoly, "__init__", counted_init)
+        built = [(involution_poly(n), graph_poly(n)) for n in range(41)]
+        assert calls == []
+        monkeypatch.undo()
+        assert built == [(involution_poly(n), graph_poly(n)) for n in range(41)]
+        assert all(is_canonical(p) for pair in built for p in pair)

@@ -30,7 +30,10 @@ REMOVED = {
         "verify_even_modulus",  # verify --check thm63, or mod_period_law
         "involution_mod_prefix",  # islice(sequences.removal_residues(m), count)
     ],
-    "algebra": ["odd_product", "arithmetic_product", "binomial"],  # math.prod, math.comb
+    "algebra": [
+        "odd_product", "arithmetic_product", "binomial",  # math.prod, math.comb
+        "odd_product_ratio",  # sequences._graph_route_terms steps the ratio
+    ],
     "conjecture": ["even_count_val2"],  # valuation_report(4 * k + 1, "t_even").computed
 }
 

@@ -33,6 +33,8 @@ from involution_lab.sequences import (
     signed_involution_count,
 )
 
+from test_algebra import odd_product_ratio  # the explicit-product reference
+
 T_PREFIX = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152, 568504]
 SIGNED_PREFIX = [1, 1, 0, -2, -2, 6, 16, -20, -132, 28, 1216, 936, -12440, -23672]
 
@@ -45,6 +47,14 @@ class TestInvolutionCount:
         assert involution_count_direct(5) == 26
         assert involution_count_direct(1) == 1
         assert involution_count_direct(8) == 764
+
+    def test_direct_matches_factorial_terms(self):
+        # The direct sum steps each term from the one before; the reference
+        # builds every term n!/(2**i i! (n-2i)!) from full factorials.
+        for n in range(301):
+            terms = [math.factorial(n) // ((1 << i) * math.factorial(i) * math.factorial(n - 2 * i))
+                     for i in range(n // 2 + 1)]
+            assert involution_count_direct(n) == sum(terms)
 
     def test_routes_agree(self):
         for n in range(201):
@@ -200,6 +210,15 @@ class TestGraphFormulas:
     def test_count_identity(self):
         for n in range(201):
             assert involution_count_via_graphs(n) == involution_count(n)
+
+    def test_route_terms_match_explicit_products(self):
+        # The graph route steps the odd-product ratio from i = k down.
+        for n in range(201):
+            k, r = divmod(n, 4)
+            fl = r // 2
+            want = [((1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i)
+                    for i in range(k + 1)]
+            assert sorted(sequences._graph_route_terms(n)) == sorted(want)
 
     def test_poly_examples(self):
         assert involution_poly_via_graphs(2) == involution_poly(2)

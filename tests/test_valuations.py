@@ -2,6 +2,7 @@
 plus the report/table serialization contracts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from involution_lab import checks
 from involution_lab.algebra import INFINITY, val2, val_p
 from involution_lab.enumeration import pth_roots
 from involution_lab.sequences import (
@@ -86,6 +88,15 @@ class TestShiftedBinomialBound:
             binomial_shift_bound_holds(0, 1)
         with pytest.raises(ValueError):
             binomial_shift_bound_holds(3, 0)
+
+    def test_stepped_row_matches_full_binomials(self):
+        # verify --check lemma51 steps the exponent along each row.
+        for k in range(1, 65):
+            row = list(checks._shift_bound_row(k))
+            assert [i for i, _, _ in row] == list(range(1, k + 1))
+            for i, lhs, holds in row:
+                assert lhs == val2((1 << i) * math.comb(k, i))
+                assert holds == binomial_shift_bound_holds(k, i)
 
 
 class TestSignedValuation:
