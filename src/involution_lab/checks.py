@@ -115,12 +115,12 @@ def _thm32(n_max: int) -> Iterator[str]:
 
 
 def _thm33(n_max: int) -> Iterator[str]:
-    """Exponent-of-two closed form, and the odd factor's graph formula."""
-    for n in range(n_max + 1):
-        lhs = val2(sequences.involution_count(n))
-        rhs = valuations.involution_val2(n)
-        if lhs != rhs:
-            yield f"n={n}: val2 of count is {lhs}, closed form {rhs}"
+    """Exponent-of-two closed form, read by the 2-adic engine, and the odd
+    factor's graph formula, against the exact count."""
+    for report in valuations.column_reports(("t",), range(n_max + 1)):
+        if not report.matches:
+            yield (f"n={report.n}: val2 of count is {report.computed}, "
+                   f"closed form {report.predicted}")
     for n in range(_BETA_MAX + 1):
         lhs = sequences.odd_factor(n)
         rhs = sequences.odd_factor_closed(n)
@@ -168,18 +168,20 @@ def _lemma51(k_max: int) -> Iterator[str]:
 
 
 def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> Iterator[str]:
-    """Column valuations against their closed forms on n = 4k + r, k <= k_max;
-    for the signed sum (r = 0..3) that is every n < 4 k_max + 4, zero case
-    included."""
-    for kind in kinds:
-        for k in range(k_max + 1):
-            for r in residues:
-                report = valuations.valuation_report(4 * k + r, kind)
-                if report.predicted is None:
-                    yield f"n={report.n}: no closed form on this residue class"
-                elif not report.matches:
-                    yield (f"n={report.n} ({kind}): computed {report.computed}, "
-                           f"predicted {report.predicted}")
+    """Column valuations against their closed forms on n = 4k + r, k <= k_max,
+    for r in the ascending ``residues``; for the signed sum (r = 0..3) that is
+    every n < 4 k_max + 4, zero case included.  The 2-adic engine reads only
+    these kinds, and only every fourth n when one residue is checked."""
+    step = 4 if len(residues) == 1 else 1
+    indices = range(residues[0], 4 * k_max + residues[-1] + 1, step)
+    for report in valuations.column_reports(kinds, indices):
+        if report.n % 4 not in residues:
+            continue
+        if report.predicted is None:
+            yield f"n={report.n}: no closed form on this residue class"
+        elif not report.matches:
+            yield (f"n={report.n} ({report.kind}): computed {report.computed}, "
+                   f"predicted {report.predicted}")
 
 
 def _thm23(p: int | None, n_max: int) -> Iterator[str]:

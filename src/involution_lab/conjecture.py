@@ -9,9 +9,12 @@ observed v(k) therefore pins rho modulo 2**(v(k)+1):
 
     v(k) = val2(k + rho)  <=>  rho = 2**v(k) - k  (mod 2**(v(k)+1)).
 
-The scanner folds these congruences together, reports the digit prefix they
-determine (never zero-filling beyond it), and records a structured
-violation instead of asserting anything it did not observe.
+The observed exponents are the even-count column of the 2-adic engine,
+:func:`twoadic.certified_columns` at n = 4k + 1, read in memory that stays
+bounded as k grows; the tests hold them to the exact counts.  The scanner
+folds these congruences together, reports the digit prefix they determine
+(never zero-filling beyond it), and records a structured violation instead
+of asserting anything it did not observe.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import val2
-from .twoadic import even_count_val2_upto
+from .twoadic import certified_columns
 
 __all__ = [
     "Violation",
@@ -75,14 +78,11 @@ class TwoAdicPrefix:
 def fit_shift_digits(k_max: int, bit_budget: int = 11) -> TwoAdicPrefix:
     """Fit the shift's digit prefix from all k <= k_max.
 
-    The exponents come from :func:`twoadic.even_count_val2_upto`, in memory
-    that stays bounded as k_max grows; the exact oracle for the same cells
-    is ``valuation_report(4 * k + 1, "t_even")``.  Even k (where the pattern
-    predicts exponent exactly k) are verified as a side condition.  Odd-k
-    constraints are merged in increasing k, so a contradictory constraint
-    system is reported with the smallest failing k and the first conflicting
-    digit.  Inside the fold the full determined precision is kept; only the
-    report is trimmed to the bit budget.
+    Even k (where the pattern predicts exponent exactly k) are verified as a
+    side condition.  Odd-k constraints are merged in increasing k, so a
+    contradictory constraint system is reported with the smallest failing k
+    and the first conflicting digit.  Inside the fold the full determined
+    precision is kept; only the report is trimmed to the bit budget.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -91,7 +91,8 @@ def fit_shift_digits(k_max: int, bit_budget: int = 11) -> TwoAdicPrefix:
     residue = 0
     bits = 0
     violations: list[Violation] = []
-    for k, ord_k in enumerate(even_count_val2_upto(k_max)):
+    (column,) = certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))
+    for k, ord_k in enumerate(column):
         if k % 2 == 0:
             if ord_k != k:
                 violations.append(

@@ -262,7 +262,9 @@ def _graph_route_terms(n: int):
 
 
 def _graph_count_sum(n: int) -> int:
-    return sum(scale * graph_count(m) for scale, m, _ in _graph_route_terms(n))
+    graph_count(n)  # fills the cache to n, the largest index the terms read
+    counts = _graph_at_one._values
+    return sum(scale * counts[m] for scale, m, _ in _graph_route_terms(n))
 
 
 def involution_count_via_graphs(n: int) -> int:

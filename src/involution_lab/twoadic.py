@@ -15,11 +15,11 @@ Two scans read the residues:
 
 * ``odd_factor_residues`` reads beta(n) mod 2**s from t(n) mod 2**K, with K
   sized by the proven exponent of t(n), into an array of machine words;
-* ``valuation_columns`` (the four columns of the valuation table) and
-  ``even_count_val2_upto`` (the even count at n = 4k + 1, for the digit fit)
-  read exponents of two through one pass, ``_columns_pass``, run by one
-  doubling driver, ``_certified_columns``.  Each reads only the columns and
-  the indices it reports.
+* ``certified_columns`` reads exponents of two, for the column kinds and the
+  index range its caller asks for, through one pass, ``_columns_pass``,
+  restarted at twice the precision until every cell is certified.  It is
+  the one exponent reader behind ``table``, ``rho`` and the ``verify``
+  parity checks.
 
 Nothing is guessed.  A nonzero residue r of x modulo 2**K gives the exact
 valuation v = val2(x) = val2(r) < K, and the odd part of x modulo
@@ -41,8 +41,7 @@ __all__ = [
     "STEP_CAP",
     "BIT_STEP_CAP",
     "odd_factor_residues",
-    "valuation_columns",
-    "even_count_val2_upto",
+    "certified_columns",
 ]
 
 # Most steps a scan may plan: every scan here refuses a longer window, and
@@ -57,10 +56,10 @@ STEP_CAP = 10**7
 # `period --beta-mod-2s 17`.
 BIT_STEP_CAP = 10**11
 
-# First precision of the exponent columns, in bits above k_max.  The
-# exponents observed up to n = 4k + 3 exceed k by about log2(k), so one pass
-# is the rule; a shortfall costs a restart at twice the precision, never a
-# wrong answer.
+# First precision of the exponent columns, in bits above k, where 4k + r is
+# the last index read.  The exponents observed up to n = 4k + 3 exceed k by
+# about log2(k), so one pass is the rule; a shortfall costs a restart at
+# twice the precision, never a wrong answer.
 _START_MARGIN = 64
 
 # The four exponent columns, each described once: the number it takes the
@@ -151,7 +150,7 @@ def _read_val2(residue: int, bits: int, n: int, halved: int, name: str) -> Valua
 
 
 def _columns_pass(
-    bits: int, kinds: tuple[str, ...], indices: slice
+    bits: int, kinds: tuple[str, ...], indices: range
 ) -> list[list[Valuation]] | None:
     """One pass at precision 2**bits: for each kind, its exponent column at
     the n in ``indices``; None as soon as a cell asks for more precision."""
@@ -168,46 +167,23 @@ def _columns_pass(
     return columns
 
 
-def _certified_columns(
-    k_max: int, kinds: tuple[str, ...], indices: slice
-) -> list[list[Valuation]]:
-    """The doubling driver: run passes from K = k_max + _START_MARGIN,
-    doubling K until every cell is certified.  A window of more than
+def certified_columns(kinds: tuple[str, ...], indices: range) -> list[list[Valuation]]:
+    """Exponent of two in each column of ``kinds`` (keys of COLUMNS) at every
+    n in ``indices``, one list per kind, in the order given.
+
+    t and s are stepped together modulo 2**K, from K = k + _START_MARGIN
+    with 4k + r the last index, doubling K until every cell is certified;
+    see ``_read_val2`` for what a residue certifies.  The zeros are the odd
+    count at n = 0 and 1 and the signed sum at n = 2.  A window of more than
     STEP_CAP steps raises ResourceLimitError before any stepping, and a pass
-    of more than BIT_STEP_CAP bit-steps before that pass."""
+    of more than BIT_STEP_CAP bit-steps before that pass.
+    """
+    if min(indices.start, indices.stop) < 0 or indices.step < 1:
+        raise ValueError("indices must be an increasing range of nonnegative n")
     _refuse_window(indices.stop, "recurrence steps")
-    bits = k_max + _START_MARGIN
+    bits = (indices.stop - 1) // 4 + _START_MARGIN
     while True:
         _refuse_bits(indices.stop, bits, "recurrence steps")
         if (columns := _columns_pass(bits, kinds, indices)) is not None:
             return columns
         bits *= 2
-
-
-def valuation_columns(k_max: int) -> dict[str, list[Valuation]]:
-    """Exponent of two in the count, the signed sum, and the even and odd
-    counts, at every n < 4 * k_max + 4, keyed by "t", "t_signed", "t_even"
-    and "t_odd" and indexed by n.
-
-    t and s are stepped together modulo 2**K; see ``_read_val2`` for what a
-    residue certifies.  The zeros are the odd count at n = 0 and 1 and the
-    signed sum at n = 2.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    kinds = tuple(COLUMNS)
-    columns = _certified_columns(k_max, kinds, slice(0, 4 * k_max + 4, 1))
-    return dict(zip(kinds, columns))
-
-
-def even_count_val2_upto(k_max: int) -> list[Valuation]:
-    """Exponent of two in the even-involution count (t + s)(n) / 2 at every
-    n = 4k + 1 with 0 <= k <= k_max, indexed by k.
-
-    Only this column, and only at these n, is read from t and s stepped
-    together modulo 2**K; see ``_read_val2`` for what a residue certifies.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    (column,) = _certified_columns(k_max, ("t_even",), slice(1, 4 * k_max + 2, 4))
-    return column

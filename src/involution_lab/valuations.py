@@ -8,12 +8,13 @@ r = 0 and the even count at r = 1 have no proven closed form.  Those two
 predictions are reported as None, never guessed; the digit-fitting scanner
 in :mod:`involution_lab.conjecture` consumes the computed column instead.
 
-Computed exponents come along two routes, and both build each column's
-number from t(n) and s(n) by its rule in :data:`twoadic.COLUMNS`.
-``valuation_report`` reads them from the exact counts; it is the oracle
-behind the verification batches.  ``table_rows``, the one table path, reads
-all four columns from :func:`twoadic.valuation_columns`, in memory that
-stays bounded as the table grows, and builds each row with ``table_row``.
+Computed exponents are read from :func:`twoadic.certified_columns`, in
+memory that stays bounded as the range grows: ``table_rows`` reads all four
+columns and builds each row with ``table_row``, and ``column_reports`` reads
+the columns a ``verify`` check asks for.  ``valuation_report`` computes the
+same cells from the exact counts; it is the tests' oracle.  Both routes
+build each column's number from t(n) and s(n) by its rule in
+:data:`twoadic.COLUMNS`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError
 from .sequences import involution_count, involution_val2, signed_involution_count
-from .twoadic import COLUMNS, valuation_columns
+from .twoadic import COLUMNS, certified_columns
 
 __all__ = [
     "chi_odd",
@@ -41,6 +42,7 @@ __all__ = [
     "ValuationReport",
     "REPORT_KINDS",
     "valuation_report",
+    "column_reports",
     "format_valuation",
     "table_fieldnames",
     "table_row",
@@ -177,6 +179,15 @@ def valuation_report(n: int, kind: str) -> ValuationReport:
     return ValuationReport(n, kind, computed, *_prediction(n, kind, computed))
 
 
+def column_reports(kinds: tuple[str, ...], indices: range) -> Iterator[ValuationReport]:
+    """The cells of ``kinds`` at the n in ``indices``, kind by kind and in n
+    order, computed by :func:`twoadic.certified_columns`.  Every cell is
+    certified before this returns; the reports are then built lazily."""
+    columns = certified_columns(kinds, indices)
+    return (ValuationReport(n, kind, computed, *_prediction(n, kind, computed))
+            for kind, column in zip(kinds, columns) for n, computed in zip(indices, column))
+
+
 def format_valuation(v: "Valuation | None") -> str:
     """Serialize a valuation: INFINITY as 'inf', a missing prediction as
     'unknown'."""
@@ -214,6 +225,7 @@ def table_rows(k_max: int) -> Iterator[dict[str, str]]:
     Every computed column is certified before this returns, so a failure
     raises before the first row exists; the rows are then built lazily.
     """
-    columns = valuation_columns(k_max)
-    cells = zip(*(columns[kind] for kind in REPORT_KINDS))
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    cells = zip(*certified_columns(REPORT_KINDS, range(4 * k_max + 4)))
     return (table_row(n, computed) for n, computed in enumerate(cells))

@@ -165,6 +165,8 @@ class TestVerify:
         ("cor53", ("t_even", "t_odd"), "n=6 (t_even): computed 1, predicted 0"),
         ("thm54", ("t_even",), "n=4 (t_even): computed 2, predicted 0"),
         ("thm55", ("t_odd",), "n=1 (t_odd): computed INFINITY, predicted 0"),
+        # The exponent half of thm33 reads its predictions the same way.
+        ("thm33", ("t",), "n=2: val2 of count is 1, closed form 0"),
     ])
     def test_parity_check_names_its_first_counterexample(self, capsys, monkeypatch,
                                                          name, kinds, verdict):

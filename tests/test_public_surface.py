@@ -35,6 +35,10 @@ REMOVED = {
         "odd_product_ratio",  # sequences._graph_route_terms steps the ratio
     ],
     "conjecture": ["even_count_val2"],  # valuation_report(4 * k + 1, "t_even").computed
+    "twoadic": [
+        "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))
+        "even_count_val2_upto",  # certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))
+    ],
 }
 
 # The only underscore names one module of the package reads from another,

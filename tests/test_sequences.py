@@ -154,10 +154,13 @@ class TestGenericRecurrences:
 
     def test_int_routes_build_no_dyadic(self, monkeypatch):
         # Dyadic values live only in polynomials; the int routes build none.
+        # Outside input enters through __init__ and every operation's result
+        # through _normalized, so both are closed.
         def no_poly(self, *args):
             raise AssertionError("BivariatePoly constructed on an int route")
 
         monkeypatch.setattr(BivariatePoly, "__init__", no_poly)
+        monkeypatch.setattr(BivariatePoly, "_normalized", classmethod(no_poly))
         graph = sequences._int_graph_cache(1, 1)
         assert type(graph.get(200)) is int
         for n in range(120):
@@ -219,6 +222,16 @@ class TestGraphFormulas:
             want = [((1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i)
                     for i in range(k + 1)]
             assert sorted(sequences._graph_route_terms(n)) == sorted(want)
+
+    def test_count_sum_reads_its_cache_once(self, monkeypatch):
+        # One cache read per sum, for its largest index, however many terms.
+        want = involution_count(401), odd_factor(403)
+        reads = []
+        real_get = sequences.SequenceCache.get
+        monkeypatch.setattr(sequences.SequenceCache, "get",
+                            lambda cache, n: reads.append(n) or real_get(cache, n))
+        assert (involution_count_via_graphs(401), odd_factor_closed(403)) == want
+        assert reads == [401, 403]
 
     def test_poly_examples(self):
         assert involution_poly_via_graphs(2) == involution_poly(2)

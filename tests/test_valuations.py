@@ -19,10 +19,12 @@ from involution_lab.sequences import (
     signed_involution_count,
 )
 from involution_lab.valuations import (
+    REPORT_KINDS,
     ValuationReport,
     binomial_shift_bound_holds,
     chi_even,
     chi_odd,
+    column_reports,
     even_involution_count,
     even_val2_predicted,
     format_valuation,
@@ -173,6 +175,13 @@ class TestReports:
         rep = valuation_report(0, "t_odd")
         assert rep.computed is INFINITY
         assert rep.predicted is None and not rep.matches
+
+    def test_engine_reports_match_exact_reports(self):
+        # Every kind at every n <= 4 * 300 + 3: the cells the verify checks
+        # read from the 2-adic engine, predictions and verdicts included.
+        n_stop = 4 * 300 + 4
+        want = [valuation_report(n, kind) for kind in REPORT_KINDS for n in range(n_stop)]
+        assert list(column_reports(REPORT_KINDS, range(n_stop))) == want
 
     def test_row_n6(self):
         row = list(table_rows(1))[6]
