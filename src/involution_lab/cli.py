@@ -18,12 +18,13 @@ sets both.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import operator
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from . import checks, conjecture, periodicity, sequences, valuations
 from .algebra import is_prime
@@ -31,16 +32,33 @@ from .errors import ExactnessError, InconclusiveError, ResourceLimitError, Verif
 
 __all__ = ["main", "build_parser"]
 
-# seq --kind: each kind's value at n; only tau reads the prime p.
+def _quotients(numbers: Iterator, divisor: Callable[[int], int]) -> Iterator:
+    # numbers[n] / divisor(n) for n = 0, 1, ..., each exactly: a remainder raises.
+    for n, number in enumerate(numbers):
+        quotient, rem = divmod(number, divisor(n))
+        if rem:
+            raise ExactnessError(f"seq: the value at n={n} is not an integer")
+        yield quotient
+
+
+def _halves(one, op) -> Iterator:
+    # (t(n) op s(n)) / 2: the even (op = +) or odd (op = -) counts.
+    t, s = (sequences.stepped(sequences.removal_step(one, one, y), 2) for y in (one, -one))
+    return _quotients(map(op, t, s), lambda n: 2)
+
+
+# seq --kind: each kind's values from n = 0 on, stepped in the ring of ``one``
+# over the window its recurrence reads (p back, or 8 for graphs); only tau reads p.
 _SEQ_VALUES = {
-    "t": lambda n, p: sequences.involution_count(n),
-    "tau": sequences.pth_root_count,
-    "beta": lambda n, p: sequences.odd_factor(n),
-    "g": lambda n, p: sequences.graph_count(n),
-    "g_alt": lambda n, p: sequences.graph_count_signed(n),
-    "t_signed": lambda n, p: sequences.signed_involution_count(n),
-    "t_even": lambda n, p: valuations.even_involution_count(n),
-    "t_odd": lambda n, p: valuations.odd_involution_count(n),
+    "t": lambda one, p: sequences.stepped(sequences.removal_step(one, one, one), 2),
+    "tau": lambda one, p: sequences.stepped(sequences.removal_step(one, one, one, p), p),
+    "beta": lambda one, p: _quotients(sequences.stepped(sequences.removal_step(one, one, one), 2),
+                                      lambda n: 1 << sequences.involution_val2(n)),
+    "g": lambda one, p: sequences.stepped(sequences.graph_step(one, one, one, one), 8),
+    "g_alt": lambda one, p: sequences.stepped(sequences.graph_step(one, one, -one, 0), 8),
+    "t_signed": lambda one, p: sequences.stepped(sequences.removal_step(one, one, -one), 2),
+    "t_even": lambda one, p: _halves(one, operator.add),
+    "t_odd": lambda one, p: _halves(one, operator.sub),
 }
 _VERIFY_FLAGS = ("p", "n_max", "k_max", "s_max", "m_max")
 # Largest --p accepted: primality is tested by trial division.
@@ -78,23 +96,6 @@ def _check_prime(command: str, p: int | None) -> None:
 
 
 @contextmanager
-def _unlimited_int_digits():
-    # Exact values pass Python's int-to-str digit limit (4300 digits near
-    # t(2990)).  The limit is interpreter-wide, so it is lifted only here and
-    # restored on the way out; Python < 3.10.7 has no limit to lift.
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    old = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-@contextmanager
 def _out_stream(path: str | None):
     if path in (None, "-"):
         yield sys.stdout
@@ -112,9 +113,12 @@ def _emit_rows(args, fieldnames: list[str], rows: Iterable[dict], doc: dict | No
     document, ``doc`` when given and {"rows": [...]} otherwise."""
     with _out_stream(args.output) as fh:
         if args.format == "csv":
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            for fields in chain([fieldnames], ([row[key] for key in fieldnames] for row in rows)):
+                line = ",".join(fields)
+                # Nothing is quoted: a field that would need quotes raises.
+                if line.count(",") >= len(fields) or '"' in line or "\r" in line or "\n" in line:
+                    raise ValueError(f"CSV field needs quoting: {line!r}")
+                fh.write(line + "\n")
         else:
             json.dump({"rows": list(rows)} if doc is None else doc, fh, sort_keys=True)
             fh.write("\n")
@@ -127,11 +131,20 @@ def cmd_seq(args) -> int:
         raise _usage_error("seq: --p only applies to --kind tau")
     _check_prime("seq", args.p)
     p = args.p if args.p is not None else 2
-    value = _SEQ_VALUES[args.kind]
-    # Rows are computed as they are written; an error stops the stream there.
-    with _unlimited_int_digits():
-        rows = ({"n": str(n), "value": str(value(n, p))} for n in range(args.start, args.to + 1))
-        _emit_rows(args, ["n", "value"], rows)
+    import decimal  # only seq loads it
+    # Stepped in the radix it prints.  Numbers stay below 2 n! < 10**(n digits(n) + 1), so none
+    # rounds here and the traps make any rounding raise (at MAX_PREC, inexact is MemoryError).
+    digits = min(args.to * len(str(args.to)) + 1, decimal.MAX_PREC)
+    context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    try:
+        with decimal.localcontext(context):
+            # Rows are computed as they are written; an error stops the stream there.
+            values = islice(_SEQ_VALUES[args.kind](decimal.Decimal(1), p), args.start, args.to + 1)
+            rows = ({"n": str(n), "value": str(v)} for n, v in enumerate(values, args.start))
+            _emit_rows(args, ["n", "value"], rows)
+    except decimal.DecimalException as exc:
+        raise ExactnessError(f"seq: a decimal step was not exact ({type(exc).__name__})") from None
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import count
 from typing import Callable, Iterator
 
 from .algebra import BivariatePoly, is_prime, odd_part
@@ -30,6 +31,9 @@ from .errors import ExactnessError
 __all__ = [
     "SequenceCache",
     "removal_residues",
+    "stepped",
+    "removal_step",
+    "graph_step",
     "involution_count",
     "involution_val2",
     "involution_count_direct",
@@ -70,10 +74,19 @@ class SequenceCache:
         return self._values[n]
 
 
-def _removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
-    # Remove the largest letter: it is a fixed point (weight x) or lies on a
-    # p-cycle with p - 1 of the n - 1 others in any order (weight y).  Any
-    # ring holding one, x and y.
+def stepped(step: Callable, window: int) -> Iterator:
+    """The step's values from n = 0 on, holding only the last ``window``."""
+    values: dict = {}
+    for n in count():
+        values[n] = value = step(n, values)
+        values.pop(n - window, None)
+        yield value
+
+
+def removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
+    """The step of u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p), u(0) = one, in
+    any ring holding one, x and y: remove the largest letter, a fixed point
+    (weight x) or on a p-cycle with p - 1 of the n - 1 others (weight y)."""
     def step(n: int, values: list):
         if n < p:
             return x * values[n - 1] if n else one
@@ -110,8 +123,8 @@ def _removal_residues(m: int, y: int) -> Iterator[int]:
         yield curr
 
 
-_t_cache = SequenceCache(_removal_step(1, 1, 1))
-_signed_cache = SequenceCache(_removal_step(1, 1, -1))
+_t_cache = SequenceCache(removal_step(1, 1, 1))
+_signed_cache = SequenceCache(removal_step(1, 1, -1))
 
 
 def involution_count(n: int) -> int:
@@ -166,14 +179,14 @@ def pth_root_count(n: int, p: int) -> int:
     with _tau_lock:
         cache = _tau_caches.get(p)
         if cache is None:
-            cache = _tau_caches[p] = SequenceCache(_removal_step(1, 1, 1, p))
+            cache = _tau_caches[p] = SequenceCache(removal_step(1, 1, 1, p))
     return cache.get(n)
 
 
 _X = BivariatePoly.monomial(1, 0)
 _Y = BivariatePoly.monomial(0, 1)
 _HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
-_t_poly_cache = SequenceCache(_removal_step(BivariatePoly.one(), _X, _Y))
+_t_poly_cache = SequenceCache(removal_step(BivariatePoly.one(), _X, _Y))
 
 
 def involution_poly(n: int) -> BivariatePoly:
@@ -183,9 +196,9 @@ def involution_poly(n: int) -> BivariatePoly:
     return _t_poly_cache.get(n)
 
 
-def _graph_step(one, x, y, half) -> Callable[[int, list], object]:
-    # Weight sum over the doubled-edge-free graphs, with half = (x**2 + y)/2
-    # taken from the ring.  Any ring holding one, x, y and half.
+def graph_step(one, x, y, half) -> Callable[[int, list], object]:
+    """The step of the weight sum over the doubled-edge-free graphs, in any
+    ring holding one, x, y and half = (x**2 + y)/2."""
     xy = x * y
     yy = y * y
     yyyy = yy * yy
@@ -212,10 +225,10 @@ def _int_graph_cache(x: int, y: int) -> SequenceCache:
     half, odd = divmod(x * x + y, 2)
     if odd:
         raise ExactnessError(f"(x^2 + y)/2 is not an integer at x={x}, y={y}")
-    return SequenceCache(_graph_step(1, x, y, half))
+    return SequenceCache(graph_step(1, x, y, half))
 
 
-_graph_poly_cache = SequenceCache(_graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y))
+_graph_poly_cache = SequenceCache(graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y))
 _graph_at_one = _int_graph_cache(1, 1)
 _graph_at_minus_one = _int_graph_cache(1, -1)
 

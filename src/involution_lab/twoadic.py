@@ -30,7 +30,7 @@ precision.
 from __future__ import annotations
 
 from array import array
-from itertools import islice
+from itertools import islice, repeat
 
 from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError
@@ -157,7 +157,10 @@ def _columns_pass(
     mask = (1 << bits) - 1
     readers = [COLUMNS[kind] for kind in kinds]
     columns: list[list[Valuation]] = [[] for _ in kinds]
-    steps = enumerate(zip(removal_residues(mask + 1, 1), removal_residues(mask + 1, -1)))
+    # A stream that no rule weighs (by its value at t = 1 or at s = 1) is not stepped.
+    streams = (removal_residues(mask + 1, y) if any(rule(*unit) for rule, _, _ in readers)
+               else repeat(0) for y, unit in ((1, (1, 0)), (-1, (0, 1))))
+    steps = enumerate(zip(*streams))
     for n, (t, signed) in islice(steps, indices.start, indices.stop, indices.step):
         for column, (residue_of, halved, name) in zip(columns, readers):
             v = _read_val2(residue_of(t, signed) & mask, bits, n, halved, name)
@@ -171,8 +174,8 @@ def certified_columns(kinds: tuple[str, ...], indices: range) -> list[list[Valua
     """Exponent of two in each column of ``kinds`` (keys of COLUMNS) at every
     n in ``indices``, one list per kind, in the order given.
 
-    t and s are stepped together modulo 2**K, from K = k + _START_MARGIN
-    with 4k + r the last index, doubling K until every cell is certified;
+    t and s, each only if a kind reads it, are stepped modulo 2**K from K =
+    k + _START_MARGIN, 4k + r the last index, doubling K until all certify;
     see ``_read_val2`` for what a residue certifies.  The zeros are the odd
     count at n = 0 and 1 and the signed sum at n = 2.  A window of more than
     STEP_CAP steps raises ResourceLimitError before any stepping, and a pass

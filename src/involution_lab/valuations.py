@@ -198,12 +198,12 @@ def format_valuation(v: "Valuation | None") -> str:
     return str(v)
 
 
+_ORD_KEYS, _PREDICTED_KEYS, _MATCH_KEYS = (
+    tuple(f"{column}_{kind}" for kind in REPORT_KINDS) for column in ("ord", "predicted", "match"))
+
+
 def table_fieldnames() -> list[str]:
-    names = ["n", "k", "r"]
-    names += [f"ord_{kind}" for kind in REPORT_KINDS]
-    names += [f"predicted_{kind}" for kind in REPORT_KINDS]
-    names += [f"match_{kind}" for kind in REPORT_KINDS]
-    return names
+    return ["n", "k", "r", *_ORD_KEYS, *_PREDICTED_KEYS, *_MATCH_KEYS]
 
 
 def table_row(n: int, computed: Sequence[Valuation]) -> dict[str, str]:
@@ -211,11 +211,12 @@ def table_row(n: int, computed: Sequence[Valuation]) -> dict[str, str]:
     exponents at n in REPORT_KINDS order."""
     k, r = divmod(n, 4)
     row: dict[str, str] = {"n": str(n), "k": str(k), "r": str(r)}
-    for kind, value in zip(REPORT_KINDS, computed):
+    cells = zip(REPORT_KINDS, computed, _ORD_KEYS, _PREDICTED_KEYS, _MATCH_KEYS)
+    for kind, value, ord_key, predicted_key, match_key in cells:
         predicted, matches = _prediction(n, kind, value)
-        row[f"ord_{kind}"] = format_valuation(value)
-        row[f"predicted_{kind}"] = format_valuation(predicted)
-        row[f"match_{kind}"] = str(matches).lower()
+        row[ord_key] = format_valuation(value)
+        row[predicted_key] = format_valuation(predicted)
+        row[match_key] = "true" if matches else "false"
     return row
 
 

@@ -328,9 +328,9 @@ class TestKernelFastPaths:
         one = BivariatePoly.one()
         x, y = sequences._X, sequences._Y
         monkeypatch.setattr(sequences, "_t_poly_cache",
-                            SequenceCache(sequences._removal_step(one, x, y)))
+                            SequenceCache(sequences.removal_step(one, x, y)))
         monkeypatch.setattr(sequences, "_graph_poly_cache", SequenceCache(
-            sequences._graph_step(one, x, y, sequences._HALF_X2_PLUS_Y)))
+            sequences.graph_step(one, x, y, sequences._HALF_X2_PLUS_Y)))
         calls = []
         checked_init = BivariatePoly.__init__
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from involution_lab import checks, cli, enumeration, valuations
+from involution_lab import checks, cli, enumeration, sequences, valuations
 from involution_lab.cli import main
 from involution_lab.enumeration import ConstrainedGraph, RefinedClass
 from involution_lab.errors import ExactnessError, ResourceLimitError
@@ -98,16 +98,67 @@ class TestSeq:
         (ExactnessError("broken"), 1), (ResourceLimitError("broken"), 3),
     ])
     def test_rows_are_written_as_they_are_computed(self, capsys, monkeypatch, error, exit_code):
-        def value(n, p):
-            if n == 5:
-                raise error
-            return involution_count(n)
+        real = cli._SEQ_VALUES["t"]
 
-        monkeypatch.setitem(cli._SEQ_VALUES, "t", value)
+        def values(one, p):
+            for n, value in enumerate(real(one, p)):
+                if n == 5:
+                    raise error
+                yield value
+
+        monkeypatch.setitem(cli._SEQ_VALUES, "t", values)
         code, out, err = run(capsys, "seq", "--kind", "t", "--to", "10")
         assert code == exit_code
         assert out == "n,value\n0,1\n1,1\n2,2\n3,4\n4,10\n"
         assert err == "involution-lab: broken\n"
+
+    def test_inexact_step_exits_1(self, capsys, monkeypatch):
+        # t(n) / 3 is inexact at n = 0; the trap stops the stream there.
+        real = cli._SEQ_VALUES["t"]
+        monkeypatch.setitem(cli._SEQ_VALUES, "t", lambda one, p: (v / 3 for v in real(one, p)))
+        code, out, err = run(capsys, "seq", "--kind", "t", "--to", "10")
+        assert code == 1
+        assert out == "n,value\n"
+        assert err == "involution-lab: seq: a decimal step was not exact (Inexact)\n"
+
+    def test_quotient_with_remainder_exits_1(self, capsys, monkeypatch):
+        # One factor of two too many at n = 3: t(3) = 4 over 2**3.
+        real = sequences.involution_val2
+        monkeypatch.setattr(sequences, "involution_val2", lambda n: real(n) + (n == 3))
+        code, out, err = run(capsys, "seq", "--kind", "beta", "--to", "10")
+        assert code == 1
+        assert out == "n,value\n0,1\n1,1\n2,1\n"
+        assert err == "involution-lab: seq: the value at n=3 is not an integer\n"
+
+    def test_large_prefix_stays_small_and_fast(self):
+        # A fresh interpreter, so the time and peak RSS are this run's alone.
+        # The int route took 22.6 s and 55 MB here; the stdout is 84 MB.
+        script = (
+            "import hashlib, resource, subprocess, sys, time\n"
+            "start = time.perf_counter()\n"
+            "proc = subprocess.Popen([sys.executable, '-m', 'involution_lab.cli', 'seq',\n"
+            "                         '--kind', 't', '--to', '10000'], stdout=subprocess.PIPE)\n"
+            "digest = hashlib.sha256()\n"
+            "for chunk in iter(lambda: proc.stdout.read(1 << 16), b''):\n"
+            "    digest.update(chunk)\n"
+            "code = proc.wait()\n"
+            "print(code, time.perf_counter() - start, digest.hexdigest(),\n"
+            "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, seconds, digest, peak_kb = proc.stdout.split()
+        assert code == "0"
+        # Recorded from the int route.
+        assert digest == "b35988204fed42018db3b2f9ca4cbd4d24cabddea896eceac27b042932881471"
+        assert float(seconds) < 3
+        assert int(peak_kb) < 30 * 1024
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "seq", "--kind", "g_alt", "--to", "21")
@@ -530,18 +581,31 @@ def test_failing_write_is_usage_error(capsys, argv):
     ]
 
 
+@pytest.mark.parametrize("field", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_csv_field_that_needs_quoting_raises(capsys, field):
+    # Fields are written unquoted, so one that would need quotes is refused
+    # before its line is written.
+    args = cli.build_parser().parse_args(["seq", "--kind", "t", "--to", "1"])
+    rows = [{"n": "0", "value": "1"}, {"n": "1", "value": field}]
+    with pytest.raises(ValueError, match="needs quoting"):
+        cli._emit_rows(args, ["n", "value"], rows)
+    assert capsys.readouterr().out == "n,value\n0,1\n"
+
+
 def test_cli_does_not_import_fractions():
     # fractions pulls in decimal; a fresh interpreter shows what a CLI run
-    # loads, since other tests in this process have imported both.
+    # loads, since other tests in this process have imported all three.
+    # decimal is for seq alone, and csv is never loaded.
     script = (
         "import contextlib, io, json, sys\n"
         "from involution_lab import cli\n"
-        "loaded = [sorted({'fractions', 'decimal'} & set(sys.modules))]\n"
+        "watched = {'fractions', 'decimal', 'csv'}\n"
+        "loaded = [sorted(watched & set(sys.modules))]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['rho', '--k-max', '100'], ['period', '--beta-mod-2s', '8'],\n"
-        "                 ['table', '--k-max', '5']):\n"
+        "                 ['table', '--k-max', '5'], ['seq', '--kind', 'beta', '--to', '9']):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "        loaded.append(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "        loaded.append(sorted(watched & set(sys.modules)))\n"
         "print(json.dumps(loaded))\n"
     )
     proc = subprocess.run(
@@ -552,4 +616,4 @@ def test_cli_does_not_import_fractions():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], [], []]
+    assert json.loads(proc.stdout) == [[], [], [], [], ["decimal"]]

@@ -62,7 +62,7 @@ GATE_COMMANDS = (
         ["table", "--k-max", "30", "--format", "json"],
     ]
     # Past Python's 4,300-digit int-to-str limit (t(n) has 4,564 digits at
-    # n = 3000), so these also pin how seq lifts that limit.
+    # n = 3000), which seq never meets: it prints decimal values.
     + [["seq", "--kind", kind, "--to", "3000"] for kind in ("t_signed", "t_even", "t_odd")]
     + [["seq", "--kind", "t_even", "--to", "3000", "--format", "json"]]
     # t, beta and g to 3000 as well (4,588, 4,362 and 4,137 digits).

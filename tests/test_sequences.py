@@ -146,11 +146,35 @@ class TestGenericRecurrences:
 
     @pytest.mark.parametrize("x, y", [(1, 1), (1, -1), (3, 1), (2, -2), (0, 4)])
     def test_int_instances_match_poly_eval(self, x, y):
-        removal = SequenceCache(sequences._removal_step(1, x, y))
+        removal = SequenceCache(sequences.removal_step(1, x, y))
         graph = sequences._int_graph_cache(x, y)
         for n in range(25):
             assert removal.get(n) == involution_poly(n).evaluate(x, y)
             assert graph.get(n) == graph_poly(n).evaluate(x, y)
+
+    @pytest.mark.parametrize("x, y", [(1, 1), (1, -1), (3, 1), (2, -2)])
+    def test_streams_match_the_caches(self, x, y):
+        removal = sequences.stepped(sequences.removal_step(1, x, y), 2)
+        half = (x * x + y) // 2
+        graph = sequences.stepped(sequences.graph_step(1, x, y, half), 8)
+        cached_removal = SequenceCache(sequences.removal_step(1, x, y))
+        cached_graph = sequences._int_graph_cache(x, y)
+        assert list(islice(removal, 60)) == [cached_removal.get(n) for n in range(60)]
+        assert list(islice(graph, 60)) == [cached_graph.get(n) for n in range(60)]
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_stream_holds_only_its_window(self, p):
+        step = sequences.removal_step(1, 1, 1, p)
+        held = []
+
+        def watched(n, values):
+            held.append(sorted(values))
+            return step(n, values)
+
+        stream = sequences.stepped(watched, p)
+        assert list(islice(stream, 40)) == [pth_root_count(n, p) for n in range(40)]
+        assert held[-1] == list(range(39 - p, 39))
+        assert max(map(len, held)) == p
 
     def test_int_routes_build_no_dyadic(self, monkeypatch):
         # Dyadic values live only in polynomials; the int routes build none.

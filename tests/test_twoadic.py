@@ -182,6 +182,22 @@ class TestValuationColumns:
         with pytest.raises(ValueError, match="increasing"):
             certified_columns(REPORT_KINDS, range(8, 0, -1))
 
+    @pytest.mark.parametrize("kinds, opened", [
+        (("t",), [1]), (("t_signed",), [-1]), (("t", "t_odd"), [1, -1]),
+    ])
+    def test_only_the_streams_a_column_reads_are_stepped(self, monkeypatch, kinds, opened):
+        want = certified_columns(kinds, range(40))
+        real = twoadic.removal_residues
+        streams = []
+
+        def recorded(m, y=1):
+            streams.append(y)
+            return real(m, y)
+
+        monkeypatch.setattr(twoadic, "removal_residues", recorded)
+        assert certified_columns(kinds, range(40)) == want
+        assert streams == opened
+
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
         monkeypatch.setattr(twoadic, "removal_residues", None)
         # 4 * k_max + 4 steps: the largest k_max within the cap is 2499999.
