@@ -6,9 +6,9 @@ columns with predictions), ``verify`` (named identity batches), ``period``
 default or a single JSON document with ``--format json``; identical
 invocations produce identical bytes.
 
-Exit codes: 0 all good, 1 a verification failed or an exact result was
-not exact, 2 usage error, 3 a scan was inconclusive or an enumeration cap
-was exceeded.
+Exit codes: 0 all good, 1 a verification failed, an exact result was not
+exact or the reader closed stdout early, 2 usage error, 3 a scan was
+inconclusive or an enumeration cap was exceeded.
 
 The environment variable ``INVOLUTION_LAB_CAP`` overrides the enumeration
 caps: a single integer sets the permutation cap, a pair ``ROOTS,VERTICES``
@@ -19,32 +19,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from itertools import chain, count, islice
+from typing import Iterable, Iterator
 
-from . import checks, conjecture, periodicity, sequences, valuations
+from . import checks, conjecture, periodicity, sequences, twoadic, valuations
 from .algebra import is_prime
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError, VerificationError
 
 __all__ = ["main", "build_parser"]
 
-def _quotients(numbers: Iterator, divisor: Callable[[int], int]) -> Iterator:
-    # numbers[n] / divisor(n) for n = 0, 1, ..., each exactly: a remainder raises.
-    for n, number in enumerate(numbers):
-        quotient, rem = divmod(number, divisor(n))
-        if rem:
-            raise ExactnessError(f"seq: the value at n={n} is not an integer")
-        yield quotient
-
-
-def _halves(one, op) -> Iterator:
-    # (t(n) op s(n)) / 2: the even (op = +) or odd (op = -) counts.
+def _column(kind: str, one) -> Iterator:
+    # t_even, t_odd: the kind's COLUMNS number from the t and s streams.
     t, s = (sequences.stepped(sequences.removal_step(one, one, y), 2) for y in (one, -one))
-    return _quotients(map(op, t, s), lambda n: 2)
+    return map(partial(twoadic.column_number, kind), count(), t, s)
 
 
 # seq --kind: each kind's values from n = 0 on, stepped in the ring of ``one``
@@ -52,13 +43,13 @@ def _halves(one, op) -> Iterator:
 _SEQ_VALUES = {
     "t": lambda one, p: sequences.stepped(sequences.removal_step(one, one, one), 2),
     "tau": lambda one, p: sequences.stepped(sequences.removal_step(one, one, one, p), p),
-    "beta": lambda one, p: _quotients(sequences.stepped(sequences.removal_step(one, one, one), 2),
-                                      lambda n: 1 << sequences.involution_val2(n)),
+    "beta": lambda one, p: sequences.stepped(
+        lambda n, b: sequences.odd_factor_step(n - 1, b[n - 2], b[n - 1]) if n > 1 else one, 2),
     "g": lambda one, p: sequences.stepped(sequences.graph_step(one, one, one, one), 8),
     "g_alt": lambda one, p: sequences.stepped(sequences.graph_step(one, one, -one, 0), 8),
     "t_signed": lambda one, p: sequences.stepped(sequences.removal_step(one, one, -one), 2),
-    "t_even": lambda one, p: _halves(one, operator.add),
-    "t_odd": lambda one, p: _halves(one, operator.sub),
+    "t_even": lambda one, p: _column("t_even", one),
+    "t_odd": lambda one, p: _column("t_odd", one),
 }
 _VERIFY_FLAGS = ("p", "n_max", "k_max", "s_max", "m_max")
 # Largest --p accepted: primality is tested by trial division.
@@ -300,7 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here at the latest
+        return code
+    except BrokenPipeError:
+        # Stop quietly, with Python's own exit code for EPIPE; the flush at
+        # interpreter exit then writes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ResourceLimitError, InconclusiveError) as exc:
         print(f"involution-lab: {exc}", file=sys.stderr)
         return 3

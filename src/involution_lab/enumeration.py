@@ -176,30 +176,6 @@ def _least_labeled_rotation(labels: list[int]) -> tuple[int, ...]:
     )
 
 
-def _labeled_cycle_counts(pi: Permutation, p: int) -> dict[tuple[int, ...], int]:
-    """One walk over the cycles of pi: each element is labeled as it is
-    visited, the p-th-root check reads the cycle lengths of that same walk,
-    and each labeled cycle is counted as its least rotation."""
-    seen = [False] * (len(pi) + 1)
-    counts: dict[tuple[int, ...], int] = {}
-    for start in range(1, len(pi) + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        labels = [(start - 1) // p + 1]
-        j = pi[start - 1]
-        while j != start:
-            seen[j] = True
-            labels.append((j - 1) // p + 1)
-            j = pi[j - 1]
-        if p % len(labels):
-            raise ValueError("permutation is not a p-th root of the identity")
-        # The walk starts at the least element, so labels[0] is the least label.
-        key = _least_labeled_rotation(labels)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class RefinedClass:
     """Key of a refined equivalence class.
@@ -239,7 +215,12 @@ def _class_from_counts(counts: dict[tuple[int, ...], int], n: int, p: int) -> Re
 
 
 def refined_class(pi: Permutation, p: int) -> RefinedClass:
-    return _class_from_counts(_labeled_cycle_counts(pi, p), len(pi), p)
+    cycles = permutation_cycles(pi)
+    if any(p % len(cycle) for cycle in cycles):
+        raise ValueError("permutation is not a p-th root of the identity")
+    # Each cycle starts at its least element, so its first label is its least.
+    labeled = (_least_labeled_rotation([(x - 1) // p + 1 for x in cycle]) for cycle in cycles)
+    return _class_from_counts(Counter(labeled), len(pi), p)
 
 
 def _class_tally(

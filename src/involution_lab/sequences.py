@@ -312,14 +312,15 @@ def odd_factor_closed(n: int) -> int:
     return beta
 
 
-def odd_factor_step(n: int, prev: int, curr: int) -> int:
-    """Next odd factor from the two before it: for n = 4k + r,
+def odd_factor_step(n: int, prev, curr):
+    """Next odd factor from the two before it, in any ring holding them
+    (ints, or exact Decimals): for n = 4k + r,
 
         beta(n+1) = 2**(h(r)-h(r+1)) beta(n) + 2**(h(r-1)-h(r+1)) n beta(n-1)
 
     with h = involution_val2.  Over the common denominator 2**e the sum must
-    be an integer; if not, the inputs were not genuine consecutive odd
-    factors.
+    be an integer; a remainder raises ExactnessError (the inputs were not
+    genuine consecutive odd factors).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -327,7 +328,7 @@ def odd_factor_step(n: int, prev: int, curr: int) -> int:
     e1 = involution_val2(r) - involution_val2(r + 1)
     e2 = involution_val2(r - 1) - involution_val2(r + 1)
     e = max(-e1, -e2, 0)
-    beta, rem = divmod((curr << (e + e1)) + ((n * prev) << (e + e2)), 1 << e)
+    beta, rem = divmod(curr * (1 << (e + e1)) + n * prev * (1 << (e + e2)), 1 << e)
     if rem:
-        raise ValueError(f"inputs {prev}, {curr} are not consecutive odd factors at n={n}")
+        raise ExactnessError(f"inputs {prev}, {curr} are not consecutive odd factors at n={n}")
     return beta

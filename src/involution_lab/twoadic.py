@@ -38,6 +38,7 @@ from .sequences import involution_val2, removal_residues
 
 __all__ = [
     "COLUMNS",
+    "column_number",
     "STEP_CAP",
     "BIT_STEP_CAP",
     "odd_factor_residues",
@@ -73,6 +74,17 @@ COLUMNS = {
     "t_even": (lambda t, s: t + s, 1, "count + signed sum"),
     "t_odd": (lambda t, s: t - s, 1, "count - signed sum"),
 }
+
+
+def column_number(kind: str, n: int, t, s):
+    """The number of column ``kind`` at n, exactly, from t(n) and s(n) in any
+    ring (ints, or exact Decimals): its COLUMNS rule, halved where the rule
+    says so.  An odd number where it must be halved raises ExactnessError."""
+    number_of, halved, name = COLUMNS[kind]
+    number, odd = divmod(number_of(t, s), 1 << halved)
+    if odd:
+        raise ExactnessError(f"{name} is odd at n={n}")
+    return number
 
 
 def _residue_array(m: int) -> array:

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import INFINITY, Valuation, val2
-from .errors import ExactnessError
 from .sequences import involution_count, involution_val2, signed_involution_count
-from .twoadic import COLUMNS, certified_columns
+from .twoadic import COLUMNS, certified_columns, column_number
 
 __all__ = [
     "chi_odd",
@@ -96,18 +95,13 @@ def signed_val2_predicted(n: int) -> Valuation:
 
 
 def _exact_count(n: int, kind: str) -> int:
-    """The number of column ``kind`` at n, exactly: its COLUMNS rule applied
-    to the exact count and signed sum, halved where the rule says so.  An
-    odd number where it must be halved raises ExactnessError, with the text
-    the residue engine uses.  Every rule is linear in (t, s), so a sequence
-    it weighs by zero is not computed."""
-    number_of, halved, name = COLUMNS[kind]
+    """The number of column ``kind`` at n, exactly, by
+    :func:`twoadic.column_number`.  Every COLUMNS rule is linear in (t, s),
+    so a sequence it weighs by zero is not computed."""
+    number_of = COLUMNS[kind][0]
     t = involution_count(n) if number_of(1, 0) else 0
     s = signed_involution_count(n) if number_of(0, 1) else 0
-    number = number_of(t, s)
-    if number & halved:
-        raise ExactnessError(f"{name} is odd at n={n}")
-    return number >> halved
+    return column_number(kind, n, t, s)
 
 
 def even_involution_count(n: int) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from involution_lab import checks, cli, enumeration, sequences, valuations
+from involution_lab import checks, cli, enumeration, sequences, twoadic, valuations
 from involution_lab.cli import main
 from involution_lab.enumeration import ConstrainedGraph, RefinedClass
 from involution_lab.errors import ExactnessError, ResourceLimitError
@@ -122,22 +122,52 @@ class TestSeq:
         assert err == "involution-lab: seq: a decimal step was not exact (Inexact)\n"
 
     def test_quotient_with_remainder_exits_1(self, capsys, monkeypatch):
-        # One factor of two too many at n = 3: t(3) = 4 over 2**3.
+        # One factor of two too many at n = 3: the step from n = 2 to 3
+        # divides 2 beta(2) + 2 beta(1) = 4 by 2**3.
         real = sequences.involution_val2
         monkeypatch.setattr(sequences, "involution_val2", lambda n: real(n) + (n == 3))
         code, out, err = run(capsys, "seq", "--kind", "beta", "--to", "10")
         assert code == 1
         assert out == "n,value\n0,1\n1,1\n2,1\n"
-        assert err == "involution-lab: seq: the value at n=3 is not an integer\n"
+        assert err == "involution-lab: inputs 1, 1 are not consecutive odd factors at n=2\n"
 
-    def test_large_prefix_stays_small_and_fast(self):
+    @pytest.mark.parametrize("kind, value", [
+        ("t", involution_count), ("t_signed", sequences.signed_involution_count),
+        ("t_even", valuations.even_involution_count), ("t_odd", valuations.odd_involution_count),
+        ("beta", odd_factor), ("g", sequences.graph_count), ("g_alt", sequences.graph_count_signed),
+        ("tau --p 2", lambda n: sequences.pth_root_count(n, 2)),
+        ("tau --p 3", lambda n: sequences.pth_root_count(n, 3)),
+        ("tau --p 5", lambda n: sequences.pth_root_count(n, 5)),
+    ])
+    def test_every_kind_matches_the_library(self, capsys, kind, value):
+        code, out, _ = run(capsys, "seq", "--kind", *kind.split(), "--to", "300")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{n},{value(n)}" for n in range(301)]
+
+    @pytest.mark.parametrize("kind", ["t_even", "t_odd"])
+    def test_halves_read_the_one_column_rule(self, capsys, monkeypatch, kind):
+        # An odd number to halve from n = 3 on, by the rule in twoadic.COLUMNS.
+        number_of, halved, name = twoadic.COLUMNS[kind]
+        monkeypatch.setitem(twoadic.COLUMNS, kind, (lambda t, s: number_of(t, s) + (t > 2), halved, name))
+        code, out, err = run(capsys, "seq", "--kind", kind, "--to", "10")
+        assert code == 1
+        assert out.splitlines() == ["n,value"] + [f"{n},{valuations._exact_count(n, kind)}"
+                                                  for n in range(3)]
+        assert err == f"involution-lab: {name} is odd at n=3\n"
+
+    # Recorded from the int routes; the stdouts are 84 and 80 MB.
+    @pytest.mark.parametrize("kind, sha256", [
+        ("t", "b35988204fed42018db3b2f9ca4cbd4d24cabddea896eceac27b042932881471"),
+        ("beta", "3731b34fd4ad3214eee3c3c5d21cfdff6c7b06af78d0728f3d92a02b9bded91c"),
+    ], ids=["t", "beta"])
+    def test_large_prefix_stays_small_and_fast(self, kind, sha256):
         # A fresh interpreter, so the time and peak RSS are this run's alone.
-        # The int route took 22.6 s and 55 MB here; the stdout is 84 MB.
+        # The int route took 22.6 s and 55 MB for t on a 2-vCPU host.
         script = (
             "import hashlib, resource, subprocess, sys, time\n"
             "start = time.perf_counter()\n"
             "proc = subprocess.Popen([sys.executable, '-m', 'involution_lab.cli', 'seq',\n"
-            "                         '--kind', 't', '--to', '10000'], stdout=subprocess.PIPE)\n"
+            f"                         '--kind', {kind!r}, '--to', '10000'], stdout=subprocess.PIPE)\n"
             "digest = hashlib.sha256()\n"
             "for chunk in iter(lambda: proc.stdout.read(1 << 16), b''):\n"
             "    digest.update(chunk)\n"
@@ -155,10 +185,24 @@ class TestSeq:
         assert proc.returncode == 0, proc.stderr
         code, seconds, digest, peak_kb = proc.stdout.split()
         assert code == "0"
-        # Recorded from the int route.
-        assert digest == "b35988204fed42018db3b2f9ca4cbd4d24cabddea896eceac27b042932881471"
+        assert digest == sha256
         assert float(seconds) < 3
         assert int(peak_kb) < 30 * 1024
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader stops after three lines; the writer must not trace back.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "involution_lab.cli", "seq", "--kind", "t", "--to", "100000"],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert lines == [b"n,value\n", b"0,1\n", b"1,1\n"]
+        assert err == b""
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "seq", "--kind", "g_alt", "--to", "21")

@@ -35,6 +35,8 @@ REMOVED = {
         "odd_product_ratio",  # sequences._graph_route_terms steps the ratio
     ],
     "conjecture": ["even_count_val2"],  # valuation_report(4 * k + 1, "t_even").computed
+    "cli": ["_quotients", "_halves"],  # sequences.odd_factor_step, twoadic.column_number
+    "enumeration": ["_labeled_cycle_counts"],  # permutation_cycles, _least_labeled_rotation
     "twoadic": [
         "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))
         "even_count_val2_upto",  # certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))

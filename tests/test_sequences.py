@@ -4,6 +4,8 @@ misprinted reference cells pinned to their recurrence-confirmed values).
 """
 
 import math
+import threading
+import time
 from itertools import islice
 
 import pytest
@@ -301,7 +303,7 @@ class TestOddFactor:
             prev, curr = curr, nxt
 
     def test_step_rejects_fake_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExactnessError):
             odd_factor_step(5, 4, 13)  # beta(4) is 5, not 4
         with pytest.raises(ValueError):
             odd_factor_step(0, 1, 1)
@@ -330,7 +332,55 @@ class TestSequenceCache:
         with pytest.raises(ValueError):
             cache.get(-1)
 
+    def test_threads_extend_one_cache_as_one_thread_does(self):
+        step = sequences.removal_step(1, 1, 1)
+
+        def yielding_step(n, values):
+            time.sleep(0)  # hand the interpreter to another thread mid-extension
+            return step(n, values)
+
+        cache = SequenceCache(yielding_step)
+        _in_four_threads(lambda: [cache.get(n) for n in range(0, 301, 7)] + [cache.get(300)])
+        alone = SequenceCache(step)
+        assert cache._values == [alone.get(n) for n in range(301)]
+
+    def test_threads_share_one_root_cache_per_p(self, monkeypatch):
+        made = []
+
+        class CountedCache(SequenceCache):
+            def __init__(self, step):
+                made.append(self)
+                time.sleep(0)  # widen the window between lookup and insert
+                super().__init__(step)
+
+        monkeypatch.setattr(sequences, "SequenceCache", CountedCache)
+        monkeypatch.setattr(sequences, "_tau_caches", dict(sequences._tau_caches))
+        assert 13 not in sequences._tau_caches
+        _in_four_threads(lambda: pth_root_count(40, 13))
+        assert made == [sequences._tau_caches[13]]
+
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=30, deadline=None)
     def test_count_prefix_consistency_sampled(self, n):
         assert involution_count_direct(n) == involution_count(n)
+
+
+def _in_four_threads(work):
+    """Run ``work`` in four threads released together; fail on any error."""
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def run():
+        try:
+            barrier.wait(timeout=30)
+            work()
+        except Exception as exc:  # reported by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
