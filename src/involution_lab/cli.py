@@ -18,7 +18,6 @@ sets both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -111,6 +110,7 @@ def _emit_rows(args, fieldnames: list[str], rows: Iterable[dict], doc: dict | No
                     raise ValueError(f"CSV field needs quoting: {line!r}")
                 fh.write(line + "\n")
         else:
+            import json  # only JSON output loads it
             json.dump({"rows": list(rows)} if doc is None else doc, fh, sort_keys=True)
             fh.write("\n")
 

@@ -19,7 +19,7 @@ of asserting anything it did not observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import val2
 from .twoadic import certified_columns
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     k: int
     kind: str
     message: str
@@ -41,8 +40,7 @@ class Violation:
         return {"k": self.k, "kind": self.kind, "message": self.message}
 
 
-@dataclass(frozen=True)
-class TwoAdicPrefix:
+class TwoAdicPrefix(NamedTuple):
     """Digit prefix of the fitted 2-adic shift.
 
     ``digits`` lists bits rho_0, rho_1, ... up to the smaller of the bit

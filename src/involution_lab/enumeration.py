@@ -30,8 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import BivariatePoly, is_prime
 from .errors import ExactnessError, ResourceLimitError
@@ -176,8 +175,7 @@ def _least_labeled_rotation(labels: list[int]) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class RefinedClass:
+class RefinedClass(NamedTuple):
     """Key of a refined equivalence class.
 
     ``bag`` holds the block labels whose block is used up entirely by one
@@ -304,8 +302,7 @@ def class_size(cls: RefinedClass, p: int, n: int) -> int:
     return size
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ConstrainedGraph:
+class ConstrainedGraph(NamedTuple):
     """Loopless multigraph on labeled vertices with max degree two, edge
     multiplicity at most two, and (when the vertex count came from an odd n)
     degree at most one on the last vertex.  Edges are (a, b, multiplicity)

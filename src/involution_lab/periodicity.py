@@ -36,9 +36,8 @@ the counts mod m, and inside ``odd_factor_period`` for the odd factors.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import val2
 from .errors import InconclusiveError, VerificationError
@@ -55,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Minimal preperiod and period of an examined window, with witnesses.
 
     ``rejected_divisors`` holds one (candidate, index) pair per proper
@@ -239,6 +237,8 @@ def odd_factor_shift_congruence(s: int, n_max: int) -> bool:
     """Check beta(n + 2**(s+1)) = beta(n) modulo 2**s for all n <= n_max."""
     if s < 3:
         raise ValueError("s must be at least 3")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     shift = 1 << (s + 1)
     vals = odd_factor_residues(s, n_max + shift + 1)
     return all(vals[n + shift] == vals[n] for n in range(n_max + 1))

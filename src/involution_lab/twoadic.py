@@ -76,11 +76,18 @@ COLUMNS = {
 }
 
 
+def _rule(kind: str) -> tuple:
+    try:
+        return COLUMNS[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
+
+
 def column_number(kind: str, n: int, t, s):
     """The number of column ``kind`` at n, exactly, from t(n) and s(n) in any
     ring (ints, or exact Decimals): its COLUMNS rule, halved where the rule
     says so.  An odd number where it must be halved raises ExactnessError."""
-    number_of, halved, name = COLUMNS[kind]
+    number_of, halved, name = _rule(kind)
     number, odd = divmod(number_of(t, s), 1 << halved)
     if odd:
         raise ExactnessError(f"{name} is odd at n={n}")
@@ -162,13 +169,12 @@ def _read_val2(residue: int, bits: int, n: int, halved: int, name: str) -> Valua
 
 
 def _columns_pass(
-    bits: int, kinds: tuple[str, ...], indices: range
+    bits: int, readers: list[tuple], indices: range
 ) -> list[list[Valuation]] | None:
-    """One pass at precision 2**bits: for each kind, its exponent column at
+    """One pass at precision 2**bits: each COLUMNS rule's exponent column at
     the n in ``indices``; None as soon as a cell asks for more precision."""
     mask = (1 << bits) - 1
-    readers = [COLUMNS[kind] for kind in kinds]
-    columns: list[list[Valuation]] = [[] for _ in kinds]
+    columns: list[list[Valuation]] = [[] for _ in readers]
     # A stream that no rule weighs (by its value at t = 1 or at s = 1) is not stepped.
     streams = (removal_residues(mask + 1, y) if any(rule(*unit) for rule, _, _ in readers)
                else repeat(0) for y, unit in ((1, (1, 0)), (-1, (0, 1))))
@@ -189,16 +195,17 @@ def certified_columns(kinds: tuple[str, ...], indices: range) -> list[list[Valua
     t and s, each only if a kind reads it, are stepped modulo 2**K from K =
     k + _START_MARGIN, 4k + r the last index, doubling K until all certify;
     see ``_read_val2`` for what a residue certifies.  The zeros are the odd
-    count at n = 0 and 1 and the signed sum at n = 2.  A window of more than
-    STEP_CAP steps raises ResourceLimitError before any stepping, and a pass
-    of more than BIT_STEP_CAP bit-steps before that pass.
+    count at n = 0 and 1 and the signed sum at n = 2.  An unknown kind raises
+    ValueError, and a window over STEP_CAP steps ResourceLimitError, before any
+    stepping; a pass over BIT_STEP_CAP bit-steps raises it before that pass.
     """
     if min(indices.start, indices.stop) < 0 or indices.step < 1:
         raise ValueError("indices must be an increasing range of nonnegative n")
+    readers = [_rule(kind) for kind in kinds]
     _refuse_window(indices.stop, "recurrence steps")
     bits = (indices.stop - 1) // 4 + _START_MARGIN
     while True:
         _refuse_bits(indices.stop, bits, "recurrence steps")
-        if (columns := _columns_pass(bits, kinds, indices)) is not None:
+        if (columns := _columns_pass(bits, readers, indices)) is not None:
             return columns
         bits *= 2

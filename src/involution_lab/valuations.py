@@ -20,8 +20,7 @@ build each column's number from t(n) and s(n) by its rule in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import INFINITY, Valuation, val2
 from .sequences import involution_count, involution_val2, signed_involution_count
@@ -137,8 +136,7 @@ def odd_val2_predicted(n: int) -> Valuation | None:
     return k
 
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     """One computed-versus-predicted valuation cell."""
 
     n: int

@@ -1,6 +1,7 @@
 """Command-line contract tests: output shapes, determinism, and the exit
 code protocol (0 pass, 1 verification failure, 2 usage, 3 inconclusive)."""
 
+import ast
 import json
 import os
 import subprocess
@@ -637,20 +638,23 @@ def test_csv_field_that_needs_quoting_raises(capsys, field):
 
 
 def test_cli_does_not_import_fractions():
-    # fractions pulls in decimal; a fresh interpreter shows what a CLI run
-    # loads, since other tests in this process have imported all three.
-    # decimal is for seq alone, and csv is never loaded.
+    # fractions pulls in decimal, and dataclasses pulls in inspect; a fresh
+    # interpreter shows what a CLI run loads, since other tests in this
+    # process have imported them all.  Start-up and the CSV commands load
+    # none of them, JSON output (rho) loads json, seq loads decimal, and csv
+    # is never loaded.  The script prints with repr, so it imports no json.
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from involution_lab import cli\n"
-        "watched = {'fractions', 'decimal', 'csv'}\n"
+        "cli.build_parser()\n"
+        "watched = {'fractions', 'decimal', 'csv', 'dataclasses', 'inspect', 'json'}\n"
         "loaded = [sorted(watched & set(sys.modules))]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in (['rho', '--k-max', '100'], ['period', '--beta-mod-2s', '8'],\n"
-        "                 ['table', '--k-max', '5'], ['seq', '--kind', 'beta', '--to', '9']):\n"
+        "    for argv in (['period', '--beta-mod-2s', '8'], ['table', '--k-max', '5'],\n"
+        "                 ['rho', '--k-max', '100'], ['seq', '--kind', 'beta', '--to', '9']):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "        loaded.append(sorted(watched & set(sys.modules)))\n"
-        "print(json.dumps(loaded))\n"
+        "print(repr(loaded))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -660,4 +664,4 @@ def test_cli_does_not_import_fractions():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], [], [], ["decimal"]]
+    assert ast.literal_eval(proc.stdout) == [[], [], [], ["json"], ["decimal", "json"]]

@@ -197,6 +197,11 @@ class TestOddFactorCongruence:
         with pytest.raises(ValueError):
             odd_factor_shift_congruence(2, 10)
 
+    def test_negative_n_max_rejected(self):
+        # n_max = -1 would check no n and pass.
+        with pytest.raises(ValueError, match="n_max"):
+            odd_factor_shift_congruence(3, -1)
+
 
 class TestOddFactorPeriod:
     @pytest.mark.parametrize("s,period", [(3, 16), (4, 32), (5, 64)])

@@ -12,6 +12,10 @@ import pytest
 
 import involution_lab
 from involution_lab import twoadic, valuations
+from involution_lab.conjecture import TwoAdicPrefix, Violation
+from involution_lab.enumeration import ConstrainedGraph, RefinedClass
+from involution_lab.periodicity import PeriodReport
+from involution_lab.valuations import ValuationReport
 
 SRC = Path(involution_lab.__file__).parent
 
@@ -82,6 +86,50 @@ def test_removed_names_are_gone():
     assert not hasattr(involution_lab.algebra.BivariatePoly, "to_json_terms")
     assert not hasattr(involution_lab.algebra.BivariatePoly, "from_json_terms")
     assert not hasattr(involution_lab.sequences.SequenceCache, "prefix")
+
+
+_VIOLATION = Violation(3, "odd_exponent", "count at odd k=3 vanished")
+
+# One worked example of each record type, with its JSON form (None where the
+# type has none).
+RECORDS = [
+    (_VIOLATION, {"k": 3, "kind": "odd_exponent", "message": "count at odd k=3 vanished"}),
+    (TwoAdicPrefix(9, 4, (1, 1, 0), 3, (_VIOLATION,)),
+     {"k_max": 9, "bit_budget": 4, "digits": [1, 1, 0], "undetermined_from": 3,
+      "violations": [_VIOLATION.to_json_obj()]}),
+    (RefinedClass((1,), (((2,), 1),)), {"bag": [1], "cycles": [[[2], 1]]}),
+    (ConstrainedGraph(3, ((1, 2, 2), (2, 3, 1))), {"vertices": 3, "edges": [[1, 2, 2], [2, 3, 1]]}),
+    (PeriodReport(8, 2, 4, 12, ((1, 2), (2, 3)), 1),
+     {"modulus": 8, "preperiod": 2, "period": 4, "window_checked": 12,
+      "witnesses": {"rejected_divisors": [[1, 2], [2, 3]], "preperiod_index": 1}}),
+    (ValuationReport(5, "t", 1, 1, True), None),
+]
+
+
+def _fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+@pytest.mark.parametrize("record, json_obj", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_frozen_hashable_values(record, json_obj):
+    for name in type(record).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    twin = type(record)(*_fields(record))
+    assert twin == record and hash(twin) == hash(record)
+    assert repr(record).startswith(f"{type(record).__name__}(")
+    if json_obj is not None:
+        assert record.to_json_obj() == json_obj
+
+
+@pytest.mark.parametrize("records", [
+    [RefinedClass((2,), ()), RefinedClass((1,), (((2,), 1),)), RefinedClass((), (((1, 1), 2),)),
+     RefinedClass((1,), (((1, 2), 1),))],
+    [ConstrainedGraph(3, ((1, 2, 2),)), ConstrainedGraph(2, ((1, 2, 1),)),
+     ConstrainedGraph(3, ((1, 2, 1), (2, 3, 1))), ConstrainedGraph(3, ())],
+], ids=["RefinedClass", "ConstrainedGraph"])
+def test_keys_sort_by_their_fields(records):
+    assert [_fields(r) for r in sorted(records)] == sorted(_fields(r) for r in records)
 
 
 def test_every_table_lists_the_same_columns():

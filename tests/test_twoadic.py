@@ -182,6 +182,20 @@ class TestValuationColumns:
         with pytest.raises(ValueError, match="increasing"):
             certified_columns(REPORT_KINDS, range(8, 0, -1))
 
+    @pytest.mark.parametrize("call", [
+        lambda: certified_columns(("t", "nope"), range(3)),
+        lambda: twoadic.column_number("nope", 0, 1, 1),
+        lambda: valuations.column_reports(("nope",), range(3)),
+        lambda: valuation_report(3, "nope"),
+    ], ids=["certified_columns", "column_number", "column_reports", "valuation_report"])
+    def test_unknown_kind_is_a_value_error_before_any_step(self, monkeypatch, call):
+        def no_stepping(*args):
+            raise AssertionError("stepped before the kinds were checked")
+
+        monkeypatch.setattr(twoadic, "removal_residues", no_stepping)
+        with pytest.raises(ValueError, match="unknown kind 'nope'"):
+            call()
+
     @pytest.mark.parametrize("kinds, opened", [
         (("t",), [1]), (("t_signed",), [-1]), (("t", "t_odd"), [1, -1]),
     ])
