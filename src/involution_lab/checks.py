@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator
 
 from . import enumeration, periodicity, reference_tables, sequences, valuations
@@ -171,12 +172,14 @@ def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> It
     """Column valuations against their closed forms on n = 4k + r, k <= k_max,
     for r in the ascending ``residues``; for the signed sum (r = 0..3) that is
     every n < 4 k_max + 4, zero case included.  The 2-adic engine reads only
-    these kinds, and only every fourth n when one residue is checked."""
-    step = 4 if len(residues) == 1 else 1
-    indices = range(residues[0], 4 * k_max + residues[-1] + 1, step)
-    for report in valuations.column_reports(kinds, indices):
-        if report.n % 4 not in residues:
-            continue
+    these kinds, in one read of every n when all four residues are checked,
+    else one read of every fourth n per residue, merged back into n order."""
+    reads = ([range(4 * k_max + 4)] if len(residues) == 4 else
+             [range(r, 4 * k_max + r + 1, 4) for r in residues])
+    # The widest read is certified first, so a window over a cap is refused
+    # before any stepping.
+    reports = [valuations.column_reports(kinds, indices) for indices in reversed(reads)]
+    for report in chain.from_iterable(zip(*reversed(reports))):
         if report.predicted is None:
             yield f"n={report.n}: no closed form on this residue class"
         elif not report.matches:

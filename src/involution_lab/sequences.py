@@ -7,9 +7,12 @@ Each recurrence is written once, generic over the ring it runs in:
   exact step gives the involution count at (1, 1), the signed count at
   (1, -1), the involution polynomial at (x, y) and, for a prime p, the
   count of p-th roots of the identity; its residue stream mod m for p = 2,
-  ``removal_residues``, feeds the 2-adic engine and the period scan mod m;
+  ``removal_residues``, feeds the period scan mod m;
 * the degree-and-collapse graph recurrence gives the graph counts at
-  (1, 1) and (1, -1) and the graph polynomial at (x, y).
+  (1, 1) and (1, -1) and the graph polynomial at (x, y); over ints masked
+  to J bits it feeds the 2-adic engine of :mod:`involution_lab.twoadic`,
+  which rests on the graph-route identity (``verify --check thm32`` and
+  ``thm41``) instead of the removal recurrence.
 
 The graph-route closed forms (the count, its odd factor and the polynomial)
 share one term iterator.  Several quantities are computed along two

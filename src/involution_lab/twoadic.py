@@ -1,46 +1,55 @@
-"""Bounded-memory 2-adic engine: the involution counts and the signed sums
-stepped modulo a power of two.
+"""Fixed-width 2-adic engine: exponents of two and odd factors from the
+graph-route series modulo 2**J.
 
-The odd factors modulo 2**s, and the exponents of two in the count t(n), the
-signed sum s(n) and the even and odd counts (t(n) +- s(n)) / 2, only depend
-on low bits of t(n) and s(n).  This module reads them from the removal
-recurrence's residue stream modulo 2**K,
-:func:`involution_lab.sequences.removal_residues` (at y = 1 for t, y = -1
-for s), which keeps only the last two residues, so memory stays O(K) bits
-per step instead of the O(n**2 log n) bits of the exact caches in
-:mod:`involution_lab.sequences`; those caches remain the oracle the tests
-compare against.
+Write n = 4k + r with 0 <= r < 4, f = r // 2 and D(m) = (2m - 1)!!, which is
+odd.  The graph route of the paper (Theorems 3.2 and 4.1, checked by
+``verify --check thm32`` and ``thm41``) gives
 
-Two scans read the residues:
+    t(n) = 2**(k + f) D(k + f) F_r(k),
+    F_r(k) = sum_i C(k, i) a_i,   a_i = 2**i g(4i + r) / D(i + f),
 
-* ``odd_factor_residues`` reads beta(n) mod 2**s from t(n) mod 2**K, with K
-  sized by the proven exponent of t(n), into an array of machine words;
+and the signed sum s(n) the same way with g(1, -1) in place of g = g(1, 1).
+This engine rests on that identity, not on the removal recurrence; the exact
+caches of :mod:`involution_lab.sequences` remain the tests' oracle.
+
+F_r is a Mahler series in k whose coefficient a_i is a multiple of 2**i, so
+F_r(k) mod 2**J needs only the a_i with i < J, that is g(m) mod 2**J for
+m < 4J + 4, stepped by ``sequences.graph_step`` over ints masked to J bits.
+The coefficients are the forward differences of F_r at k = 0.  Their table
+sits in one int, one lane of J + 1 bits per difference, and one step of
+every lane, F_r(k) to F_r(k + 1), is ``(table + (table >> (J + 1))) & lanes``.
+So a scan to n costs O(n) steps on J**2-bit ints, whatever n is.
+
+Two scans read the series:
+
+* ``odd_factor_residues`` reads beta(n) mod 2**s = D(k + f) F_r(k) / 2**[r == 3]
+  from F_r(k) mod 2**(s + 1), into an array of machine words;
 * ``certified_columns`` reads exponents of two, for the column kinds and the
-  index range its caller asks for, through one pass, ``_columns_pass``,
-  restarted at twice the precision until every cell is certified.  It is
-  the one exponent reader behind ``table``, ``rho`` and the ``verify``
-  parity checks.
+  index range its caller asks for, through one pass, ``_columns_pass``, from
+  J = _START_BITS on, restarted at twice the precision until every cell is
+  certified.  It is the one exponent reader behind ``table``, ``rho`` and the
+  ``verify`` parity checks.
 
-Nothing is guessed.  A nonzero residue r of x modulo 2**K gives the exact
-valuation v = val2(x) = val2(r) < K, and the odd part of x modulo
-2**(K - v).  Whatever a residue does not certify raises, or asks for more
-precision.
+Nothing is guessed.  A nonzero residue of F_r(k) modulo 2**J gives its exact
+exponent, below J, and so the exponent of t(n), of s(n) or of t(n) +- s(n).
+Whatever a residue does not certify raises, or asks for more precision.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import islice, repeat
 
 from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError
-from .sequences import involution_val2, removal_residues
+from .sequences import graph_step
 
 __all__ = [
     "COLUMNS",
     "column_number",
     "STEP_CAP",
-    "BIT_STEP_CAP",
+    "CELL_CAP",
     "odd_factor_residues",
     "certified_columns",
 ]
@@ -49,25 +58,28 @@ __all__ = [
 # it is the ceiling of the default state cap of the period scan mod m.
 STEP_CAP = 10**7
 
-# Most bit-steps (steps times the bits of each residue) one pass may plan.
-# A step on K-bit residues costs time in proportion to K, so STEP_CAP alone
-# does not bound a scan's time.  `rho --k-max 100000` plans 4.0 * 10**10 and
-# `period --beta-mod-2s 16` 3.9 * 10**10, and each runs in under 20 s on a
-# 2-vCPU host; the cap refuses passes a few times longer, such as
-# `period --beta-mod-2s 17`.
-BIT_STEP_CAP = 10**11
+# Most cells (kinds times indices) one read of exponent columns may return.
+# They are held in lists of ints, about 36 bytes a cell, so the cap bounds a
+# read near 110 MB.  It takes `table --k-max 158081` (2,529,312 cells, the
+# largest window of the residue engine this one replaced) and refuses
+# `table --k-max 2000000`, 32 million cells, at once.
+CELL_CAP = 3 * 10**6
 
-# First precision of the exponent columns, in bits above k, where 4k + r is
-# the last index read.  The exponents observed up to n = 4k + 3 exceed k by
-# about log2(k), so one pass is the rule; a shortfall costs a restart at
-# twice the precision, never a wrong answer.
-_START_MARGIN = 64
+# First precision of the exponent columns, in bits of F_r(k).  The largest
+# exponent of F_r(k) seen is 22 (the even count at n = 4k + 1, k <= 600000;
+# 17 over all four columns at n < 80004), so one pass is the rule; a
+# shortfall costs a restart at twice the precision, never a wrong answer.
+# No pass is planned above _MAX_BITS, whose table of differences holds
+# 512 * 513 bits.
+_START_BITS = 64
+_MAX_BITS = 512
 
 # The four exponent columns, each described once: the number it takes the
-# exponent of, built from the pair (t(n), s(n)) (exact integers, or residues
-# mod 2**K); 1 when the column is half that number, else 0; and the number's
-# name for errors.  The residue passes here and the exact oracle in
-# :mod:`involution_lab.valuations` both read this table.
+# exponent of, built from the pair (t(n), s(n)); 1 when the column is half
+# that number, else 0; and the number's name for errors.  Every rule is
+# linear, so the series here apply it to (F_r, F'_r), or to (g, g') term by
+# term, mod 2**J, and the exact oracle in :mod:`involution_lab.valuations`
+# to the exact counts.
 COLUMNS = {
     "t": (lambda t, s: t, 0, "count"),
     "t_signed": (lambda t, s: s, 0, "signed sum"),
@@ -109,25 +121,53 @@ def _refuse_window(count: int, what: str) -> None:
         )
 
 
-def _refuse_bits(count: int, bits: int, what: str) -> None:
-    if count * bits > BIT_STEP_CAP:
-        raise ResourceLimitError(
-            f"{count} {what} on {bits}-bit residues asked for, more than the "
-            f"cap of {BIT_STEP_CAP} bit-steps"
-        )
+def _graph_residues(y: int, bits: int) -> list[int]:
+    """g(m, y) mod 2**bits for m < 4 bits + 4, y = 1 or -1: the graph
+    recurrence of :func:`sequences.graph_step` over ints masked to bits."""
+    mask = (1 << bits) - 1
+    step = graph_step(1, 1, y, (1 + y) // 2)
+    values: list[int] = []
+    for m in range(4 * bits + 4):
+        values.append(step(m, values) & mask)
+    return values
+
+
+def _series_values(numbers: list[int], r: int, bits: int):
+    """F(0), F(1), ... mod 2**bits for the Mahler series
+    F(k) = sum_i C(k, i) 2**i numbers[4i + r] / D(i + r // 2).
+
+    Terms from i = bits on vanish mod 2**bits, so lane i < bits of
+    ``table`` holds the i-th forward difference at k, with a spare top bit
+    for the carry, which the mask clears; the differences at k = 0 are the
+    coefficients.  The inverses of D are stepped down from one ``pow``."""
+    modulus, width, f = 1 << bits, bits + 1, r // 2
+    inverse = pow(math.prod(range(1, 2 * (f + bits) - 2, 2)), -1, modulus)
+    table = 0
+    for i in range(bits - 1, -1, -1):  # inverse = 1 / D(i + f)
+        table |= ((numbers[4 * i + r] << i) * inverse % modulus) << (i * width)
+        inverse = inverse * (2 * (i + f) - 1) % modulus
+    low = modulus - 1
+    lanes = low * (((1 << width * bits) - 1) // ((1 << width) - 1))
+    while True:
+        yield table & low
+        table = (table + (table >> width)) & lanes
+
+
+def _at(numbers: list[int], ns: range, bits: int):
+    """The series of ``_series_values`` at the n = 4k + r in ``ns``, a
+    nonempty range inside one residue class r mod 4."""
+    series = _series_values(numbers, ns.start % 4, bits)
+    return islice(series, ns.start // 4, ns[-1] // 4 + 1, ns.step // 4)
 
 
 def odd_factor_residues(s: int, count: int) -> array:
-    """beta(n) mod 2**s for 0 <= n < count, from t(n) mod 2**K, in an array
-    of the narrowest machine word that holds them.
+    """beta(n) mod 2**s for 0 <= n < count, in an array of the narrowest
+    machine word that holds them.
 
-    Precision rule: with h(n) = involution_val2(n), beta(n) mod 2**s is
-    fixed by t(n) mod 2**(s + h(n)), so K = s + max h(n) + 2 over the window.
-    Certification rule: h only sizes K.  At each n the valuation v of the
-    residue is read, not assumed; the residue shifted right by v is beta(n)
-    mod 2**(K - v).  A zero residue, or v + s > K, raises InconclusiveError.
-    A count above STEP_CAP, or more than BIT_STEP_CAP bit-steps, raises
-    ResourceLimitError before any stepping.
+    With n = 4k + r, beta(n) = D(k + f) F_r(k) / 2**[r == 3], so F_r(k) mod
+    2**(s + 1) fixes it.  The exponent of F_r(k) is read, not assumed: a
+    residue whose exponent is not [r == 3] raises InconclusiveError.  A
+    count above STEP_CAP raises ResourceLimitError before any stepping.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -135,34 +175,43 @@ def odd_factor_residues(s: int, count: int) -> array:
     out = _residue_array(1 << s)
     if count <= 0:
         return out
-    # h(n + 4) = h(n) + 1, so the window's maximum is among its last four.
-    bits = s + max(involution_val2(n) for n in range(max(count - 4, 0), count)) + 2
-    _refuse_bits(count, bits, "odd factors")
+    out.frombytes(bytes(count * out.itemsize))
+    bits = s + 1
     mask = (1 << s) - 1
-    for n, residue in enumerate(islice(removal_residues(1 << bits), count)):
-        v = val2(residue)
-        if v is INFINITY or v + s > bits:
-            raise InconclusiveError(
-                f"t({n}) mod 2**{bits} does not determine beta({n}) mod 2**{s}"
-            )
-        out.append((residue >> v) & mask)
+    numbers = _graph_residues(1, bits)
+    for r in range(min(count, 4)):
+        f, shift = r // 2, int(r == 3)
+        low, want = (2 << shift) - 1, 1 << shift
+        odd = math.prod(range(1, 2 * f, 2))  # D(k + f) mod 2**s, from k = 0
+        column = _residue_array(1 << s)
+        ns = range(r, count, 4)
+        for n, residue in zip(ns, _at(numbers, ns, bits)):
+            if residue & low != want:
+                raise InconclusiveError(
+                    f"F_{r}({n // 4}) mod 2**{bits} does not determine beta({n}) mod 2**{s}"
+                )
+            column.append(odd * (residue >> shift) & mask)
+            odd = odd * (2 * (n // 4 + f) + 1) & mask
+        out[r::4] = column
     return out
 
 
 def _read_val2(residue: int, bits: int, n: int, halved: int, name: str) -> Valuation | None:
-    """Exponent of two in x / 2**halved, from residue = x mod 2**bits, where
-    0 <= |x| <= 2 n! (x is t(n), s(n) or t(n) +- s(n)).
+    """Exponent of two in x / 2**halved, from residue = F mod 2**bits, where
+    x = 2**(k + f) D F with n = 4k + r, f = r // 2 and D odd, and
+    0 <= |F| <= |x| <= 2 n! (x is t(n), s(n) or t(n) +- s(n)).
 
     A nonzero residue gives the exact exponent.  A zero is a true zero, and
     reads INFINITY, once bits >= n * n.bit_length() + 2 exceeds log2(2 n!)
     and makes the residue exact; before that it reads None, asking for more
-    precision.  An odd residue of a halved number breaks its evenness and
-    raises ExactnessError.
+    precision.  An odd x where it must be halved (k + f = 0 and an odd
+    residue) raises ExactnessError.
     """
-    if residue & halved:
+    shift = n // 4 + n % 4 // 2
+    if residue & halved and not shift:
         raise ExactnessError(f"{name} is odd at n={n}")
     if residue:
-        return val2(residue) - halved
+        return shift + val2(residue) - halved
     if bits >= n * n.bit_length() + 2:
         return INFINITY
     return None
@@ -172,19 +221,35 @@ def _columns_pass(
     bits: int, readers: list[tuple], indices: range
 ) -> list[list[Valuation]] | None:
     """One pass at precision 2**bits: each COLUMNS rule's exponent column at
-    the n in ``indices``; None as soon as a cell asks for more precision."""
+    the n in ``indices``; None as soon as a cell asks for more precision.
+
+    Each residue class mod 4 of ``indices`` is read from its own series.
+    A lone rule steps its own series (the rule applied to g and g'); more
+    rules than graph counts share the series F_r and F'_r, held for the
+    class, and apply their rule to those values."""
     mask = (1 << bits) - 1
-    columns: list[list[Valuation]] = [[] for _ in readers]
-    # A stream that no rule weighs (by its value at t = 1 or at s = 1) is not stepped.
-    streams = (removal_residues(mask + 1, y) if any(rule(*unit) for rule, _, _ in readers)
-               else repeat(0) for y, unit in ((1, (1, 0)), (-1, (0, 1))))
-    steps = enumerate(zip(*streams))
-    for n, (t, signed) in islice(steps, indices.start, indices.stop, indices.step):
-        for column, (residue_of, halved, name) in zip(columns, readers):
-            v = _read_val2(residue_of(t, signed) & mask, bits, n, halved, name)
-            if v is None:
+    # A graph count that no rule weighs (by its value at t = 1 or at s = 1) is not built.
+    graphs = [_graph_residues(y, bits) if any(rule(*unit) for rule, _, _ in readers) else None
+              for y, unit in ((1, (1, 0)), (-1, (0, 1)))]
+    shared = len(readers) > sum(numbers is not None for numbers in graphs)
+    unread = [0] * (4 * bits + 4)
+    columns: list[list] = [[None] * len(indices) for _ in readers]
+    period = 4 // math.gcd(indices.step, 4)
+    for first in range(min(period, len(indices))):
+        ns = indices[first::period]
+        if shared:
+            t, s = (list(_at(numbers or unread, ns, bits)) for numbers in graphs)
+        for column, (number_of, halved, name) in zip(columns, readers):
+            if shared:
+                residues = map(number_of, t, s)
+            else:
+                own = list(map(number_of, *(numbers or unread for numbers in graphs)))
+                residues = _at(own, ns, bits)
+            cells = list(map(_read_val2, map(mask.__and__, residues), repeat(bits), ns,
+                             repeat(halved), repeat(name)))
+            if None in cells:
                 return None
-            column.append(v)
+            column[first::period] = cells
     return columns
 
 
@@ -192,20 +257,28 @@ def certified_columns(kinds: tuple[str, ...], indices: range) -> list[list[Valua
     """Exponent of two in each column of ``kinds`` (keys of COLUMNS) at every
     n in ``indices``, one list per kind, in the order given.
 
-    t and s, each only if a kind reads it, are stepped modulo 2**K from K =
-    k + _START_MARGIN, 4k + r the last index, doubling K until all certify;
-    see ``_read_val2`` for what a residue certifies.  The zeros are the odd
-    count at n = 0 and 1 and the signed sum at n = 2.  An unknown kind raises
-    ValueError, and a window over STEP_CAP steps ResourceLimitError, before any
-    stepping; a pass over BIT_STEP_CAP bit-steps raises it before that pass.
+    Each kind's series is stepped modulo 2**J from J = _START_BITS, doubling
+    J until every cell certifies; see ``_read_val2`` for what a residue
+    certifies.  Only the graph counts a kind's rule weighs are built.  The
+    zeros are the odd count at n = 0 and 1 and the signed sum at n = 2.  An
+    unknown kind raises ValueError, and a window over STEP_CAP steps or more
+    than CELL_CAP cells ResourceLimitError, before any stepping; so does a
+    restart that would pass _MAX_BITS.
     """
     if min(indices.start, indices.stop) < 0 or indices.step < 1:
         raise ValueError("indices must be an increasing range of nonnegative n")
     readers = [_rule(kind) for kind in kinds]
     _refuse_window(indices.stop, "recurrence steps")
-    bits = (indices.stop - 1) // 4 + _START_MARGIN
-    while True:
-        _refuse_bits(indices.stop, bits, "recurrence steps")
-        if (columns := _columns_pass(bits, readers, indices)) is not None:
-            return columns
+    cells = len(readers) * len(indices)
+    if cells > CELL_CAP:
+        raise ResourceLimitError(
+            f"{cells} cells asked for, more than the cap of {CELL_CAP} cells"
+        )
+    bits = _START_BITS
+    while (columns := _columns_pass(bits, readers, indices)) is None:
         bits *= 2
+        if bits > _MAX_BITS:
+            raise ResourceLimitError(
+                f"a cell needs more than {_MAX_BITS} bits of the graph-route series"
+            )
+    return columns

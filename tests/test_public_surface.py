@@ -44,6 +44,7 @@ REMOVED = {
     "twoadic": [
         "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))
         "even_count_val2_upto",  # certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))
+        "BIT_STEP_CAP",  # CELL_CAP; a step no longer costs bits that grow with n
     ],
 }
 

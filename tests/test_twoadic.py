@@ -1,27 +1,64 @@
-"""Bounded-memory 2-adic engine tests: every entry point pinned to the exact
-big-integer routes, the precision-doubling restart, the refusals to guess,
-and fresh-interpreter checks that the CLI routes never fill the exact
-caches, that a large table and a large parity check stay small, and that a
-parity range over the budget is refused before any stepping."""
+"""2-adic engine tests: every entry point pinned to the exact big-integer
+routes and to the removal-recurrence reference below, the precision-doubling
+restart, the refusals to guess, and fresh-interpreter checks that the CLI
+routes never fill the exact caches, that a large table and a large parity
+check stay small, that the large `rho` and `period` scans stay fast, and
+that a parity range over the budget is refused before any stepping."""
 
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from involution_lab import twoadic, valuations
-from involution_lab.algebra import odd_part
+from involution_lab import checks, twoadic, valuations
+from involution_lab.algebra import INFINITY, odd_part, val2
 from involution_lab.cli import main
 from involution_lab.errors import ExactnessError, InconclusiveError, ResourceLimitError
-from involution_lab.sequences import involution_count
-from involution_lab.twoadic import certified_columns, odd_factor_residues
+from involution_lab.sequences import involution_count, involution_val2, removal_residues
+from involution_lab.twoadic import COLUMNS, certified_columns, odd_factor_residues
 from involution_lab.valuations import REPORT_KINDS, table_rows, valuation_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _reference_odd_factors(s: int, count: int) -> list[int]:
+    """beta(n) mod 2**s for n < count from t(n) mod 2**K, stepped by the
+    removal recurrence alone, with K = s + max h(n) + 2 over the window."""
+    if count <= 0:
+        return []
+    bits = s + max(involution_val2(n) for n in range(max(count - 4, 0), count)) + 2
+    out = []
+    for n, residue in enumerate(islice(removal_residues(1 << bits), count)):
+        v = val2(residue)
+        assert v is not INFINITY and v + s <= bits
+        out.append((residue >> v) & ((1 << s) - 1))
+    return out
+
+
+def _reference_columns(kinds: tuple[str, ...], indices: range) -> list[list]:
+    """The exponent columns from t(n) and s(n) mod 2**K, stepped by the
+    removal recurrence alone, with K = k + 64 bits for 4k + r the last index,
+    and every cell asserted certified at that precision."""
+    bits = (indices.stop - 1) // 4 + 64
+    mask = (1 << bits) - 1
+    columns: list[list] = [[] for _ in kinds]
+    steps = enumerate(zip(removal_residues(mask + 1, 1), removal_residues(mask + 1, -1)))
+    for n, (t, s) in islice(steps, indices.start, indices.stop, indices.step):
+        for column, kind in zip(columns, kinds):
+            number_of, halved, _ = COLUMNS[kind]
+            residue = number_of(t, s) & mask
+            assert not residue & halved
+            if residue:
+                column.append(val2(residue) - halved)
+            else:
+                assert bits >= n * n.bit_length() + 2
+                column.append(INFINITY)
+    return columns
 
 
 class TestOddFactorResidues:
@@ -37,27 +74,38 @@ class TestOddFactorResidues:
             odd_factor_residues(0, 10)
 
     def test_count_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "removal_residues", None)
+        monkeypatch.setattr(twoadic, "_graph_residues", None)
         with pytest.raises(ResourceLimitError, match="cap of 10000000"):
             odd_factor_residues(3, twoadic.STEP_CAP + 1)
 
-    def test_bit_steps_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "removal_residues", None)
-        monkeypatch.setattr(twoadic, "BIT_STEP_CAP", 10**4)
-        # 600 steps on 3 + h(599) + 2 = 156-bit residues: 93,600 bit-steps.
-        with pytest.raises(ResourceLimitError, match="600 odd factors on 156-bit residues"):
-            odd_factor_residues(3, 600)
+    @pytest.mark.parametrize("s", range(1, 15))
+    def test_matches_the_removal_reference(self, s):
+        # The window odd_factor_period reads, up to 3 * 2**15 = 98,304 n.
+        count = 3 << (s + 1 if s >= 3 else s + 3)
+        assert odd_factor_residues(s, count).tolist() == _reference_odd_factors(s, count)
+
+    def test_narrowest_word(self):
+        assert [odd_factor_residues(s, 4).typecode for s in (8, 9, 16, 17)] == ["B", "H", "H", "I"]
 
     def test_short_precision_is_inconclusive(self, monkeypatch):
-        # With h understated, K = 5 falls short at t(7) = 8 * 29, whose
-        # residue 8 is nonzero; certification must refuse, not report 1.
-        monkeypatch.setattr(twoadic, "involution_val2", lambda n: 0)
+        # With g(7) one too large, F_3(1) = 58/3 becomes 20, of exponent 2
+        # instead of [r == 3] = 1; certification must refuse, not report a
+        # value for beta(7).
+        real = twoadic._graph_residues
+
+        def corrupted(y, bits):
+            values = real(y, bits)
+            values[7] += 1
+            return values
+
+        monkeypatch.setattr(twoadic, "_graph_residues", corrupted)
+        assert odd_factor_residues(3, 7).tolist() == [odd_part(involution_count(n)) & 7 for n in range(7)]
         with pytest.raises(InconclusiveError, match=r"beta\(7\)"):
             odd_factor_residues(3, 8)
 
 
-def _count_passes(monkeypatch) -> list[int]:
-    """Start at K = k_max and record the precision of every pass."""
+def _count_passes(monkeypatch, start: int = 2) -> list[int]:
+    """Start at J = start bits and record the precision of every pass."""
     passes = []
     real_pass = twoadic._columns_pass
 
@@ -65,20 +113,24 @@ def _count_passes(monkeypatch) -> list[int]:
         passes.append(bits)
         return real_pass(bits, kinds, indices)
 
-    monkeypatch.setattr(twoadic, "_START_MARGIN", 0)
+    monkeypatch.setattr(twoadic, "_START_BITS", start)
     monkeypatch.setattr(twoadic, "_columns_pass", counted_pass)
     return passes
 
 
-def _corrupt_signed_sums(monkeypatch) -> None:
-    """Add one to every signed sum, so t + s and t - s are odd at n = 0."""
-    real = twoadic.removal_residues
+def _corrupt_signed_graphs(monkeypatch) -> None:
+    """Add one to g(0, -1) and g(1, -1), so s(0) and s(1) read 2, and t + s
+    and t - s are odd at n = 0 and 1."""
+    real = twoadic._graph_residues
 
-    def corrupted(m, y=1):
-        for value in real(m, y):
-            yield value + (y < 0)
+    def corrupted(y, bits):
+        values = real(y, bits)
+        if y < 0:
+            values[0] += 1
+            values[1] += 1
+        return values
 
-    monkeypatch.setattr(twoadic, "removal_residues", corrupted)
+    monkeypatch.setattr(twoadic, "_graph_residues", corrupted)
 
 
 def _even_column(k_max):
@@ -103,13 +155,18 @@ class TestEvenCountVal2:
     def test_matches_exact_oracle(self):
         assert _even_column(300) == _exact_even_column(300)
 
+    def test_matches_the_removal_reference(self):
+        k_max = 20_000
+        (want,) = _reference_columns(("t_even",), range(1, 4 * k_max + 2, 4))
+        assert _even_column(k_max) == want
+
     def test_doubling_restart(self, monkeypatch):
         passes = _count_passes(monkeypatch)
         assert _even_column(300) == _exact_even_column(300)
-        assert passes[:2] == [300, 600]
+        assert passes[:2] == [2, 4]
 
     def test_odd_sum_raises(self, monkeypatch):
-        _corrupt_signed_sums(monkeypatch)
+        _corrupt_signed_graphs(monkeypatch)
         with pytest.raises(ExactnessError):
             _even_column(3)
 
@@ -118,20 +175,22 @@ class TestEvenCountVal2:
         with pytest.raises(ValueError, match="nonnegative"):
             _even_column(-1)
 
-    def test_bit_steps_over_cap_refused_before_the_pass(self, monkeypatch):
-        # 1202 steps: the pass at K = 300 fits the budget and falls short,
-        # the restart at K = 600 would not fit and is refused unstarted.
+    def test_restart_over_max_bits_refused_before_the_pass(self, monkeypatch):
+        # From J = 2 the passes at 2 and 4 bits fall short (the exponent of
+        # F_1(1) is 4); the restart at 8 bits would pass _MAX_BITS and is
+        # refused unstarted.
         passes = _count_passes(monkeypatch)
-        monkeypatch.setattr(twoadic, "BIT_STEP_CAP", 1202 * 300)
-        with pytest.raises(ResourceLimitError, match="1202 recurrence steps on 600-bit"):
+        monkeypatch.setattr(twoadic, "_MAX_BITS", 4)
+        with pytest.raises(ResourceLimitError, match="more than 4 bits"):
             _even_column(300)
-        assert passes == [300]
+        assert passes == [2, 4]
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "removal_residues", None)
+        monkeypatch.setattr(twoadic, "_graph_residues", None)
         # 4 * k_max + 2 steps: the largest k_max within the cap is 2499999.
         with pytest.raises(ResourceLimitError, match="10000002 recurrence steps"):
             _even_column(2_500_000)
+
 
 
 class TestValuationColumns:
@@ -143,14 +202,21 @@ class TestValuationColumns:
             want = [valuation_report(n, kind).computed for n in range(4 * self.K_MAX + 4)]
             assert columns[kind] == want, kind
 
+    @pytest.mark.parametrize("kinds, indices", [
+        (REPORT_KINDS, range(4004)), (("t_odd", "t"), range(3, 4000, 7)),
+        (("t_signed", "t_even"), range(2, 4002, 2)), (("t_odd",), range(0, 4000, 4)),
+    ], ids=["table", "step7", "step2", "class0"])
+    def test_matches_the_removal_reference(self, kinds, indices):
+        assert certified_columns(kinds, indices) == _reference_columns(kinds, indices)
+
     def test_doubling_restart(self, monkeypatch):
         want = _table_columns(self.K_MAX)
         passes = _count_passes(monkeypatch)
         assert _table_columns(self.K_MAX) == want
-        assert passes[:2] == [self.K_MAX, 2 * self.K_MAX]
+        assert passes[:2] == [2, 4]
 
     def test_odd_sum_raises(self, monkeypatch):
-        _corrupt_signed_sums(monkeypatch)
+        _corrupt_signed_graphs(monkeypatch)
         with pytest.raises(ExactnessError, match="signed sum is odd at n=0"):
             _table_columns(3)
 
@@ -159,15 +225,17 @@ class TestValuationColumns:
         monkeypatch.setattr(valuations, "signed_involution_count", lambda n: real(n) + 1)
         with pytest.raises(ExactnessError) as exact:
             valuation_report(0, "t_even")
-        _corrupt_signed_sums(monkeypatch)
+        _corrupt_signed_graphs(monkeypatch)
         with pytest.raises(ExactnessError) as engine:
             _table_columns(3)
         assert str(exact.value) == str(engine.value) == "count + signed sum is odd at n=0"
         with pytest.raises(ExactnessError, match="^count - signed sum is odd at n=0$"):
             valuation_report(0, "t_odd")
+        with pytest.raises(ExactnessError, match="^count - signed sum is odd at n=0$"):
+            certified_columns(("t_odd",), range(3))
 
     def test_odd_sum_exits_1_from_the_cli(self, monkeypatch, capsys):
-        _corrupt_signed_sums(monkeypatch)
+        _corrupt_signed_graphs(monkeypatch)
         assert main(["table", "--k-max", "3"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -192,7 +260,7 @@ class TestValuationColumns:
         def no_stepping(*args):
             raise AssertionError("stepped before the kinds were checked")
 
-        monkeypatch.setattr(twoadic, "removal_residues", no_stepping)
+        monkeypatch.setattr(twoadic, "_graph_residues", no_stepping)
         with pytest.raises(ValueError, match="unknown kind 'nope'"):
             call()
 
@@ -201,22 +269,56 @@ class TestValuationColumns:
     ])
     def test_only_the_streams_a_column_reads_are_stepped(self, monkeypatch, kinds, opened):
         want = certified_columns(kinds, range(40))
-        real = twoadic.removal_residues
+        real = twoadic._graph_residues
         streams = []
 
-        def recorded(m, y=1):
+        def recorded(y, bits):
             streams.append(y)
-            return real(m, y)
+            return real(y, bits)
 
-        monkeypatch.setattr(twoadic, "removal_residues", recorded)
+        monkeypatch.setattr(twoadic, "_graph_residues", recorded)
         assert certified_columns(kinds, range(40)) == want
         assert streams == opened
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
-        monkeypatch.setattr(twoadic, "removal_residues", None)
+        monkeypatch.setattr(twoadic, "_graph_residues", None)
         # 4 * k_max + 4 steps: the largest k_max within the cap is 2499999.
         with pytest.raises(ResourceLimitError, match="10000004 recurrence steps"):
             _table_columns(2_500_000)
+
+    def test_cells_over_cap_refused_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(twoadic, "_graph_residues", None)
+        # The largest window the earlier bit-step budget took stays in.
+        assert 4 * (4 * 158_081 + 4) <= twoadic.CELL_CAP == 3_000_000
+        with pytest.raises(ResourceLimitError, match="^3000001 cells asked for, more than"):
+            certified_columns(("t",), range(3_000_001))
+        with pytest.raises(ResourceLimitError, match="^12000000 cells asked for"):
+            _table_columns(749_999)
+
+
+class TestParityReads:
+    @pytest.mark.parametrize("residues, kinds", [
+        ((2, 3), ("t_even", "t_odd")), ((0, 1, 2, 3), ("t_signed",)), ((1,), ("t_odd",)),
+    ])
+    def test_counterexamples_in_kind_then_n_order(self, monkeypatch, residues, kinds):
+        # Every prediction wrong: one message per cell of the checked classes.
+        for kind in kinds:
+            monkeypatch.setitem(valuations._PREDICTED, kind, lambda n: -1)
+        want = [f"n={n} ({kind}): computed {valuation_report(n, kind).computed}, predicted -1"
+                for kind in kinds for n in range(4 * 20 + 4) if n % 4 in residues]
+        assert list(checks._parity(residues, kinds, 20)) == want
+
+    def test_reads_only_the_checked_classes(self, monkeypatch):
+        real = twoadic.certified_columns
+        reads = []
+
+        def recorded(kinds, indices):
+            reads.append(indices)
+            return real(kinds, indices)
+
+        monkeypatch.setattr(valuations, "certified_columns", recorded)
+        assert list(checks._parity((2, 3), ("t_even", "t_odd"), 10)) == []
+        assert reads == [range(3, 44, 4), range(2, 43, 4)]
 
 
 def test_cli_routes_leave_exact_caches_empty():
@@ -246,10 +348,11 @@ def test_cli_routes_leave_exact_caches_empty():
     assert json.loads(proc.stdout) == {"codes": [0] * 8, "t": 0, "signed": 0}
 
 
-def _fresh_cli_run(tmp_path, *argv) -> tuple[int, bytes, float, int]:
+def _fresh_cli_run(tmp_path, *argv) -> tuple[int, bytes, float, int, float]:
     """Run the CLI from a fresh wrapper interpreter whose only child is the
     CLI run, so its children's ru_maxrss (kilobytes on Linux) is that run's
-    peak RSS.  Returns the exit code, stdout, wall seconds and peak KB."""
+    peak RSS, and their user plus system time its CPU time.  Returns the
+    exit code, stdout, wall seconds, peak KB and CPU seconds."""
     out = tmp_path / "stdout"
     script = (
         "import resource, subprocess, sys, time\n"
@@ -257,8 +360,9 @@ def _fresh_cli_run(tmp_path, *argv) -> tuple[int, bytes, float, int]:
         "with open(sys.argv[1], 'wb') as fh:\n"
         "    code = subprocess.run([sys.executable, '-m', 'involution_lab.cli',\n"
         "                           *sys.argv[2:]], stdout=fh).returncode\n"
-        "print(code, time.perf_counter() - start,\n"
-        "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "print(code, time.perf_counter() - start, usage.ru_maxrss,\n"
+        "      usage.ru_utime + usage.ru_stime)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(out), *argv],
@@ -268,12 +372,12 @@ def _fresh_cli_run(tmp_path, *argv) -> tuple[int, bytes, float, int]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, seconds, peak_kb = proc.stdout.split()
-    return int(code), out.read_bytes(), float(seconds), int(peak_kb)
+    code, seconds, peak_kb, cpu_seconds = proc.stdout.split()
+    return int(code), out.read_bytes(), float(seconds), int(peak_kb), float(cpu_seconds)
 
 
 def test_large_table_stays_small(tmp_path):
-    code, out, _, peak_kb = _fresh_cli_run(tmp_path, "table", "--k-max", "8000")
+    code, out, _, peak_kb, _ = _fresh_cli_run(tmp_path, "table", "--k-max", "8000")
     assert code == 0
     assert peak_kb < 60 * 1024
     # Recorded from the exact big-integer route, which peaks near 920 MB here.
@@ -284,7 +388,7 @@ def test_large_table_stays_small(tmp_path):
 
 def test_large_parity_check_stays_small(tmp_path):
     # The exact route took 1.5 s and 327 MB at k_max = 5000.
-    code, out, seconds, peak_kb = _fresh_cli_run(
+    code, out, seconds, peak_kb, _ = _fresh_cli_run(
         tmp_path, "verify", "--check", "cor53", "--k-max", "10000")
     assert code == 0
     assert out == b"cor53: PASS: equal even/odd valuations verified for k<=10000\n"
@@ -292,15 +396,34 @@ def test_large_parity_check_stays_small(tmp_path):
     assert peak_kb < 30 * 1024
 
 
+def test_large_rho_is_fast(tmp_path):
+    # The residue passes mod 2**K took 13.8 s here; the digest is theirs.
+    code, out, _, _, cpu_seconds = _fresh_cli_run(tmp_path, "rho", "--k-max", "100000")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == (
+        "b249bfb66fff0f9cd2a47ad39a78222727e13872ab44cafedabe3f82942f29f0"
+    )
+    assert cpu_seconds < 2
+
+
+def test_beta_period_at_s_17_is_found(tmp_path):
+    # The residue passes mod 2**K refused this scan: 786,432 odd factors on
+    # 196,628-bit residues.
+    code, out, _, _, cpu_seconds = _fresh_cli_run(tmp_path, "period", "--beta-mod-2s", "17")
+    assert code == 0
+    assert out == b"modulus,preperiod,period,window_checked\n131072,0,262144,786432\n"
+    assert cpu_seconds < 15
+
+
 @pytest.mark.parametrize("argv, refusal", [
-    # 800,004 steps on 200,064-bit residues: 1.6 * 10**11 bit-steps.
-    ("thm52 --k-max 200000", "800004 recurrence steps on 200064-bit residues"),
+    # One read of every n < 3,000,004: one cell over the cap.
+    ("thm52 --k-max 750000", "3000004 cells asked for, more than the cap of 3000000 cells"),
     ("cor53 --k-max 2500000", "10000004 recurrence steps asked for"),
     ("thm33 --n-max 10000001", "10000002 recurrence steps asked for"),
 ], ids=["thm52", "cor53", "thm33"])
 def test_parity_range_over_budget_exits_3_before_stepping(tmp_path, argv, refusal):
     # The exact route grew its caches here until memory ran out.
-    code, out, seconds, _ = _fresh_cli_run(tmp_path, "verify", "--check", *argv.split())
+    code, out, seconds, _, _ = _fresh_cli_run(tmp_path, "verify", "--check", *argv.split())
     assert code == 3
     name = argv.split()[0]
     assert out.decode().startswith(f"{name}: INCONCLUSIVE: {refusal}")
