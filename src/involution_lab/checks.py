@@ -131,9 +131,9 @@ def _thm33(n_max: int) -> Iterator[str]:
 
 def _thm41(n_max: int) -> Iterator[str]:
     """Polynomial identity between the graph route and the recurrence."""
-    for n in range(n_max + 1):
+    for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
         via = sequences.involution_poly_via_graphs(n)
-        if via != sequences.involution_poly(n):
+        if via != poly:
             yield f"n={n}: polynomial routes disagree"
         if not via.is_integral:
             yield f"n={n}: graph route left a non-integer coefficient"
@@ -266,12 +266,12 @@ def _fibersum(n_max: int, vertex_cap: int) -> Iterator[str]:
 def _coeffs(n_max: int) -> Iterator[str]:
     """Coefficient of x**(n-2i) y**i in the involution polynomial equals
     n!/(2**i i! (n-2i)!)."""
-    for n in range(n_max + 1):
+    for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
         expected_terms = {
             (n - 2 * i, i): math.perm(n, 2 * i) // ((1 << i) * math.factorial(i))
             for i in range(n // 2 + 1)
         }
-        for (dx, dy), coeff in sequences.involution_poly(n).items():
+        for (dx, dy), coeff in poly.items():
             want = expected_terms.pop((dx, dy), None)
             if want is None or coeff != want:
                 yield f"n={n}: coefficient at x^{dx} y^{dy} is {coeff}, want {want}"
@@ -281,11 +281,11 @@ def _coeffs(n_max: int) -> Iterator[str]:
 
 def _cross(n_max: int) -> Iterator[str]:
     """All four involution-count routes agree."""
-    for n in range(n_max + 1):
+    for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
         t = sequences.involution_count(n)
         routes = {
             "direct sum": sequences.involution_count_direct(n),
-            "polynomial at (1,1)": sequences.involution_poly(n).evaluate(1, 1),
+            "polynomial at (1,1)": poly.evaluate(1, 1),
             "graph formula": sequences.involution_count_via_graphs(n),
         }
         for name, value in routes.items():

@@ -5,9 +5,9 @@ Each recurrence is written once, generic over the ring it runs in:
 
 * the removal recurrence u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p): its
   exact step gives the involution count at (1, 1), the signed count at
-  (1, -1), the involution polynomial at (x, y) and, for a prime p, the
-  count of p-th roots of the identity; its residue stream mod m for p = 2,
-  ``removal_residues``, feeds the period scan mod m;
+  (1, -1), the involution polynomials at (x, y), streamed, and, for a prime
+  p, the count of p-th roots of the identity; its residue stream mod m for
+  p = 2, ``removal_residues``, feeds the period scan mod m;
 * the degree-and-collapse graph recurrence gives the graph counts at
   (1, 1) and (1, -1) and the graph polynomial at (x, y); over ints masked
   to J bits it feeds the 2-adic engine of :mod:`involution_lab.twoadic`,
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator
 
 from .algebra import BivariatePoly, is_prime, odd_part
@@ -42,6 +42,7 @@ __all__ = [
     "involution_count_direct",
     "signed_involution_count",
     "pth_root_count",
+    "involution_polys",
     "involution_poly",
     "graph_poly",
     "graph_count",
@@ -101,29 +102,20 @@ def removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
 def removal_residues(m: int, y: int = 1) -> Iterator[int]:
     """u(0) mod m, u(1) mod m, ... for u(n) = u(n-1) + (n-1) y u(n-2) with
     u(0) = u(1) = 1 (the involution counts at y = 1, the signed sums at
-    y = -1), keeping only the last two residues.  A power-of-two m is
-    reduced by a mask, about twice as fast as ``%`` on residues of
-    thousands of bits.  A modulus below 1 raises ValueError at the call."""
+    y = -1), keeping only the last two residues.  A modulus below 1 raises
+    ValueError at the call."""
     if m < 1:
         raise ValueError("modulus must be positive")
     return _removal_residues(m, y)
 
 
 def _removal_residues(m: int, y: int) -> Iterator[int]:
-    prev = curr = 1 % m
-    yield prev
-    yield curr
-    c = 0  # (n - 1) y once raised for the step to u(n)
-    if m & (m - 1):
-        while True:
-            c += y
-            prev, curr = curr, (curr + c * prev) % m
-            yield curr
-    mask = m - 1
+    # From u(-1) = 0, which the step to u(1) weighs by 0; c is (n - 1) y at u(n).
+    prev, curr, c = 0, 1 % m, -y
     while True:
-        c += y
-        prev, curr = curr, (curr + c * prev) & mask
         yield curr
+        c += y
+        prev, curr = curr, (curr + c * prev) % m
 
 
 _t_cache = SequenceCache(removal_step(1, 1, 1))
@@ -189,14 +181,20 @@ def pth_root_count(n: int, p: int) -> int:
 _X = BivariatePoly.monomial(1, 0)
 _Y = BivariatePoly.monomial(0, 1)
 _HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
-_t_poly_cache = SequenceCache(removal_step(BivariatePoly.one(), _X, _Y))
+
+
+def involution_polys() -> Iterator[BivariatePoly]:
+    """involution_poly(n) for n = 0, 1, ..., holding only the last two."""
+    return stepped(removal_step(BivariatePoly.one(), _X, _Y), 2)
 
 
 def involution_poly(n: int) -> BivariatePoly:
     """Generating polynomial of involutions by x**(fixed points) *
     y**(transpositions); the coefficient of x**(n-2i) y**i is
-    n!/(2**i i! (n-2i)!)."""
-    return _t_poly_cache.get(n)
+    n!/(2**i i! (n-2i)!).  Nothing is kept between calls: each steps
+    ``involution_polys()`` from 0, O(n) polynomial steps, and a negative n
+    raises ValueError."""
+    return next(islice(involution_polys(), n, None))
 
 
 def graph_step(one, x, y, half) -> Callable[[int, list], object]:

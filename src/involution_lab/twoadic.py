@@ -59,10 +59,10 @@ __all__ = [
 STEP_CAP = 10**7
 
 # Most cells (kinds times indices) one read of exponent columns may return.
-# They are held in lists of ints, about 36 bytes a cell, so the cap bounds a
-# read near 110 MB.  It takes `table --k-max 158081` (2,529,312 cells, the
-# largest window of the residue engine this one replaced) and refuses
-# `table --k-max 2000000`, 32 million cells, at once.
+# They are held in lists: at the cap, `rho --k-max 2999999` peaks at 176 MB
+# (one process on a 2-vCPU host).  It takes `table --k-max 158081` (2,529,312
+# cells, the largest window of the residue engine this one replaced) and
+# refuses `table --k-max 2000000`, 32 million cells, at once.
 CELL_CAP = 3 * 10**6
 
 # First precision of the exponent columns, in bits of F_r(k).  The largest
@@ -261,14 +261,15 @@ def certified_columns(kinds: tuple[str, ...], indices: range) -> list[list[Valua
     J until every cell certifies; see ``_read_val2`` for what a residue
     certifies.  Only the graph counts a kind's rule weighs are built.  The
     zeros are the odd count at n = 0 and 1 and the signed sum at n = 2.  An
-    unknown kind raises ValueError, and a window over STEP_CAP steps or more
-    than CELL_CAP cells ResourceLimitError, before any stepping; so does a
-    restart that would pass _MAX_BITS.
-    """
+    unknown kind raises ValueError, and a window over STEP_CAP series steps
+    (k + 1 for the last n = 4k + r of each residue class) or over CELL_CAP
+    cells ResourceLimitError, before any stepping, as a restart past
+    _MAX_BITS does."""
     if min(indices.start, indices.stop) < 0 or indices.step < 1:
         raise ValueError("indices must be an increasing range of nonnegative n")
     readers = [_rule(kind) for kind in kinds]
-    _refuse_window(indices.stop, "recurrence steps")
+    period = 4 // math.gcd(indices.step, 4)  # the last `period` n end the classes
+    _refuse_window(sum(n // 4 + 1 for n in indices[-period:]), "series steps")
     cells = len(readers) * len(indices)
     if cells > CELL_CAP:
         raise ResourceLimitError(

@@ -145,8 +145,7 @@ def test_criterion_06_polynomial_identity_and_coefficients():
     import math
 
     crit = Criterion(6, "graph-route polynomial identity and coefficient law, n <= 80", 30.0)
-    for n in range(81):
-        direct = sequences.involution_poly(n)
+    for n, direct in zip(range(81), sequences.involution_polys()):
         crit.check(
             sequences.involution_poly_via_graphs(n) == direct,
             f"polynomial routes disagree at n={n}",
@@ -234,12 +233,10 @@ def test_criterion_10_digit_fit():
 
 def test_criterion_11_cross_engine():
     crit = Criterion(11, "four count routes agree (n <= 400); fibers sum to counts (n <= 12)", 60.0)
-    for n in range(401):
+    for n, poly in zip(range(401), sequences.involution_polys()):
         t = sequences.involution_count(n)
         crit.equal(sequences.involution_count_direct(n), t, f"direct sum at n={n}")
-        crit.equal(
-            sequences.involution_poly(n).evaluate(1, 1), t, f"poly eval at n={n}"
-        )
+        crit.equal(poly.evaluate(1, 1), t, f"poly eval at n={n}")
         crit.equal(sequences.involution_count_via_graphs(n), t, f"graph route at n={n}")
     for n in range(13):
         total = sum(

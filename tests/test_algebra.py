@@ -323,12 +323,12 @@ class TestKernelFastPaths:
             x2.shift(-3, 0)
 
     def test_recurrences_skip_the_checked_constructor(self, monkeypatch):
-        # A work count, not a timing: building the polynomial caches from
-        # fresh must never go through the validating __init__.
+        # A work count, not a timing: stepping a fresh polynomial stream and
+        # building the graph-polynomial cache from fresh must never go
+        # through the validating __init__.
         one = BivariatePoly.one()
         x, y = sequences._X, sequences._Y
-        monkeypatch.setattr(sequences, "_t_poly_cache",
-                            SequenceCache(sequences.removal_step(one, x, y)))
+        stream = sequences.involution_polys()  # builds its one before the count
         monkeypatch.setattr(sequences, "_graph_poly_cache", SequenceCache(
             sequences.graph_step(one, x, y, sequences._HALF_X2_PLUS_Y)))
         calls = []
@@ -339,7 +339,7 @@ class TestKernelFastPaths:
             checked_init(self, *args, **kwargs)
 
         monkeypatch.setattr(BivariatePoly, "__init__", counted_init)
-        built = [(involution_poly(n), graph_poly(n)) for n in range(41)]
+        built = [(poly, graph_poly(n)) for n, poly in zip(range(41), stream)]
         assert calls == []
         monkeypatch.undo()
         assert built == [(involution_poly(n), graph_poly(n)) for n in range(41)]

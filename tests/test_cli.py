@@ -17,6 +17,8 @@ from involution_lab.enumeration import ConstrainedGraph, RefinedClass
 from involution_lab.errors import ExactnessError, ResourceLimitError
 from involution_lab.sequences import involution_count, odd_factor
 
+from conftest import CLI, fresh_run
+
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
@@ -165,30 +167,11 @@ class TestSeq:
         # A fresh interpreter, so the CPU time and peak RSS are this run's
         # alone; CPU time, not wall time, so a busy host does not fail it.
         # The int route took 22.6 s and 55 MB for t on a 2-vCPU host.
-        script = (
-            "import hashlib, resource, subprocess, sys\n"
-            "proc = subprocess.Popen([sys.executable, '-m', 'involution_lab.cli', 'seq',\n"
-            f"                         '--kind', {kind!r}, '--to', '10000'], stdout=subprocess.PIPE)\n"
-            "digest = hashlib.sha256()\n"
-            "for chunk in iter(lambda: proc.stdout.read(1 << 16), b''):\n"
-            "    digest.update(chunk)\n"
-            "code = proc.wait()\n"
-            "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-            "print(code, usage.ru_utime + usage.ru_stime, digest.hexdigest(), usage.ru_maxrss)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, cpu_seconds, digest, peak_kb = proc.stdout.split()
-        assert code == "0"
-        assert digest == sha256
-        assert float(cpu_seconds) < 3
-        assert int(peak_kb) < 30 * 1024
+        run = fresh_run(*CLI, "seq", "--kind", kind, "--to", "10000")
+        assert run.code == 0
+        assert run.sha256 == sha256
+        assert run.cpu_seconds < 3
+        assert run.peak_kb < 30 * 1024
 
     def test_closed_pipe_exits_quietly(self):
         # The reader stops after three lines; the writer must not trace back.

@@ -4,12 +4,8 @@ counting formulas are validated against grouping the enumerations.
 """
 
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -38,7 +34,7 @@ from involution_lab.enumeration import (
 from involution_lab.errors import ResourceLimitError
 from involution_lab.sequences import involution_count
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import CLI, fresh_run
 
 
 def filtered_pth_roots(n, p):
@@ -518,29 +514,8 @@ class TestStreamedMemory:
         assert peak < limit
 
     def test_fibersum_cli_peaks_near_import_floor(self):
-        # Each fresh wrapper interpreter has one child, so its children's
-        # ru_maxrss (kilobytes on Linux) is that child's peak RSS.
-        script = (
-            "import resource, subprocess, sys\n"
-            "code = subprocess.run([sys.executable, *sys.argv[1:]],\n"
-            "                      stdout=subprocess.DEVNULL).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-
-        def peak_kb(*argv):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, *argv],
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            code, peak = map(int, proc.stdout.split())
-            assert code == 0
-            return peak
-
-        floor = peak_kb("-c", "import involution_lab.cli")
-        run = peak_kb("-m", "involution_lab.cli", "verify", "--check", "fibersum", "--n-max", "15")
+        floor = fresh_run("-c", "import involution_lab.cli")
+        run = fresh_run(*CLI, "verify", "--check", "fibersum", "--n-max", "15")
+        assert floor.code == run.code == 0
         # Built as a list of every graph, the run sat about 13 MB above the floor.
-        assert run - floor < 3 * 1024
+        assert run.peak_kb - floor.peak_kb < 3 * 1024

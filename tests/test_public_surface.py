@@ -46,6 +46,7 @@ REMOVED = {
         "even_count_val2_upto",  # certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))
         "BIT_STEP_CAP",  # CELL_CAP; a step no longer costs bits that grow with n
     ],
+    "sequences": ["_t_poly_cache"],  # involution_polys(), a stream in n order
 }
 
 # The only underscore names one module of the package reads from another,

@@ -27,6 +27,7 @@ from involution_lab.sequences import (
     involution_count_via_graphs,
     involution_poly,
     involution_poly_via_graphs,
+    involution_polys,
     odd_factor,
     odd_factor_closed,
     odd_factor_step,
@@ -35,6 +36,7 @@ from involution_lab.sequences import (
     signed_involution_count,
 )
 
+from conftest import CLI, fresh_run
 from test_algebra import odd_product_ratio  # the explicit-product reference
 
 T_PREFIX = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152, 568504]
@@ -59,9 +61,9 @@ class TestInvolutionCount:
             assert involution_count_direct(n) == sum(terms)
 
     def test_routes_agree(self):
-        for n in range(201):
+        for n, poly in zip(range(201), involution_polys()):
             assert involution_count_direct(n) == involution_count(n)
-            assert involution_poly(n).evaluate(1, 1) == involution_count(n)
+            assert poly.evaluate(1, 1) == involution_count(n)
 
     def test_matches_enumeration(self):
         for n in range(9):
@@ -71,8 +73,8 @@ class TestInvolutionCount:
         assert [signed_involution_count(n) for n in range(14)] == SIGNED_PREFIX
 
     def test_signed_matches_poly(self):
-        for n in range(401):
-            assert involution_poly(n).evaluate(1, -1) == signed_involution_count(n)
+        for n, poly in zip(range(401), involution_polys()):
+            assert poly.evaluate(1, -1) == signed_involution_count(n)
 
 
 class TestPthRootCount:
@@ -116,6 +118,24 @@ class TestInvolutionPoly:
                 j = n - 2 * i
                 want = math.factorial(n) // ((1 << i) * math.factorial(i) * math.factorial(j))
                 assert poly.coefficient(j, i) == want
+
+    def test_point_is_the_stream_stepped_to_n(self):
+        assert [involution_poly(n) for n in range(41)] == list(islice(involution_polys(), 41))
+        with pytest.raises(ValueError):
+            involution_poly(-1)
+
+    # Fresh processes: the stream holds two polynomials where a cache held
+    # them all (67 MB and 23.5 MB at these sizes).  CPU time, not wall time,
+    # so a busy host does not fail them.
+    @pytest.mark.parametrize("check, n_max, peak_mb, cpu_seconds", [
+        ("cross", 800, 30, 3), ("coeffs", 400, 20, 2),
+    ], ids=["cross", "coeffs"])
+    def test_walks_in_n_order_stay_small(self, check, n_max, peak_mb, cpu_seconds):
+        run = fresh_run(*CLI, "verify", "--check", check, "--n-max", str(n_max), keep_stdout=True)
+        assert run.code == 0
+        assert run.stdout.startswith(f"{check}: PASS".encode())
+        assert run.peak_kb < peak_mb * 1024
+        assert run.cpu_seconds < cpu_seconds
 
 
 class TestGraphPoly:
@@ -310,7 +330,7 @@ class TestOddFactor:
 
 
 class TestRemovalResidues:
-    # Both reductions (mask for a power of two, % otherwise) and both signs.
+    # Moduli from 1 to 2**200, powers of two among them, and both signs.
     @pytest.mark.parametrize("m", [1, 2, 12, 1024, 1000003, 2**200])
     @pytest.mark.parametrize("y, exact", [(1, involution_count), (-1, signed_involution_count)])
     def test_matches_exact_counts(self, m, y, exact):

@@ -5,7 +5,6 @@ routes never fill the exact caches, that a large table and a large parity
 check stay small, that the large `rho` and `period` scans stay fast, and
 that a parity range over the budget is refused before any stepping."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +21,8 @@ from involution_lab.errors import ExactnessError, InconclusiveError, ResourceLim
 from involution_lab.sequences import involution_count, involution_val2, removal_residues
 from involution_lab.twoadic import COLUMNS, certified_columns, odd_factor_residues
 from involution_lab.valuations import REPORT_KINDS, table_rows, valuation_report
+
+from conftest import CLI, fresh_run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -187,9 +188,10 @@ class TestEvenCountVal2:
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
         monkeypatch.setattr(twoadic, "_graph_residues", None)
-        # 4 * k_max + 2 steps: the largest k_max within the cap is 2499999.
-        with pytest.raises(ResourceLimitError, match="10000002 recurrence steps"):
-            _even_column(2_500_000)
+        # One cell at k = 10**7 plans k + 1 series steps: the largest k
+        # within the cap is 9999999.
+        with pytest.raises(ResourceLimitError, match="^10000001 series steps asked for"):
+            certified_columns(("t_even",), range(4 * 10**7 + 1, 4 * 10**7 + 2))
 
 
 
@@ -282,8 +284,9 @@ class TestValuationColumns:
 
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
         monkeypatch.setattr(twoadic, "_graph_residues", None)
-        # 4 * k_max + 4 steps: the largest k_max within the cap is 2499999.
-        with pytest.raises(ResourceLimitError, match="10000004 recurrence steps"):
+        # Four residue classes of k_max + 1 series steps each: the largest
+        # k_max within the cap is 2499999.
+        with pytest.raises(ResourceLimitError, match="^10000004 series steps asked for"):
             _table_columns(2_500_000)
 
     def test_cells_over_cap_refused_before_stepping(self, monkeypatch):
@@ -348,84 +351,54 @@ def test_cli_routes_leave_exact_caches_empty():
     assert json.loads(proc.stdout) == {"codes": [0] * 8, "t": 0, "signed": 0}
 
 
-def _fresh_cli_run(tmp_path, *argv) -> tuple[int, bytes, float, int, float]:
-    """Run the CLI from a fresh wrapper interpreter whose only child is the
-    CLI run, so its children's ru_maxrss (kilobytes on Linux) is that run's
-    peak RSS, and their user plus system time its CPU time.  Returns the
-    exit code, stdout, wall seconds, peak KB and CPU seconds."""
-    out = tmp_path / "stdout"
-    script = (
-        "import resource, subprocess, sys, time\n"
-        "start = time.perf_counter()\n"
-        "with open(sys.argv[1], 'wb') as fh:\n"
-        "    code = subprocess.run([sys.executable, '-m', 'involution_lab.cli',\n"
-        "                           *sys.argv[2:]], stdout=fh).returncode\n"
-        "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-        "print(code, time.perf_counter() - start, usage.ru_maxrss,\n"
-        "      usage.ru_utime + usage.ru_stime)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(out), *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, seconds, peak_kb, cpu_seconds = proc.stdout.split()
-    return int(code), out.read_bytes(), float(seconds), int(peak_kb), float(cpu_seconds)
-
-
-def test_large_table_stays_small(tmp_path):
-    code, out, _, peak_kb, _ = _fresh_cli_run(tmp_path, "table", "--k-max", "8000")
-    assert code == 0
-    assert peak_kb < 60 * 1024
+def test_large_table_stays_small():
+    run = fresh_run(*CLI, "table", "--k-max", "8000")
+    assert run.code == 0
+    assert run.peak_kb < 60 * 1024
     # Recorded from the exact big-integer route, which peaks near 920 MB here.
-    assert hashlib.sha256(out).hexdigest() == (
-        "31504dfad91f125ff689ab83176262416ec1db17870f6fe5098adeb8458eae2c"
-    )
+    assert run.sha256 == "31504dfad91f125ff689ab83176262416ec1db17870f6fe5098adeb8458eae2c"
 
 
-def test_large_parity_check_stays_small(tmp_path):
+def test_large_parity_check_stays_small():
     # The exact route took 1.5 s and 327 MB at k_max = 5000.
-    code, out, seconds, peak_kb, _ = _fresh_cli_run(
-        tmp_path, "verify", "--check", "cor53", "--k-max", "10000")
-    assert code == 0
-    assert out == b"cor53: PASS: equal even/odd valuations verified for k<=10000\n"
-    assert seconds < 2
-    assert peak_kb < 30 * 1024
+    run = fresh_run(*CLI, "verify", "--check", "cor53", "--k-max", "10000", keep_stdout=True)
+    assert run.code == 0
+    assert run.stdout == b"cor53: PASS: equal even/odd valuations verified for k<=10000\n"
+    assert run.seconds < 2
+    assert run.peak_kb < 30 * 1024
 
 
-def test_large_rho_is_fast(tmp_path):
+def test_large_rho_is_fast():
     # The residue passes mod 2**K took 13.8 s here; the digest is theirs.
-    code, out, _, _, cpu_seconds = _fresh_cli_run(tmp_path, "rho", "--k-max", "100000")
-    assert code == 0
-    assert hashlib.sha256(out).hexdigest() == (
-        "b249bfb66fff0f9cd2a47ad39a78222727e13872ab44cafedabe3f82942f29f0"
-    )
-    assert cpu_seconds < 2
+    run = fresh_run(*CLI, "rho", "--k-max", "100000")
+    assert run.code == 0
+    assert run.sha256 == "b249bfb66fff0f9cd2a47ad39a78222727e13872ab44cafedabe3f82942f29f0"
+    assert run.cpu_seconds < 2
 
 
-def test_beta_period_at_s_17_is_found(tmp_path):
+def test_beta_period_at_s_17_is_found():
     # The residue passes mod 2**K refused this scan: 786,432 odd factors on
     # 196,628-bit residues.
-    code, out, _, _, cpu_seconds = _fresh_cli_run(tmp_path, "period", "--beta-mod-2s", "17")
-    assert code == 0
-    assert out == b"modulus,preperiod,period,window_checked\n131072,0,262144,786432\n"
-    assert cpu_seconds < 15
+    run = fresh_run(*CLI, "period", "--beta-mod-2s", "17", keep_stdout=True)
+    assert run.code == 0
+    assert run.stdout == b"modulus,preperiod,period,window_checked\n131072,0,262144,786432\n"
+    assert run.cpu_seconds < 15
 
 
 @pytest.mark.parametrize("argv, refusal", [
     # One read of every n < 3,000,004: one cell over the cap.
     ("thm52 --k-max 750000", "3000004 cells asked for, more than the cap of 3000000 cells"),
-    ("cor53 --k-max 2500000", "10000004 recurrence steps asked for"),
-    ("thm33 --n-max 10000001", "10000002 recurrence steps asked for"),
+    # Two reads of one residue class each, 2,500,001 series steps and, for
+    # two kinds, 5,000,002 cells.
+    ("cor53 --k-max 2500000", "5000002 cells asked for, more than the cap of 3000000 cells"),
+    # Four residue classes of 2,500,001 or 2,500,000 series steps.
+    ("thm33 --n-max 10000001", "10000002 series steps asked for"),
 ], ids=["thm52", "cor53", "thm33"])
-def test_parity_range_over_budget_exits_3_before_stepping(tmp_path, argv, refusal):
+def test_parity_range_over_budget_exits_3_before_stepping(argv, refusal):
     # The exact route grew its caches here until memory ran out.
-    code, out, seconds, _, _ = _fresh_cli_run(tmp_path, "verify", "--check", *argv.split())
-    assert code == 3
+    run = fresh_run(*CLI, "verify", "--check", *argv.split(), keep_stdout=True)
+    assert run.code == 3
     name = argv.split()[0]
-    assert out.decode().startswith(f"{name}: INCONCLUSIVE: {refusal}")
-    assert out.count(b"\n") == 1
-    assert seconds < 1
+    assert run.stdout.decode().startswith(f"{name}: INCONCLUSIVE: {refusal}")
+    assert run.stdout.count(b"\n") == 1
+    assert run.seconds < 1
