@@ -71,7 +71,7 @@ def _lemma21_n_max(values: dict) -> int:
 def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
-    for n in range(n_max + 1):
+    for n, count in zip(range(n_max + 1), sequences.pth_root_counts(p)):
         groups = enumeration._class_tally(n, p, root_cap)
         for cls, actual in sorted(groups.items()):
             predicted = enumeration.class_size(cls, p, n)
@@ -79,7 +79,6 @@ def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
                 yield (f"p={p}, n={n}, class {cls.to_json_obj()}: formula gives "
                        f"{predicted}, enumeration gives {actual}")
         roots = sum(groups.values())
-        count = sequences.pth_root_count(n, p)
         if roots != count:
             yield f"p={p}, n={n}: enumerated {roots} roots, recurrence says {count}"
 
@@ -176,10 +175,8 @@ def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> It
     else one read of every fourth n per residue, merged back into n order."""
     reads = ([range(4 * k_max + 4)] if len(residues) == 4 else
              [range(r, 4 * k_max + r + 1, 4) for r in residues])
-    # The widest read is certified first, so a window over a cap is refused
-    # before any stepping.
-    reports = [valuations.column_reports(kinds, indices) for indices in reversed(reads)]
-    for report in chain.from_iterable(zip(*reversed(reports))):
+    reports = [valuations.column_reports(kinds, indices) for indices in reads]
+    for report in chain.from_iterable(zip(*reports)):
         if report.predicted is None:
             yield f"n={report.n}: no closed form on this residue class"
         elif not report.matches:
@@ -188,14 +185,13 @@ def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> It
 
 
 def _thm23(p: int | None, n_max: int) -> Iterator[str]:
-    """Valuation lower bound for the p-th-root counts."""
+    """Valuation lower bound for the p-th-root counts: p**bound divides each."""
     primes = (2, 3, 5, 7) if p is None else (p,)
     for q in primes:
-        for n in range(n_max + 1):
-            v = val_p(sequences.pth_root_count(n, q), q)
+        for n, count in zip(range(n_max + 1), sequences.pth_root_counts(q)):
             bound = valuations.tau_valuation_bound(n, q)
-            if not v >= bound:
-                yield f"p={q}, n={n}: valuation {v} below bound {bound}"
+            if count % q**bound:
+                yield f"p={q}, n={n}: valuation {val_p(count, q)} below bound {bound}"
     return {"primes": primes}
 
 

@@ -5,9 +5,9 @@ Each recurrence is written once, generic over the ring it runs in:
 
 * the removal recurrence u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p): its
   exact step gives the involution count at (1, 1), the signed count at
-  (1, -1), the involution polynomials at (x, y), streamed, and, for a prime
-  p, the count of p-th roots of the identity; its residue stream mod m for
-  p = 2, ``removal_residues``, feeds the period scan mod m;
+  (1, -1), and, streamed, the involution polynomials at (x, y) and, for a
+  prime p, the count of p-th roots of the identity; its residue stream mod
+  m for p = 2, ``removal_residues``, feeds the period scan mod m;
 * the degree-and-collapse graph recurrence gives the graph counts at
   (1, 1) and (1, -1) and the graph polynomial at (x, y); over ints masked
   to J bits it feeds the 2-adic engine of :mod:`involution_lab.twoadic`,
@@ -41,6 +41,7 @@ __all__ = [
     "involution_val2",
     "involution_count_direct",
     "signed_involution_count",
+    "pth_root_counts",
     "pth_root_count",
     "involution_polys",
     "involution_poly",
@@ -159,23 +160,23 @@ def signed_involution_count(n: int) -> int:
     return _signed_cache.get(n)
 
 
-_tau_caches: dict[int, SequenceCache] = {2: _t_cache}
-_tau_lock = threading.Lock()
+def pth_root_counts(p: int) -> Iterator[int]:
+    """pth_root_count(n, p) for n = 0, 1, ..., holding only the last p.  A
+    p that is not prime raises ValueError at the call."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return stepped(removal_step(1, 1, 1, p), p)
 
 
 def pth_root_count(n: int, p: int) -> int:
     """Number of permutations of n letters whose p-th power is the identity.
 
     Counted by removing the cycle through the largest letter: it is fixed, or
-    lies on a p-cycle with p-1 of the remaining letters in any order.
+    lies on a p-cycle with p-1 of the remaining letters in any order.  Nothing
+    is kept between calls: each steps ``pth_root_counts(p)`` from 0, O(n)
+    steps, and a negative n raises ValueError.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    with _tau_lock:
-        cache = _tau_caches.get(p)
-        if cache is None:
-            cache = _tau_caches[p] = SequenceCache(removal_step(1, 1, 1, p))
-    return cache.get(n)
+    return next(islice(pth_root_counts(p), n, None))
 
 
 _X = BivariatePoly.monomial(1, 0)
@@ -231,7 +232,6 @@ def _int_graph_cache(x: int, y: int) -> SequenceCache:
 
 _graph_poly_cache = SequenceCache(graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y))
 _graph_at_one = _int_graph_cache(1, 1)
-_graph_at_minus_one = _int_graph_cache(1, -1)
 
 
 def graph_poly(n: int) -> BivariatePoly:
@@ -249,8 +249,10 @@ def graph_count(n: int) -> int:
 
 
 def graph_count_signed(n: int) -> int:
-    """graph_poly(n) at (1, -1)."""
-    return _graph_at_minus_one.get(n)
+    """graph_poly(n) at (1, -1).  Nothing is kept between calls: each steps
+    the graph recurrence from 0, O(n) steps, and a negative n raises
+    ValueError."""
+    return next(islice(stepped(graph_step(1, 1, -1, 0), 8), n, None))
 
 
 def _graph_route_terms(n: int):

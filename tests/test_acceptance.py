@@ -134,8 +134,8 @@ def test_criterion_04_count_valuation_and_odd_factor():
 def test_criterion_05_valuation_bound():
     crit = Criterion(5, "p-adic valuation bound for p in {2,3,5,7}, n <= 500", 30.0)
     for p in (2, 3, 5, 7):
-        for n in range(501):
-            v = val_p(sequences.pth_root_count(n, p), p)
+        for n, count in zip(range(501), sequences.pth_root_counts(p)):
+            v = val_p(count, p)
             bound = n // p - n // (p * p)
             crit.check(v >= bound, f"p={p}, n={n}: valuation {v} < bound {bound}")
     crit.conclude()

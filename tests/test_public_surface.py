@@ -46,7 +46,11 @@ REMOVED = {
         "even_count_val2_upto",  # certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))
         "BIT_STEP_CAP",  # CELL_CAP; a step no longer costs bits that grow with n
     ],
-    "sequences": ["_t_poly_cache"],  # involution_polys(), a stream in n order
+    "sequences": [
+        "_t_poly_cache",  # involution_polys(), a stream in n order
+        "_tau_caches", "_tau_lock",  # pth_root_counts(p), a stream in n order
+        "_graph_at_minus_one",  # graph_count_signed(n) steps graph_step from 0
+    ],
 }
 
 # The only underscore names one module of the package reads from another,

@@ -32,6 +32,7 @@ from involution_lab.sequences import (
     odd_factor_closed,
     odd_factor_step,
     pth_root_count,
+    pth_root_counts,
     removal_residues,
     signed_involution_count,
 )
@@ -86,7 +87,6 @@ class TestPthRootCount:
     def test_reduces_to_involutions(self):
         for n in range(40):
             assert pth_root_count(n, 2) == involution_count(n)
-        assert sequences._tau_caches[2] is sequences._t_cache
 
     @pytest.mark.parametrize("p,n_max", [(2, 8), (3, 8), (5, 7), (7, 7)])
     def test_matches_enumeration(self, p, n_max):
@@ -96,6 +96,20 @@ class TestPthRootCount:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             pth_root_count(5, 6)
+
+    def test_stream_rejects_nonprime_before_any_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step was built for a non-prime p")
+
+        monkeypatch.setattr(sequences, "removal_step", no_step)
+        with pytest.raises(ValueError, match="p must be prime, got 4"):
+            pth_root_counts(4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_point_is_the_stream_stepped_to_n(self, p):
+        assert [pth_root_count(n, p) for n in range(41)] == list(islice(pth_root_counts(p), 41))
+        with pytest.raises(ValueError):
+            pth_root_count(-1, p)
 
 
 class TestInvolutionPoly:
@@ -364,20 +378,10 @@ class TestSequenceCache:
         alone = SequenceCache(step)
         assert cache._values == [alone.get(n) for n in range(301)]
 
-    def test_threads_share_one_root_cache_per_p(self, monkeypatch):
-        made = []
-
-        class CountedCache(SequenceCache):
-            def __init__(self, step):
-                made.append(self)
-                time.sleep(0)  # widen the window between lookup and insert
-                super().__init__(step)
-
-        monkeypatch.setattr(sequences, "SequenceCache", CountedCache)
-        monkeypatch.setattr(sequences, "_tau_caches", dict(sequences._tau_caches))
-        assert 13 not in sequences._tau_caches
-        _in_four_threads(lambda: pth_root_count(40, 13))
-        assert made == [sequences._tau_caches[13]]
+    def test_threads_count_roots_as_one_thread_does(self):
+        counts = []
+        _in_four_threads(lambda: counts.append(pth_root_count(40, 13)))
+        assert counts == [pth_root_count(40, 13)] * 4
 
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=30, deadline=None)

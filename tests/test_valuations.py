@@ -16,6 +16,7 @@ from involution_lab.enumeration import pth_roots
 from involution_lab.sequences import (
     involution_count,
     pth_root_count,
+    pth_root_counts,
     signed_involution_count,
 )
 from involution_lab.valuations import (
@@ -38,6 +39,8 @@ from involution_lab.valuations import (
     valuation_report,
 )
 
+from conftest import CLI, fresh_run
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -51,8 +54,25 @@ class TestBound:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_bound_holds(self, p):
-        for n in range(201):
-            assert val_p(pth_root_count(n, p), p) >= tau_valuation_bound(n, p)
+        for n, count in zip(range(201), pth_root_counts(p)):
+            assert val_p(count, p) >= tau_valuation_bound(n, p)
+
+    def test_check_names_the_first_cell_over_the_valuation(self, monkeypatch):
+        # val_3(tau_3(6)) = 4: a bound of 5 at that one cell must fail there.
+        real = tau_valuation_bound
+        monkeypatch.setattr("involution_lab.valuations.tau_valuation_bound",
+                            lambda n, p: real(n, p) + 3 * ((n, p) == (6, 3)))
+        assert checks.CHECKS["thm23"]({"n_max": 40}) == (False, "p=3, n=6: valuation 4 below bound 5")
+
+    def test_large_check_stays_small_and_fast(self):
+        # A fresh process: one stream per prime and one divisibility test per
+        # cell; exact caches and repeated division took 10 s and 30 MB here.
+        # CPU time, not wall time, so a busy host does not fail it.
+        run = fresh_run(*CLI, "verify", "--check", "thm23", "--n-max", "3000")
+        assert run.code == 0
+        assert run.sha256 == "da2c77955700e105b01555223bcfbfd77bb9a22ec267193168cce87b59f0a25b"
+        assert run.cpu_seconds < 2
+        assert run.peak_kb < 22 * 1024
 
 
 class TestCountValuation:
