@@ -6,9 +6,13 @@ round-trip through decimal strings, and compare correctly, which is the whole
 contract).  ``BivariatePoly`` stores integer numerators over one shared power
 of two, in a canonical form, so that equality of polynomials is structural
 equality; coefficients and values leave it as ``fractions.Fraction``.  Every
-operation ends in one normalizer, which drops zero numerators and takes out
+result that can cancel (a sum, a product of two polynomials, a checked
+input) ends in one normalizer, which drops zero numerators and takes out
 their common power of two; the constructor is the checked entry for outside
-input and hands its merged numerators to that same normalizer.  Every value
+input and hands its merged numerators to that same normalizer.  Results that
+cannot cancel are built canonical as they are: a product by an int takes the
+scalar's twos out against the exponent, a shift only moves keys, and
+``evaluate(1, 1)`` is the numerator sum over the power of two.  Every value
 here is immutable and every operation is a pure function, so results are
 safe to share across threads.
 """
@@ -188,9 +192,12 @@ class BivariatePoly:
     values leave a polynomial as ``fractions.Fraction``.
 
     The constructor is the checked entry for outside input: it validates
-    every degree and coefficient.  Every operation (``+``, ``-``, ``*``,
-    ``shift``) already holds canonical int numerators and builds its result
-    through the one normalizer, ``_normalized``, without those checks.
+    every degree and coefficient.  Every operation already holds canonical
+    int numerators and skips those checks.  A result that can cancel (``+``,
+    ``-``, a product of polynomials, ``combination``) goes through the one
+    normalizer, ``_normalized``; negation, a product by an int and a
+    nonnegative ``shift`` are canonical by construction and go straight to
+    ``_canonical``.
     """
 
     __slots__ = ("_terms", "_exp")
@@ -242,6 +249,14 @@ class BivariatePoly:
             if shift:
                 nums = {key: c >> shift for key, c in nums.items()}
                 exp -= shift
+        return cls._canonical(nums, exp)
+
+    @classmethod
+    def _canonical(cls, nums: dict[tuple[int, int], int], exp: int) -> "BivariatePoly":
+        """The instance for numerators and an exponent already in canonical
+        form (no zero numerator; exp == 0 or some numerator odd), taken as
+        they are.  Apart from ``_normalized``, only operations whose result
+        cannot cancel build through here."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "_terms", nums)
         object.__setattr__(poly, "_exp", exp)
@@ -306,14 +321,21 @@ class BivariatePoly:
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly._normalized({k: -c for k, c in self._terms.items()}, self._exp)
+        return BivariatePoly._canonical({k: -c for k, c in self._terms.items()}, self._exp)
 
     def __sub__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
         return self + (-other)
 
     def __mul__(self, other: "BivariatePoly | Rational") -> "BivariatePoly":
         if isinstance(other, int):
-            return BivariatePoly._normalized({k: c * other for k, c in self._terms.items()}, self._exp)
+            if not other:
+                return BivariatePoly._canonical({}, 0)
+            # Take min(exp, v2(other)) out of the scalar: the rest of it is
+            # odd, or the exponent drops to 0, so the product is canonical.
+            shift = min(self._exp, (other & -other).bit_length() - 1)
+            other >>= shift
+            return BivariatePoly._canonical(
+                {k: c * other for k, c in self._terms.items()}, self._exp - shift)
         if not isinstance(other, BivariatePoly):
             other = BivariatePoly.constant(other)
         exp = self._exp + other._exp
@@ -335,15 +357,40 @@ class BivariatePoly:
     __rmul__ = __mul__
 
     def shift(self, dx: int, dy: int) -> "BivariatePoly":
-        """Multiply by the monomial x**dx * y**dy.  A negative shift goes
-        through the checked constructor, which rejects a negative degree."""
+        """Multiply by the monomial x**dx * y**dy.  A nonnegative shift only
+        moves the keys; a negative one goes through the checked constructor,
+        which rejects a negative degree."""
         out = {(a + dx, b + dy): c for (a, b), c in self._terms.items()}
         if dx < 0 or dy < 0:
             return BivariatePoly(out, self._exp)
-        return BivariatePoly._normalized(out, self._exp)
+        return BivariatePoly._canonical(out, self._exp)
+
+    @classmethod
+    def combination(
+        cls, terms: "Iterable[tuple[int, BivariatePoly, int, int]]"
+    ) -> "BivariatePoly":
+        """The sum of c * x**dx * y**dy * poly over the (c, poly, dx, dy) in
+        ``terms``, for int c and nonnegative dx, dy: every term is added
+        over the largest exponent in one pass, and the sum is normalized
+        once."""
+        terms = list(terms)
+        exp = max((poly._exp for _, poly, _, _ in terms), default=0)
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for c, poly, dx, dy in terms:
+            if dx < 0 or dy < 0:
+                raise ValueError(f"negative shift ({dx}, {dy})")
+            c <<= exp - poly._exp
+            for (a, b), num in poly._terms.items():
+                key = (a + dx, b + dy)
+                out[key] = get(key, 0) + c * num
+        return cls._normalized(out, exp)
 
     def evaluate(self, x: Rational, y: Rational) -> Fraction:
         """Exact value at a rational point, as a Fraction."""
+        if type(x) is int and type(y) is int and x == y == 1:
+            # At the int point (1, 1): the numerator sum over 2**exp.
+            return _fraction(sum(self._terms.values()), 1 << self._exp)
         (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
         xpow = _power_table(xn, xd, max((dx for dx, _ in self._terms), default=0))
         ypow = _power_table(yn, yd, max((dy for _, dy in self._terms), default=0))

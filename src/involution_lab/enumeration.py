@@ -19,16 +19,21 @@ The objects:
   per 2-cycle joining two distinct labels, edge multiplicity at most two,
   vertex degree at most two (the trailing odd vertex at most one).
 
-The root walk labels each cycle as it places it and hands every root over
-with its labeled cycles; the oracles tally roots by that cycle multiset and
-build one refined class per distinct multiset.  The graph walk hands every
-graph over with its signature, and the oracles tally graphs by signature.
+The root walk labels each cycle as it places it (its least rotation looked up
+once per label tuple in a memo local to the walk), keeps the live cycles
+sorted by bisection and hands every root over with them; the oracles tally
+roots by that sorted cycle multiset, one tuple copy per root, and build one
+refined class per distinct multiset.  The graph walk tries only the vertices
+with free degree left, held in a bitmask, and hands every graph over with its
+signature; the oracles tally graphs by signature.  Both walks visit in the
+same order as the plain recursions they replace.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -105,13 +110,15 @@ def _walk_roots(
 ) -> None:
     """Hand every permutation of {1..n} whose p-th power is the identity to
     ``visit``, once each, as its image tuple and its live list of labeled
-    cycles (copy it to keep it).
+    cycles, kept sorted (copy it to keep it).
 
     The smallest unplaced element is either fixed or opens a p-cycle with
-    p-1 of the remaining elements in any of their (p-1)! arrangements.  Each
-    cycle is labeled when it is placed, so every root below that placement
-    shares its labels.  Raises ResourceLimitError (naming the predicted
-    count) before walking, rather than start a hopeless enumeration.
+    p-1 of the remaining elements in any of their (p-1)! arrangements; once
+    fewer than p elements are left, they are all fixed.  Each cycle is
+    labeled when it is placed, so every root below that placement shares its
+    labels, and inserted into the sorted list by bisection.  Raises
+    ResourceLimitError (naming the predicted count) before walking, rather
+    than start a hopeless enumeration.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -124,26 +131,55 @@ def _walk_roots(
         )
     images = list(range(n + 1))  # index 0 unused
     label = [(x - 1) // p + 1 for x in range(n + 1)]
-    cycles: list[tuple[int, ...]] = []
+    label_of = label.__getitem__
+    cycles: list[tuple[int, ...]] = []  # kept sorted, so a leaf's key is one copy
+    # Least rotation by label tuple, for this walk only: bounded by the label
+    # sequences a cycle can carry, not by the roots.
+    rotations: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # By the number s of elements after the least free one: every choice of
+    # p - 1 of them, in combinations order, as (chosen, remaining) position
+    # masks for itertools.compress.
+    splits = [
+        [
+            (mask, [not picked for picked in mask])
+            for mask in (
+                [i in chosen for i in range(s)]
+                for chosen in itertools.combinations(range(s), p - 1)
+            )
+        ]
+        for s in range(n)
+    ]
 
     def build(free: tuple[int, ...]) -> None:
-        if not free:
+        if len(free) < p:
+            # No p-cycle fits: the rest are fixed points, one root.
+            for x in free:
+                images[x] = x
+                insort(cycles, (label[x],))
             visit(tuple(images[1:]), cycles)
+            for x in free:
+                del cycles[bisect_left(cycles, (label[x],))]
             return
         e, rest = free[0], free[1:]
         images[e] = e
-        cycles.append((label[e],))
+        fixed = (label[e],)
+        insort(cycles, fixed)
         build(rest)
-        for chosen in itertools.combinations(rest, p - 1):
-            remaining = tuple(x for x in rest if x not in chosen)
-            for order in itertools.permutations(chosen):
+        del cycles[bisect_left(cycles, fixed)]
+        for chosen_mask, remaining_mask in splits[len(rest)]:
+            remaining = tuple(itertools.compress(rest, remaining_mask))
+            for order in itertools.permutations(itertools.compress(rest, chosen_mask)):
                 cycle = (e, *order)
-                for i in range(p):
-                    images[cycle[i]] = cycle[(i + 1) % p]
-                # e is the least element, so its label is the least label.
-                cycles[-1] = _least_labeled_rotation([label[x] for x in cycle])
+                for x, y in zip(cycle, (*order, e)):
+                    images[x] = y
+                labels = tuple(map(label_of, cycle))
+                rotation = rotations.get(labels)
+                if rotation is None:
+                    # e is the least element, so its label is the least label.
+                    rotation = rotations[labels] = _least_labeled_rotation(labels)
+                insort(cycles, rotation)
                 build(remaining)
-        cycles.pop()
+                del cycles[bisect_left(cycles, rotation)]
         images[e] = e
 
     build(tuple(range(1, n + 1)))
@@ -164,7 +200,7 @@ def least_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
 
 
-def _least_labeled_rotation(labels: list[int]) -> tuple[int, ...]:
+def _least_labeled_rotation(labels: "tuple[int, ...] | list[int]") -> tuple[int, ...]:
     """Least rotation of a labeled cycle whose first label is its least:
     only the rotations that start with that label compete."""
     low = labels[0]
@@ -226,12 +262,13 @@ def _class_tally(
 ) -> dict:
     """The p-th roots on n letters counted by refined class, or by
     (class, ``extra(pi)``) when ``extra`` is given.  Roots are counted by
-    their sorted labeled cycles as the walk emits them; each distinct cycle
-    multiset is then classed once.  No root is kept."""
+    their labeled cycles as the walk emits them (kept sorted by the walk, so
+    a key is one copy of the list); each distinct cycle multiset is then
+    classed once.  No root is kept."""
     by_cycles: dict = {}
 
     def add(pi: Permutation, cycles: list[tuple[int, ...]]) -> None:
-        key = (tuple(sorted(cycles)), extra(pi) if extra else None)
+        key = (tuple(cycles), extra(pi) if extra else None)
         by_cycles[key] = by_cycles.get(key, 0) + 1
 
     _walk_roots(n, p, cap, add)
@@ -246,6 +283,10 @@ def _class_tally(
 
 
 def _validate_refined_class(cls: RefinedClass, p: int, n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     t, r = divmod(n, p)
     usage: Counter = Counter()
     for label in cls.bag:
@@ -332,6 +373,8 @@ def _graph_vertex_count(n: int) -> int:
 
 
 def _validate_graph(g: ConstrainedGraph, n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     v = (n + 1) // 2  # _graph_vertex_count, inlined on this hot path
     if g.vertex_count != v:
         raise ValueError(f"graph has {g.vertex_count} vertices, n={n} needs {v}")
@@ -390,6 +433,15 @@ def graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
     return RefinedClass(tuple(bag), tuple(sorted(cycles.items())))
 
 
+class _Members(dict):
+    """Bitmask -> the set bits of it, in increasing order; each mask is
+    split once, when it is first looked up."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+        return bits
+
+
 #: (doubled edges, x power, isolated interior vertices, edge total): what a
 #: graph's fiber size and weight depend on.
 Signature = tuple[int, int, int, int]
@@ -413,10 +465,10 @@ def _walk_graphs(
 
     A depth-first walk over edge lists: each prefix is emitted before its
     extensions, and the next edge (a, b, m) is tried in increasing order
-    after the last pair, skipping saturated vertices, so the preorder is the
-    sorted order and one call of ``walk`` yields one graph.  The signature
-    is updated edge by edge from each endpoint's free degree, so no graph is
-    re-read.
+    after the last pair, over only the vertices with free degree left (a
+    bitmask), so the preorder is the sorted order and one call of ``walk``
+    yields one graph.  The signature is updated edge by edge from each
+    endpoint's free degree, so no graph is re-read.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -430,8 +482,9 @@ def _walk_graphs(
         free[v] = 1
 
     def pair_options(a: int, b: int) -> list[list[tuple]]:
-        """By [free_a][free_b]: the (multiplicity, edge, doubled step, x step,
-        isolated step) of each edge the pair can still take."""
+        """By [free_a][free_b]: the (multiplicity, edge, live mask to keep,
+        doubled step, x step, isolated step) of each edge the pair can still
+        take."""
         edges = [(a, b, m) for m in range(3)]  # shared by every graph
         return [
             [
@@ -439,6 +492,7 @@ def _walk_graphs(
                     (
                         m,
                         edges[m],
+                        ~((free_a == m) << a | (free_b == m) << b),
                         int(m == 2),
                         sum(_X_AT_FREE[f - m] - _X_AT_FREE[f] for f in (free_a, free_b)),
                         sum(_ISOLATED_AT_FREE[f - m] - _ISOLATED_AT_FREE[f] for f in (free_a, free_b)),
@@ -454,25 +508,28 @@ def _walk_graphs(
     options = [[pair_options(a, b) if a < b else None for b in range(v + 1)] for a in range(v + 1)]
     edges: list[tuple[int, int, int]] = []
 
-    def walk(a0: int, b0: int, doubled: int, x_power: int, isolated: int, total: int) -> None:
-        visit(edges, (doubled, x_power, isolated, total))
-        for a in range(a0, v + 1):
-            free_a = free[a]
-            if free_a:
-                options_a = options[a]
-                for b in range(b0 + 1 if a == a0 else a + 1, v + 1):
-                    free_b = free[b]
-                    if free_b:
-                        for mult, edge, dd, dx, di in options_a[b][free_a][free_b]:
-                            free[a] = free_a - mult
-                            free[b] = free_b - mult
-                            edges.append(edge)
-                            walk(a, b, doubled + dd, x_power + dx, isolated + di, total + mult)
-                            edges.pop()
-                        free[a] = free_a
-                        free[b] = free_b
+    members = _Members()
 
-    walk(1, 1, 0, n % 2, n // 2, 0)
+    def walk(
+        a0: int, b0: int, live: int, doubled: int, x_power: int, isolated: int, total: int
+    ) -> None:
+        visit(edges, (doubled, x_power, isolated, total))
+        for a in members[live >> a0 << a0]:
+            free_a = free[a]
+            options_a = options[a]
+            start = b0 + 1 if a == a0 else a + 1
+            for b in members[live >> start << start]:
+                free_b = free[b]
+                for mult, edge, keep, dd, dx, di in options_a[b][free_a][free_b]:
+                    free[a] = free_a - mult
+                    free[b] = free_b - mult
+                    edges.append(edge)
+                    walk(a, b, live & keep, doubled + dd, x_power + dx, isolated + di, total + mult)
+                    edges.pop()
+                free[a] = free_a
+                free[b] = free_b
+
+    walk(1, 1, (1 << (v + 1)) - 2, 0, n % 2, n // 2, 0)
 
 
 def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:

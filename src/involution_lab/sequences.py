@@ -15,7 +15,9 @@ Each recurrence is written once, generic over the ring it runs in:
   ``thm41``) instead of the removal recurrence.
 
 The graph-route closed forms (the count, its odd factor and the polynomial)
-share one term iterator.  Several quantities are computed along two
+share one term iterator; the polynomial adds all its terms in one pass over
+their common power of two (``BivariatePoly.combination``) and normalizes
+once.  Several quantities are computed along two
 independent routes (a direct recurrence and a closed form through the graph
 counts); the test suite pins the routes against each other and against the
 enumeration oracles.
@@ -77,6 +79,11 @@ class SequenceCache:
                 while len(self._values) <= n:
                     self._values.append(self._step(len(self._values), self._values))
         return self._values[n]
+
+
+def _require_nonnegative(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
 def stepped(step: Callable, window: int) -> Iterator:
@@ -142,8 +149,7 @@ def involution_count_direct(n: int) -> int:
     """Same count as the explicit sum over cycle types: the involutions with
     i transpositions and j fixed points number n!/(2**i i! j!).  Each term
     is stepped from the one before it, by (j + 2)(j + 1)/(2i)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_nonnegative(n)
     total = term = 1
     for i in range(1, n // 2 + 1):
         j = n - 2 * i
@@ -176,6 +182,7 @@ def pth_root_count(n: int, p: int) -> int:
     is kept between calls: each steps ``pth_root_counts(p)`` from 0, O(n)
     steps, and a negative n raises ValueError.
     """
+    _require_nonnegative(n)
     return next(islice(pth_root_counts(p), n, None))
 
 
@@ -195,6 +202,7 @@ def involution_poly(n: int) -> BivariatePoly:
     n!/(2**i i! (n-2i)!).  Nothing is kept between calls: each steps
     ``involution_polys()`` from 0, O(n) polynomial steps, and a negative n
     raises ValueError."""
+    _require_nonnegative(n)
     return next(islice(involution_polys(), n, None))
 
 
@@ -252,6 +260,7 @@ def graph_count_signed(n: int) -> int:
     """graph_poly(n) at (1, -1).  Nothing is kept between calls: each steps
     the graph recurrence from 0, O(n) steps, and a negative n raises
     ValueError."""
+    _require_nonnegative(n)
     return next(islice(stepped(graph_step(1, 1, -1, 0), 8), n, None))
 
 
@@ -266,8 +275,7 @@ def _graph_route_terms(n: int):
     is an explicit product, never a quotient of factorials: it starts at 1
     for i = k and takes one more factor, 2(i + r//2) - 1, as i steps down.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_nonnegative(n)
     k, r = divmod(n, 4)
     fl = r // 2
     ratio = 1
@@ -292,12 +300,13 @@ def involution_count_via_graphs(n: int) -> int:
 
 def involution_poly_via_graphs(n: int) -> BivariatePoly:
     """Polynomial analogue of involution_count_via_graphs: each graph term
-    picks up y**(2k-2i) for its doubled edges."""
-    total = BivariatePoly.zero()
-    for scale, m, doubled in _graph_route_terms(n):
-        total = total + scale * graph_poly(m).shift(0, 2 * doubled)
+    picks up y**(2k-2i) for its doubled edges.  The power of two is folded
+    into every scale, and the terms are summed in one pass."""
     k, r = divmod(n, 4)
-    return (1 << (k + r // 2)) * total
+    return BivariatePoly.combination(
+        (scale << (k + r // 2), graph_poly(m), 0, 2 * doubled)
+        for scale, m, doubled in _graph_route_terms(n)
+    )
 
 
 def odd_factor(n: int) -> int:

@@ -290,9 +290,10 @@ polys = term_lists.map(BivariatePoly)
 
 
 class TestKernelFastPaths:
-    """Every operation builds its result through the private normalizer;
-    each must equal the naive term formula fed to the public constructor,
-    and be canonical."""
+    """Every operation builds its result without the checked constructor,
+    through the normalizer or, where nothing can cancel, as it is; each must
+    equal the naive term formula fed to the public constructor, and be
+    canonical."""
 
     @given(polys, polys, st.integers(-40, 40), monomials, dyadic_fractions.filter(bool))
     def test_operations_match_the_constructor(self, a, b, c, mono, coeff):
@@ -344,3 +345,48 @@ class TestKernelFastPaths:
         monkeypatch.undo()
         assert built == [(involution_poly(n), graph_poly(n)) for n in range(41)]
         assert all(is_canonical(p) for pair in built for p in pair)
+
+
+class TestCanonicalFastPaths:
+    """A product by an int is built canonical without the normalizer, and
+    ``combination`` adds many terms before it normalizes once; each must
+    equal the slow reading of the same terms and be canonical."""
+
+    @given(polys, st.integers(-20, 20), st.integers(0, 10))
+    def test_int_products_stay_canonical(self, a, odd, twos):
+        # a * (1/2) is nonzero with exponent at least 1 whenever a is nonzero,
+        # so even scalars meet a positive exponent here.
+        for p in (a, a * Fraction(1, 2), a * Fraction(1, 256)):
+            for c in (odd << twos, (2 * odd + 1) << twos, 0):
+                want = BivariatePoly([(key, pc * c) for key, pc in p.items()])
+                for got in (p * c, c * p):
+                    assert got == want
+                    assert is_canonical(got)
+
+    @given(st.lists(st.tuples(st.integers(-9, 9), polys, monomials), max_size=6))
+    def test_combination_is_the_sum_of_its_terms(self, terms):
+        got = BivariatePoly.combination((c, p, dx, dy) for c, p, (dx, dy) in terms)
+        want = BivariatePoly.zero()
+        for c, p, (dx, dy) in terms:
+            want = want + c * p.shift(dx, dy)
+        assert got == want
+        assert is_canonical(got)
+
+    def test_combination_cancels_and_rejects_negative_shifts(self):
+        x = BivariatePoly.monomial(1, 0)
+        half = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
+        total = BivariatePoly.combination([(2, half, 0, 0), (-1, x, 1, 0)])
+        assert total == BivariatePoly.monomial(0, 1)
+        assert is_canonical(total)
+        assert BivariatePoly.combination([]) == BivariatePoly.zero()
+        assert BivariatePoly.combination([(1, x, 0, 0), (-1, x, 0, 0)])._exp == 0
+        with pytest.raises(ValueError, match="negative shift"):
+            BivariatePoly.combination([(1, x, -1, 0)])
+
+    @given(polys)
+    def test_evaluate_at_one_matches_the_generic_path(self, p):
+        # Fraction arguments take the power-table path even at (1, 1).
+        fast = p.evaluate(1, 1)
+        assert type(fast) is Fraction
+        assert fast == p.evaluate(Fraction(1), Fraction(1))
+        assert fast == sum((c for _, c in p.items()), Fraction(0))

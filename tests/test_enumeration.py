@@ -233,6 +233,17 @@ class TestClassSize:
         with pytest.raises(ValueError):
             class_size(RefinedClass((), (((1, 1), 1),)), 2, 2)  # type A in cycles
 
+    def test_bad_p_or_n_rejected(self):
+        empty = RefinedClass((), ())
+        for p in (4, 1, 0):
+            with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+                class_size(empty, p, 0)
+        half_block = RefinedClass((), (((0,), 1),))
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            class_size(half_block, 2, -1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            class_graph(half_block, -1)
+
     @pytest.mark.parametrize("p,n_max", [(2, 8), (3, 8), (5, 6)])
     def test_formula_equals_grouping(self, p, n_max):
         for n in range(n_max + 1):
@@ -254,6 +265,13 @@ class TestGraphs:
             RefinedClass((), (((1, 2), 1), ((1,), 1), ((2,), 1), ((3,), 1))), 5
         )
         assert single == ConstrainedGraph(3, ((1, 2, 1),))
+
+    def test_negative_n_rejected(self):
+        # (n + 1)//2 is 0 at n = -1, so the vertex count alone let it through.
+        empty = ConstrainedGraph(0, ())
+        for read in (fiber_size, graph_weight, graph_class):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                read(empty, -1)
 
     def test_graph_class_round_trip(self):
         for n in range(10):
@@ -494,6 +512,57 @@ class TestClassTally:
             True, "fiber law verified for p=3, n<=9")
         assert len(built) == len(set(built))
         assert set(built) == expected
+
+
+    def test_one_rotation_per_label_tuple_per_walk(self, monkeypatch):
+        # A work count, not a timing: the walk looks each cycle's least
+        # rotation up by its label tuple, so no tuple is rotated twice.
+        real = enumeration._least_labeled_rotation
+        for n in range(11):
+            rotated = []
+
+            def counted(labels):
+                rotated.append(tuple(labels))
+                return real(labels)
+
+            monkeypatch.setattr(enumeration, "_least_labeled_rotation", counted)
+            enumeration._walk_roots(n, 3, enumeration.DEFAULT_ROOT_CAP, lambda pi, cycles: None)
+            assert len(rotated) == len(set(rotated))
+            if n >= 3:
+                assert rotated
+
+    @pytest.mark.parametrize("p,n_max", [(2, 9), (3, 8), (5, 7)])
+    def test_live_cycles_are_sorted_at_every_visit(self, p, n_max):
+        for n in range(n_max + 1):
+            unsorted = []
+
+            def visit(pi, cycles):
+                if cycles != sorted(cycles):
+                    unsorted.append(list(cycles))
+
+            enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, visit)
+            assert unsorted == []
+
+    def test_tally_holds_one_key_per_cycle_multiset(self, monkeypatch):
+        # Keyed by placement order instead, p = 2, n = 10 held 2,018 keys.
+        multisets = {
+            tuple(sorted(
+                enumeration._least_labeled_rotation([(x - 1) // 2 + 1 for x in cycle])
+                for cycle in permutation_cycles(pi)))
+            for pi in pth_roots(10, 2)
+        }
+        assert len(multisets) == 774
+        real = enumeration._class_from_counts
+        classed = []
+
+        def counted(counts, n, p):
+            classed.append(tuple(sorted(Counter(counts).elements())))
+            return real(counts, n, p)
+
+        monkeypatch.setattr(enumeration, "_class_from_counts", counted)
+        enumeration._class_tally(10, 2, enumeration.DEFAULT_ROOT_CAP)
+        assert len(classed) == 774
+        assert set(classed) == multisets
 
 
 class TestStreamedMemory:

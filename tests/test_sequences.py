@@ -112,6 +112,17 @@ class TestPthRootCount:
             pth_root_count(-1, p)
 
 
+@pytest.mark.parametrize("point", [
+    lambda: pth_root_count(-1, 3),
+    lambda: involution_poly(-1),
+    lambda: graph_count_signed(-1),
+], ids=["pth_root_count", "involution_poly", "graph_count_signed"])
+def test_point_reads_name_a_negative_n(point):
+    # Raised at the call, not from inside islice's own argument check.
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        point()
+
+
 class TestInvolutionPoly:
     def test_small(self):
         x = BivariatePoly.monomial(1, 0)
