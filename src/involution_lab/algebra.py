@@ -195,9 +195,9 @@ class BivariatePoly:
     every degree and coefficient.  Every operation already holds canonical
     int numerators and skips those checks.  A result that can cancel (``+``,
     ``-``, a product of polynomials, ``combination``) goes through the one
-    normalizer, ``_normalized``; negation, a product by an int and a
-    nonnegative ``shift`` are canonical by construction and go straight to
-    ``_canonical``.
+    normalizer, ``_normalized``; negation, a product by an int, a product
+    by a one-term factor over 2**0 and a nonnegative ``shift`` are canonical
+    by construction and go straight to ``_canonical``.
     """
 
     __slots__ = ("_terms", "_exp")
@@ -343,10 +343,14 @@ class BivariatePoly:
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
-            # A one-term factor shifts the keys and scales, in one pass.
+            # A one-term factor shifts the keys and scales, in one pass.  Over
+            # 2**0 nothing can cancel: the shift is injective and every
+            # numerator nonzero, so the product is canonical as it is.
             ((bx, by), bc), = b.items()
-            return BivariatePoly._normalized(
-                {(ax + bx, ay + by): ac * bc for (ax, ay), ac in a.items()}, exp)
+            out = {(ax + bx, ay + by): ac * bc for (ax, ay), ac in a.items()}
+            if exp:
+                return BivariatePoly._normalized(out, exp)
+            return BivariatePoly._canonical(out, 0)
         out: dict[tuple[int, int], int] = {}
         for (ax, ay), ac in a.items():
             for (bx, by), bc in b.items():

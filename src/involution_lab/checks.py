@@ -100,7 +100,7 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
             if enumeration.graph_class(g, n) != cls:
                 yield f"n={n}: graph round-trip broke on {cls.to_json_obj()}"
             lhs = enumeration.fiber_size(g, n)
-            rhs = enumeration.class_size(cls, 2, n)
+            rhs = enumeration._class_size(cls, 2, n)  # class_graph validated cls
             if lhs != rhs:
                 yield f"n={n}, graph {g.to_json_obj()}: fiber size {lhs} != class size {rhs}"
 

@@ -327,6 +327,11 @@ def class_size(cls: RefinedClass, p: int, n: int) -> int:
     division is always exact; a remainder aborts with ExactnessError.
     """
     _validate_refined_class(cls, p, n)
+    return _class_size(cls, p, n)
+
+
+def _class_size(cls: RefinedClass, p: int, n: int) -> int:
+    # class_size for a class already validated at (p, n).
     t, r = divmod(n, p)
     h = len(cls.bag)
     numerator = (

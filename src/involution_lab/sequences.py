@@ -15,9 +15,12 @@ Each recurrence is written once, generic over the ring it runs in:
   ``thm41``) instead of the removal recurrence.
 
 The graph-route closed forms (the count, its odd factor and the polynomial)
-share one term iterator; the polynomial adds all its terms in one pass over
-their common power of two (``BivariatePoly.combination``) and normalizes
-once.  Several quantities are computed along two
+share one term iterator, which steps the binomials and yields each term's odd
+factor.  The int sum nests the terms in Horner form, so a term costs one
+product of a binomial by a graph count and one small multiply of the sum so
+far; the polynomial steps each term's odd-product ratio, adds all its terms
+in one pass over their common power of two (``BivariatePoly.combination``)
+and normalizes once.  Several quantities are computed along two
 independent routes (a direct recurrence and a closed form through the graph
 counts); the test suite pins the routes against each other and against the
 enumeration oracles.
@@ -265,30 +268,44 @@ def graph_count_signed(n: int) -> int:
 
 
 def _graph_route_terms(n: int):
-    """Terms of the graph-route sum: with n = 4k + r,
+    """Terms of the graph-route sum: with n = 4k + r and f = r//2,
 
-        S(n) = sum_i 2**i C(k, i) [oddprod(k + r//2) / oddprod(i + r//2)] g(4i + r)
+        S(n) = sum_i 2**i C(k, i) [oddprod(k + f) / oddprod(i + f)] g(4i + r)
 
-    yields (scale, 4i + r, k - i) for i = k down to 0, scale being the
-    coefficient of g(4i + r) and k - i the number of doubled edges.  The
-    odd-product ratio (2(i + r//2) + 1)(2(i + r//2) + 3)...(2(k + r//2) - 1)
-    is an explicit product, never a quotient of factorials: it starts at 1
-    for i = k and takes one more factor, 2(i + r//2) - 1, as i steps down.
+    iterates (C(k, i), i, 2(i + f) - 1, 4i + r, k - i) for i = 0 up to k:
+    the binomial, the power of two, the odd factor that every term below i
+    picks up, the graph index and the number of doubled edges.  The
+    odd-product ratio of term i is the product of the factors of the terms
+    above it, (2(i + f) + 1)(2(i + f) + 3)...(2(k + f) - 1), never a
+    quotient of factorials, so the sum nests in Horner form in ascending i.
+    The binomials are stepped up to i = k//2, C(k, i + 1) = C(k, i) (k - i)
+    / (i + 1), a remainder raising ExactnessError, and mirrored above it.  A
+    negative n raises ValueError at the call.
     """
     _require_nonnegative(n)
     k, r = divmod(n, 4)
     fl = r // 2
-    ratio = 1
-    for i in range(k, -1, -1):
-        yield (1 << i) * math.comb(k, i) * ratio, 4 * i + r, k - i
-        if i:
-            ratio *= 2 * (i + fl) - 1
+    binomials = [1]
+    for i in range(k // 2):
+        binom, rem = divmod(binomials[i] * (k - i), i + 1)
+        if rem:
+            raise ExactnessError(f"binomial C({k}, {i + 1}) is not an integer")
+        binomials.append(binom)
+    binomials.extend(reversed(binomials[:k - k // 2]))  # C(k, i) = C(k, k - i)
+    return zip(binomials, range(k + 1), range(2 * fl - 1, 2 * (k + fl), 2),
+               range(r, n + 1, 4), range(k, -1, -1))
 
 
 def _graph_count_sum(n: int) -> int:
+    # Horner in ascending i: each term is C(k, i) g(4i + r), shifted by i,
+    # and the sum so far takes the term's odd factor before it is added.
+    terms = _graph_route_terms(n)  # refuses a negative n before the cache is read
     graph_count(n)  # fills the cache to n, the largest index the terms read
     counts = _graph_at_one._values
-    return sum(scale * counts[m] for scale, m, _ in _graph_route_terms(n))
+    acc = 0
+    for binom, i, factor, m, _ in terms:
+        acc = acc * factor + ((binom * counts[m]) << i)
+    return acc
 
 
 def involution_count_via_graphs(n: int) -> int:
@@ -300,13 +317,20 @@ def involution_count_via_graphs(n: int) -> int:
 
 def involution_poly_via_graphs(n: int) -> BivariatePoly:
     """Polynomial analogue of involution_count_via_graphs: each graph term
-    picks up y**(2k-2i) for its doubled edges.  The power of two is folded
-    into every scale, and the terms are summed in one pass."""
+    picks up y**(2k-2i) for its doubled edges.  The terms are read from
+    i = k down, each coefficient times its odd-product ratio, stepped by one
+    factor a term; the power of two is folded into every coefficient, and
+    the terms are summed in one pass."""
     k, r = divmod(n, 4)
-    return BivariatePoly.combination(
-        (scale << (k + r // 2), graph_poly(m), 0, 2 * doubled)
-        for scale, m, doubled in _graph_route_terms(n)
-    )
+    scale = k + r // 2
+
+    def terms():
+        ratio = 1
+        for binom, i, factor, m, doubled in reversed(list(_graph_route_terms(n))):
+            yield (binom * ratio) << (i + scale), graph_poly(m), 0, 2 * doubled
+            ratio *= factor
+
+    return BivariatePoly.combination(terms())
 
 
 def odd_factor(n: int) -> int:

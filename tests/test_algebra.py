@@ -113,7 +113,9 @@ class TestOddPart:
 def odd_product_ratio(lo: int, hi: int) -> int:
     """Reference: the product of the first hi odd integers over that of the
     first lo, as the explicit product (2*lo+1)(2*lo+3)...(2*hi-1).  The
-    graph route (``sequences._graph_route_terms``) steps it instead."""
+    graph route never forms it for the count: ``sequences._graph_route_terms``
+    yields one factor a term, which the int sum nests in Horner form and the
+    polynomial sum steps."""
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got {lo}, {hi}")
     return math.prod(range(2 * lo + 1, 2 * hi, 2))
@@ -146,8 +148,9 @@ class TestProducts:
 
 
 class TestBinomial:
-    """The binomials of the graph recurrence and the graph-route sum are
-    math.comb; these pin the convention and the valuations they rely on."""
+    """The binomials of the graph recurrence are math.comb, and those of the
+    graph-route sum are stepped to the same values; these pin the convention
+    and the valuations they rely on."""
 
     def test_examples(self):
         assert math.comb(4, 2) == 6
@@ -302,6 +305,11 @@ class TestKernelFastPaths:
         shifted = [((ax + dx, ay + dy), ac) for (ax, ay), ac in a.items()]
         scaled = BivariatePoly([(key, ac * c) for key, ac in a.items()])
         mono_product = BivariatePoly([(key, ac * coeff) for key, ac in shifted])
+        # Integral operands: a one-term product over 2**0 skips the normalizer.
+        whole = BivariatePoly([(key, ac.numerator) for key, ac in a.items()])
+        whole_mono = BivariatePoly.monomial(dx, dy, coeff.numerator)
+        whole_product = BivariatePoly([((wx + dx, wy + dy), wc * coeff.numerator)
+                                       for (wx, wy), wc in whole.items()])
         cases = [
             (a + b, BivariatePoly([*a.items(), *b.items()])),
             (-a, BivariatePoly([(key, -ac) for key, ac in a.items()])),
@@ -311,6 +319,8 @@ class TestKernelFastPaths:
             (c * a, scaled),
             (a * mono_poly, mono_product),
             (mono_poly * a, mono_product),
+            (whole * whole_mono, whole_product),
+            (whole_mono * whole, whole_product),
             (a.shift(dx, dy), BivariatePoly(shifted)),
         ]
         for got, want in cases:
@@ -382,6 +392,24 @@ class TestCanonicalFastPaths:
         assert BivariatePoly.combination([(1, x, 0, 0), (-1, x, 0, 0)])._exp == 0
         with pytest.raises(ValueError, match="negative shift"):
             BivariatePoly.combination([(1, x, -1, 0)])
+
+    def test_whole_one_term_products_skip_the_normalizer(self, monkeypatch):
+        x = BivariatePoly.monomial(1, 0)
+        p = BivariatePoly({(2, 0): 3, (0, 1): -2})
+        half = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
+        want = BivariatePoly({(3, 0): 3, (1, 1): -2})
+        zero = BivariatePoly.zero()  # the constructor normalizes
+
+        def no_normalizer(*args):
+            raise AssertionError("normalizer called")
+
+        monkeypatch.setattr(BivariatePoly, "_normalized", no_normalizer)
+        got = [x * p, p * x, x * zero]
+        with pytest.raises(AssertionError, match="normalizer called"):
+            x * half  # over 2**1 the product still goes through the normalizer
+        monkeypatch.undo()
+        assert got == [want, want, zero]
+        assert all(is_canonical(q) for q in got)
 
     @given(polys)
     def test_evaluate_at_one_matches_the_generic_path(self, p):

@@ -433,6 +433,15 @@ class TestCor31Mismatch:
         assert checks.CHECKS["cor31"]({"n_max": self.N}) == (
             True, "graph correspondence verified for n<=4")
 
+    def test_each_class_is_validated_once(self, monkeypatch):
+        real = enumeration._validate_refined_class
+        seen = []
+        monkeypatch.setattr(enumeration, "_validate_refined_class",
+                            lambda cls, p, n: seen.append((cls, n)) or real(cls, p, n))
+        assert checks.CHECKS["cor31"]({"n_max": self.N})[0]
+        classes = [(cls, n) for n in range(self.N + 1) for cls in enumeration._class_tally(n, 2, 10**4)]
+        assert sorted(seen) == sorted(classes)
+
 
 def _readme_default(default) -> str:
     if callable(default):  # lemma21's --n-max default depends on --p

@@ -36,7 +36,7 @@ REMOVED = {
     ],
     "algebra": [
         "odd_product", "arithmetic_product", "binomial",  # math.prod, math.comb
-        "odd_product_ratio",  # sequences._graph_route_terms steps the ratio
+        "odd_product_ratio",  # sequences._graph_route_terms yields its factors
     ],
     "conjecture": ["even_count_val2"],  # valuation_report(4 * k + 1, "t_even").computed
     "cli": ["_quotients", "_halves"],  # sequences.odd_factor_step, twoadic.column_number
@@ -56,6 +56,7 @@ REMOVED = {
 # The only underscore names one module of the package reads from another,
 # as (reading module, owner.name).  Any other shared helper goes public.
 PRIVATE_CROSSINGS = {
+    ("checks", "enumeration._class_size"),
     ("checks", "enumeration._class_tally"),
     ("checks", "enumeration._graph_tally"),
     ("checks", "enumeration._involution_degrees"),

@@ -116,9 +116,12 @@ class TestPthRootCount:
     lambda: pth_root_count(-1, 3),
     lambda: involution_poly(-1),
     lambda: graph_count_signed(-1),
-], ids=["pth_root_count", "involution_poly", "graph_count_signed"])
+    lambda: involution_count_via_graphs(-1),
+    lambda: odd_factor_closed(-1),
+], ids=["pth_root_count", "involution_poly", "graph_count_signed",
+        "involution_count_via_graphs", "odd_factor_closed"])
 def test_point_reads_name_a_negative_n(point):
-    # Raised at the call, not from inside islice's own argument check.
+    # Raised at the call, not from inside islice's or a cache's own argument check.
     with pytest.raises(ValueError, match="^n must be nonnegative$"):
         point()
 
@@ -286,13 +289,44 @@ class TestGraphFormulas:
             assert involution_count_via_graphs(n) == involution_count(n)
 
     def test_route_terms_match_explicit_products(self):
-        # The graph route steps the odd-product ratio from i = k down.
+        # The terms come in ascending i, each with its binomial, power of two,
+        # odd factor, graph index and doubled edges; the factors of the terms
+        # above term i multiply to its explicit odd-product ratio.
         for n in range(201):
             k, r = divmod(n, 4)
             fl = r // 2
-            want = [((1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl), 4 * i + r, k - i)
-                    for i in range(k + 1)]
-            assert sorted(sequences._graph_route_terms(n)) == sorted(want)
+            terms = list(sequences._graph_route_terms(n))
+            assert terms == [(math.comb(k, i), i, 2 * (i + fl) - 1, 4 * i + r, k - i)
+                             for i in range(k + 1)]
+            for i, (binom, shift, _, _, _) in enumerate(terms):
+                ratio = math.prod(factor for _, _, factor, _, _ in terms[i + 1:])
+                assert (binom << shift) * ratio == (
+                    (1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl))
+
+    def test_count_sum_matches_explicit_products(self):
+        for n in range(201):
+            k, r = divmod(n, 4)
+            fl = r // 2
+            want = sum((1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl)
+                       * graph_count(4 * i + r) for i in range(k + 1))
+            assert sequences._graph_count_sum(n) == want
+
+    @pytest.mark.parametrize("n", [401, 1603])
+    def test_count_identity_far_out(self, n):
+        assert involution_count_via_graphs(n) == involution_count(n)
+        assert odd_factor_closed(n) == odd_factor(n)
+
+    def test_count_sum_steps_its_binomials(self, monkeypatch):
+        # With the graph cache filled, the int route calls no math.comb.
+        want = [(involution_count(n), odd_factor(n)) for n in (400, 401, 402, 403)]
+        graph_count(403)
+
+        def no_comb(*args):
+            raise AssertionError("math.comb called")
+
+        monkeypatch.setattr(sequences.math, "comb", no_comb)
+        assert [(involution_count_via_graphs(n), odd_factor_closed(n))
+                for n in (400, 401, 402, 403)] == want
 
     def test_count_sum_reads_its_cache_once(self, monkeypatch):
         # One cache read per sum, for its largest index, however many terms.
