@@ -97,10 +97,11 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
             yield (f"n={n}: {mapped[g]} classes map to graph {g.to_json_obj()}, "
                    f"the enumeration gives it {enumerated[g]} times")
         for cls, g in zip(classes, graphs):
-            if enumeration.graph_class(g, n) != cls:
+            # class_graph validated cls and the graph it built.
+            if enumeration._graph_class(g, n) != cls:
                 yield f"n={n}: graph round-trip broke on {cls.to_json_obj()}"
-            lhs = enumeration.fiber_size(g, n)
-            rhs = enumeration._class_size(cls, 2, n)  # class_graph validated cls
+            lhs = enumeration._fiber_size(g, n)
+            rhs = enumeration._class_size(cls, 2, n)
             if lhs != rhs:
                 yield f"n={n}, graph {g.to_json_obj()}: fiber size {lhs} != class size {rhs}"
 

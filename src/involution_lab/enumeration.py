@@ -19,21 +19,22 @@ The objects:
   per 2-cycle joining two distinct labels, edge multiplicity at most two,
   vertex degree at most two (the trailing odd vertex at most one).
 
-The root walk labels each cycle as it places it (its least rotation looked up
-once per label tuple in a memo local to the walk), keeps the live cycles
-sorted by bisection and hands every root over with them; the oracles tally
-roots by that sorted cycle multiset, one tuple copy per root, and build one
-refined class per distinct multiset.  The graph walk tries only the vertices
-with free degree left, held in a bitmask, and hands every graph over with its
-signature; the oracles tally graphs by signature.  Both walks visit in the
-same order as the plain recursions they replace.
+The root walk hands every root over with one int key for its labeled-cycle
+multiset: each distinct labeled cycle owns a bit slot, and placing a cycle
+adds one to its slot (a key weight looked up once per element tuple, a least
+rotation once per label tuple, both in memos local to the walk).  The oracles
+tally roots by key and decode and class each distinct key once.  The graph
+walk tries only the vertices with free degree left, held in a bitmask, and
+hands every graph over with its signature packed into one int; the oracles
+tally graphs by packed signature and unpack each distinct one once.  Both
+walks visit in the same order as the plain recursions they replace, one root
+or graph at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, insort
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -106,19 +107,22 @@ def _predicted_root_count(n: int, p: int) -> int:
 
 
 def _walk_roots(
-    n: int, p: int, cap: int, visit: Callable[[Permutation, list[tuple[int, ...]]], None]
-) -> None:
+    n: int, p: int, cap: int, visit: Callable[[list[int], int], None]
+) -> list[tuple[int, ...]]:
     """Hand every permutation of {1..n} whose p-th power is the identity to
-    ``visit``, once each, as its image tuple and its live list of labeled
-    cycles, kept sorted (copy it to keep it).
+    ``visit``, once each, as its live image list (``images[i-1]`` is where i
+    goes; copy it to keep it) and its cycle key; return the slot table that
+    decodes the keys.
 
     The smallest unplaced element is either fixed or opens a p-cycle with
     p-1 of the remaining elements in any of their (p-1)! arrangements; once
-    fewer than p elements are left, they are all fixed.  Each cycle is
-    labeled when it is placed, so every root below that placement shares its
-    labels, and inserted into the sorted list by bisection.  Raises
-    ResourceLimitError (naming the predicted count) before walking, rather
-    than start a hopeless enumeration.
+    fewer than p elements are left, they are all fixed.  Each distinct
+    labeled cycle (its least rotation) owns a slot of ``n.bit_length()``
+    bits in the key, and placing a cycle adds one to its slot; a root has at
+    most n cycles, so no slot carries into the next.  ``_slot_counts``
+    reads a key back as labeled-cycle counts.  Raises ResourceLimitError
+    (naming the predicted count) before walking, rather than start a
+    hopeless enumeration.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -129,12 +133,24 @@ def _walk_roots(
         raise ResourceLimitError(
             f"enumeration of {predicted} p-th roots exceeds the cap of {cap}"
         )
-    images = list(range(n + 1))  # index 0 unused
+    width = n.bit_length()
+    images = list(range(1, n + 1))
     label = [(x - 1) // p + 1 for x in range(n + 1)]
     label_of = label.__getitem__
-    cycles: list[tuple[int, ...]] = []  # kept sorted, so a leaf's key is one copy
-    # Least rotation by label tuple, for this walk only: bounded by the label
-    # sequences a cycle can carry, not by the roots.
+    slots: list[tuple[int, ...]] = []  # the labeled cycle of each slot
+    slot_of: dict[tuple[int, ...], int] = {}
+
+    def slot_weight(cycle: tuple[int, ...]) -> int:
+        slot = slot_of.get(cycle)
+        if slot is None:
+            slot = slot_of[cycle] = len(slots)
+            slots.append(cycle)
+        return 1 << (width * slot)
+
+    fixed = [slot_weight((label[x],)) if x else 0 for x in range(n + 1)]
+    # Key weight by element tuple, and least rotation by label tuple, for this
+    # walk only: bounded by the cycles the letters can form, not by the roots.
+    weights: dict[tuple[int, ...], int] = {}
     rotations: dict[tuple[int, ...], tuple[int, ...]] = {}
     # By the number s of elements after the least free one: every choice of
     # p - 1 of them, in combinations order, as (chosen, remaining) position
@@ -150,46 +166,56 @@ def _walk_roots(
         for s in range(n)
     ]
 
-    def build(free: tuple[int, ...]) -> None:
+    def build(free: tuple[int, ...], key: int) -> None:
         if len(free) < p:
             # No p-cycle fits: the rest are fixed points, one root.
             for x in free:
-                images[x] = x
-                insort(cycles, (label[x],))
-            visit(tuple(images[1:]), cycles)
-            for x in free:
-                del cycles[bisect_left(cycles, (label[x],))]
+                images[x - 1] = x
+                key += fixed[x]
+            visit(images, key)
             return
         e, rest = free[0], free[1:]
-        images[e] = e
-        fixed = (label[e],)
-        insort(cycles, fixed)
-        build(rest)
-        del cycles[bisect_left(cycles, fixed)]
+        images[e - 1] = e
+        build(rest, key + fixed[e])
         for chosen_mask, remaining_mask in splits[len(rest)]:
             remaining = tuple(itertools.compress(rest, remaining_mask))
             for order in itertools.permutations(itertools.compress(rest, chosen_mask)):
                 cycle = (e, *order)
                 for x, y in zip(cycle, (*order, e)):
-                    images[x] = y
-                labels = tuple(map(label_of, cycle))
-                rotation = rotations.get(labels)
-                if rotation is None:
-                    # e is the least element, so its label is the least label.
-                    rotation = rotations[labels] = _least_labeled_rotation(labels)
-                insort(cycles, rotation)
-                build(remaining)
-                del cycles[bisect_left(cycles, rotation)]
-        images[e] = e
+                    images[x - 1] = y
+                weight = weights.get(cycle)
+                if weight is None:
+                    labels = tuple(map(label_of, cycle))
+                    rotation = rotations.get(labels)
+                    if rotation is None:
+                        # e is the least element, so its label is the least label.
+                        rotation = rotations[labels] = _least_labeled_rotation(labels)
+                    weight = weights[cycle] = slot_weight(rotation)
+                build(remaining, key + weight)
+        images[e - 1] = e
 
-    build(tuple(range(1, n + 1)))
+    build(tuple(range(1, n + 1)), 0)
+    return slots
+
+
+def _slot_counts(key: int, slots: list[tuple[int, ...]], n: int) -> dict[tuple[int, ...], int]:
+    """The labeled-cycle counts a root walk on n letters packed into ``key``,
+    read against the slot table the walk returned."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+    counts = {}
+    for slot, cycle in enumerate(slots):
+        mult = key >> (width * slot) & mask
+        if mult:
+            counts[cycle] = mult
+    return counts
 
 
 def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutation]:
     """All permutations of {1..n} whose p-th power is the identity, in
     lexicographic order of image tuples."""
     out: list[Permutation] = []
-    _walk_roots(n, p, cap, lambda pi, cycles: out.append(pi))
+    _walk_roots(n, p, cap, lambda images, key: out.append(tuple(images)))
     out.sort()
     return out
 
@@ -262,23 +288,25 @@ def _class_tally(
 ) -> dict:
     """The p-th roots on n letters counted by refined class, or by
     (class, ``extra(pi)``) when ``extra`` is given.  Roots are counted by
-    their labeled cycles as the walk emits them (kept sorted by the walk, so
-    a key is one copy of the list); each distinct cycle multiset is then
-    classed once.  No root is kept."""
-    by_cycles: dict = {}
+    the cycle key the walk hands over; each distinct key is then decoded
+    and classed once.  No root is kept."""
+    by_key: dict = {}
 
-    def add(pi: Permutation, cycles: list[tuple[int, ...]]) -> None:
-        key = (tuple(cycles), extra(pi) if extra else None)
-        by_cycles[key] = by_cycles.get(key, 0) + 1
+    def add(images: list[int], key: int) -> None:
+        if extra is not None:
+            key = (key, extra(images))
+        by_key[key] = by_key.get(key, 0) + 1
 
-    _walk_roots(n, p, cap, add)
-    classes: dict = {}
+    slots = _walk_roots(n, p, cap, add)
+    classes: dict[int, RefinedClass] = {}
     counts: dict = {}
-    for (multiset, x), count in by_cycles.items():
-        if multiset not in classes:
-            classes[multiset] = _class_from_counts(Counter(multiset), n, p)
-        key = classes[multiset] if extra is None else (classes[multiset], x)
-        counts[key] = counts.get(key, 0) + count
+    for key, count in by_key.items():
+        cycles, x = key if extra is not None else (key, None)
+        cls = classes.get(cycles)
+        if cls is None:
+            cls = classes[cycles] = _class_from_counts(_slot_counts(cycles, slots, n), n, p)
+        out = cls if extra is None else (cls, x)
+        counts[out] = counts.get(out, 0) + count
     return counts
 
 
@@ -422,6 +450,11 @@ def graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
     vertices, a degree-one interior vertex keeps a single fixed point, and
     an isolated final vertex (odd n) keeps its one fixed point."""
     _validate_graph(g, n)
+    return _graph_class(g, n)
+
+
+def _graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
+    # graph_class for a graph already validated at n.
     t, r = divmod(n, 2)
     cycles: dict[tuple[int, ...], int] = {}
     for a, b, m in g.edges:
@@ -462,18 +495,21 @@ def _walk_graphs(
     n: int,
     vertex_cap: int,
     max_mult: int,
-    visit: Callable[[list[tuple[int, int, int]], Signature], None],
+    visit: Callable[[list[tuple[int, int, int]], int], None],
 ) -> None:
     """Hand every admissible graph with edge multiplicity at most
     ``max_mult`` to ``visit``, once each, in sorted edge-tuple order, as its
-    live edge list (copy it to keep it) and its signature.
+    live edge list (copy it to keep it) and its packed signature.
 
     A depth-first walk over edge lists: each prefix is emitted before its
     extensions, and the next edge (a, b, m) is tried in increasing order
     after the last pair, over only the vertices with free degree left (a
     bitmask), so the preorder is the sorted order and one call of ``walk``
-    yields one graph.  The signature is updated edge by edge from each
-    endpoint's free degree, so no graph is re-read.
+    yields one graph.  The signature is one int with the four fields of
+    ``Signature`` in ``v.bit_length()``-bit fields, lowest first (each field
+    is at most v); it is updated edge by edge from each endpoint's free
+    degree by one packed step, so no graph is re-read.  ``_unpack_signature``
+    reads it back.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -482,14 +518,14 @@ def _walk_graphs(
         raise ResourceLimitError(
             f"{v} vertices exceed the vertex cap of {vertex_cap}"
         )
+    width = v.bit_length()
     free = [2] * (v + 1)  # degree each vertex may still take
     if n % 2:
         free[v] = 1
 
     def pair_options(a: int, b: int) -> list[list[tuple]]:
         """By [free_a][free_b]: the (multiplicity, edge, live mask to keep,
-        doubled step, x step, isolated step) of each edge the pair can still
-        take."""
+        packed signature step) of each edge the pair can still take."""
         edges = [(a, b, m) for m in range(3)]  # shared by every graph
         return [
             [
@@ -498,9 +534,14 @@ def _walk_graphs(
                         m,
                         edges[m],
                         ~((free_a == m) << a | (free_b == m) << b),
-                        int(m == 2),
-                        sum(_X_AT_FREE[f - m] - _X_AT_FREE[f] for f in (free_a, free_b)),
-                        sum(_ISOLATED_AT_FREE[f - m] - _ISOLATED_AT_FREE[f] for f in (free_a, free_b)),
+                        _pack_signature(
+                            width,
+                            int(m == 2),
+                            sum(_X_AT_FREE[f - m] - _X_AT_FREE[f] for f in (free_a, free_b)),
+                            sum(_ISOLATED_AT_FREE[f - m] - _ISOLATED_AT_FREE[f]
+                                for f in (free_a, free_b)),
+                            m,
+                        ),
                     )
                     for m in range(1, min(free_a, free_b, max_mult) + 1)
                 )
@@ -515,38 +556,55 @@ def _walk_graphs(
 
     members = _Members()
 
-    def walk(
-        a0: int, b0: int, live: int, doubled: int, x_power: int, isolated: int, total: int
-    ) -> None:
-        visit(edges, (doubled, x_power, isolated, total))
+    def walk(a0: int, b0: int, live: int, signature: int) -> None:
+        visit(edges, signature)
         for a in members[live >> a0 << a0]:
             free_a = free[a]
             options_a = options[a]
             start = b0 + 1 if a == a0 else a + 1
             for b in members[live >> start << start]:
                 free_b = free[b]
-                for mult, edge, keep, dd, dx, di in options_a[b][free_a][free_b]:
+                for mult, edge, keep, step in options_a[b][free_a][free_b]:
                     free[a] = free_a - mult
                     free[b] = free_b - mult
                     edges.append(edge)
-                    walk(a, b, live & keep, doubled + dd, x_power + dx, isolated + di, total + mult)
+                    walk(a, b, live & keep, signature + step)
                     edges.pop()
                 free[a] = free_a
                 free[b] = free_b
 
-    walk(1, 1, (1 << (v + 1)) - 2, 0, n % 2, n // 2, 0)
+    walk(1, 1, (1 << (v + 1)) - 2, _pack_signature(width, 0, n % 2, n // 2, 0))
+
+
+def _pack_signature(width: int, *fields: int) -> int:
+    """Signature fields (or signed steps of them) as one int, field i at bit
+    ``width * i``; a sum of packed steps packs the summed fields as long as
+    every field stays within 0 .. 2**width - 1."""
+    return sum(f << (width * i) for i, f in enumerate(fields))
+
+
+def _unpack_signature(signature: int, n: int) -> Signature:
+    """The four fields of a signature packed by a graph walk on n letters."""
+    width = _graph_vertex_count(n).bit_length()
+    mask = (1 << width) - 1
+    return (
+        signature & mask,
+        signature >> width & mask,
+        signature >> 2 * width & mask,
+        signature >> 3 * width,
+    )
 
 
 def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:
     """Number of admissible graphs of each signature, counted as the walk
     reaches them; no graph is built."""
-    counts: dict[Signature, int] = {}
+    counts: dict[int, int] = {}
 
-    def add(edges: list, signature: Signature) -> None:
+    def add(edges: list, signature: int) -> None:
         counts[signature] = counts.get(signature, 0) + 1
 
     _walk_graphs(n, vertex_cap, max_mult, add)
-    return counts
+    return {_unpack_signature(signature, n): count for signature, count in counts.items()}
 
 
 def multigraphs(
@@ -571,6 +629,11 @@ def fiber_size(g: ConstrainedGraph, n: int) -> int:
     """Number of involutions mapping onto the graph: 2**(n//2 - s) where s
     counts doubled edges."""
     _validate_graph(g, n)
+    return _fiber_size(g, n)
+
+
+def _fiber_size(g: ConstrainedGraph, n: int) -> int:
+    # fiber_size for a graph already validated at n.
     return 2 ** (n // 2 - g.doubled_edge_count())
 
 

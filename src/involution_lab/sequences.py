@@ -156,7 +156,7 @@ def involution_count_direct(n: int) -> int:
     total = term = 1
     for i in range(1, n // 2 + 1):
         j = n - 2 * i
-        term, rem = divmod(term * (j + 2) * (j + 1), 2 * i)
+        term, rem = divmod(term * ((j + 2) * (j + 1)), 2 * i)
         if rem:
             raise ExactnessError("cycle-type term is not an integer")
         total += term

@@ -442,6 +442,16 @@ class TestCor31Mismatch:
         classes = [(cls, n) for n in range(self.N + 1) for cls in enumeration._class_tally(n, 2, 10**4)]
         assert sorted(seen) == sorted(classes)
 
+    def test_each_graph_is_validated_once(self, monkeypatch):
+        # class_graph validates the graph it builds; the round trip and the
+        # fiber size read it unvalidated.  Validated by all three, 1,938 calls.
+        real = enumeration._validate_graph
+        seen = []
+        monkeypatch.setattr(enumeration, "_validate_graph",
+                            lambda g, n: seen.append((g, n)) or real(g, n))
+        assert checks.CHECKS["cor31"]({"n_max": 10})[0]
+        assert len(seen) == len(set(seen)) == 646
+
 
 def _readme_default(default) -> str:
     if callable(default):  # lemma21's --n-max default depends on --p

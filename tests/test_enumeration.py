@@ -439,6 +439,19 @@ def graph_signature(g, n):
     return (g.doubled_edge_count(), x_power, degrees.count(0), g.edge_total())
 
 
+def edge_signature(edges, n):
+    """graph_signature read straight off an edge list, by a degree table."""
+    t, r = divmod(n, 2)
+    degree = [0] * (t + 2)
+    for a, b, m in edges:
+        degree[a] += m
+        degree[b] += m
+    interior = degree[1:t + 1]
+    x_power = interior.count(1) + (1 if r and degree[t + 1] == 0 else 0)
+    doubled = sum(m == 2 for _, _, m in edges)
+    return (doubled, x_power, interior.count(0), sum(m for _, _, m in edges))
+
+
 class TestStreamedWalks:
     @pytest.mark.parametrize("n", range(13))
     def test_every_enumerated_graph_is_valid(self, n):
@@ -451,6 +464,18 @@ class TestStreamedWalks:
             expected = Counter(graph_signature(g, n) for g in graphs)
             assert enumeration._graph_tally(n, 8, max_mult) == expected
 
+    @pytest.mark.parametrize("n,max_mult", [(7, 1), (7, 2), (8, 1), (8, 2), (15, 2), (16, 2)])
+    def test_packed_signatures_at_field_width_boundaries(self, n, max_mult):
+        # Fields are v.bit_length() bits wide; at v = 4 (n = 7, 8) and v = 8
+        # (n = 15, 16) that is one bit more than v - 1 needs, and an even n
+        # fills a field with v (the empty graph has v isolated vertices).
+        v = (n + 1) // 2
+        walked = Counter()
+        enumeration._walk_graphs(
+            n, 8, max_mult, lambda edges, _: walked.update((edge_signature(edges, n),)))
+        assert enumeration._graph_tally(n, 8, max_mult) == walked
+        assert max(max(signature) for signature in walked) == (v if n % 2 == 0 else v - 1)
+
     @pytest.mark.parametrize("n", range(13))
     def test_bruteforce_count_matches_list(self, n):
         assert graph_count_bruteforce(n) == len(simple_graphs(n))
@@ -460,7 +485,8 @@ class TestStreamedWalks:
         for n in range(n_max + 1):
             streamed = []
             enumeration._walk_roots(
-                n, p, enumeration.DEFAULT_ROOT_CAP, lambda pi, cycles: streamed.append(pi))
+                n, p, enumeration.DEFAULT_ROOT_CAP,
+                lambda images, key: streamed.append(tuple(images)))
             assert len(set(streamed)) == len(streamed)
             assert sorted(streamed) == pth_roots(n, p) == filtered_pth_roots(n, p)
 
@@ -479,23 +505,22 @@ class TestClassTally:
     def test_walk_cycles_give_each_roots_class(self, p):
         for n in range(9):
             seen = []
-
-            def visit(pi, cycles):
-                cls = enumeration._class_from_counts(Counter(cycles), n, p)
-                seen.append((cls, refined_class(pi, p)))
-
-            enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, visit)
+            slots = enumeration._walk_roots(
+                n, p, enumeration.DEFAULT_ROOT_CAP,
+                lambda images, key: seen.append((tuple(images), key)))
             assert len(seen) == len(pth_roots(n, p))
-            assert all(walked == direct for walked, direct in seen)
+            for pi, key in seen:
+                counts = enumeration._slot_counts(key, slots, n)
+                assert counts == label_cycles(pi, p)
+                assert enumeration._class_from_counts(counts, n, p) == refined_class(pi, p)
 
     def test_one_class_build_per_cycle_multiset(self, monkeypatch):
         # A work count, not a timing: lemma21 at p = 3, n <= 9 classes each
         # distinct labeled-cycle multiset once and never re-reads a root.
-        expected = set()
-        for n in range(10):
-            enumeration._walk_roots(
-                n, 3, enumeration.DEFAULT_ROOT_CAP,
-                lambda pi, cycles, n=n: expected.add((n, tuple(sorted(cycles)))))
+        expected = {
+            (n, tuple(sorted(label_cycles(pi, 3).elements())))
+            for n in range(10) for pi in pth_roots(n, 3)
+        }
         real = enumeration._class_from_counts
         built = []
 
@@ -513,7 +538,6 @@ class TestClassTally:
         assert len(built) == len(set(built))
         assert set(built) == expected
 
-
     def test_one_rotation_per_label_tuple_per_walk(self, monkeypatch):
         # A work count, not a timing: the walk looks each cycle's least
         # rotation up by its label tuple, so no tuple is rotated twice.
@@ -526,22 +550,27 @@ class TestClassTally:
                 return real(labels)
 
             monkeypatch.setattr(enumeration, "_least_labeled_rotation", counted)
-            enumeration._walk_roots(n, 3, enumeration.DEFAULT_ROOT_CAP, lambda pi, cycles: None)
+            enumeration._walk_roots(n, 3, enumeration.DEFAULT_ROOT_CAP, lambda images, key: None)
             assert len(rotated) == len(set(rotated))
             if n >= 3:
                 assert rotated
 
-    @pytest.mark.parametrize("p,n_max", [(2, 9), (3, 8), (5, 7)])
-    def test_live_cycles_are_sorted_at_every_visit(self, p, n_max):
-        for n in range(n_max + 1):
-            unsorted = []
-
-            def visit(pi, cycles):
-                if cycles != sorted(cycles):
-                    unsorted.append(list(cycles))
-
-            enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, visit)
-            assert unsorted == []
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_a_slot_holds_a_multiplicity_of_n(self, n):
+        # At p = 17 every letter carries label 1 and only the identity is a
+        # root, so one slot counts all n fixed points: 16 needs every one of
+        # the 16.bit_length() = 5 bits a slot gets.
+        seen = []
+        slots = enumeration._walk_roots(
+            n, 17, enumeration.DEFAULT_ROOT_CAP,
+            lambda images, key: seen.append((tuple(images), key)))
+        identity = tuple(range(1, n + 1))
+        assert [pi for pi, _ in seen] == [identity]
+        assert enumeration._slot_counts(seen[0][1], slots, n) == {(1,): n}
+        cls = RefinedClass((), (((1,), n),))
+        assert refined_class(identity, 17) == cls
+        assert enumeration._class_tally(n, 17, enumeration.DEFAULT_ROOT_CAP) == {cls: 1}
+        assert class_size(cls, 17, n) == 1
 
     def test_tally_holds_one_key_per_cycle_multiset(self, monkeypatch):
         # Keyed by placement order instead, p = 2, n = 10 held 2,018 keys.

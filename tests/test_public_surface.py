@@ -57,6 +57,8 @@ REMOVED = {
 # as (reading module, owner.name).  Any other shared helper goes public.
 PRIVATE_CROSSINGS = {
     ("checks", "enumeration._class_size"),
+    ("checks", "enumeration._fiber_size"),
+    ("checks", "enumeration._graph_class"),
     ("checks", "enumeration._class_tally"),
     ("checks", "enumeration._graph_tally"),
     ("checks", "enumeration._involution_degrees"),
