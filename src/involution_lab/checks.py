@@ -65,7 +65,8 @@ def _check(name: str, params: dict) -> tuple[bool, str]:
 
 
 def _lemma21_n_max(values: dict) -> int:
-    return {2: 10, 3: 9, 5: 7}.get(values["p"], 6)
+    # From p = 7 on, n = p is the first n with a p-cycle to place.
+    return {2: 10, 3: 9, 5: 7}.get(values["p"], values["p"])
 
 
 def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
@@ -97,10 +98,9 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
             yield (f"n={n}: {mapped[g]} classes map to graph {g.to_json_obj()}, "
                    f"the enumeration gives it {enumerated[g]} times")
         for cls, g in zip(classes, graphs):
-            # class_graph validated cls and the graph it built.
-            if enumeration._graph_class(g, n) != cls:
+            if enumeration.graph_class(g, n) != cls:
                 yield f"n={n}: graph round-trip broke on {cls.to_json_obj()}"
-            lhs = enumeration._fiber_size(g, n)
+            lhs = enumeration.fiber_size(g, n)
             rhs = enumeration._class_size(cls, 2, n)
             if lhs != rhs:
                 yield f"n={n}, graph {g.to_json_obj()}: fiber size {lhs} != class size {rhs}"
@@ -229,13 +229,20 @@ def _thm66(s_max: int) -> Iterator[str]:
 
 
 def _fiber_sum(n: int, vertex_cap: int) -> Iterator[str]:
-    """The fibers 2**(n//2 - doubled edges) of the admissible graphs sum to
-    the involution count; graphs are tallied by signature, none is built."""
+    """The fibers of the admissible graphs sum to the involution count;
+    graphs are tallied by signature, none is built."""
     tally = enumeration._graph_tally(n, vertex_cap, 2)
-    fibers = sum(count << (n // 2 - doubled) for (doubled, *_), count in tally.items())
+    fibers = sum(count * signature.fiber_size(n) for signature, count in tally.items())
     count = sequences.involution_count(n)
     if fibers != count:
         yield f"n={n}: fibers sum to {fibers}, count is {count}"
+
+
+def _cycle_degrees(counts: dict[tuple[int, ...], int]) -> tuple[int, int]:
+    """(fixed points, transpositions) of the involutions with these
+    labeled-cycle counts: the 1-cycles and the 2-cycles."""
+    fixed = sum(mult for cycle, mult in counts.items() if len(cycle) == 1)
+    return fixed, sum(counts.values()) - fixed
 
 
 def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
@@ -244,13 +251,13 @@ def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     for n in range(n_max + 1):
         # Per class, the involutions counted by (fixed points, transpositions).
         by_class: dict = {}
-        tally = enumeration._class_tally(n, 2, root_cap, enumeration._involution_degrees)
+        tally = enumeration._class_tally(n, 2, root_cap, _cycle_degrees)
         for (cls, degrees), count in tally.items():
             by_class.setdefault(cls, {})[degrees] = count
         for cls, degrees in sorted(by_class.items()):
             g = enumeration.class_graph(cls, n)
-            total = BivariatePoly(degrees)
-            if total != enumeration.fiber_size(g, n) * enumeration.graph_weight(g, n):
+            signature = enumeration.graph_signature(g, n)
+            if BivariatePoly(degrees) != signature.fiber_size(n) * signature.weight():
                 yield f"n={n}, graph {g.to_json_obj()}: weight identity fails"
         yield from _fiber_sum(n, vertex_cap)
 

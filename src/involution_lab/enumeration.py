@@ -23,12 +23,15 @@ The root walk hands every root over with one int key for its labeled-cycle
 multiset: each distinct labeled cycle owns a bit slot, and placing a cycle
 adds one to its slot (a key weight looked up once per element tuple, a least
 rotation once per label tuple, both in memos local to the walk).  The oracles
-tally roots by key and decode and class each distinct key once.  The graph
-walk tries only the vertices with free degree left, held in a bitmask, and
-hands every graph over with its signature packed into one int; the oracles
-tally graphs by packed signature and unpack each distinct one once.  Both
-walks visit in the same order as the plain recursions they replace, one root
-or graph at a time.
+tally roots by key and decode each distinct key once, into the labeled-cycle
+counts that give its class and its degrees.  The graph walk tries only the
+vertices with free degree left, held in a bitmask, and hands every graph over
+with its ``Signature`` packed into one int; the oracles tally graphs by packed
+signature and unpack each distinct one once.  One graph is read the same way:
+validating it yields its free degrees, which ``graph_signature`` and
+``graph_class`` read through the walk's free-degree tables, the one statement
+of the vertex rule; a ``Signature`` carries the fiber and weight laws.  Both
+walks visit in the same order as the plain recursions they replace.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
     "ConstrainedGraph",
     "class_graph",
     "graph_class",
+    "Signature",
+    "graph_signature",
     "multigraphs",
     "simple_graphs",
     "fiber_size",
@@ -284,28 +289,25 @@ def refined_class(pi: Permutation, p: int) -> RefinedClass:
 
 
 def _class_tally(
-    n: int, p: int, cap: int, extra: Callable[[Permutation], object] | None = None
+    n: int, p: int, cap: int, extra: Callable[[dict], object] | None = None
 ) -> dict:
     """The p-th roots on n letters counted by refined class, or by
-    (class, ``extra(pi)``) when ``extra`` is given.  Roots are counted by
-    the cycle key the walk hands over; each distinct key is then decoded
-    and classed once.  No root is kept."""
-    by_key: dict = {}
+    (class, ``extra(counts)``) when ``extra`` is given, where ``counts`` are
+    the roots' labeled-cycle counts.  Roots are counted by the cycle key the
+    walk hands over; each distinct key is then decoded, classed and read by
+    ``extra`` once.  No root is kept."""
+    by_key: dict[int, int] = {}
 
     def add(images: list[int], key: int) -> None:
-        if extra is not None:
-            key = (key, extra(images))
         by_key[key] = by_key.get(key, 0) + 1
 
     slots = _walk_roots(n, p, cap, add)
-    classes: dict[int, RefinedClass] = {}
     counts: dict = {}
     for key, count in by_key.items():
-        cycles, x = key if extra is not None else (key, None)
-        cls = classes.get(cycles)
-        if cls is None:
-            cls = classes[cycles] = _class_from_counts(_slot_counts(cycles, slots, n), n, p)
-        out = cls if extra is None else (cls, x)
+        cycles = _slot_counts(key, slots, n)
+        out = _class_from_counts(cycles, n, p)
+        if extra is not None:
+            out = (out, extra(cycles))
         counts[out] = counts.get(out, 0) + count
     return counts
 
@@ -405,13 +407,24 @@ def _graph_vertex_count(n: int) -> int:
     return (n + 1) // 2  # one vertex per block of two letters, the last maybe short
 
 
-def _validate_graph(g: ConstrainedGraph, n: int) -> None:
+def _free_degrees(n: int) -> list[int]:
+    """The degree each vertex for n letters may take, vertex u at index u
+    (index 0, no vertex, holds 0): two, or one for the last vertex of an odd n."""
+    free = [0] + [2] * _graph_vertex_count(n)
+    if n % 2:
+        free[-1] = 1
+    return free
+
+
+def _validate_graph(g: ConstrainedGraph, n: int) -> list[int]:
+    """Check ``g`` against n and return its free degrees (as ``_free_degrees``
+    lists them, less each vertex's degree in ``g``)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    v = (n + 1) // 2  # _graph_vertex_count, inlined on this hot path
+    free = _free_degrees(n)
+    v = len(free) - 1
     if g.vertex_count != v:
         raise ValueError(f"graph has {g.vertex_count} vertices, n={n} needs {v}")
-    deg = [0] * (v + 1)
     prev_a = prev_b = 0
     for a, b, m in g.edges:
         if not (1 <= a < b <= v):
@@ -421,13 +434,12 @@ def _validate_graph(g: ConstrainedGraph, n: int) -> None:
         if a < prev_a or (a == prev_a and b <= prev_b):
             raise ValueError("edges not sorted by endpoints / duplicate pair")
         prev_a, prev_b = a, b
-        deg[a] += m
-        deg[b] += m
-    if max(deg, default=0) > 2 or (n % 2 and deg[v] > 1):
-        for u in range(1, v + 1):
-            limit = 1 if n % 2 and u == v else 2
-            if deg[u] > limit:
-                raise ValueError(f"vertex {u} has degree {deg[u]} > {limit}")
+        free[a] -= m
+        free[b] -= m
+    if min(free) < 0:
+        u, limit = next((u, limit) for u, limit in enumerate(_free_degrees(n)) if free[u] < 0)
+        raise ValueError(f"vertex {u} has degree {limit - free[u]} > {limit}")
+    return free
 
 
 def class_graph(cls: RefinedClass, n: int) -> ConstrainedGraph:
@@ -445,30 +457,62 @@ def class_graph(cls: RefinedClass, n: int) -> ConstrainedGraph:
     return g
 
 
+# The vertex rule, by free degree: a vertex with one left keeps a fixed point
+# and weighs x (an interior vertex of degree one, or the final vertex of an
+# odd n at degree zero), and an interior vertex with two left is isolated: a
+# bag label, weighing (x**2 + y)/2.
+_X_AT_FREE = (0, 1, 0)
+_ISOLATED_AT_FREE = (0, 0, 1)
+
+
 def graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
-    """Inverse of class_graph: bag labels are the isolated interior
-    vertices, a degree-one interior vertex keeps a single fixed point, and
-    an isolated final vertex (odd n) keeps its one fixed point."""
-    _validate_graph(g, n)
-    return _graph_class(g, n)
+    """Inverse of class_graph: the edges are the 2-cycles, and the vertex
+    rule (``_X_AT_FREE``, ``_ISOLATED_AT_FREE``) gives the fixed points and
+    the bag."""
+    free = _validate_graph(g, n)
+    cycles = {(a, b): m for a, b, m in g.edges}
+    cycles.update(((u,), 1) for u, f in enumerate(free) if _X_AT_FREE[f])
+    bag = tuple(u for u, f in enumerate(free) if _ISOLATED_AT_FREE[f])
+    return RefinedClass(bag, tuple(sorted(cycles.items())))
 
 
-def _graph_class(g: ConstrainedGraph, n: int) -> RefinedClass:
-    # graph_class for a graph already validated at n.
-    t, r = divmod(n, 2)
-    cycles: dict[tuple[int, ...], int] = {}
-    for a, b, m in g.edges:
-        cycles[(a, b)] = m
-    bag = []
-    for u in range(1, t + 1):
-        d = g.degree(u)
-        if d == 0:
-            bag.append(u)
-        elif d == 1:
-            cycles[(u,)] = 1
-    if r and g.degree(t + 1) == 0:
-        cycles[(t + 1,)] = 1
-    return RefinedClass(tuple(bag), tuple(sorted(cycles.items())))
+_HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
+
+
+class Signature(NamedTuple):
+    """What a graph's fiber size and weight depend on: its doubled edges,
+    the power of x its vertices carry, its isolated interior vertices, and
+    its edge total."""
+
+    doubled: int
+    x_power: int
+    isolated: int
+    edge_total: int
+
+    def fiber_size(self, n: int) -> int:
+        """Involutions on n letters mapping onto a graph of this signature:
+        2**(n//2 - doubled)."""
+        return 1 << (n // 2 - self.doubled)
+
+    def weight(self) -> BivariatePoly:
+        """x**x_power * y**edge_total * ((x**2 + y)/2)**isolated: the average
+        weight of the involutions in the fiber."""
+        out = BivariatePoly.monomial(self.x_power, self.edge_total)
+        for _ in range(self.isolated):
+            out = out * _HALF_X2_PLUS_Y
+        return out
+
+
+def _vertex_fields(free: list[int]) -> tuple[int, int]:
+    """(x power, isolated interior vertices) of a graph with these free degrees."""
+    return sum(_X_AT_FREE[f] for f in free), sum(_ISOLATED_AT_FREE[f] for f in free)
+
+
+def graph_signature(g: ConstrainedGraph, n: int) -> Signature:
+    """The signature of ``g`` as a graph for n letters."""
+    free = _validate_graph(g, n)
+    mults = [m for _, _, m in g.edges]
+    return Signature(mults.count(2), *_vertex_fields(free), sum(mults))
 
 
 class _Members(dict):
@@ -478,17 +522,6 @@ class _Members(dict):
     def __missing__(self, mask: int) -> tuple[int, ...]:
         bits = self[mask] = tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
         return bits
-
-
-#: (doubled edges, x power, isolated interior vertices, edge total): what a
-#: graph's fiber size and weight depend on.
-Signature = tuple[int, int, int, int]
-
-# By free degree: a vertex with one left weighs x (an interior vertex of
-# degree one, or the final vertex of an odd n at degree zero), and an
-# interior vertex with two left is isolated.
-_X_AT_FREE = (0, 1, 0)
-_ISOLATED_AT_FREE = (0, 0, 1)
 
 
 def _walk_graphs(
@@ -507,8 +540,8 @@ def _walk_graphs(
     bitmask), so the preorder is the sorted order and one call of ``walk``
     yields one graph.  The signature is one int with the four fields of
     ``Signature`` in ``v.bit_length()``-bit fields, lowest first (each field
-    is at most v); it is updated edge by edge from each endpoint's free
-    degree by one packed step, so no graph is re-read.  ``_unpack_signature``
+    is at most v); from the empty graph's, it is updated edge by edge from
+    each endpoint's free degree by one packed step, so no graph is re-read.  ``_unpack_signature``
     reads it back.
     """
     if n < 0:
@@ -519,9 +552,7 @@ def _walk_graphs(
             f"{v} vertices exceed the vertex cap of {vertex_cap}"
         )
     width = v.bit_length()
-    free = [2] * (v + 1)  # degree each vertex may still take
-    if n % 2:
-        free[v] = 1
+    free = _free_degrees(n)  # degree each vertex may still take
 
     def pair_options(a: int, b: int) -> list[list[tuple]]:
         """By [free_a][free_b]: the (multiplicity, edge, live mask to keep,
@@ -573,7 +604,7 @@ def _walk_graphs(
                 free[a] = free_a
                 free[b] = free_b
 
-    walk(1, 1, (1 << (v + 1)) - 2, _pack_signature(width, 0, n % 2, n // 2, 0))
+    walk(1, 1, (1 << (v + 1)) - 2, _pack_signature(width, 0, *_vertex_fields(free), 0))
 
 
 def _pack_signature(width: int, *fields: int) -> int:
@@ -587,12 +618,7 @@ def _unpack_signature(signature: int, n: int) -> Signature:
     """The four fields of a signature packed by a graph walk on n letters."""
     width = _graph_vertex_count(n).bit_length()
     mask = (1 << width) - 1
-    return (
-        signature & mask,
-        signature >> width & mask,
-        signature >> 2 * width & mask,
-        signature >> 3 * width,
-    )
+    return Signature(*(signature >> width * i & mask for i in range(3)), signature >> 3 * width)
 
 
 def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:
@@ -626,15 +652,8 @@ def simple_graphs(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[Const
 
 
 def fiber_size(g: ConstrainedGraph, n: int) -> int:
-    """Number of involutions mapping onto the graph: 2**(n//2 - s) where s
-    counts doubled edges."""
-    _validate_graph(g, n)
-    return _fiber_size(g, n)
-
-
-def _fiber_size(g: ConstrainedGraph, n: int) -> int:
-    # fiber_size for a graph already validated at n.
-    return 2 ** (n // 2 - g.doubled_edge_count())
+    """Number of involutions mapping onto the graph (``Signature.fiber_size``)."""
+    return graph_signature(g, n).fiber_size(n)
 
 
 def _involution_degrees(pi: Permutation) -> tuple[int, int]:
@@ -654,37 +673,10 @@ def involution_weight(pi: Permutation) -> BivariatePoly:
     return BivariatePoly.monomial(*_involution_degrees(pi))
 
 
-_HALF_X2_PLUS_Y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
-
-
-def _signature_weight(x_power: int, isolated: int, edge_total: int) -> BivariatePoly:
-    out = BivariatePoly.monomial(x_power, edge_total)
-    for _ in range(isolated):
-        out = out * _HALF_X2_PLUS_Y
-    return out
-
-
 def graph_weight(g: ConstrainedGraph, n: int) -> BivariatePoly:
-    """Product of the vertex and edge weights.
-
-    Edges weigh y each (a doubled edge contributes y**2).  An interior
-    vertex weighs 1, x, or (x**2+y)/2 as its degree is 2, 1, or 0; the final
-    vertex of an odd n weighs 1 at degree 1 and x at degree 0.  The result
-    is the average weight of the involutions in the graph's fiber.
-    """
-    _validate_graph(g, n)
-    t, r = divmod(n, 2)
-    x_power = 0
-    halves = 0
-    for u in range(1, t + 1):
-        d = g.degree(u)
-        if d == 0:
-            halves += 1
-        elif d == 1:
-            x_power += 1
-    if r and g.degree(t + 1) == 0:
-        x_power += 1
-    return _signature_weight(x_power, halves, g.edge_total())
+    """Average weight of the involutions in the graph's fiber
+    (``Signature.weight``)."""
+    return graph_signature(g, n).weight()
 
 
 def graph_count_bruteforce(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -698,6 +690,6 @@ def graph_weight_sum_bruteforce(
     """Sum of graph_weight over the admissible graphs with no doubled edge:
     one weight per signature, times the number of graphs that carry it."""
     total = BivariatePoly.zero()
-    for (_, x_power, isolated, edge_total), count in _graph_tally(n, vertex_cap, 1).items():
-        total = total + count * _signature_weight(x_power, isolated, edge_total)
+    for signature, count in _graph_tally(n, vertex_cap, 1).items():
+        total = total + count * signature.weight()
     return total

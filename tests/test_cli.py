@@ -304,6 +304,23 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--p must be a prime" in capsys.readouterr().err
 
+    def test_lemma21_places_a_p_cycle_at_p_7(self, monkeypatch):
+        # From p = 7 on, --n-max defaults to p: 721 roots at p = 7, the
+        # identity and 720 single 7-cycles, so a cap of 720 refuses.
+        run = fresh_run(*CLI, "verify", "--check", "lemma21", "--p", "7", keep_stdout=True)
+        assert (run.code, run.stdout) == (0, b"lemma21: PASS: fiber law verified for p=7, n<=7\n")
+        monkeypatch.setenv("INVOLUTION_LAB_CAP", "720,8")
+        run = fresh_run(*CLI, "verify", "--check", "lemma21", "--p", "7", keep_stdout=True)
+        assert run.code == 3
+        assert b"enumeration of 721 p-th roots exceeds the cap of 720" in run.stdout
+
+    def test_lemma21_at_p_13_refuses_before_walking(self):
+        # 1 + 12! roots at n = 13 exceed the default root cap: exit 3, at once.
+        run = fresh_run(*CLI, "verify", "--check", "lemma21", "--p", "13", keep_stdout=True)
+        assert run.code == 3
+        assert b"enumeration of 479001601 p-th roots" in run.stdout
+        assert run.cpu_seconds < 1
+
     def test_explicit_p_is_used_as_given(self):
         # p = 0 is not replaced by the default p = 2 or by every prime.
         with pytest.raises(ValueError, match="prime"):
@@ -442,21 +459,26 @@ class TestCor31Mismatch:
         classes = [(cls, n) for n in range(self.N + 1) for cls in enumeration._class_tally(n, 2, 10**4)]
         assert sorted(seen) == sorted(classes)
 
-    def test_each_graph_is_validated_once(self, monkeypatch):
-        # class_graph validates the graph it builds; the round trip and the
-        # fiber size read it unvalidated.  Validated by all three, 1,938 calls.
+    @pytest.mark.parametrize("name, calls", [("cor31", 1938), ("weights", 1292)])
+    def test_graph_validations_at_n_max_10(self, monkeypatch, name, calls):
+        # A work count: every validation is the degree read that the caller
+        # needs anyway.  cor31 validates each of the 646 graphs in
+        # class_graph, graph_class and fiber_size; weights in class_graph
+        # and graph_signature.
         real = enumeration._validate_graph
         seen = []
         monkeypatch.setattr(enumeration, "_validate_graph",
                             lambda g, n: seen.append((g, n)) or real(g, n))
-        assert checks.CHECKS["cor31"]({"n_max": 10})[0]
-        assert len(seen) == len(set(seen)) == 646
+        assert checks.CHECKS[name]({"n_max": 10})[0]
+        assert len(seen) == calls
+        assert len(set(seen)) == 646
 
 
 def _readme_default(default) -> str:
     if callable(default):  # lemma21's --n-max default depends on --p
         by_p = "; ".join(f"p={p}: {default({'p': p})}" for p in (2, 3, 5))
-        return f"{by_p}; larger p: {default({'p': 7})}"
+        larger = [default({"p": p}) for p in (7, 11, 13)]
+        return f"{by_p}; larger p: {'p' if larger == [7, 11, 13] else larger[0]}"
     return "none" if default is None else str(default)
 
 

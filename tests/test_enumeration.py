@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from involution_lab import enumeration
+from involution_lab import checks, enumeration
 from involution_lab.algebra import BivariatePoly
 from involution_lab.checks import CHECKS
 from involution_lab.enumeration import (
@@ -273,6 +273,12 @@ class TestGraphs:
             with pytest.raises(ValueError, match="n must be nonnegative"):
                 read(empty, -1)
 
+    def test_degree_over_its_limit_names_the_vertex(self):
+        with pytest.raises(ValueError, match=r"^vertex 2 has degree 3 > 2$"):
+            graph_class(ConstrainedGraph(3, ((1, 2, 2), (2, 3, 1))), 6)
+        with pytest.raises(ValueError, match=r"^vertex 3 has degree 2 > 1$"):
+            enumeration.graph_signature(ConstrainedGraph(3, ((1, 3, 1), (2, 3, 1))), 5)
+
     def test_graph_class_round_trip(self):
         for n in range(10):
             for pi in pth_roots(n, 2):
@@ -430,7 +436,7 @@ class TestWeights:
             assert poly.evaluate(1, 1) == graph_count_bruteforce(n)
 
 
-def graph_signature(g, n):
+def reference_signature(g, n):
     """(doubled edges, x power, isolated interior vertices, edge total) read
     from the public per-graph functions."""
     t, r = divmod(n, 2)
@@ -440,7 +446,7 @@ def graph_signature(g, n):
 
 
 def edge_signature(edges, n):
-    """graph_signature read straight off an edge list, by a degree table."""
+    """reference_signature read straight off an edge list, by a degree table."""
     t, r = divmod(n, 2)
     degree = [0] * (t + 2)
     for a, b, m in edges:
@@ -461,8 +467,24 @@ class TestStreamedWalks:
     @pytest.mark.parametrize("n", range(13))
     def test_tally_matches_per_graph_signatures(self, n):
         for max_mult, graphs in ((2, multigraphs(n)), (1, simple_graphs(n))):
-            expected = Counter(graph_signature(g, n) for g in graphs)
+            expected = Counter(reference_signature(g, n) for g in graphs)
             assert enumeration._graph_tally(n, 8, max_mult) == expected
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_graph_signature_matches_reference(self, n):
+        for g in multigraphs(n):
+            assert enumeration.graph_signature(g, n) == reference_signature(g, n)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_fiber_size_and_weight_follow_the_signature_laws(self, n):
+        half_x2_plus_y = BivariatePoly({(2, 0): 1, (0, 1): 1}, 1)
+        for g in multigraphs(n):
+            doubled, x_power, isolated, edge_total = reference_signature(g, n)
+            assert fiber_size(g, n) == 2 ** (n // 2 - doubled)
+            weight = BivariatePoly.monomial(x_power, edge_total)
+            for _ in range(isolated):
+                weight = weight * half_x2_plus_y
+            assert graph_weight(g, n) == weight
 
     @pytest.mark.parametrize("n,max_mult", [(7, 1), (7, 2), (8, 1), (8, 2), (15, 2), (16, 2)])
     def test_packed_signatures_at_field_width_boundaries(self, n, max_mult):
@@ -592,6 +614,31 @@ class TestClassTally:
         enumeration._class_tally(10, 2, enumeration.DEFAULT_ROOT_CAP)
         assert len(classed) == 774
         assert set(classed) == multisets
+
+
+class TestCycleDegrees:
+    def test_per_key_degrees_match_every_root(self):
+        # weights reads (fixed points, transpositions) once per cycle key,
+        # from the decoded labeled-cycle counts.
+        for n in range(11):
+            seen = []
+            slots = enumeration._walk_roots(
+                n, 2, enumeration.DEFAULT_ROOT_CAP,
+                lambda images, key: seen.append((tuple(images), key)))
+            for pi, key in seen:
+                counts = enumeration._slot_counts(key, slots, n)
+                assert checks._cycle_degrees(counts) == enumeration._involution_degrees(pi)
+
+    def test_planted_fault_turns_weights_red(self, monkeypatch):
+        # One cell: the identity on four letters read as three fixed points.
+        real = checks._cycle_degrees
+
+        def faulty(counts):
+            return (3, 0) if counts == {(1,): 2, (2,): 2} else real(counts)
+
+        monkeypatch.setattr(checks, "_cycle_degrees", faulty)
+        assert CHECKS["weights"]({}) == (
+            False, "n=4, graph {'vertices': 2, 'edges': []}: weight identity fails")
 
 
 class TestStreamedMemory:

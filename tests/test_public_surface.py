@@ -13,7 +13,7 @@ import pytest
 import involution_lab
 from involution_lab import twoadic, valuations
 from involution_lab.conjecture import TwoAdicPrefix, Violation
-from involution_lab.enumeration import ConstrainedGraph, RefinedClass
+from involution_lab.enumeration import ConstrainedGraph, RefinedClass, Signature
 from involution_lab.periodicity import PeriodReport
 from involution_lab.valuations import ValuationReport
 
@@ -40,7 +40,11 @@ REMOVED = {
     ],
     "conjecture": ["even_count_val2"],  # valuation_report(4 * k + 1, "t_even").computed
     "cli": ["_quotients", "_halves"],  # sequences.odd_factor_step, twoadic.column_number
-    "enumeration": ["_labeled_cycle_counts"],  # permutation_cycles, _least_labeled_rotation
+    "enumeration": [
+        "_labeled_cycle_counts",  # permutation_cycles, _least_labeled_rotation
+        "_graph_class",  # graph_class, which reads the free degrees it validates
+        "_fiber_size", "_signature_weight",  # Signature.fiber_size, Signature.weight
+    ],
     "twoadic": [
         "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))
         "even_count_val2_upto",  # certified_columns(("t_even",), range(1, 4 * k_max + 2, 4))
@@ -57,11 +61,8 @@ REMOVED = {
 # as (reading module, owner.name).  Any other shared helper goes public.
 PRIVATE_CROSSINGS = {
     ("checks", "enumeration._class_size"),
-    ("checks", "enumeration._fiber_size"),
-    ("checks", "enumeration._graph_class"),
     ("checks", "enumeration._class_tally"),
     ("checks", "enumeration._graph_tally"),
-    ("checks", "enumeration._involution_degrees"),
     ("periodicity", "twoadic._refuse_window"),
     ("periodicity", "twoadic._residue_array"),
 }
@@ -108,6 +109,7 @@ RECORDS = [
       "violations": [_VIOLATION.to_json_obj()]}),
     (RefinedClass((1,), (((2,), 1),)), {"bag": [1], "cycles": [[[2], 1]]}),
     (ConstrainedGraph(3, ((1, 2, 2), (2, 3, 1))), {"vertices": 3, "edges": [[1, 2, 2], [2, 3, 1]]}),
+    (Signature(1, 0, 0, 3), None),
     (PeriodReport(8, 2, 4, 12, ((1, 2), (2, 3)), 1),
      {"modulus": 8, "preperiod": 2, "period": 4, "window_checked": 12,
       "witnesses": {"rejected_divisors": [[1, 2], [2, 3]], "preperiod_index": 1}}),
