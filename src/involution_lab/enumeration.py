@@ -155,7 +155,10 @@ def _walk_roots(
     fixed = [slot_weight((label[x],)) if x else 0 for x in range(n + 1)]
     # Key weight by element tuple, and least rotation by label tuple, for this
     # walk only: bounded by the cycles the letters can form, not by the roots.
+    # Below 2p letters a root has at most one p-cycle and fixes every other
+    # letter, so no element tuple recurs and the weights are not kept.
     weights: dict[tuple[int, ...], int] = {}
+    keep_weights = n >= 2 * p
     rotations: dict[tuple[int, ...], tuple[int, ...]] = {}
     # By the number s of elements after the least free one: every choice of
     # p - 1 of them, in combinations order, as (chosen, remaining) position
@@ -195,7 +198,9 @@ def _walk_roots(
                     if rotation is None:
                         # e is the least element, so its label is the least label.
                         rotation = rotations[labels] = _least_labeled_rotation(labels)
-                    weight = weights[cycle] = slot_weight(rotation)
+                    weight = slot_weight(rotation)
+                    if keep_weights:
+                        weights[cycle] = weight
                 build(remaining, key + weight)
         images[e - 1] = e
 

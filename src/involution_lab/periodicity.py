@@ -18,12 +18,19 @@ the preperiod, and its cycle length is a multiple of the period.  The first
 repeat is found without a table of states, by a variant of Brent's cycle
 detection (Brent, BIT 20, 1980).  The state cycle length is a multiple of
 m, because n mod m is part of the state, so a saved checkpoint state can
-only recur m, 2m, ... steps later.  Checkpoints sit at n = m * 2**i and each
-is compared with the states up to 2**i * m steps ahead; a round whose
-checkpoint lies on the cycle and whose length is at least the cycle length
-finds it, and the first hit is the cycle length itself.  The values are
-kept in an array of machine words, cut or extended to exactly the window
-the report covers: the preperiod bound plus two state cycles.  The scan is
+only recur m, 2m, ... steps later.  Checkpoints sit at n = 1, 2, 4, ...;
+one below m is compared with the state m steps ahead only, and one at
+c >= m with the states m, 2m, ... up to c steps ahead.  A round whose
+checkpoint lies on the cycle and that looks at least the cycle length
+ahead finds it, and the first hit is the cycle length itself.  For the
+counts mod m the state cycle is m itself (the period divides m, Theorems
+6.2 and 6.3), so the hare stops m steps past the first checkpoint on the
+cycle.  The values are kept in an array of machine words, cut or extended
+to exactly the window the report covers: the preperiod bound plus two
+state cycles.  Only the values up to the hit are stepped.  The state at
+the first repeat is the state at its first occurrence, so every later
+value is the one a cycle earlier, and the rest of the window is copied
+from the array in blocks of a few thousand words.  The scan is
 inconclusive exactly when more than the state cap of distinct states
 precede the first repeat.  For the odd factors mod 2**s, read from
 :func:`involution_lab.twoadic.odd_factor_residues`, the bound is 0 and the
@@ -52,6 +59,10 @@ __all__ = [
     "odd_factor_shift_congruence",
     "odd_factor_period",
 ]
+
+
+# Words per block when the window's tail is copied from one cycle earlier.
+_COPY_BLOCK = 4096
 
 
 class PeriodReport(NamedTuple):
@@ -154,12 +165,18 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
     + 1 values.
 
     The repeat is found by Brent's cycle detection with checkpoints at
-    n = m * 2**i.  The cycle length is a multiple of m, so the hare is
-    compared with the checkpoint only every m steps, and the first hit in a
-    round is the cycle length; ``first`` is then the smallest n whose state
-    recurs one cycle later, read from the recorded values.  Every value the
-    hare steps into is kept in an array of machine words (all are below m),
-    which is then cut or extended to the window: memory is the window in
+    n = 1, 2, 4, ...  The cycle length is a multiple of m, so the hare is
+    compared with the checkpoint only every m steps: once, m steps ahead,
+    for a checkpoint below m, and up to the checkpoint's own distance ahead
+    from m on.  A hit at checkpoint c puts c on the cycle, and the first
+    hit in a round is the cycle length; ``first`` is then the smallest n
+    whose state recurs one cycle later, read from the recorded values.
+    Every value the hare steps into is kept in an array of machine words
+    (all are below m), which is then cut or extended to the window.  The
+    extension is not stepped: the state at ``again`` is the state at
+    ``first``, so values[n] = values[n - cycle] for n >= again, and those
+    values are copied from the array in blocks of ``_COPY_BLOCK`` words, so
+    that no copy of a whole cycle is ever held.  Memory is the window in
     words, and no state table is kept.
 
     The scan is inconclusive, and raises, exactly when more than
@@ -181,9 +198,9 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
         raise inconclusive
     values = _residue_array(m)
     stream = removal_residues(m)
-    checkpoint, cycle = m, 0
+    checkpoint, cycle = 1, 0
     while not cycle:
-        for j in range(m, min(checkpoint, cap) + 1, m):
+        for j in range(m, max(min(checkpoint, cap), m) + 1, m):
             hare = checkpoint + j
             values.extend(islice(stream, hare + 1 - len(values)))
             if (values[hare] == values[checkpoint]
@@ -202,10 +219,11 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
     if again - 1 > cap:
         raise inconclusive
     window = 2 * again - first + 1
-    if len(values) < window:
-        values.extend(islice(stream, window - len(values)))
-    else:
-        del values[window:]
+    # At most one cycle is missing, and every source index is below the
+    # values already stepped.
+    for start in range(len(values), window, _COPY_BLOCK):
+        values.extend(values[start - cycle:min(start + _COPY_BLOCK, window) - cycle])
+    del values[window:]
     return _certify(values, m, first - 1, cycle)
 
 

@@ -43,11 +43,10 @@ def reference_report(values, modulus, lam, mu):
                           "preperiod_index": lam - 1 if lam else None}}
 
 
-def table_mod_period(m, cap=float("inf")):
-    """Reference state detector: a dict of every state until the first
-    repeat, then ``reference_report`` on a window of two state cycles past
-    it.  Returns the report's JSON object and the index ``again`` of the
-    first repeat."""
+def table_first_repeat(m, cap=float("inf")):
+    """Reference state walk: a dict of every state until the first repeat.
+    Returns the values up to it and the indices ``first`` and ``again`` of
+    the repeated state."""
     values, seen, n = [1 % m, 1 % m], {}, 1
     while (n % m, values[-2], values[-1]) not in seen:
         seen[n % m, values[-2], values[-1]] = n
@@ -55,7 +54,15 @@ def table_mod_period(m, cap=float("inf")):
             raise InconclusiveError(f"no state repetition within {cap} steps for modulus {m}")
         values.append((values[-1] + n * values[-2]) % m)
         n += 1
-    first, again = seen[n % m, values[-2], values[-1]], n
+    return values, seen[n % m, values[-2], values[-1]], n
+
+
+def table_mod_period(m, cap=float("inf")):
+    """Reference state detector: ``table_first_repeat``, then
+    ``reference_report`` on a window of two state cycles past it.  Returns
+    the report's JSON object and the index ``again`` of the first repeat."""
+    values, first, again = table_first_repeat(m, cap)
+    n = again
     mu, lam = again - first, first - 1
     while len(values) < lam + 2 * mu + 2:
         values.append((values[-1] + n * values[-2]) % m)
@@ -126,6 +133,43 @@ class TestCycleDetector:
             tracemalloc.stop()
         assert (report.preperiod, report.period) == (0, 100_003)
         assert peak < 4 * 2**20
+        # The tail is copied in blocks: a slice of the whole cycle would
+        # add about 0.4 MiB to the window's 0.76 MiB of words.
+        window_bytes = report.window_checked * array("I").itemsize
+        assert peak <= window_bytes + 256 * 2**10
+
+    def test_steps_one_cycle_past_the_first_checkpoint(self, monkeypatch):
+        # Only the residues up to the hit are drawn; the rest of the window
+        # is copied.  Stepping two whole cycles drew 2m + 2 at m = 100003.
+        drawn = [0]
+
+        def counted(m):
+            for residue in removal_residues(m):
+                drawn[0] += 1
+                yield residue
+
+        monkeypatch.setattr(periodicity, "removal_residues", counted)
+        involution_mod_period(100_003)
+        assert drawn[0] == 100_003 + 2
+        for m in range(1, 301):
+            drawn[0] = 0
+            _, first, again = table_first_repeat(m)
+            involution_mod_period(m)
+            assert drawn[0] <= 2 * first + (again - first) + 1, m
+
+    def test_certified_window_is_the_stepped_one(self, monkeypatch):
+        # The copied tail is exactly what stepping on would have drawn.
+        real = periodicity._certify
+        windows = []
+
+        def spied(values, modulus, lam_bound, multiple):
+            windows.append(values.tolist())
+            return real(values, modulus, lam_bound, multiple)
+
+        monkeypatch.setattr(periodicity, "_certify", spied)
+        for m in range(1, 301):
+            report = involution_mod_period(m)
+            assert windows.pop() == list(islice(removal_residues(m), report.window_checked)), m
 
 
 class TestModPeriodLaw:
