@@ -148,17 +148,14 @@ def _prop42(n_max: int, vertex_cap: int) -> Iterator[str]:
 
 
 def _shift_bound_row(k: int) -> Iterator[tuple[int, int, bool]]:
-    """(i, val2(2**i C(k, i)), bound holds) for i = 1..k, with the bounds of
+    """(i, val2(2**i C(k, i)), bound holds) for i = 1..k, held to
     ``valuations.binomial_shift_bound_holds``.  The exponent is stepped along
     the row, val2(C(k, i)) = val2(C(k, i-1)) + val2(k - i + 1) - val2(i), so
     no binomial is built."""
-    vk = val2(k)
     v = 0  # val2(C(k, i - 1))
     for i in range(1, k + 1):
-        vi = val2(i)
-        v += val2(k - i + 1) - vi
-        lhs = i + v
-        yield i, lhs, lhs >= vk + i - vi and lhs >= vk + 1 and (i < 5 or lhs >= vk + 3)
+        v += val2(k - i + 1) - val2(i)
+        yield i, i + v, valuations.binomial_shift_bound_holds(k, i, i + v)
 
 
 def _lemma51(k_max: int) -> Iterator[str]:

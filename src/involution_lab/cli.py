@@ -181,7 +181,8 @@ def cmd_period(args) -> int:
     if args.t_mod is not None:
         if args.t_mod < 1:
             raise _usage_error("period: modulus must be positive")
-        report = periodicity.involution_mod_period(args.t_mod, state_cap=args.window)
+        cap = twoadic.STEP_CAP if args.window is None else args.window
+        report = periodicity.involution_mod_period(args.t_mod, state_cap=cap)
         expected = periodicity.mod_period_law(args.t_mod)
     else:
         s = args.beta_mod_2s

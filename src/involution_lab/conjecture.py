@@ -44,16 +44,19 @@ class TwoAdicPrefix(NamedTuple):
     """Digit prefix of the fitted 2-adic shift.
 
     ``digits`` lists bits rho_0, rho_1, ... up to the smaller of the bit
-    budget and what the constraints actually determine;
+    budget and what the constraints actually determine.  The derived
     ``undetermined_from`` is the first index with no digit information in
-    this report (always len(digits)).
+    this report, len(digits).
     """
 
     k_max: int
     bit_budget: int
     digits: tuple[int, ...]
-    undetermined_from: int
     violations: tuple[Violation, ...]
+
+    @property
+    def undetermined_from(self) -> int:
+        return len(self.digits)
 
     @property
     def consistent(self) -> bool:
@@ -133,12 +136,10 @@ def fit_shift_digits(k_max: int, bit_budget: int = 11) -> TwoAdicPrefix:
             continue
         if new_bits > bits:
             residue, bits = new_residue, new_bits
-    reported = min(bits, bit_budget)
-    digits = tuple((residue >> i) & 1 for i in range(reported))
+    digits = tuple((residue >> i) & 1 for i in range(min(bits, bit_budget)))
     return TwoAdicPrefix(
         k_max=k_max,
         bit_budget=bit_budget,
         digits=digits,
-        undetermined_from=reported,
         violations=tuple(violations),
     )

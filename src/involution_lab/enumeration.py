@@ -61,7 +61,6 @@ __all__ = [
     "Signature",
     "graph_signature",
     "multigraphs",
-    "simple_graphs",
     "fiber_size",
     "involution_weight",
     "graph_weight",
@@ -638,22 +637,13 @@ def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]
     return {_unpack_signature(signature, n): count for signature, count in counts.items()}
 
 
-def multigraphs(
-    n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP, doubled_edges: bool = True
-) -> list[ConstrainedGraph]:
+def multigraphs(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[ConstrainedGraph]:
     """Every admissible multigraph for the given n, exactly once, sorted by
-    edge tuple.  ``doubled_edges=False`` restricts to simple graphs."""
+    edge tuple."""
     v = _graph_vertex_count(n)
     out: list[ConstrainedGraph] = []
-    _walk_graphs(
-        n, vertex_cap, 2 if doubled_edges else 1,
-        lambda edges, _: out.append(ConstrainedGraph(v, tuple(edges))),
-    )
+    _walk_graphs(n, vertex_cap, 2, lambda edges, _: out.append(ConstrainedGraph(v, tuple(edges))))
     return out
-
-
-def simple_graphs(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[ConstrainedGraph]:
-    return multigraphs(n, vertex_cap=vertex_cap, doubled_edges=False)
 
 
 def fiber_size(g: ConstrainedGraph, n: int) -> int:

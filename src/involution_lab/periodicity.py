@@ -70,8 +70,9 @@ class PeriodReport(NamedTuple):
 
     ``rejected_divisors`` holds one (candidate, index) pair per proper
     divisor of the period, where the sequence differs between index and
-    index + candidate; ``preperiod_witness`` (when the preperiod is
-    positive) is the index just before the tail where the period fails.
+    index + candidate.  The derived ``preperiod_witness`` (when the
+    preperiod is positive) is the index just before the tail where the
+    period fails, preperiod - 1.
     """
 
     modulus: int
@@ -79,7 +80,10 @@ class PeriodReport(NamedTuple):
     period: int
     window_checked: int
     rejected_divisors: tuple[tuple[int, int], ...]
-    preperiod_witness: int | None
+
+    @property
+    def preperiod_witness(self) -> int | None:
+        return self.preperiod - 1 if self.preperiod else None
 
     def to_json_obj(self) -> dict:
         return {
@@ -137,8 +141,7 @@ def _finalize(values: Sequence[int], modulus: int, lam: int, d: int) -> PeriodRe
                 f"internal: divisor {dd} of {d} has no counterexample in window"
             )
         rejected.append((dd, i))
-    witness = lam - 1 if lam > 0 else None
-    return PeriodReport(modulus, lam, d, w, tuple(rejected), witness)
+    return PeriodReport(modulus, lam, d, w, tuple(rejected))
 
 
 def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> PeriodReport:
@@ -155,7 +158,7 @@ def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> Peri
     )
 
 
-def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodReport:
+def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     """Exact minimal preperiod and period of the involution counts mod m.
 
     The driving state at n is (n mod m, t(n-1) mod m, t(n) mod m).  Its first
@@ -181,26 +184,24 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
 
     The scan is inconclusive, and raises, exactly when more than
     ``state_cap`` distinct states precede the first repeat (again - 1 >
-    cap).  A modulus above the cap raises at once, since the cycle holds at
-    least m states.  Otherwise, if again - 1 <= cap then both first and the
-    cycle length are at most cap, so the round at the first checkpoint of at
-    least cap, with the hare going at most cap steps ahead, finds the cycle;
-    a miss there raises.  The default cap min(m**3 + 4m, STEP_CAP = 10**7)
-    only guards against absurd moduli: m**3 states is the most there can be.
+    state_cap).  A modulus above the cap raises at once, since the cycle
+    holds at least m states.  Otherwise, if again - 1 <= cap then both first
+    and the cycle length are at most cap, so the round at the first
+    checkpoint of at least cap, with the hare going at most cap steps ahead,
+    finds the cycle; a miss there raises.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    cap = state_cap if state_cap is not None else min(m**3 + 4 * m, STEP_CAP)
     inconclusive = InconclusiveError(
-        f"no state repetition within {cap} steps for modulus {m}"
+        f"no state repetition within {state_cap} steps for modulus {m}"
     )
-    if m > cap:
+    if m > state_cap:
         raise inconclusive
     values = _residue_array(m)
     stream = removal_residues(m)
     checkpoint, cycle = 1, 0
     while not cycle:
-        for j in range(m, max(min(checkpoint, cap), m) + 1, m):
+        for j in range(m, max(min(checkpoint, state_cap), m) + 1, m):
             hare = checkpoint + j
             values.extend(islice(stream, hare + 1 - len(values)))
             if (values[hare] == values[checkpoint]
@@ -208,7 +209,7 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
                 cycle = j
                 break
         else:
-            if checkpoint >= cap:
+            if checkpoint >= state_cap:
                 raise inconclusive
             checkpoint *= 2
     first = next(
@@ -216,7 +217,7 @@ def involution_mod_period(m: int, *, state_cap: int | None = None) -> PeriodRepo
         if values[n - 1] == values[n - 1 + cycle] and values[n] == values[n + cycle]
     )
     again = first + cycle
-    if again - 1 > cap:
+    if again - 1 > state_cap:
         raise inconclusive
     window = 2 * again - first + 1
     # At most one cycle is missing, and every source index is below the

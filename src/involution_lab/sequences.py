@@ -7,7 +7,7 @@ Each recurrence is written once, generic over the ring it runs in:
   exact step gives the involution count at (1, 1), the signed count at
   (1, -1), and, streamed, the involution polynomials at (x, y) and, for a
   prime p, the count of p-th roots of the identity; its residue stream mod
-  m for p = 2, ``removal_residues``, feeds the period scan mod m;
+  m at (1, 1) for p = 2, ``removal_residues``, feeds the period scan mod m;
 * the degree-and-collapse graph recurrence gives the graph counts at
   (1, 1) and (1, -1) and the graph polynomial at (x, y); over ints masked
   to J bits it feeds the 2-adic engine of :mod:`involution_lab.twoadic`,
@@ -110,22 +110,21 @@ def removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
     return step
 
 
-def removal_residues(m: int, y: int = 1) -> Iterator[int]:
-    """u(0) mod m, u(1) mod m, ... for u(n) = u(n-1) + (n-1) y u(n-2) with
-    u(0) = u(1) = 1 (the involution counts at y = 1, the signed sums at
-    y = -1), keeping only the last two residues.  A modulus below 1 raises
-    ValueError at the call."""
+def removal_residues(m: int) -> Iterator[int]:
+    """t(0) mod m, t(1) mod m, ... for the involution counts, t(n) = t(n-1)
+    + (n-1) t(n-2) with t(0) = t(1) = 1, keeping only the last two
+    residues.  A modulus below 1 raises ValueError at the call."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    return _removal_residues(m, y)
+    return _removal_residues(m)
 
 
-def _removal_residues(m: int, y: int) -> Iterator[int]:
-    # From u(-1) = 0, which the step to u(1) weighs by 0; c is (n - 1) y at u(n).
-    prev, curr, c = 0, 1 % m, -y
+def _removal_residues(m: int) -> Iterator[int]:
+    # From t(-1) = 0, which the step to t(1) weighs by 0; c is n - 1 at t(n).
+    prev, curr, c = 0, 1 % m, -1
     while True:
         yield curr
-        c += y
+        c += 1
         prev, curr = curr, (curr + c * prev) % m
 
 
@@ -233,16 +232,8 @@ def graph_step(one, x, y, half) -> Callable[[int, list], object]:
     return step
 
 
-def _int_graph_cache(x: int, y: int) -> SequenceCache:
-    # The graph recurrence in the integers; exact only where 2 divides x**2 + y.
-    half, odd = divmod(x * x + y, 2)
-    if odd:
-        raise ExactnessError(f"(x^2 + y)/2 is not an integer at x={x}, y={y}")
-    return SequenceCache(graph_step(1, x, y, half))
-
-
 _graph_poly_cache = SequenceCache(graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y))
-_graph_at_one = _int_graph_cache(1, 1)
+_graph_at_one = SequenceCache(graph_step(1, 1, 1, 1))
 
 
 def graph_poly(n: int) -> BivariatePoly:

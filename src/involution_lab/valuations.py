@@ -19,7 +19,6 @@ build each column's number from t(n) and s(n) by its rule in
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import INFINITY, Valuation, val2
@@ -63,24 +62,16 @@ def tau_valuation_bound(n: int, p: int) -> int:
     return n // p - n // (p * p)
 
 
-def binomial_shift_bound_holds(k: int, i: int) -> bool:
-    """Check val2(2**i C(k, i)) >= val2(k) + i - val2(i) for positive k, i,
-    together with its two working specializations (>= val2(k) + 1 always,
-    and >= val2(k) + 3 once i >= 5)."""
+def binomial_shift_bound_holds(k: int, i: int, exponent: Valuation) -> bool:
+    """Whether ``exponent``, the exponent of two in 2**i C(k, i) for positive
+    k and i, meets Lemma 5.1's bound val2(k) + i - val2(i) and its two
+    working specializations (val2(k) + 1 always, and val2(k) + 3 once
+    i >= 5).  Above i = k the binomial is zero and the exponent INFINITY
+    meets every bound."""
     if k < 1 or i < 1:
         raise ValueError("k and i must be positive")
-    lhs = val2((1 << i) * math.comb(k, i))
     vk = val2(k)
-    if i > k:
-        # C(k, i) = 0: the left side is infinite and every bound holds.
-        return True
-    if not lhs >= vk + i - val2(i):
-        return False
-    if not lhs >= vk + 1:
-        return False
-    if i >= 5 and not lhs >= vk + 3:
-        return False
-    return True
+    return exponent >= vk + i - val2(i) and exponent >= vk + 1 and (i < 5 or exponent >= vk + 3)
 
 
 def signed_val2_predicted(n: int) -> Valuation:
@@ -136,14 +127,24 @@ def odd_val2_predicted(n: int) -> Valuation | None:
     return k
 
 
+def _matches(computed: Valuation, predicted: Valuation | None) -> bool:
+    """Whether a computed exponent matches its prediction (never, where
+    there is no prediction)."""
+    return predicted is not None and computed == predicted
+
+
 class ValuationReport(NamedTuple):
-    """One computed-versus-predicted valuation cell."""
+    """One computed-versus-predicted valuation cell; ``matches`` is derived
+    from the two."""
 
     n: int
     kind: str
     computed: Valuation
     predicted: Valuation | None
-    matches: bool
+
+    @property
+    def matches(self) -> bool:
+        return _matches(self.computed, self.predicted)
 
 
 REPORT_KINDS = tuple(COLUMNS)
@@ -156,19 +157,11 @@ _PREDICTED = {
 }
 
 
-def _prediction(n: int, kind: str, computed: Valuation) -> tuple[Valuation | None, bool]:
-    """The closed-form prediction at n, and whether the computed value
-    matches it (never, where there is no prediction)."""
-    predicted = _PREDICTED[kind](n)
-    return predicted, predicted is not None and computed == predicted
-
-
 def valuation_report(n: int, kind: str) -> ValuationReport:
     """The cell at n of one kind, computed from the exact counts."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    computed = val2(_exact_count(n, kind))
-    return ValuationReport(n, kind, computed, *_prediction(n, kind, computed))
+    return ValuationReport(n, kind, val2(_exact_count(n, kind)), _PREDICTED[kind](n))
 
 
 def column_reports(kinds: tuple[str, ...], indices: range) -> Iterator[ValuationReport]:
@@ -176,7 +169,7 @@ def column_reports(kinds: tuple[str, ...], indices: range) -> Iterator[Valuation
     order, computed by :func:`twoadic.certified_columns`.  Every cell is
     certified before this returns; the reports are then built lazily."""
     columns = certified_columns(kinds, indices)
-    return (ValuationReport(n, kind, computed, *_prediction(n, kind, computed))
+    return (ValuationReport(n, kind, computed, _PREDICTED[kind](n))
             for kind, column in zip(kinds, columns) for n, computed in zip(indices, column))
 
 
@@ -205,10 +198,10 @@ def table_row(n: int, computed: Sequence[Valuation]) -> dict[str, str]:
     row: dict[str, str] = {"n": str(n), "k": str(k), "r": str(r)}
     cells = zip(REPORT_KINDS, computed, _ORD_KEYS, _PREDICTED_KEYS, _MATCH_KEYS)
     for kind, value, ord_key, predicted_key, match_key in cells:
-        predicted, matches = _prediction(n, kind, value)
+        predicted = _PREDICTED[kind](n)
         row[ord_key] = format_valuation(value)
         row[predicted_key] = format_valuation(predicted)
-        row[match_key] = "true" if matches else "false"
+        row[match_key] = "true" if _matches(value, predicted) else "false"
     return row
 
 

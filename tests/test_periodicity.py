@@ -23,7 +23,7 @@ from involution_lab.periodicity import (
     odd_product_congruence,
 )
 from involution_lab.sequences import involution_count, removal_residues
-from involution_lab.twoadic import odd_factor_residues
+from involution_lab.twoadic import STEP_CAP, odd_factor_residues
 
 
 def reference_report(values, modulus, lam, mu):
@@ -109,6 +109,13 @@ class TestCycleDetector:
             for cap in range(again - 1):
                 with pytest.raises(InconclusiveError, match="no state repetition"):
                     involution_mod_period(m, state_cap=cap)
+
+    def test_a_cap_of_m_cubed_decides_as_the_default(self):
+        # The state takes at most m**3 values, so its first repeat comes
+        # within m**3 steps and a cap of m**3 + 4m gives the same report.
+        for m in range(1, 1001):
+            assert involution_mod_period(m) == involution_mod_period(
+                m, state_cap=min(m**3 + 4 * m, STEP_CAP)), m
 
     def test_modulus_above_cap_raises_at_once(self):
         # The state cycle holds at least m states, so nothing is stepped,

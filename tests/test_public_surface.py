@@ -44,6 +44,7 @@ REMOVED = {
         "_labeled_cycle_counts",  # permutation_cycles, _least_labeled_rotation
         "_graph_class",  # graph_class, which reads the free degrees it validates
         "_fiber_size", "_signature_weight",  # Signature.fiber_size, Signature.weight
+        "simple_graphs",  # _graph_tally(n, vertex_cap, 1), or multigraphs(n) filtered
     ],
     "twoadic": [
         "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))
@@ -54,7 +55,9 @@ REMOVED = {
         "_t_poly_cache",  # involution_polys(), a stream in n order
         "_tau_caches", "_tau_lock",  # pth_root_counts(p), a stream in n order
         "_graph_at_minus_one",  # graph_count_signed(n) steps graph_step from 0
+        "_int_graph_cache",  # SequenceCache(graph_step(1, x, y, (x * x + y) // 2))
     ],
+    "valuations": ["_prediction"],  # _PREDICTED[kind](n), and ValuationReport.matches
 }
 
 # The only underscore names one module of the package reads from another,
@@ -104,16 +107,16 @@ _VIOLATION = Violation(3, "odd_exponent", "count at odd k=3 vanished")
 # type has none).
 RECORDS = [
     (_VIOLATION, {"k": 3, "kind": "odd_exponent", "message": "count at odd k=3 vanished"}),
-    (TwoAdicPrefix(9, 4, (1, 1, 0), 3, (_VIOLATION,)),
+    (TwoAdicPrefix(9, 4, (1, 1, 0), (_VIOLATION,)),
      {"k_max": 9, "bit_budget": 4, "digits": [1, 1, 0], "undetermined_from": 3,
       "violations": [_VIOLATION.to_json_obj()]}),
     (RefinedClass((1,), (((2,), 1),)), {"bag": [1], "cycles": [[[2], 1]]}),
     (ConstrainedGraph(3, ((1, 2, 2), (2, 3, 1))), {"vertices": 3, "edges": [[1, 2, 2], [2, 3, 1]]}),
     (Signature(1, 0, 0, 3), None),
-    (PeriodReport(8, 2, 4, 12, ((1, 2), (2, 3)), 1),
+    (PeriodReport(8, 2, 4, 12, ((1, 2), (2, 3))),
      {"modulus": 8, "preperiod": 2, "period": 4, "window_checked": 12,
       "witnesses": {"rejected_divisors": [[1, 2], [2, 3]], "preperiod_index": 1}}),
-    (ValuationReport(5, "t", 1, 1, True), None),
+    (ValuationReport(5, "t", 1, 1), None),
 ]
 
 

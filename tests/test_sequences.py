@@ -186,18 +186,17 @@ class TestGraphPoly:
             assert graph_poly(n).evaluate(1, -1) == graph_count_signed(n)
 
 
-class TestGenericRecurrences:
-    def test_int_graph_instance_needs_even_x2_plus_y(self):
-        # (x**2 + y)/2 must be an integer for the int instance to be exact.
-        with pytest.raises(ExactnessError):
-            sequences._int_graph_cache(1, 0)
-        with pytest.raises(ExactnessError):
-            sequences._int_graph_cache(2, 1)
+def int_graph_cache(x, y):
+    """The graph recurrence over the integers, at an (x, y) where 2 divides
+    x**2 + y."""
+    return SequenceCache(sequences.graph_step(1, x, y, (x * x + y) // 2))
 
+
+class TestGenericRecurrences:
     @pytest.mark.parametrize("x, y", [(1, 1), (1, -1), (3, 1), (2, -2), (0, 4)])
     def test_int_instances_match_poly_eval(self, x, y):
         removal = SequenceCache(sequences.removal_step(1, x, y))
-        graph = sequences._int_graph_cache(x, y)
+        graph = int_graph_cache(x, y)
         for n in range(25):
             assert removal.get(n) == involution_poly(n).evaluate(x, y)
             assert graph.get(n) == graph_poly(n).evaluate(x, y)
@@ -208,7 +207,7 @@ class TestGenericRecurrences:
         half = (x * x + y) // 2
         graph = sequences.stepped(sequences.graph_step(1, x, y, half), 8)
         cached_removal = SequenceCache(sequences.removal_step(1, x, y))
-        cached_graph = sequences._int_graph_cache(x, y)
+        cached_graph = int_graph_cache(x, y)
         assert list(islice(removal, 60)) == [cached_removal.get(n) for n in range(60)]
         assert list(islice(graph, 60)) == [cached_graph.get(n) for n in range(60)]
 
@@ -235,7 +234,7 @@ class TestGenericRecurrences:
 
         monkeypatch.setattr(BivariatePoly, "__init__", no_poly)
         monkeypatch.setattr(BivariatePoly, "_normalized", classmethod(no_poly))
-        graph = sequences._int_graph_cache(1, 1)
+        graph = int_graph_cache(1, 1)
         assert type(graph.get(200)) is int
         for n in range(120):
             assert type(graph_count(n)) is int
@@ -389,11 +388,15 @@ class TestOddFactor:
 
 
 class TestRemovalResidues:
-    # Moduli from 1 to 2**200, powers of two among them, and both signs.
+    # Moduli from 1 to 2**200, powers of two among them; the stream is the
+    # removal recurrence at y = 1, the involution counts.
     @pytest.mark.parametrize("m", [1, 2, 12, 1024, 1000003, 2**200])
-    @pytest.mark.parametrize("y, exact", [(1, involution_count), (-1, signed_involution_count)])
+    @pytest.mark.parametrize("y, exact", [(1, involution_count)])
     def test_matches_exact_counts(self, m, y, exact):
-        assert list(islice(removal_residues(m, y), 300)) == [exact(n) % m for n in range(300)]
+        stepped = sequences.stepped(sequences.removal_step(1, 1, y), 2)
+        want = [exact(n) % m for n in range(300)]
+        assert [u % m for u in islice(stepped, 300)] == want
+        assert list(islice(removal_residues(m), 300)) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

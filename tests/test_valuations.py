@@ -93,23 +93,37 @@ class TestCountValuation:
             assert val2(involution_count(n)) == involution_val2(n)
 
 
+def shifted_binomial_exponent(k, i):
+    """val2(2**i C(k, i)), from the full binomial: the reference exponent."""
+    return val2((1 << i) * math.comb(k, i))
+
+
 class TestShiftedBinomialBound:
     def test_examples(self):
-        assert binomial_shift_bound_holds(4, 2)
-        assert binomial_shift_bound_holds(1, 1)
-        assert binomial_shift_bound_holds(6, 5)
-        assert val2((1 << 5) * 6) == 6  # the i >= 5 specialization at k=6
+        assert binomial_shift_bound_holds(4, 2, shifted_binomial_exponent(4, 2))
+        assert binomial_shift_bound_holds(1, 1, shifted_binomial_exponent(1, 1))
+        assert binomial_shift_bound_holds(6, 5, shifted_binomial_exponent(6, 5))
+        assert shifted_binomial_exponent(6, 5) == 6  # the i >= 5 specialization at k=6
 
     def test_range(self):
         for k in range(1, 257):
+            for i in range(1, k + 2):  # C(k, k + 1) = 0: exponent INFINITY
+                assert binomial_shift_bound_holds(k, i, shifted_binomial_exponent(k, i))
+
+    def test_an_exponent_below_the_bound_fails(self):
+        # val2(k) + i - val2(i) is the sharpest of the three bounds (i - val2(i)
+        # is at least 1, and at least 3 from i = 5 on), so it decides.
+        for k in range(1, 65):
             for i in range(1, k + 1):
-                assert binomial_shift_bound_holds(k, i)
+                bound = val2(k) + i - val2(i)
+                assert binomial_shift_bound_holds(k, i, bound)
+                assert not binomial_shift_bound_holds(k, i, bound - 1)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            binomial_shift_bound_holds(0, 1)
+            binomial_shift_bound_holds(0, 1, 1)
         with pytest.raises(ValueError):
-            binomial_shift_bound_holds(3, 0)
+            binomial_shift_bound_holds(3, 0, 1)
 
     def test_stepped_row_matches_full_binomials(self):
         # verify --check lemma51 steps the exponent along each row.
@@ -117,8 +131,8 @@ class TestShiftedBinomialBound:
             row = list(checks._shift_bound_row(k))
             assert [i for i, _, _ in row] == list(range(1, k + 1))
             for i, lhs, holds in row:
-                assert lhs == val2((1 << i) * math.comb(k, i))
-                assert holds == binomial_shift_bound_holds(k, i)
+                assert lhs == shifted_binomial_exponent(k, i)
+                assert holds == binomial_shift_bound_holds(k, i, lhs)
 
 
 class TestSignedValuation:
@@ -191,7 +205,7 @@ class TestParityValuations:
 class TestReports:
     def test_report_matches_flag(self):
         rep = valuation_report(6, "t")
-        assert rep == ValuationReport(6, "t", 2, 2, True)
+        assert rep == ValuationReport(6, "t", 2, 2) and rep.matches
         rep = valuation_report(0, "t_odd")
         assert rep.computed is INFINITY
         assert rep.predicted is None and not rep.matches
