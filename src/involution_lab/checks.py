@@ -12,7 +12,6 @@ the cell that broke.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import partial
 from itertools import chain
@@ -72,8 +71,8 @@ def _lemma21_n_max(values: dict) -> int:
 def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
     """Grouping the enumerated p-th roots by refined class reproduces the
     class-size formula cell by cell, and the cells sum to the root count."""
-    for n, count in zip(range(n_max + 1), sequences.pth_root_counts(p)):
-        groups = enumeration._class_tally(n, p, root_cap)
+    tallies = enumeration._class_tallies(n_max, p, root_cap)
+    for (n, groups), count in zip(tallies, sequences.pth_root_counts(p)):
         for cls, actual in sorted(groups.items()):
             predicted = enumeration.class_size(cls, p, n)
             if predicted != actual:
@@ -87,12 +86,15 @@ def _lemma21(p: int, n_max: int, root_cap: int) -> Iterator[str]:
 def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     """For p = 2 the refined classes correspond one-to-one with the
     admissible graphs, and the power-of-two fiber size matches the general
-    class-size formula on every class."""
-    for n in range(n_max + 1):
-        classes = sorted(enumeration._class_tally(n, 2, root_cap))
+    class-size formula on every class.  Both caps are checked before either
+    walk starts."""
+    classes_by_n = enumeration._class_tallies(n_max, 2, root_cap)
+    graphs_by_n = enumeration._multigraphs_by_n(n_max, vertex_cap)
+    for (n, tally), (_, walked) in zip(classes_by_n, graphs_by_n):
+        classes = sorted(tally)
         graphs = [enumeration.class_graph(c, n) for c in classes]
         mapped = Counter(graphs)
-        enumerated = Counter(enumeration.multigraphs(n, vertex_cap=vertex_cap))
+        enumerated = Counter(walked)
         if mapped != enumerated:
             g = min((mapped - enumerated) | (enumerated - mapped))
             yield (f"n={n}: {mapped[g]} classes map to graph {g.to_json_obj()}, "
@@ -141,9 +143,8 @@ def _thm41(n_max: int) -> Iterator[str]:
 
 def _prop42(n_max: int, vertex_cap: int) -> Iterator[str]:
     """Graph-polynomial recurrence equals the brute-force weight sum."""
-    for n in range(n_max + 1):
-        rec = sequences.graph_poly(n)
-        if rec != enumeration.graph_weight_sum_bruteforce(n, vertex_cap=vertex_cap):
+    for n, tally in enumeration._graph_tallies(n_max, vertex_cap, 1):
+        if sequences.graph_poly(n) != enumeration._weight_sum(tally):
             yield f"n={n}: recurrence and graph enumeration disagree"
 
 
@@ -225,10 +226,9 @@ def _thm66(s_max: int) -> Iterator[str]:
             yield str(exc)
 
 
-def _fiber_sum(n: int, vertex_cap: int) -> Iterator[str]:
-    """The fibers of the admissible graphs sum to the involution count;
-    graphs are tallied by signature, none is built."""
-    tally = enumeration._graph_tally(n, vertex_cap, 2)
+def _fiber_sum(n: int, tally: dict) -> Iterator[str]:
+    """The fibers of the admissible graphs for n letters, tallied by
+    signature, sum to the involution count."""
     fibers = sum(count * signature.fiber_size(n) for signature, count in tally.items())
     count = sequences.involution_count(n)
     if fibers != count:
@@ -244,11 +244,13 @@ def _cycle_degrees(counts: dict[tuple[int, ...], int]) -> tuple[int, int]:
 
 def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
     """Summed involution weights over each fiber equal fiber size times the
-    graph weight, and the fiber sizes sum to the involution count."""
-    for n in range(n_max + 1):
+    graph weight, and the fiber sizes sum to the involution count.  Both
+    caps are checked before either walk starts."""
+    classes_by_n = enumeration._class_tallies(n_max, 2, root_cap, _cycle_degrees)
+    signatures_by_n = enumeration._graph_tallies(n_max, vertex_cap, 2)
+    for (n, tally), (_, signatures) in zip(classes_by_n, signatures_by_n):
         # Per class, the involutions counted by (fixed points, transpositions).
         by_class: dict = {}
-        tally = enumeration._class_tally(n, 2, root_cap, _cycle_degrees)
         for (cls, degrees), count in tally.items():
             by_class.setdefault(cls, {})[degrees] = count
         for cls, degrees in sorted(by_class.items()):
@@ -256,21 +258,21 @@ def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
             signature = enumeration.graph_signature(g, n)
             if BivariatePoly(degrees) != signature.fiber_size(n) * signature.weight():
                 yield f"n={n}, graph {g.to_json_obj()}: weight identity fails"
-        yield from _fiber_sum(n, vertex_cap)
+        yield from _fiber_sum(n, signatures)
 
 
 def _fibersum(n_max: int, vertex_cap: int) -> Iterator[str]:
-    for n in range(n_max + 1):
-        yield from _fiber_sum(n, vertex_cap)
+    for n, tally in enumeration._graph_tallies(n_max, vertex_cap, 2):
+        yield from _fiber_sum(n, tally)
 
 
 def _coeffs(n_max: int) -> Iterator[str]:
     """Coefficient of x**(n-2i) y**i in the involution polynomial equals
-    n!/(2**i i! (n-2i)!)."""
+    n!/(2**i i! (n-2i)!), stepped from term to term by
+    ``sequences.transposition_counts``."""
     for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
         expected_terms = {
-            (n - 2 * i, i): math.perm(n, 2 * i) // ((1 << i) * math.factorial(i))
-            for i in range(n // 2 + 1)
+            (n - 2 * i, i): term for i, term in enumerate(sequences.transposition_counts(n))
         }
         for (dx, dy), coeff in poly.items():
             want = expected_terms.pop((dx, dy), None)

@@ -19,19 +19,25 @@ The objects:
   per 2-cycle joining two distinct labels, edge multiplicity at most two,
   vertex degree at most two (the trailing odd vertex at most one).
 
-The root walk hands every root over with one int key for its labeled-cycle
-multiset: each distinct labeled cycle owns a bit slot, and placing a cycle
-adds one to its slot (a key weight looked up once per element tuple, a least
-rotation once per label tuple, both in memos local to the walk).  The oracles
-tally roots by key and decode each distinct key once, into the labeled-cycle
-counts that give its class and its degrees.  The graph walk tries only the
-vertices with free degree left, held in a bitmask, and hands every graph over
-with its ``Signature`` packed into one int; the oracles tally graphs by packed
-signature and unpack each distinct one once.  One graph is read the same way:
+One walk at n_max serves every n <= n_max, so each root and each graph is
+visited once.  The root walk visits the roots on n_max letters by their
+largest moved letter: the roots on n letters are those on n - 1 letters with
+n fixed, plus the roots that move n.  It tallies them inline by one int key
+for their labeled-cycle multiset, for every n in turn: each distinct labeled
+cycle owns a bit slot, and placing a cycle adds one to its slot (a key weight
+looked up once per element tuple, a least rotation once per label tuple,
+both in memos local to the walk).  The oracles decode each distinct key once
+per n, into the labeled-cycle counts that give its class and its degrees.
+The graph walk visits the graphs for n_max letters in sorted edge order,
+trying only the vertices with free degree left (a bitmask), and tallies them
+inline by their ``Signature`` packed into one int, with the least n each one
+is a graph for above it; each n's tally is read from those tags, and each
+distinct signature is unpacked once per n.  One graph is read the same way:
 validating it yields its free degrees, which ``graph_signature`` and
 ``graph_class`` read through the walk's free-degree tables, the one statement
-of the vertex rule; a ``Signature`` carries the fiber and weight laws.  Both
-walks visit in the same order as the plain recursions they replace.
+of the vertex rule; a ``Signature`` carries the fiber and weight laws.  Lists
+of roots and graphs (``pth_roots``, ``multigraphs``) come from the same two
+walks.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import BivariatePoly, is_prime
 from .errors import ExactnessError, ResourceLimitError
@@ -111,35 +117,43 @@ def _predicted_root_count(n: int, p: int) -> int:
 
 
 def _walk_roots(
-    n: int, p: int, cap: int, visit: Callable[[list[int], int], None]
-) -> list[tuple[int, ...]]:
-    """Hand every permutation of {1..n} whose p-th power is the identity to
-    ``visit``, once each, as its live image list (``images[i-1]`` is where i
-    goes; copy it to keep it) and its cycle key; return the slot table that
-    decodes the keys.
+    n_max: int, p: int, cap: int, roots: list[Permutation] | None = None
+) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, dict[int, int]]]]:
+    """Tally the permutations of {1..n} whose p-th power is the identity by
+    their cycle key, for every n <= n_max, in one walk of the roots on n_max
+    letters.  Return the slot table that decodes the keys and an iterator of
+    (n, tally) in ascending n; the walk runs as the iterator is read, and
+    when ``roots`` is a list it also receives each root's image tuple on
+    n_max letters (``images[i-1]`` is where i goes).
 
-    The smallest unplaced element is either fixed or opens a p-cycle with
-    p-1 of the remaining elements in any of their (p-1)! arrangements; once
-    fewer than p elements are left, they are all fixed.  Each distinct
-    labeled cycle (its least rotation) owns a slot of ``n.bit_length()``
-    bits in the key, and placing a cycle adds one to its slot; a root has at
-    most n cycles, so no slot carries into the next.  ``_slot_counts``
-    reads a key back as labeled-cycle counts.  Raises ResourceLimitError
-    (naming the predicted count) before walking, rather than start a
-    hopeless enumeration.
+    The roots on n letters are the roots on n - 1 letters with n fixed, plus
+    those whose largest moved letter is n: a p-cycle through n and p - 1 of
+    the letters below it, with any root of the letters left.  Those are
+    built by recursion: the smallest unplaced letter is either fixed or
+    opens a p-cycle with p - 1 of the remaining letters in any of their
+    (p-1)! arrangements, and once fewer than p letters are left, they are
+    all fixed.  So each root on n_max letters is visited once, and a tally
+    is the one before it with n's fixed point added to every key, plus the
+    roots that move n.  Each distinct labeled cycle (its least rotation)
+    owns a slot of ``n_max.bit_length()`` bits in the key, and placing a
+    cycle adds one to its slot; a root has at most n_max cycles, so no slot
+    carries into the next.  ``_slot_counts`` reads a key back as
+    labeled-cycle counts.  Raises ResourceLimitError (naming the predicted
+    count at n_max) at the call, before any root is walked.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    predicted = _predicted_root_count(n, p)
+    predicted = _predicted_root_count(n_max, p)
     if predicted > cap:
         raise ResourceLimitError(
             f"enumeration of {predicted} p-th roots exceeds the cap of {cap}"
         )
-    width = n.bit_length()
-    images = list(range(1, n + 1))
-    label = [(x - 1) // p + 1 for x in range(n + 1)]
+    width = n_max.bit_length()
+    track = roots is not None
+    images = list(range(1, n_max + 1))
+    label = [(x - 1) // p + 1 for x in range(n_max + 1)]
     label_of = label.__getitem__
     slots: list[tuple[int, ...]] = []  # the labeled cycle of each slot
     slot_of: dict[tuple[int, ...], int] = {}
@@ -151,17 +165,29 @@ def _walk_roots(
             slots.append(cycle)
         return 1 << (width * slot)
 
-    fixed = [slot_weight((label[x],)) if x else 0 for x in range(n + 1)]
+    fixed = [slot_weight((label[x],)) if x else 0 for x in range(n_max + 1)]
     # Key weight by element tuple, and least rotation by label tuple, for this
     # walk only: bounded by the cycles the letters can form, not by the roots.
     # Below 2p letters a root has at most one p-cycle and fixes every other
     # letter, so no element tuple recurs and the weights are not kept.
     weights: dict[tuple[int, ...], int] = {}
-    keep_weights = n >= 2 * p
+    keep_weights = n_max >= 2 * p
     rotations: dict[tuple[int, ...], tuple[int, ...]] = {}
-    # By the number s of elements after the least free one: every choice of
-    # p - 1 of them, in combinations order, as (chosen, remaining) position
-    # masks for itertools.compress.
+
+    def cycle_weight(cycle: tuple[int, ...]) -> int:
+        # A cycle starts at its least element, so its first label is its least.
+        labels = tuple(map(label_of, cycle))
+        rotation = rotations.get(labels)
+        if rotation is None:
+            rotation = rotations[labels] = _least_labeled_rotation(labels)
+        weight = slot_weight(rotation)
+        if keep_weights:
+            weights[cycle] = weight
+        return weight
+
+    # By a number s of letters (those after the least free one, or those
+    # below n): every choice of p - 1 of them, in combinations order, as
+    # (chosen, remaining) position masks for itertools.compress.
     splits = [
         [
             (mask, [not picked for picked in mask])
@@ -170,47 +196,64 @@ def _walk_roots(
                 for chosen in itertools.combinations(range(s), p - 1)
             )
         ]
-        for s in range(n)
+        for s in range(n_max)
     ]
+    by_key: dict[int, int] = {0: 1}  # the tally of the roots on n letters
+
+    def place(cycle: tuple[int, ...]) -> None:
+        for x, y in zip(cycle, (*cycle[1:], cycle[0])):
+            images[x - 1] = y
 
     def build(free: tuple[int, ...], key: int) -> None:
         if len(free) < p:
             # No p-cycle fits: the rest are fixed points, one root.
             for x in free:
-                images[x - 1] = x
                 key += fixed[x]
-            visit(images, key)
+            by_key[key] = by_key.get(key, 0) + 1
+            if track:
+                for x in free:
+                    images[x - 1] = x
+                roots.append(tuple(images))
             return
         e, rest = free[0], free[1:]
-        images[e - 1] = e
+        if track:
+            images[e - 1] = e
         build(rest, key + fixed[e])
         for chosen_mask, remaining_mask in splits[len(rest)]:
             remaining = tuple(itertools.compress(rest, remaining_mask))
             for order in itertools.permutations(itertools.compress(rest, chosen_mask)):
                 cycle = (e, *order)
-                for x, y in zip(cycle, (*order, e)):
-                    images[x - 1] = y
-                weight = weights.get(cycle)
-                if weight is None:
-                    labels = tuple(map(label_of, cycle))
-                    rotation = rotations.get(labels)
-                    if rotation is None:
-                        # e is the least element, so its label is the least label.
-                        rotation = rotations[labels] = _least_labeled_rotation(labels)
-                    weight = slot_weight(rotation)
-                    if keep_weights:
-                        weights[cycle] = weight
-                build(remaining, key + weight)
-        images[e - 1] = e
+                if track:
+                    place(cycle)
+                build(remaining, key + (weights.get(cycle) or cycle_weight(cycle)))
 
-    build(tuple(range(1, n + 1)), 0)
-    return slots
+    def tallies() -> Iterator[tuple[int, dict[int, int]]]:
+        nonlocal by_key
+        if track:
+            roots.append(tuple(images))
+        yield 0, by_key
+        for n in range(1, n_max + 1):
+            step = fixed[n]
+            by_key = {key + step: count for key, count in by_key.items()}
+            # The roots that move n: its p-cycle, opened at the least of the
+            # p - 1 letters chosen below n, then every root of the rest.
+            below = tuple(range(1, n))
+            for chosen_mask, remaining_mask in splits[n - 1]:
+                e, *others = itertools.compress(below, chosen_mask)
+                remaining = tuple(itertools.compress(below, remaining_mask))
+                for order in itertools.permutations((*others, n)):
+                    cycle = (e, *order)
+                    if track:
+                        place(cycle)
+                    build(remaining, weights.get(cycle) or cycle_weight(cycle))
+            yield n, by_key
+
+    return slots, tallies()
 
 
-def _slot_counts(key: int, slots: list[tuple[int, ...]], n: int) -> dict[tuple[int, ...], int]:
-    """The labeled-cycle counts a root walk on n letters packed into ``key``,
-    read against the slot table the walk returned."""
-    width = n.bit_length()
+def _slot_counts(key: int, slots: list[tuple[int, ...]], width: int) -> dict[tuple[int, ...], int]:
+    """The labeled-cycle counts packed into ``key`` in slots of ``width``
+    bits, read against the slot table of the walk that packed it."""
     mask = (1 << width) - 1
     counts = {}
     for slot, cycle in enumerate(slots):
@@ -224,7 +267,9 @@ def pth_roots(n: int, p: int, *, cap: int = DEFAULT_ROOT_CAP) -> list[Permutatio
     """All permutations of {1..n} whose p-th power is the identity, in
     lexicographic order of image tuples."""
     out: list[Permutation] = []
-    _walk_roots(n, p, cap, lambda images, key: out.append(tuple(images)))
+    _, tallies = _walk_roots(n, p, cap, out)
+    for _ in tallies:  # the walk lists the roots as its tallies are read
+        pass
     out.sort()
     return out
 
@@ -292,28 +337,44 @@ def refined_class(pi: Permutation, p: int) -> RefinedClass:
     return _class_from_counts(Counter(labeled), len(pi), p)
 
 
-def _class_tally(
-    n: int, p: int, cap: int, extra: Callable[[dict], object] | None = None
+def _classes(
+    by_key: dict[int, int], slots: list, width: int, n: int, p: int,
+    extra: Callable[[dict], object] | None,
 ) -> dict:
-    """The p-th roots on n letters counted by refined class, or by
-    (class, ``extra(counts)``) when ``extra`` is given, where ``counts`` are
-    the roots' labeled-cycle counts.  Roots are counted by the cycle key the
-    walk hands over; each distinct key is then decoded, classed and read by
-    ``extra`` once.  No root is kept."""
-    by_key: dict[int, int] = {}
-
-    def add(images: list[int], key: int) -> None:
-        by_key[key] = by_key.get(key, 0) + 1
-
-    slots = _walk_roots(n, p, cap, add)
+    # Each distinct key of a tally of the roots on n letters, decoded, classed
+    # and read by ``extra`` once.
     counts: dict = {}
     for key, count in by_key.items():
-        cycles = _slot_counts(key, slots, n)
+        cycles = _slot_counts(key, slots, width)
         out = _class_from_counts(cycles, n, p)
         if extra is not None:
             out = (out, extra(cycles))
         counts[out] = counts.get(out, 0) + count
     return counts
+
+
+def _class_tallies(
+    n_max: int, p: int, cap: int, extra: Callable[[dict], object] | None = None
+) -> Iterator[tuple[int, dict]]:
+    """(n, the p-th roots on n letters counted by refined class) for n = 0 ..
+    n_max in turn, or counted by (class, ``extra(counts)``) when ``extra`` is
+    given, where ``counts`` are the roots' labeled-cycle counts.  One root
+    walk at n_max serves every n, and runs as the tallies are read; the cap
+    is checked at the call.  No root is kept."""
+    slots, tallies = _walk_roots(n_max, p, cap)
+    width = n_max.bit_length()
+    return ((n, _classes(by_key, slots, width, n, p, extra)) for n, by_key in tallies)
+
+
+def _class_tally(
+    n: int, p: int, cap: int, extra: Callable[[dict], object] | None = None
+) -> dict:
+    """The last tally of ``_class_tallies(n, p, cap, extra)``: only the
+    roots on n letters are classed."""
+    slots, tallies = _walk_roots(n, p, cap)
+    for _, by_key in tallies:
+        pass
+    return _classes(by_key, slots, n.bit_length(), n, p, extra)
 
 
 def _validate_refined_class(cls: RefinedClass, p: int, n: int) -> None:
@@ -529,38 +590,55 @@ class _Members(dict):
 
 
 def _walk_graphs(
-    n: int,
+    n_max: int,
     vertex_cap: int,
     max_mult: int,
-    visit: Callable[[list[tuple[int, int, int]], int], None],
-) -> None:
-    """Hand every admissible graph with edge multiplicity at most
-    ``max_mult`` to ``visit``, once each, in sorted edge-tuple order, as its
-    live edge list (copy it to keep it) and its packed signature.
+    graphs: list[tuple[int, tuple[tuple[int, int, int], ...]]] | None = None,
+) -> dict[int, int]:
+    """Count the admissible graphs for n_max letters with edge multiplicity
+    at most ``max_mult`` by tagged signature, in one walk; when ``graphs`` is
+    a list it also receives each graph's (tag, edge tuple), in sorted
+    edge-tuple order.
 
-    A depth-first walk over edge lists: each prefix is emitted before its
+    The graphs for n <= n_max letters are the graphs for n_max whose
+    vertices above (n + 1)//2 are isolated and, for odd n, whose vertex
+    (n + 1)//2 has degree at most one.  So each graph is tagged with the
+    least n it is a graph for: 2u, or 2u - 1 when its highest touched vertex
+    u has degree one (0 for the empty graph), and it is a graph for every n
+    from its tag to n_max.  ``_signatures_at`` reads each n's tally from the
+    tagged one.
+
+    A depth-first walk over edge lists: each prefix is counted before its
     extensions, and the next edge (a, b, m) is tried in increasing order
     after the last pair, over only the vertices with free degree left (a
     bitmask), so the preorder is the sorted order and one call of ``walk``
-    yields one graph.  The signature is one int with the four fields of
-    ``Signature`` in ``v.bit_length()``-bit fields, lowest first (each field
-    is at most v); from the empty graph's, it is updated edge by edge from
-    each endpoint's free degree by one packed step, so no graph is re-read.  ``_unpack_signature``
-    reads it back.
+    reaches one graph.  The signature is one int with the four fields of
+    ``Signature`` (as a graph for n_max letters) in ``v.bit_length()``-bit
+    fields, lowest first (each field is at most v), and the tag above them;
+    from the empty graph's, the fields are updated edge by edge from each
+    endpoint's free degree by one packed step, and the tag is the largest
+    that an edge's upper end b would give as the highest touched vertex
+    (its lower end a never raises it: 2a < 2b - 1), so no graph is re-read.
+    Raises ResourceLimitError before walking when the graphs for n_max have
+    more vertices than ``vertex_cap``.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
-    v = _graph_vertex_count(n)
+    v = _graph_vertex_count(n_max)
     if v > vertex_cap:
         raise ResourceLimitError(
             f"{v} vertices exceed the vertex cap of {vertex_cap}"
         )
     width = v.bit_length()
-    free = _free_degrees(n)  # degree each vertex may still take
+    shift = 4 * width  # the tag's place, above the four fields
+    limit = _free_degrees(n_max)
+    free = limit.copy()  # degree each vertex may still take
+    track = graphs is not None
 
     def pair_options(a: int, b: int) -> list[list[tuple]]:
         """By [free_a][free_b]: the (multiplicity, edge, live mask to keep,
-        packed signature step) of each edge the pair can still take."""
+        packed signature step, tag with b the highest touched vertex) of
+        each edge the pair can still take."""
         edges = [(a, b, m) for m in range(3)]  # shared by every graph
         return [
             [
@@ -577,6 +655,7 @@ def _walk_graphs(
                                 for f in (free_a, free_b)),
                             m,
                         ),
+                        2 * b - (limit[b] - free_b + m <= 1) << shift,
                     )
                     for m in range(1, min(free_a, free_b, max_mult) + 1)
                 )
@@ -588,27 +667,33 @@ def _walk_graphs(
     # Built once per walk; only pairs a < b are ever tried.
     options = [[pair_options(a, b) if a < b else None for b in range(v + 1)] for a in range(v + 1)]
     edges: list[tuple[int, int, int]] = []
-
+    counts: dict[int, int] = {}
     members = _Members()
 
-    def walk(a0: int, b0: int, live: int, signature: int) -> None:
-        visit(edges, signature)
+    def walk(a0: int, b0: int, live: int, signature: int, tag: int) -> None:
+        key = signature + tag
+        counts[key] = counts.get(key, 0) + 1
+        if track:
+            graphs.append((tag >> shift, tuple(edges)))
         for a in members[live >> a0 << a0]:
             free_a = free[a]
             options_a = options[a]
             start = b0 + 1 if a == a0 else a + 1
             for b in members[live >> start << start]:
                 free_b = free[b]
-                for mult, edge, keep, step in options_a[b][free_a][free_b]:
+                for mult, edge, keep, step, tag_b in options_a[b][free_a][free_b]:
                     free[a] = free_a - mult
                     free[b] = free_b - mult
-                    edges.append(edge)
-                    walk(a, b, live & keep, signature + step)
-                    edges.pop()
+                    if track:
+                        edges.append(edge)
+                    walk(a, b, live & keep, signature + step, tag_b if tag_b > tag else tag)
+                    if track:
+                        edges.pop()
                 free[a] = free_a
                 free[b] = free_b
 
-    walk(1, 1, (1 << (v + 1)) - 2, _pack_signature(width, 0, *_vertex_fields(free), 0))
+    walk(1, 1, (1 << (v + 1)) - 2, _pack_signature(width, 0, *_vertex_fields(free), 0), 0)
+    return counts
 
 
 def _pack_signature(width: int, *fields: int) -> int:
@@ -618,32 +703,77 @@ def _pack_signature(width: int, *fields: int) -> int:
     return sum(f << (width * i) for i, f in enumerate(fields))
 
 
-def _unpack_signature(signature: int, n: int) -> Signature:
-    """The four fields of a signature packed by a graph walk on n letters."""
-    width = _graph_vertex_count(n).bit_length()
+def _unpack_signature(signature: int, width: int) -> Signature:
+    """The four fields of a signature packed in ``width``-bit fields."""
     mask = (1 << width) - 1
     return Signature(*(signature >> width * i & mask for i in range(3)), signature >> 3 * width)
 
 
-def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:
-    """Number of admissible graphs of each signature, counted as the walk
-    reaches them; no graph is built."""
+def _signature_step(n: int, n_max: int, width: int, degree: int) -> int:
+    """The packed step from a graph's signature for n_max letters to its
+    signature for n letters, when vertex (n + 1)//2 has ``degree`` (so every
+    vertex above it is isolated): those vertices go, and the last vertex of
+    an odd n may take one degree less.  Read through the vertex rule."""
+    free_max, free_n = _free_degrees(n_max), _free_degrees(n)
+    last = len(free_n) - 1
+    x_power, isolated = _vertex_fields([free_n[last] - degree])
+    x_max, isolated_max = _vertex_fields([free_max[last] - degree, *free_max[last + 1:]])
+    return _pack_signature(width, 0, x_power - x_max, isolated - isolated_max)
+
+
+def _signatures_at(tagged: dict[int, int], n: int, n_max: int) -> dict[Signature, int]:
+    """The graphs for n letters counted by signature, read from a tagged
+    tally of the graphs for n_max: the ones tagged at most n.  Only a graph
+    tagged n, for an odd n, touches vertex (n + 1)//2, at degree one."""
+    width = _graph_vertex_count(n_max).bit_length()
+    shift = 4 * width
+    fields = (1 << shift) - 1
+    untouched = _signature_step(n, n_max, width, 0)
+    met = _signature_step(n, n_max, width, 1) if n % 2 else untouched
     counts: dict[int, int] = {}
+    for key, count in tagged.items():
+        tag = key >> shift
+        if tag <= n:
+            signature = (key & fields) + (met if tag == n else untouched)
+            counts[signature] = counts.get(signature, 0) + count
+    return {_unpack_signature(signature, width): count for signature, count in counts.items()}
 
-    def add(edges: list, signature: int) -> None:
-        counts[signature] = counts.get(signature, 0) + 1
 
-    _walk_graphs(n, vertex_cap, max_mult, add)
-    return {_unpack_signature(signature, n): count for signature, count in counts.items()}
+def _graph_tallies(
+    n_max: int, vertex_cap: int, max_mult: int
+) -> Iterator[tuple[int, dict[Signature, int]]]:
+    """(n, the admissible graphs for n letters counted by signature) for n =
+    0 .. n_max in turn, from one graph walk at n_max, made at the call; no
+    graph is built."""
+    tagged = _walk_graphs(n_max, vertex_cap, max_mult)
+    return ((n, _signatures_at(tagged, n, n_max)) for n in range(n_max + 1))
+
+
+def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:
+    """Number of admissible graphs for n letters of each signature."""
+    return _signatures_at(_walk_graphs(n, vertex_cap, max_mult), n, n)
+
+
+def _multigraphs_by_n(
+    n_max: int, vertex_cap: int
+) -> Iterator[tuple[int, list[ConstrainedGraph]]]:
+    """(n, ``multigraphs(n)``) for n = 0 .. n_max in turn, from one graph
+    walk at n_max, made at the call."""
+    graphs: list = []
+    _walk_graphs(n_max, vertex_cap, 2, graphs)
+    return (
+        (n, [ConstrainedGraph(_graph_vertex_count(n), edges) for tag, edges in graphs if tag <= n])
+        for n in range(n_max + 1)
+    )
 
 
 def multigraphs(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[ConstrainedGraph]:
     """Every admissible multigraph for the given n, exactly once, sorted by
     edge tuple."""
+    graphs: list = []
+    _walk_graphs(n, vertex_cap, 2, graphs)
     v = _graph_vertex_count(n)
-    out: list[ConstrainedGraph] = []
-    _walk_graphs(n, vertex_cap, 2, lambda edges, _: out.append(ConstrainedGraph(v, tuple(edges))))
-    return out
+    return [ConstrainedGraph(v, edges) for _, edges in graphs]
 
 
 def fiber_size(g: ConstrainedGraph, n: int) -> int:
@@ -682,9 +812,14 @@ def graph_count_bruteforce(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> i
 def graph_weight_sum_bruteforce(
     n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> BivariatePoly:
-    """Sum of graph_weight over the admissible graphs with no doubled edge:
-    one weight per signature, times the number of graphs that carry it."""
+    """Sum of graph_weight over the admissible graphs with no doubled edge."""
+    return _weight_sum(_graph_tally(n, vertex_cap, 1))
+
+
+def _weight_sum(tally: dict[Signature, int]) -> BivariatePoly:
+    """Sum of the weights of the graphs in a tally: one weight per
+    signature, times the number of graphs that carry it."""
     total = BivariatePoly.zero()
-    for signature, count in _graph_tally(n, vertex_cap, 1).items():
+    for signature, count in tally.items():
         total = total + count * signature.weight()
     return total

@@ -45,6 +45,7 @@ __all__ = [
     "involution_count",
     "involution_val2",
     "involution_count_direct",
+    "transposition_counts",
     "signed_involution_count",
     "pth_root_counts",
     "pth_root_count",
@@ -147,19 +148,26 @@ def involution_val2(n: int) -> int:
     return n // 2 - 2 * (n // 4) + (n + 1) // 4
 
 
-def involution_count_direct(n: int) -> int:
-    """Same count as the explicit sum over cycle types: the involutions with
-    i transpositions and j fixed points number n!/(2**i i! j!).  Each term
-    is stepped from the one before it, by (j + 2)(j + 1)/(2i)."""
+def transposition_counts(n: int) -> list[int]:
+    """The involutions on n letters with i transpositions and j = n - 2i
+    fixed points, n!/(2**i i! j!), for i = 0 .. n//2.  Each term is stepped
+    from the one before it, by (j + 2)(j + 1)/(2i); a division that leaves a
+    remainder raises ExactnessError."""
     _require_nonnegative(n)
-    total = term = 1
+    terms = [1]
     for i in range(1, n // 2 + 1):
         j = n - 2 * i
-        term, rem = divmod(term * ((j + 2) * (j + 1)), 2 * i)
+        term, rem = divmod(terms[-1] * ((j + 2) * (j + 1)), 2 * i)
         if rem:
             raise ExactnessError("cycle-type term is not an integer")
-        total += term
-    return total
+        terms.append(term)
+    return terms
+
+
+def involution_count_direct(n: int) -> int:
+    """Same count as the explicit sum over cycle types,
+    ``sum(transposition_counts(n))``."""
+    return sum(transposition_counts(n))
 
 
 def signed_involution_count(n: int) -> int:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from involution_lab import checks, cli, enumeration, sequences, twoadic, valuations
+from involution_lab.algebra import BivariatePoly
 from involution_lab.cli import main
 from involution_lab.enumeration import ConstrainedGraph, RefinedClass
 from involution_lab.errors import ExactnessError, ResourceLimitError
@@ -321,6 +322,32 @@ class TestVerify:
         assert b"enumeration of 479001601 p-th roots" in run.stdout
         assert run.cpu_seconds < 1
 
+    # Walked n by n, cor31 and weights ran about 15 s before the root walk
+    # at n = 15 refused.  Both caps are checked at n_max before either walk.
+    @pytest.mark.parametrize("name,n_max,reason", [
+        ("cor31", 15, "enumeration of 10349536 p-th roots exceeds the cap of 10000000"),
+        ("weights", 15, "enumeration of 10349536 p-th roots exceeds the cap of 10000000"),
+        ("fibersum", 17, "9 vertices exceed the vertex cap of 8"),
+        ("prop42", 17, "9 vertices exceed the vertex cap of 8"),
+    ], ids=["cor31", "weights", "fibersum", "prop42"])
+    def test_caps_refuse_before_walking(self, name, n_max, reason):
+        run = fresh_run(*CLI, "verify", "--check", name, "--n-max", str(n_max), keep_stdout=True)
+        assert (run.code, run.stdout) == (3, f"{name}: INCONCLUSIVE: {reason}\n".encode())
+        assert run.cpu_seconds < 1
+
+    def test_coeffs_names_a_planted_wrong_coefficient(self, monkeypatch):
+        real = sequences.involution_polys
+
+        def planted():
+            for n, poly in enumerate(real()):
+                if n == 5:
+                    poly = poly + BivariatePoly.monomial(3, 1)
+                yield poly
+
+        monkeypatch.setattr(sequences, "involution_polys", planted)
+        assert checks.CHECKS["coeffs"]({"n_max": 8}) == (
+            False, "n=5: coefficient at x^3 y^1 is 11, want 10")
+
     def test_explicit_p_is_used_as_given(self):
         # p = 0 is not replaced by the default p = 2 or by every prime.
         with pytest.raises(ValueError, match="prime"):
@@ -435,12 +462,13 @@ class TestCor31Mismatch:
                           "the enumeration gives it 1 times")
 
     def test_graph_missing_from_the_enumeration(self, monkeypatch):
-        real = enumeration.multigraphs
+        real = enumeration._multigraphs_by_n
 
-        def corrupted(n, **kwargs):
-            return [g for g in real(n, **kwargs) if n != self.N or g != self.EMPTY]
+        def corrupted(n_max, vertex_cap):
+            for n, graphs in real(n_max, vertex_cap):
+                yield n, [g for g in graphs if n != self.N or g != self.EMPTY]
 
-        monkeypatch.setattr(enumeration, "multigraphs", corrupted)
+        monkeypatch.setattr(enumeration, "_multigraphs_by_n", corrupted)
         passed, detail = checks.CHECKS["cor31"]({"n_max": self.N})
         assert not passed
         assert detail == ("n=4: 1 classes map to graph {'vertices': 2, 'edges': []}, "

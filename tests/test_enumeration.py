@@ -4,6 +4,7 @@ counting formulas are validated against grouping the enumerations.
 """
 
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 
@@ -31,7 +32,7 @@ from involution_lab.enumeration import (
     refined_class,
 )
 from involution_lab.errors import ResourceLimitError
-from involution_lab.sequences import graph_poly, involution_count
+from involution_lab.sequences import graph_count, graph_poly, involution_count, pth_root_count
 
 from conftest import CLI, fresh_run
 
@@ -310,15 +311,16 @@ class TestGraphs:
         with pytest.raises(ResourceLimitError):
             multigraphs(40)
         # Nine vertices pass a cap of 9: stop at the first graph, rather
-        # than build all 2,313,638 of them.
+        # than walk all 2,313,638 of them.
         class FirstGraph(Exception):
             pass
 
-        def stop(edges, signature):
-            raise FirstGraph
+        class Stop(list):
+            def append(self, graph):
+                raise FirstGraph
 
         with pytest.raises(FirstGraph):
-            enumeration._walk_graphs(18, 9, 2, stop)
+            enumeration._walk_graphs(18, 9, 2, Stop())
 
     @pytest.mark.parametrize("n", range(11))
     def test_matches_filter_oracle(self, n):
@@ -466,6 +468,18 @@ def edge_signature(edges, n):
     return (doubled, x_power, interior.count(0), sum(m for _, _, m in edges))
 
 
+def reference_graph_for(edges, n):
+    """Whether the edges make an admissible graph for n letters: every
+    endpoint within (n + 1)//2, every degree at most two, and at most one on
+    the last vertex of an odd n."""
+    v = (n + 1) // 2
+    degree = Counter()
+    for a, b, m in edges:
+        degree[a] += m
+        degree[b] += m
+    return all(u <= v and d <= (1 if n % 2 and u == v else 2) for u, d in degree.items())
+
+
 class TestStreamedWalks:
     @pytest.mark.parametrize("n", range(13))
     def test_every_enumerated_graph_is_valid(self, n):
@@ -502,9 +516,9 @@ class TestStreamedWalks:
         # fills a field with v (the empty graph has v isolated vertices).
         v = (n + 1) // 2
         if v == 4:
-            tally = Counter()
-            enumeration._walk_graphs(
-                n, 8, max_mult, lambda edges, _: tally.update((edge_signature(edges, n),)))
+            graphs = []
+            enumeration._walk_graphs(n, 8, max_mult, graphs)
+            tally = Counter(edge_signature(edges, n) for _, edges in graphs)
             assert enumeration._graph_tally(n, 8, max_mult) == tally
         elif max_mult == 1:
             # Too many graphs to re-derive each signature in Python: the
@@ -513,7 +527,7 @@ class TestStreamedWalks:
             assert graph_weight_sum_bruteforce(n, vertex_cap=8) == graph_poly(n)
             tally = enumeration._graph_tally(n, 8, 1)
         else:
-            assert list(checks._fiber_sum(n, 8)) == []
+            assert list(checks._fibersum(n, 8)) == []
             return
         assert max(max(signature) for signature in tally) == (v if n % 2 == 0 else v - 1)
 
@@ -525,35 +539,39 @@ class TestStreamedWalks:
     def test_streamed_roots_sorted_equal_list(self, p, n_max):
         for n in range(n_max + 1):
             streamed = []
-            enumeration._walk_roots(
-                n, p, enumeration.DEFAULT_ROOT_CAP,
-                lambda images, key: streamed.append(tuple(images)))
+            for _ in enumeration._walk_roots(n, p, enumeration.DEFAULT_ROOT_CAP, streamed)[1]:
+                pass
             assert len(set(streamed)) == len(streamed)
             assert sorted(streamed) == pth_roots(n, p) == filtered_pth_roots(n, p)
 
     def test_caps_fire_before_walking(self):
-        def visit(live, summary):
-            raise AssertionError("walked past the cap")
-
+        # At the call: the root walk would run only when its tallies are read.
         with pytest.raises(ResourceLimitError, match="9496"):
-            enumeration._walk_roots(10, 2, 9495, visit)
+            enumeration._walk_roots(10, 2, 9495)
+        with pytest.raises(ResourceLimitError, match="9496"):
+            enumeration._class_tallies(10, 2, 9495)
         with pytest.raises(ResourceLimitError, match="4 vertices"):
-            enumeration._walk_graphs(8, 3, 2, visit)
+            enumeration._walk_graphs(8, 3, 2)
 
 
 class TestClassTally:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_walk_cycles_give_each_roots_class(self, p):
-        for n in range(9):
-            seen = []
-            slots = enumeration._walk_roots(
-                n, p, enumeration.DEFAULT_ROOT_CAP,
-                lambda images, key: seen.append((tuple(images), key)))
-            assert len(seen) == len(pth_roots(n, p))
-            for pi, key in seen:
-                counts = enumeration._slot_counts(key, slots, n)
-                assert counts == label_cycles(pi, p)
+        # Every key of the tally at n decodes to the labeled cycles of as many
+        # roots on n letters as it counts, and classes them as each root is.
+        n_max = 8
+        slots, tallies = enumeration._walk_roots(n_max, p, enumeration.DEFAULT_ROOT_CAP)
+        for n, by_key in tallies:
+            roots = {}  # by labeled cycles, the roots on n letters
+            for pi in filtered_pth_roots(n, p) if n <= 6 else pth_roots(n, p):
+                roots.setdefault(frozenset(label_cycles(pi, p).items()), []).append(pi)
+            decoded = {}
+            for key, count in by_key.items():
+                counts = enumeration._slot_counts(key, slots, n_max.bit_length())
+                decoded[frozenset(counts.items())] = count
+                pi = roots[frozenset(counts.items())][0]
                 assert enumeration._class_from_counts(counts, n, p) == refined_class(pi, p)
+            assert decoded == {cycles: len(members) for cycles, members in roots.items()}
 
     def test_one_class_build_per_cycle_multiset(self, monkeypatch):
         # A work count, not a timing: lemma21 at p = 3, n <= 9 classes each
@@ -591,7 +609,8 @@ class TestClassTally:
                 return real(labels)
 
             monkeypatch.setattr(enumeration, "_least_labeled_rotation", counted)
-            enumeration._walk_roots(n, 3, enumeration.DEFAULT_ROOT_CAP, lambda images, key: None)
+            for _ in enumeration._walk_roots(n, 3, enumeration.DEFAULT_ROOT_CAP)[1]:
+                pass
             assert len(rotated) == len(set(rotated))
             if n >= 3:
                 assert rotated
@@ -603,8 +622,8 @@ class TestClassTally:
         # without it the walk peaks near 0.2 MiB.
         tracemalloc.start()
         try:
-            enumeration._walk_roots(
-                8, 7, enumeration.DEFAULT_ROOT_CAP, lambda images, key: None)
+            for _ in enumeration._walk_roots(8, 7, enumeration.DEFAULT_ROOT_CAP)[1]:
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,12 +635,13 @@ class TestClassTally:
         # root, so one slot counts all n fixed points: 16 needs every one of
         # the 16.bit_length() = 5 bits a slot gets.
         seen = []
-        slots = enumeration._walk_roots(
-            n, 17, enumeration.DEFAULT_ROOT_CAP,
-            lambda images, key: seen.append((tuple(images), key)))
+        slots, tallies = enumeration._walk_roots(n, 17, enumeration.DEFAULT_ROOT_CAP, seen)
+        *_, (_, by_key) = tallies
         identity = tuple(range(1, n + 1))
-        assert [pi for pi, _ in seen] == [identity]
-        assert enumeration._slot_counts(seen[0][1], slots, n) == {(1,): n}
+        assert seen == [identity]
+        [key] = by_key
+        assert by_key[key] == 1
+        assert enumeration._slot_counts(key, slots, n.bit_length()) == {(1,): n}
         cls = RefinedClass((), (((1,), n),))
         assert refined_class(identity, 17) == cls
         assert enumeration._class_tally(n, 17, enumeration.DEFAULT_ROOT_CAP) == {cls: 1}
@@ -652,15 +672,18 @@ class TestClassTally:
 class TestCycleDegrees:
     def test_per_key_degrees_match_every_root(self):
         # weights reads (fixed points, transpositions) once per cycle key,
-        # from the decoded labeled-cycle counts.
-        for n in range(11):
-            seen = []
-            slots = enumeration._walk_roots(
-                n, 2, enumeration.DEFAULT_ROOT_CAP,
-                lambda images, key: seen.append((tuple(images), key)))
-            for pi, key in seen:
-                counts = enumeration._slot_counts(key, slots, n)
-                assert checks._cycle_degrees(counts) == enumeration._involution_degrees(pi)
+        # from the decoded labeled-cycle counts: every root with those
+        # labeled cycles has those degrees.
+        n_max = 10
+        slots, tallies = enumeration._walk_roots(n_max, 2, enumeration.DEFAULT_ROOT_CAP)
+        for n, by_key in tallies:
+            degrees = {}
+            for pi in pth_roots(n, 2):
+                degrees.setdefault(frozenset(label_cycles(pi, 2).items()), set()).add(
+                    enumeration._involution_degrees(pi))
+            for key in by_key:
+                counts = enumeration._slot_counts(key, slots, n_max.bit_length())
+                assert degrees[frozenset(counts.items())] == {checks._cycle_degrees(counts)}
 
     def test_planted_fault_turns_weights_red(self, monkeypatch):
         # One cell: the identity on four letters read as three fixed points.
@@ -672,6 +695,125 @@ class TestCycleDegrees:
         monkeypatch.setattr(checks, "_cycle_degrees", faulty)
         assert CHECKS["weights"]({}) == (
             False, "n=4, graph {'vertices': 2, 'edges': []}: weight identity fails")
+
+
+def _fault_in_root_tally_at_n_3(real, count_shift):
+    """``_walk_roots`` with one cell of the tally of the roots on 3 letters
+    changed: its largest cycle key counts ``count_shift`` more roots, or is
+    gone when ``count_shift`` is None."""
+    def walk(*args, **kwargs):
+        slots, tallies = real(*args, **kwargs)
+
+        def planted():
+            for n, by_key in tallies:
+                if n == 3:
+                    by_key = dict(by_key)
+                    key = max(by_key)
+                    if count_shift is None:
+                        del by_key[key]
+                    else:
+                        by_key[key] += count_shift
+                yield n, by_key
+
+        return slots, planted()
+
+    return walk
+
+
+def _drop_a_graph_tagged_3(real):
+    """``_walk_graphs`` with one graph tagged 3 (the first listed, or the one
+    of least key) gone, from every n >= 3."""
+    def walk(n_max, vertex_cap, max_mult, graphs=None):
+        tagged = real(n_max, vertex_cap, max_mult, graphs)
+        shift = 4 * ((n_max + 1) // 2).bit_length()
+        key = min(key for key in tagged if key >> shift == 3)
+        tagged[key] -= 1
+        if graphs is not None:
+            graphs.remove(next(graph for graph in graphs if graph[0] == 3))
+        return tagged
+
+    return walk
+
+
+class TestAllNTallies:
+    """One walk at n_max gives the tally of every n <= n_max."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_class_tallies_equal_the_per_n_tallies(self, p):
+        cap = enumeration.DEFAULT_ROOT_CAP
+        tallies = list(enumeration._class_tallies(10, p, cap))
+        assert [n for n, _ in tallies] == list(range(11))
+        for n, tally in tallies:
+            assert tally == enumeration._class_tally(n, p, cap)
+        if p == 2:
+            degrees = enumeration._class_tallies(10, 2, cap, checks._cycle_degrees)
+            for n, tally in degrees:
+                assert tally == enumeration._class_tally(n, 2, cap, checks._cycle_degrees)
+
+    @pytest.mark.parametrize("n_max", [7, 8, 15, 16])
+    @pytest.mark.parametrize("max_mult", [1, 2])
+    def test_graph_tallies_equal_the_per_n_tallies(self, n_max, max_mult):
+        # Fields are v.bit_length() bits wide, one more than v - 1 needs at
+        # v = 4 and v = 8, and the tag sits above them.  At n = n_max both
+        # read the same walk, so the walks compared are the ones below it.
+        tallies = list(enumeration._graph_tallies(n_max, 8, max_mult))
+        assert [n for n, _ in tallies] == list(range(n_max + 1))
+        for n, tally in tallies[:-1]:
+            assert tally == enumeration._graph_tally(n, 8, max_mult)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 8, 11])
+    def test_graph_lists_equal_the_per_n_lists(self, n_max):
+        listed = list(enumeration._multigraphs_by_n(n_max, 8))
+        assert listed == [(n, multigraphs(n)) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("p,n_max", [(2, 10), (3, 10), (5, 10), (7, 9)])
+    def test_root_walk_visits_each_root_on_n_max_letters_once(self, p, n_max):
+        # A work count: asked for its roots, the walk lists one per root it
+        # visits, and it gives every n's tally from that one visit of the
+        # tau_p(n_max) roots, where walking each n afresh visited the sum
+        # of tau_p(n) over n <= n_max.
+        roots = []
+        _, tallies = enumeration._walk_roots(n_max, p, enumeration.DEFAULT_ROOT_CAP, roots)
+        sums = [sum(by_key.values()) for _, by_key in tallies]
+        assert sums == [pth_root_count(n, p) for n in range(n_max + 1)]
+        assert len(roots) == len(set(roots)) == pth_root_count(n_max, p)
+
+    @pytest.mark.parametrize("n_max,max_mult", [(15, 1), (10, 2)])
+    def test_graph_walk_visits_each_graph_for_n_max_once(self, n_max, max_mult):
+        graphs = []
+        tagged = enumeration._walk_graphs(n_max, 8, max_mult, graphs)
+        if max_mult == 1:
+            expected = graph_count(n_max)
+        else:  # one graph per refined class (Corollary 3.1)
+            expected = len(enumeration._class_tally(n_max, 2, enumeration.DEFAULT_ROOT_CAP))
+        assert len(graphs) == len(set(graphs)) == sum(tagged.values()) == expected
+
+    @pytest.mark.parametrize("n_max", [9, 10])
+    def test_each_graph_is_tagged_with_the_least_n_it_is_a_graph_for(self, n_max):
+        graphs = []
+        enumeration._walk_graphs(n_max, 8, 2, graphs)
+        for tag, edges in graphs:
+            assert [n for n in range(n_max + 1) if reference_graph_for(edges, n)][0] == tag
+
+    # A lost key shows where classes are read (lemma21's total, cor31's
+    # correspondence); one root too many where the roots are counted per
+    # class (lemma21, weights).
+    @pytest.mark.parametrize("name,walk", [
+        ("lemma21", "lost root key"), ("lemma21", "extra root"), ("cor31", "lost root key"),
+        ("cor31", "lost graph"), ("weights", "extra root"), ("weights", "lost graph"),
+        ("fibersum", "lost graph"), ("prop42", "lost graph"),
+    ])
+    def test_a_fault_at_n_3_is_named_first(self, monkeypatch, name, walk):
+        if walk != "lost graph":
+            count_shift = 1 if walk == "extra root" else None
+            monkeypatch.setattr(enumeration, "_walk_roots", _fault_in_root_tally_at_n_3(
+                enumeration._walk_roots, count_shift))
+        else:
+            monkeypatch.setattr(enumeration, "_walk_graphs",
+                                _drop_a_graph_tagged_3(enumeration._walk_graphs))
+        passed, detail = CHECKS[name]({})
+        assert not passed
+        assert re.match(r"(p=2, )?n=3\b", detail), detail
 
 
 class TestStreamedMemory:

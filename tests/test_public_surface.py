@@ -64,8 +64,10 @@ REMOVED = {
 # as (reading module, owner.name).  Any other shared helper goes public.
 PRIVATE_CROSSINGS = {
     ("checks", "enumeration._class_size"),
-    ("checks", "enumeration._class_tally"),
-    ("checks", "enumeration._graph_tally"),
+    ("checks", "enumeration._class_tallies"),
+    ("checks", "enumeration._graph_tallies"),
+    ("checks", "enumeration._multigraphs_by_n"),
+    ("checks", "enumeration._weight_sum"),
     ("periodicity", "twoadic._refuse_window"),
     ("periodicity", "twoadic._residue_array"),
 }

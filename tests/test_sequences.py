@@ -24,6 +24,7 @@ from involution_lab.sequences import (
     graph_poly,
     involution_count,
     involution_count_direct,
+    transposition_counts,
     involution_count_via_graphs,
     involution_poly,
     involution_poly_via_graphs,
@@ -59,6 +60,7 @@ class TestInvolutionCount:
         for n in range(301):
             terms = [math.factorial(n) // ((1 << i) * math.factorial(i) * math.factorial(n - 2 * i))
                      for i in range(n // 2 + 1)]
+            assert transposition_counts(n) == terms
             assert involution_count_direct(n) == sum(terms)
 
     def test_routes_agree(self):
