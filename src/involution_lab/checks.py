@@ -243,9 +243,10 @@ def _cycle_degrees(counts: dict[tuple[int, ...], int]) -> tuple[int, int]:
 
 
 def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
-    """Summed involution weights over each fiber equal fiber size times the
-    graph weight, and the fiber sizes sum to the involution count.  Both
-    caps are checked before either walk starts."""
+    """There are as many refined classes as graphs, summed involution weights
+    over each fiber equal fiber size times the graph weight, and the fiber
+    sizes sum to the involution count.  Both caps are checked before either
+    walk starts."""
     classes_by_n = enumeration._class_tallies(n_max, 2, root_cap, _cycle_degrees)
     signatures_by_n = enumeration._graph_tallies(n_max, vertex_cap, 2)
     for (n, tally), (_, signatures) in zip(classes_by_n, signatures_by_n):
@@ -253,6 +254,9 @@ def _weights(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
         by_class: dict = {}
         for (cls, degrees), count in tally.items():
             by_class.setdefault(cls, {})[degrees] = count
+        graphs = sum(signatures.values())
+        if len(by_class) != graphs:
+            yield f"n={n}: {len(by_class)} refined classes, {graphs} graphs"
         for cls, degrees in sorted(by_class.items()):
             g = enumeration.class_graph(cls, n)
             signature = enumeration.graph_signature(g, n)
@@ -269,11 +273,14 @@ def _fibersum(n_max: int, vertex_cap: int) -> Iterator[str]:
 def _coeffs(n_max: int) -> Iterator[str]:
     """Coefficient of x**(n-2i) y**i in the involution polynomial equals
     n!/(2**i i! (n-2i)!), stepped from term to term by
-    ``sequences.transposition_counts``."""
+    ``sequences.transposition_counts``.  Polynomials are canonical, so they
+    are compared whole; only a mismatch is read term by term."""
     for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
         expected_terms = {
             (n - 2 * i, i): term for i, term in enumerate(sequences.transposition_counts(n))
         }
+        if poly == BivariatePoly(expected_terms):
+            continue
         for (dx, dy), coeff in poly.items():
             want = expected_terms.pop((dx, dy), None)
             if want is None or coeff != want:

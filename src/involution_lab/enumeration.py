@@ -20,14 +20,16 @@ The objects:
   vertex degree at most two (the trailing odd vertex at most one).
 
 One walk at n_max serves every n <= n_max, so each root and each graph is
-visited once.  The root walk visits the roots on n_max letters by their
-largest moved letter: the roots on n letters are those on n - 1 letters with
-n fixed, plus the roots that move n.  It tallies them inline by one int key
-for their labeled-cycle multiset, for every n in turn: each distinct labeled
-cycle owns a bit slot, and placing a cycle adds one to its slot (a key weight
-looked up once per element tuple, a least rotation once per label tuple,
-both in memos local to the walk).  The oracles decode each distinct key once
-per n, into the labeled-cycle counts that give its class and its degrees.
+visited once.  The root walk places each cycle by one recursion from the
+largest free letter, which is fixed or on a p-cycle opened at the least of the
+letters chosen below it: the roots on n letters are those on n - 1 letters
+with n fixed, plus that recursion's cycle branch over 1..n, the roots that
+move n.  It tallies them inline by one int key for their labeled-cycle
+multiset, for every n in turn: each distinct labeled cycle owns a bit slot,
+and placing a cycle adds one to its slot (a key weight looked up once per
+element tuple, a least rotation once per label tuple, both in memos local to
+the walk).  The oracles decode each distinct key once per n, into the
+labeled-cycle counts that give its class and its degrees.
 The graph walk visits the graphs for n_max letters in sorted edge order,
 trying only the vertices with free degree left (a bitmask), and tallies them
 inline by their ``Signature`` packed into one int, with the least n each one
@@ -126,18 +128,18 @@ def _walk_roots(
     when ``roots`` is a list it also receives each root's image tuple on
     n_max letters (``images[i-1]`` is where i goes).
 
-    The roots on n letters are the roots on n - 1 letters with n fixed, plus
-    those whose largest moved letter is n: a p-cycle through n and p - 1 of
-    the letters below it, with any root of the letters left.  Those are
-    built by recursion: the smallest unplaced letter is either fixed or
-    opens a p-cycle with p - 1 of the remaining letters in any of their
-    (p-1)! arrangements, and once fewer than p letters are left, they are
-    all fixed.  So each root on n_max letters is visited once, and a tally
-    is the one before it with n's fixed point added to every key, plus the
-    roots that move n.  Each distinct labeled cycle (its least rotation)
-    owns a slot of ``n_max.bit_length()`` bits in the key, and placing a
-    cycle adds one to its slot; a root has at most n_max cycles, so no slot
-    carries into the next.  ``_slot_counts`` reads a key back as
+    One recursion, ``build``, places every cycle, from the largest free letter
+    down: that letter is either fixed, or on a p-cycle opened at the least of
+    p - 1 letters chosen below it, the rest of the cycle in any of its (p-1)!
+    orders, with every root of the letters left; once fewer than p letters are
+    free, they are all fixed.  The roots on n letters are the roots on n - 1
+    letters with n fixed, plus the roots that move n, which are ``build``'s
+    cycle branch over 1..n.  So each root on n_max letters is visited once,
+    and a tally is the one before it with n's fixed point added to every key,
+    plus the roots that move n.  Each distinct labeled cycle (its least
+    rotation) owns a slot of ``n_max.bit_length()`` bits in the key, and
+    placing a cycle adds one to its slot; a root has at most n_max cycles, so
+    no slot carries into the next.  ``_slot_counts`` reads a key back as
     labeled-cycle counts.  Raises ResourceLimitError (naming the predicted
     count at n_max) at the call, before any root is walked.
     """
@@ -185,46 +187,47 @@ def _walk_roots(
             weights[cycle] = weight
         return weight
 
-    # By a number s of letters (those after the least free one, or those
-    # below n): every choice of p - 1 of them, in combinations order, as
-    # (chosen, remaining) position masks for itertools.compress.
+    # By the number s of free letters below the largest one: every choice of
+    # p - 1 of them, in combinations order, as the position of the least
+    # chosen, the mask of the others and the largest among all s + 1 free
+    # letters, and the mask of the letters left, for itertools.compress.
     splits = [
         [
-            (mask, [not picked for picked in mask])
-            for mask in (
-                [i in chosen for i in range(s)]
-                for chosen in itertools.combinations(range(s), p - 1)
-            )
+            (chosen[0], [i in chosen[1:] or i == s for i in range(s + 1)],
+             [i not in chosen for i in range(s)])
+            for chosen in itertools.combinations(range(s), p - 1)
         ]
         for s in range(n_max)
     ]
     by_key: dict[int, int] = {0: 1}  # the tally of the roots on n letters
 
-    def place(cycle: tuple[int, ...]) -> None:
-        for x, y in zip(cycle, (*cycle[1:], cycle[0])):
-            images[x - 1] = y
-
-    def build(free: tuple[int, ...], key: int) -> None:
+    def build(free: tuple[int, ...], key: int, top_fixed: bool = True) -> None:
         if len(free) < p:
             # No p-cycle fits: the rest are fixed points, one root.
-            for x in free:
-                key += fixed[x]
-            by_key[key] = by_key.get(key, 0) + 1
-            if track:
+            if top_fixed:
                 for x in free:
-                    images[x - 1] = x
-                roots.append(tuple(images))
-            return
-        e, rest = free[0], free[1:]
-        if track:
-            images[e - 1] = e
-        build(rest, key + fixed[e])
-        for chosen_mask, remaining_mask in splits[len(rest)]:
-            remaining = tuple(itertools.compress(rest, remaining_mask))
-            for order in itertools.permutations(itertools.compress(rest, chosen_mask)):
-                cycle = (e, *order)
+                    key += fixed[x]
+                by_key[key] = by_key.get(key, 0) + 1
                 if track:
-                    place(cycle)
+                    for x in free:
+                        images[x - 1] = x
+                    roots.append(tuple(images))
+            return
+        rest, e = free[:-1], free[-1]
+        if top_fixed:
+            if track:
+                images[e - 1] = e
+            build(rest, key + fixed[e])
+        # e on a p-cycle, opened at the least of the p - 1 letters chosen
+        # below it, then every root of the letters left.
+        for least, cycle_mask, remaining_mask in splits[len(rest)]:
+            first = rest[least]
+            remaining = tuple(itertools.compress(rest, remaining_mask))
+            for order in itertools.permutations(itertools.compress(free, cycle_mask)):
+                cycle = (first, *order)
+                if track:
+                    for x, y in zip(cycle, (*order, first)):
+                        images[x - 1] = y
                 build(remaining, key + (weights.get(cycle) or cycle_weight(cycle)))
 
     def tallies() -> Iterator[tuple[int, dict[int, int]]]:
@@ -235,17 +238,7 @@ def _walk_roots(
         for n in range(1, n_max + 1):
             step = fixed[n]
             by_key = {key + step: count for key, count in by_key.items()}
-            # The roots that move n: its p-cycle, opened at the least of the
-            # p - 1 letters chosen below n, then every root of the rest.
-            below = tuple(range(1, n))
-            for chosen_mask, remaining_mask in splits[n - 1]:
-                e, *others = itertools.compress(below, chosen_mask)
-                remaining = tuple(itertools.compress(below, remaining_mask))
-                for order in itertools.permutations((*others, n)):
-                    cycle = (e, *order)
-                    if track:
-                        place(cycle)
-                    build(remaining, weights.get(cycle) or cycle_weight(cycle))
+            build(tuple(range(1, n + 1)), 0, top_fixed=False)  # the roots that move n
             yield n, by_key
 
     return slots, tallies()
@@ -364,17 +357,6 @@ def _class_tallies(
     slots, tallies = _walk_roots(n_max, p, cap)
     width = n_max.bit_length()
     return ((n, _classes(by_key, slots, width, n, p, extra)) for n, by_key in tallies)
-
-
-def _class_tally(
-    n: int, p: int, cap: int, extra: Callable[[dict], object] | None = None
-) -> dict:
-    """The last tally of ``_class_tallies(n, p, cap, extra)``: only the
-    roots on n letters are classed."""
-    slots, tallies = _walk_roots(n, p, cap)
-    for _, by_key in tallies:
-        pass
-    return _classes(by_key, slots, n.bit_length(), n, p, extra)
 
 
 def _validate_refined_class(cls: RefinedClass, p: int, n: int) -> None:

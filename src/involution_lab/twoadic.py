@@ -27,8 +27,9 @@ Two scans read the series:
 * ``certified_columns`` reads exponents of two, for the column kinds and the
   index range its caller asks for, through one pass, ``_columns_pass``, from
   J = _START_BITS on, restarted at twice the precision until every cell is
-  certified.  It is the one exponent reader behind ``table``, ``rho`` and the
-  ``verify`` parity checks.
+  certified.  Each kind's rule, applied term by term to g and g', gives the
+  numbers of its own series, however many kinds are read.  It is the one
+  exponent reader behind ``table``, ``rho`` and the ``verify`` parity checks.
 
 Nothing is guessed.  A nonzero residue of F_r(k) modulo 2**J gives its exact
 exponent, below J, and so the exponent of t(n), of s(n) or of t(n) +- s(n).
@@ -77,9 +78,8 @@ _MAX_BITS = 512
 # The four exponent columns, each described once: the number it takes the
 # exponent of, built from the pair (t(n), s(n)); 1 when the column is half
 # that number, else 0; and the number's name for errors.  Every rule is
-# linear, so the series here apply it to (F_r, F'_r), or to (g, g') term by
-# term, mod 2**J, and the exact oracle in :mod:`involution_lab.valuations`
-# to the exact counts.
+# linear, so the series here apply it to (g, g') term by term, mod 2**J, and
+# the exact oracle in :mod:`involution_lab.valuations` to the exact counts.
 COLUMNS = {
     "t": (lambda t, s: t, 0, "count"),
     "t_signed": (lambda t, s: s, 0, "signed sum"),
@@ -223,29 +223,20 @@ def _columns_pass(
     """One pass at precision 2**bits: each COLUMNS rule's exponent column at
     the n in ``indices``; None as soon as a cell asks for more precision.
 
-    Each residue class mod 4 of ``indices`` is read from its own series.
-    A lone rule steps its own series (the rule applied to g and g'); more
-    rules than graph counts share the series F_r and F'_r, held for the
-    class, and apply their rule to those values."""
-    mask = (1 << bits) - 1
-    # A graph count that no rule weighs (by its value at t = 1 or at s = 1) is not built.
-    graphs = [_graph_residues(y, bits) if any(rule(*unit) for rule, _, _ in readers) else None
-              for y, unit in ((1, (1, 0)), (-1, (0, 1)))]
-    shared = len(readers) > sum(numbers is not None for numbers in graphs)
+    Each rule's numbers are the rule applied term by term to g and g',
+    built once per pass, and each residue class mod 4 of ``indices`` is
+    read from the rule's own series over them."""
     unread = [0] * (4 * bits + 4)
+    # A graph count that no rule weighs (by its value at t = 1 or at s = 1) is not built.
+    graphs = [_graph_residues(y, bits) if any(rule(*unit) for rule, _, _ in readers) else unread
+              for y, unit in ((1, (1, 0)), (-1, (0, 1)))]
+    numbers = [list(map(number_of, *graphs)) for number_of, _, _ in readers]
     columns: list[list] = [[None] * len(indices) for _ in readers]
     period = 4 // math.gcd(indices.step, 4)
     for first in range(min(period, len(indices))):
         ns = indices[first::period]
-        if shared:
-            t, s = (list(_at(numbers or unread, ns, bits)) for numbers in graphs)
-        for column, (number_of, halved, name) in zip(columns, readers):
-            if shared:
-                residues = map(number_of, t, s)
-            else:
-                own = list(map(number_of, *(numbers or unread for numbers in graphs)))
-                residues = _at(own, ns, bits)
-            cells = list(map(_read_val2, map(mask.__and__, residues), repeat(bits), ns,
+        for column, own, (_, halved, name) in zip(columns, numbers, readers):
+            cells = list(map(_read_val2, _at(own, ns, bits), repeat(bits), ns,
                              repeat(halved), repeat(name)))
             if None in cells:
                 return None

@@ -484,7 +484,7 @@ class TestCor31Mismatch:
         monkeypatch.setattr(enumeration, "_validate_refined_class",
                             lambda cls, p, n: seen.append((cls, n)) or real(cls, p, n))
         assert checks.CHECKS["cor31"]({"n_max": self.N})[0]
-        classes = [(cls, n) for n in range(self.N + 1) for cls in enumeration._class_tally(n, 2, 10**4)]
+        classes = [(cls, n) for n, tally in enumeration._class_tallies(self.N, 2, 10**4) for cls in tally]
         assert sorted(seen) == sorted(classes)
 
     @pytest.mark.parametrize("name, calls", [("cor31", 1938), ("weights", 1292)])

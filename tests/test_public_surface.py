@@ -45,6 +45,7 @@ REMOVED = {
         "_graph_class",  # graph_class, which reads the free degrees it validates
         "_fiber_size", "_signature_weight",  # Signature.fiber_size, Signature.weight
         "simple_graphs",  # _graph_tally(n, vertex_cap, 1), or multigraphs(n) filtered
+        "_class_tally",  # the last tally of _class_tallies(n, p, cap, extra)
     ],
     "twoadic": [
         "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))

@@ -218,10 +218,17 @@ class TestValuationColumns:
             want = [valuation_report(n, kind).computed for n in range(4 * self.K_MAX + 4)]
             assert columns[kind] == want, kind
 
+    # Besides four reads of their own, each kind read alone and all four read
+    # together on every start 0..3 of steps 1, 2 and 4: one pass reads a
+    # kind's column the same whatever else it reads.
     @pytest.mark.parametrize("kinds, indices", [
         (REPORT_KINDS, range(4004)), (("t_odd", "t"), range(3, 4000, 7)),
         (("t_signed", "t_even"), range(2, 4002, 2)), (("t_odd",), range(0, 4000, 4)),
-    ], ids=["table", "step7", "step2", "class0"])
+        *((kinds, range(start, 403, step)) for step in (1, 2, 4) for start in range(4)
+          for kinds in (REPORT_KINDS, *((kind,) for kind in REPORT_KINDS))),
+    ], ids=["table", "step7", "step2", "class0",
+            *(f"{name}-from{start}-step{step}" for step in (1, 2, 4) for start in range(4)
+              for name in ("all", *REPORT_KINDS))])
     def test_matches_the_removal_reference(self, kinds, indices):
         assert certified_columns(kinds, indices) == _reference_columns(kinds, indices)
 
