@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from . import enumeration, periodicity, reference_tables, sequences, valuations
-from .algebra import BivariatePoly, val2, val_p
+from .algebra import BivariatePoly, odd_part, val2, val_p
 from .errors import VerificationError
 
 __all__ = ["CHECKS", "ROWS", "EmptyRangeError", "option", "resolve"]
@@ -110,9 +110,8 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
 
 def _thm32(n_max: int) -> Iterator[str]:
     """Involution count reassembled from graph counts equals the recurrence."""
-    for n in range(n_max + 1):
+    for n, rhs in zip(range(n_max + 1), sequences.pth_root_counts(2)):
         lhs = sequences.involution_count_via_graphs(n)
-        rhs = sequences.involution_count(n)
         if lhs != rhs:
             yield f"n={n}: graph route {lhs} != recurrence {rhs}"
 
@@ -124,8 +123,8 @@ def _thm33(n_max: int) -> Iterator[str]:
         if not report.matches:
             yield (f"n={report.n}: val2 of count is {report.computed}, "
                    f"closed form {report.predicted}")
-    for n in range(_BETA_MAX + 1):
-        lhs = sequences.odd_factor(n)
+    for n, count in zip(range(_BETA_MAX + 1), sequences.pth_root_counts(2)):
+        lhs = odd_part(count)
         rhs = sequences.odd_factor_closed(n)
         if lhs != rhs:
             yield f"n={n}: odd factor {lhs} != graph formula {rhs}"
@@ -291,8 +290,8 @@ def _coeffs(n_max: int) -> Iterator[str]:
 
 def _cross(n_max: int) -> Iterator[str]:
     """All four involution-count routes agree."""
-    for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
-        t = sequences.involution_count(n)
+    for n, poly, t in zip(range(n_max + 1), sequences.involution_polys(),
+                          sequences.pth_root_counts(2)):
         routes = {
             "direct sum": sequences.involution_count_direct(n),
             "polynomial at (1,1)": poly.evaluate(1, 1),

@@ -731,11 +731,6 @@ def _graph_tallies(
     return ((n, _signatures_at(tagged, n, n_max)) for n in range(n_max + 1))
 
 
-def _graph_tally(n: int, vertex_cap: int, max_mult: int) -> dict[Signature, int]:
-    """Number of admissible graphs for n letters of each signature."""
-    return _signatures_at(_walk_graphs(n, vertex_cap, max_mult), n, n)
-
-
 def _multigraphs_by_n(
     n_max: int, vertex_cap: int
 ) -> Iterator[tuple[int, list[ConstrainedGraph]]]:
@@ -788,14 +783,15 @@ def graph_weight(g: ConstrainedGraph, n: int) -> BivariatePoly:
 
 def graph_count_bruteforce(n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Number of admissible graphs with no doubled edge."""
-    return sum(_graph_tally(n, vertex_cap, 1).values())
+    return sum(_walk_graphs(n, vertex_cap, 1).values())
 
 
 def graph_weight_sum_bruteforce(
     n: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> BivariatePoly:
     """Sum of graph_weight over the admissible graphs with no doubled edge."""
-    return _weight_sum(_graph_tally(n, vertex_cap, 1))
+    *_, (_, tally) = _graph_tallies(n, vertex_cap, 1)
+    return _weight_sum(tally)
 
 
 def _weight_sum(tally: dict[Signature, int]) -> BivariatePoly:

@@ -3,11 +3,12 @@ and their graph-side companions.
 
 Each recurrence is written once, generic over the ring it runs in:
 
-* the removal recurrence u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p): its
-  exact step gives the involution count at (1, 1), the signed count at
-  (1, -1), and, streamed, the involution polynomials at (x, y) and, for a
-  prime p, the count of p-th roots of the identity; its residue stream mod
-  m at (1, 1) for p = 2, ``removal_residues``, feeds the period scan mod m;
+* the removal recurrence u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p), only
+  streamed, so a point read keeps nothing and costs O(n) steps: at (1, 1)
+  it counts the p-th roots of the identity for a prime p (the involution
+  count at p = 2), at (1, -1) the signed count, at (x, y) the involution
+  polynomials; its residue stream mod m at (1, 1) for p = 2,
+  ``removal_residues``, feeds the period scan mod m;
 * the degree-and-collapse graph recurrence gives the graph counts at
   (1, 1) and (1, -1) and the graph polynomial at (x, y); over ints masked
   to J bits it feeds the 2-adic engine of :mod:`involution_lab.twoadic`,
@@ -63,12 +64,9 @@ __all__ = [
 
 
 class SequenceCache:
-    """Append-only memo: values[n] never changes once written.
-
-    A single lock serializes extension (single writer); reads of already
-    computed entries take no lock, which is safe under the append-only
-    discipline.
-    """
+    """Append-only memo of a prefix the graph route reads whole (g(1, 1) and
+    the graph polynomial): values[n] never changes once written, so reads of
+    computed entries take no lock; a single lock serializes extension."""
 
     def __init__(self, step: Callable[[int, list], object]):
         self._step = step
@@ -76,8 +74,7 @@ class SequenceCache:
         self._lock = threading.Lock()
 
     def get(self, n: int):
-        if n < 0:
-            raise ValueError("index must be nonnegative")
+        _require_nonnegative(n)
         if n >= len(self._values):
             with self._lock:
                 while len(self._values) <= n:
@@ -129,22 +126,20 @@ def _removal_residues(m: int) -> Iterator[int]:
         prev, curr = curr, (curr + c * prev) % m
 
 
-_t_cache = SequenceCache(removal_step(1, 1, 1))
-_signed_cache = SequenceCache(removal_step(1, 1, -1))
-
-
 def involution_count(n: int) -> int:
     """Number of involutions on n letters, by the removal recurrence
-    t(n) = t(n-1) + (n-1) t(n-2)."""
-    return _t_cache.get(n)
+    t(n) = t(n-1) + (n-1) t(n-2): ``pth_root_count(n, 2)``."""
+    return pth_root_count(n, 2)
 
 
 def involution_val2(n: int) -> int:
     """Exact exponent of two in the involution count:
     floor(n/2) - 2 floor(n/4) + floor((n+1)/4), i.e. k + r//2 + [r == 3].
 
-    The floor form stays valid down to n = -1, which odd_factor_step needs.
+    It holds down to n = -1, which odd_factor_step reads, and refuses a lower n.
     """
+    if n < -1:
+        raise ValueError("n must be at least -1")
     return n // 2 - 2 * (n // 4) + (n + 1) // 4
 
 
@@ -172,8 +167,9 @@ def involution_count_direct(n: int) -> int:
 
 def signed_involution_count(n: int) -> int:
     """Sum of signs over involutions (each involution contributes
-    (-1)**transpositions); satisfies s(n) = s(n-1) - (n-1) s(n-2)."""
-    return _signed_cache.get(n)
+    (-1)**transpositions), stepped from 0 by s(n) = s(n-1) - (n-1) s(n-2)."""
+    _require_nonnegative(n)
+    return next(islice(stepped(removal_step(1, 1, -1), 2), n, None))
 
 
 def pth_root_counts(p: int) -> Iterator[int]:
@@ -188,9 +184,8 @@ def pth_root_count(n: int, p: int) -> int:
     """Number of permutations of n letters whose p-th power is the identity.
 
     Counted by removing the cycle through the largest letter: it is fixed, or
-    lies on a p-cycle with p-1 of the remaining letters in any order.  Nothing
-    is kept between calls: each steps ``pth_root_counts(p)`` from 0, O(n)
-    steps, and a negative n raises ValueError.
+    lies on a p-cycle with p-1 of the remaining letters in any order; each
+    call steps ``pth_root_counts(p)`` from 0.  A negative n raises ValueError.
     """
     _require_nonnegative(n)
     return next(islice(pth_root_counts(p), n, None))
@@ -209,9 +204,8 @@ def involution_polys() -> Iterator[BivariatePoly]:
 def involution_poly(n: int) -> BivariatePoly:
     """Generating polynomial of involutions by x**(fixed points) *
     y**(transpositions); the coefficient of x**(n-2i) y**i is
-    n!/(2**i i! (n-2i)!).  Nothing is kept between calls: each steps
-    ``involution_polys()`` from 0, O(n) polynomial steps, and a negative n
-    raises ValueError."""
+    n!/(2**i i! (n-2i)!).  Each call steps ``involution_polys()`` from 0;
+    a negative n raises ValueError."""
     _require_nonnegative(n)
     return next(islice(involution_polys(), n, None))
 

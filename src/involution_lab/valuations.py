@@ -58,7 +58,9 @@ def chi_even(n: int) -> int:
 
 def tau_valuation_bound(n: int, p: int) -> int:
     """Proven lower bound floor(n/p) - floor(n/p**2) for the p-adic valuation
-    of the p-th-root count."""
+    of the p-th-root count; a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return n // p - n // (p * p)
 
 
@@ -74,11 +76,18 @@ def binomial_shift_bound_holds(k: int, i: int, exponent: Valuation) -> bool:
     return exponent >= vk + i - val2(i) and exponent >= vk + 1 and (i < 5 or exponent >= vk + 3)
 
 
+def _quarter(n: int) -> tuple[int, int]:
+    """(k, r) with n = 4k + r and 0 <= r < 4; a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return divmod(n, 4)
+
+
 def signed_val2_predicted(n: int) -> Valuation:
     """Predicted exponent of two in the signed involution sum: k + r//2 for
     r != 2, and k + 3 + val2(k) for r = 2 (INFINITY at n = 2, where the
     signed sum is zero)."""
-    k, r = divmod(n, 4)
+    k, r = _quarter(n)
     if r == 2:
         return k + 3 + val2(k)
     return k + r // 2
@@ -107,7 +116,7 @@ def odd_involution_count(n: int) -> int:
 def even_val2_predicted(n: int) -> Valuation | None:
     """Predicted exponent of two in the even-involution count, or None on
     the residue class (r = 1) with no proven closed form."""
-    k, r = divmod(n, 4)
+    k, r = _quarter(n)
     if r == 0:
         return k + chi_odd(k)
     if r == 1:
@@ -119,7 +128,7 @@ def odd_val2_predicted(n: int) -> Valuation | None:
     """Predicted exponent of two in the odd-involution count, or None on the
     residue class (r = 0) with no proven closed form.  At n = 1 the count is
     zero and the prediction is INFINITY (val2(0) absorbs the sum)."""
-    k, r = divmod(n, 4)
+    k, r = _quarter(n)
     if r == 0:
         return None
     if r == 1:

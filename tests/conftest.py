@@ -1,11 +1,15 @@
-"""Shared test helper: one run of the interpreter in a fresh process, with the
-peak memory and time of that run alone."""
+"""Shared test helpers: one run of the interpreter in a fresh process, with the
+peak memory and time of that run alone; and the exact numbers of the
+valuation columns, read in n order."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+from involution_lab.sequences import pth_root_counts, removal_step, stepped
+from involution_lab.twoadic import COLUMNS, column_number
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -60,3 +64,12 @@ def fresh_run(*argv: str, keep_stdout: bool = False) -> FreshRun:
     code, sha256, seconds, peak_kb, cpu_seconds = figures.split()
     return FreshRun(int(code), sha256.decode(), stdout, float(seconds), int(peak_kb),
                     float(cpu_seconds))
+
+
+def exact_numbers(n_stop: int) -> Iterator[tuple[int, dict[str, int]]]:
+    """(n, the exact number of each COLUMNS kind at n) for n < n_stop: the
+    numbers ``valuations.valuation_report`` takes val2 of, from t(n) and s(n)
+    streamed in n order instead of read point by point, O(n) steps each."""
+    counts = zip(range(n_stop), pth_root_counts(2), stepped(removal_step(1, 1, -1), 2))
+    for n, t, s in counts:
+        yield n, {kind: column_number(kind, n, t, s) for kind in COLUMNS}

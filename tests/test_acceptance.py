@@ -19,9 +19,11 @@ import time
 from collections import Counter
 
 from involution_lab import enumeration, periodicity, sequences, twoadic, valuations
-from involution_lab.algebra import INFINITY, val2, val_p
+from involution_lab.algebra import INFINITY, odd_part, val2, val_p
 from involution_lab.conjecture import fit_shift_digits
 from involution_lab.reference_tables import CORRECTED_G_AT_ONE, G_AT_MINUS_ONE, G_AT_ONE
+
+from conftest import exact_numbers
 
 
 class Criterion:
@@ -116,16 +118,16 @@ def test_criterion_03_fiber_law():
 
 def test_criterion_04_count_valuation_and_odd_factor():
     crit = Criterion(4, "val2 closed form (n <= 2000) and odd factor formula (n <= 400)", 30.0)
-    for n in range(2001):
+    for n, numbers in exact_numbers(2001):
         crit.equal(
-            val2(sequences.involution_count(n)),
+            val2(numbers["t"]),
             n // 2 - 2 * (n // 4) + (n + 1) // 4,
             f"val2 at n={n}",
         )
-    for n in range(401):
+    for n, numbers in exact_numbers(401):
         crit.equal(
             sequences.odd_factor_closed(n),
-            sequences.odd_factor(n),
+            odd_part(numbers["t"]),
             f"odd factor at n={n}",
         )
     crit.conclude()
@@ -160,28 +162,26 @@ def test_criterion_06_polynomial_identity_and_coefficients():
 
 def test_criterion_07_parity_valuations():
     crit = Criterion(7, "signed/even/odd valuation closed forms, k <= 500", 60.0)
-    for k in range(501):
-        for r in range(4):
-            n = 4 * k + r
+    for n, numbers in exact_numbers(4 * 501):  # n = 4k + r for k <= 500
+        crit.equal(
+            val2(numbers["t_signed"]),
+            valuations.signed_val2_predicted(n),
+            f"signed valuation at n={n}",
+        )
+        even_pred = valuations.even_val2_predicted(n)
+        if even_pred is not None:
             crit.equal(
-                val2(sequences.signed_involution_count(n)),
-                valuations.signed_val2_predicted(n),
-                f"signed valuation at n={n}",
+                val2(numbers["t_even"]),
+                even_pred,
+                f"even valuation at n={n}",
             )
-            even_pred = valuations.even_val2_predicted(n)
-            if even_pred is not None:
-                crit.equal(
-                    val2(valuations.even_involution_count(n)),
-                    even_pred,
-                    f"even valuation at n={n}",
-                )
-            odd_pred = valuations.odd_val2_predicted(n)
-            if odd_pred is not None:
-                crit.equal(
-                    val2(valuations.odd_involution_count(n)),
-                    odd_pred,
-                    f"odd valuation at n={n}",
-                )
+        odd_pred = valuations.odd_val2_predicted(n)
+        if odd_pred is not None:
+            crit.equal(
+                val2(numbers["t_odd"]),
+                odd_pred,
+                f"odd valuation at n={n}",
+            )
     crit.check(valuations.signed_val2_predicted(2) is INFINITY, "n=2 INFINITY prediction")
     crit.check(val2(sequences.signed_involution_count(2)) is INFINITY, "n=2 INFINITY computed")
     crit.conclude()

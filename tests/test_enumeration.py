@@ -54,6 +54,13 @@ def last_class_tally(n, p, extra=None):
     return tally
 
 
+def last_graph_tally(n, max_mult):
+    """The admissible graphs for n letters counted by signature: the last
+    tally of a walk at n."""
+    *_, (_, tally) = enumeration._graph_tallies(n, 8, max_mult)
+    return tally
+
+
 def label_cycles(pi, p):
     """Multiset of labeled cycles of pi, rebuilt from the cycle
     decomposition: check the root, then apply the label (i-1)//p + 1
@@ -302,7 +309,7 @@ class TestGraphs:
         assert len(multigraphs(1)) == 1
         assert len(multigraphs(0)) == 1
         assert multigraphs(0) == [ConstrainedGraph(0, ())]
-        assert sum(enumeration._graph_tally(7, 8, 1).values()) == 26
+        assert sum(last_graph_tally(7, 1).values()) == 26
         assert graph_count_bruteforce(8) == 41
         assert graph_count_bruteforce(0) == 1
 
@@ -353,7 +360,7 @@ class TestGraphs:
                 assert multigraphs(n) == sorted(graphs)
             else:  # the walk at multiplicity 1, by signature
                 expected = Counter(reference_signature(g, n) for g in graphs)
-                assert enumeration._graph_tally(n, 8, 1) == expected
+                assert last_graph_tally(n, 1) == expected
 
     def test_classes_biject_with_graphs(self):
         for n in range(9):
@@ -497,7 +504,7 @@ class TestStreamedWalks:
     def test_tally_matches_per_graph_signatures(self, n):
         for max_mult, graphs in ((2, multigraphs(n)), (1, simple_graphs(n))):
             expected = Counter(reference_signature(g, n) for g in graphs)
-            assert enumeration._graph_tally(n, 8, max_mult) == expected
+            assert last_graph_tally(n, max_mult) == expected
 
     @pytest.mark.parametrize("n", range(13))
     def test_graph_signature_matches_reference(self, n):
@@ -526,13 +533,13 @@ class TestStreamedWalks:
             graphs = []
             enumeration._walk_graphs(n, 8, max_mult, graphs)
             tally = Counter(edge_signature(edges, n) for _, edges in graphs)
-            assert enumeration._graph_tally(n, 8, max_mult) == tally
+            assert last_graph_tally(n, max_mult) == tally
         elif max_mult == 1:
             # Too many graphs to re-derive each signature in Python: the
             # tallies are held to the graph polynomial here and, below, to the
             # involution count that the fibers sum to.
             assert graph_weight_sum_bruteforce(n, vertex_cap=8) == graph_poly(n)
-            tally = enumeration._graph_tally(n, 8, 1)
+            tally = last_graph_tally(n, 1)
         else:
             assert list(checks._fibersum(n, 8)) == []
             return
@@ -767,7 +774,7 @@ class TestAllNTallies:
         tallies = list(enumeration._graph_tallies(n_max, 8, max_mult))
         assert [n for n, _ in tallies] == list(range(n_max + 1))
         for n, tally in tallies[:-1]:
-            assert tally == enumeration._graph_tally(n, 8, max_mult)
+            assert tally == last_graph_tally(n, max_mult)
 
     @pytest.mark.parametrize("n_max", [0, 1, 5, 8, 11])
     def test_graph_lists_equal_the_per_n_lists(self, n_max):

@@ -44,8 +44,9 @@ REMOVED = {
         "_labeled_cycle_counts",  # permutation_cycles, _least_labeled_rotation
         "_graph_class",  # graph_class, which reads the free degrees it validates
         "_fiber_size", "_signature_weight",  # Signature.fiber_size, Signature.weight
-        "simple_graphs",  # _graph_tally(n, vertex_cap, 1), or multigraphs(n) filtered
+        "simple_graphs",  # multigraphs(n) filtered; graph_count_bruteforce(n) counts them
         "_class_tally",  # the last tally of _class_tallies(n, p, cap, extra)
+        "_graph_tally",  # the last tally of _graph_tallies(n, vertex_cap, max_mult)
     ],
     "twoadic": [
         "valuation_columns",  # certified_columns(tuple(COLUMNS), range(4 * k_max + 4))
@@ -57,6 +58,8 @@ REMOVED = {
         "_tau_caches", "_tau_lock",  # pth_root_counts(p), a stream in n order
         "_graph_at_minus_one",  # graph_count_signed(n) steps graph_step from 0
         "_int_graph_cache",  # SequenceCache(graph_step(1, x, y, (x * x + y) // 2))
+        "_t_cache",  # pth_root_counts(2), a stream in n order; involution_count(n) steps it
+        "_signed_cache",  # stepped(removal_step(1, 1, -1), 2), a stream in n order
     ],
     "valuations": ["_prediction"],  # _PREDICTED[kind](n), and ValuationReport.matches
 }

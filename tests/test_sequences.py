@@ -413,7 +413,7 @@ class TestSequenceCache:
 
     def test_negative_index_rejected(self):
         cache = SequenceCache(lambda n, v: n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
             cache.get(-1)
 
     def test_threads_extend_one_cache_as_one_thread_does(self):

@@ -1,21 +1,18 @@
 """2-adic engine tests: every entry point pinned to the exact big-integer
 routes and to the removal-recurrence reference below, the precision-doubling
-restart, the refusals to guess, and fresh-interpreter checks that the CLI
-routes never fill the exact caches, that a large table and a large parity
-check stay small, that the large `rho` and `period` scans stay fast, and
-that a parity range over the budget is refused before any stepping."""
+restart, the refusals to guess, a check that the CLI routes never read the
+exact counts, and fresh-interpreter checks that a large table and a large
+parity check stay small, that the large `rho` and `period` scans stay fast,
+and that a parity range over the budget is refused before any stepping."""
 
-import json
-import os
-import subprocess
-import sys
+import contextlib
+import io
 from itertools import islice
-from pathlib import Path
 from typing import Iterator
 
 import pytest
 
-from involution_lab import checks, twoadic, valuations
+from involution_lab import checks, sequences, twoadic, valuations
 from involution_lab.algebra import INFINITY, odd_part, val2
 from involution_lab.cli import main
 from involution_lab.errors import ExactnessError, InconclusiveError, ResourceLimitError
@@ -23,9 +20,7 @@ from involution_lab.sequences import involution_count, involution_val2
 from involution_lab.twoadic import COLUMNS, certified_columns, odd_factor_residues
 from involution_lab.valuations import REPORT_KINDS, table_rows, valuation_report
 
-from conftest import CLI, fresh_run
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import CLI, exact_numbers, fresh_run
 
 
 def _removal_masked(bits: int, y: int) -> Iterator[int]:
@@ -214,8 +209,9 @@ class TestValuationColumns:
 
     def test_matches_exact_reports(self):
         columns = _table_columns(self.K_MAX)
+        numbers = [row for _, row in exact_numbers(4 * self.K_MAX + 4)]
         for kind in REPORT_KINDS:
-            want = [valuation_report(n, kind).computed for n in range(4 * self.K_MAX + 4)]
+            want = [val2(row[kind]) for row in numbers]
             assert columns[kind] == want, kind
 
     # Besides four reads of their own, each kind read alone and all four read
@@ -345,31 +341,22 @@ class TestParityReads:
         assert reads == [range(2, 43, 4), range(3, 44, 4)]
 
 
-def test_cli_routes_leave_exact_caches_empty():
-    # A fresh interpreter: in this process other tests have filled the caches.
-    script = (
-        "import contextlib, io, json\n"
-        "from involution_lab import cli, sequences\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['rho', '--k-max', '2000']),\n"
-        "             cli.main(['period', '--beta-mod-2s', '8']),\n"
-        "             cli.main(['table', '--k-max', '200']),\n"
-        "             cli.main(['table', '--k-max', '20', '--format', 'json'])]\n"
-        "    codes += [cli.main(['verify', '--check', name])\n"
-        "              for name in ('thm52', 'cor53', 'thm54', 'thm55')]\n"
-        "print(json.dumps({'codes': codes,\n"
-        "                  't': len(sequences._t_cache._values),\n"
-        "                  'signed': len(sequences._signed_cache._values)}))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 8, "t": 0, "signed": 0}
+def test_cli_routes_never_read_exact_counts(monkeypatch):
+    # Every read of t(n) or s(n) by value goes through one of these names.
+    reads = []
+    for module in (sequences, valuations):
+        for name in ("involution_count", "signed_involution_count"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda n, name=name, real=real:
+                                reads.append((name, n)) or real(n))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(["rho", "--k-max", "2000"]),
+                 main(["period", "--beta-mod-2s", "8"]),
+                 main(["table", "--k-max", "200"]),
+                 main(["table", "--k-max", "20", "--format", "json"])]
+        codes += [main(["verify", "--check", name])
+                  for name in ("thm52", "cor53", "thm54", "thm55")]
+    assert (codes, reads) == ([0] * 8, [])
 
 
 def test_large_table_stays_small():

@@ -1,19 +1,16 @@
 """Valuation closed forms against exact valuations of the sequence engines,
 plus the report/table serialization contracts."""
 
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-from involution_lab import checks
+from involution_lab import checks, valuations
 from involution_lab.algebra import INFINITY, val2, val_p
 from involution_lab.enumeration import pth_roots
 from involution_lab.sequences import (
+    graph_count,
     involution_count,
     pth_root_count,
     pth_root_counts,
@@ -39,9 +36,7 @@ from involution_lab.valuations import (
     valuation_report,
 )
 
-from conftest import CLI, fresh_run
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import CLI, exact_numbers, fresh_run
 
 
 class TestBound:
@@ -82,6 +77,7 @@ class TestCountValuation:
         assert involution_val2(0) == 0
         assert involution_val2(10) == 3
         assert val2(involution_count(10)) == 3
+        assert involution_val2(-1) == 1  # the floor form, which odd_factor_step reads
 
     def test_closed_form_shapes_agree(self):
         for n in range(500):
@@ -214,7 +210,9 @@ class TestReports:
         # Every kind at every n <= 4 * 300 + 3: the cells the verify checks
         # read from the 2-adic engine, predictions and verdicts included.
         n_stop = 4 * 300 + 4
-        want = [valuation_report(n, kind) for kind in REPORT_KINDS for n in range(n_stop)]
+        numbers = [row for _, row in exact_numbers(n_stop)]
+        want = [ValuationReport(n, kind, val2(numbers[n][kind]), valuations._PREDICTED[kind](n))
+                for kind in REPORT_KINDS for n in range(n_stop)]
         assert list(column_reports(REPORT_KINDS, range(n_stop))) == want
 
     def test_row_n6(self):
@@ -258,25 +256,43 @@ class TestReports:
         assert all(set(row) == set(table_fieldnames()) for row in table_rows(1))
 
 
-@pytest.mark.parametrize("kind,filled,empty", [
-    ("t", "_t_cache", "_signed_cache"),
-    ("t_signed", "_signed_cache", "_t_cache"),
+@pytest.mark.parametrize("kind,read,unread", [
+    ("t", "involution_count", "signed_involution_count"),
+    ("t_signed", "signed_involution_count", "involution_count"),
 ])
-def test_exact_oracle_reads_only_its_column(kind, filled, empty):
-    # A fresh interpreter: in this process other tests have filled the caches.
-    script = (
-        "import json, sys\n"
-        "from involution_lab import sequences, valuations\n"
-        "valuations.valuation_report(50, sys.argv[1])\n"
-        "print(json.dumps({name: len(getattr(sequences, name)._values)\n"
-        "                  for name in ('_t_cache', '_signed_cache')}))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, kind],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {filled: 51, empty: 0}
+def test_exact_oracle_reads_only_its_column(kind, read, unread, monkeypatch):
+    calls: dict[str, list[int]] = {read: [], unread: []}
+    for name, seen in calls.items():
+        real = getattr(valuations, name)
+        monkeypatch.setattr(valuations, name,
+                            lambda n, real=real, seen=seen: seen.append(n) or real(n))
+    valuation_report(50, kind)
+    assert calls == {read: [50], unread: []}
+
+
+def test_exact_point_read_stays_small():
+    # The exact caches kept every t(n) and s(n) up to the read: 85.7 MB at n = 10000.
+    run = fresh_run("-c", "from involution_lab import valuations; "
+                          "valuations.even_involution_count(10000)")
+    assert run.code == 0
+    assert run.peak_kb < 30 * 1024
+
+
+_NONNEGATIVE = "n must be nonnegative"
+
+
+@pytest.mark.parametrize("read, n, message", [
+    (signed_val2_predicted, -2, _NONNEGATIVE),
+    (even_val2_predicted, -5, _NONNEGATIVE),
+    (odd_val2_predicted, -1, _NONNEGATIVE),
+    (partial(tau_valuation_bound, p=3), -5, _NONNEGATIVE),
+    (involution_val2, -2, "n must be at least -1"),
+    (involution_count, -1, _NONNEGATIVE),
+    (signed_involution_count, -1, _NONNEGATIVE),
+    (graph_count, -1, _NONNEGATIVE),
+], ids=["signed_val2_predicted", "even_val2_predicted", "odd_val2_predicted",
+        "tau_valuation_bound", "involution_val2", "involution_count",
+        "signed_involution_count", "graph_count"])
+def test_point_functions_refuse_n_outside_their_domain(read, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(n)
