@@ -110,8 +110,8 @@ def _cor31(n_max: int, root_cap: int, vertex_cap: int) -> Iterator[str]:
 
 def _thm32(n_max: int) -> Iterator[str]:
     """Involution count reassembled from graph counts equals the recurrence."""
-    for n, rhs in zip(range(n_max + 1), sequences.pth_root_counts(2)):
-        lhs = sequences.involution_count_via_graphs(n)
+    for n, lhs, rhs in zip(range(n_max + 1), sequences.involution_counts_via_graphs(),
+                           sequences.pth_root_counts(2)):
         if lhs != rhs:
             yield f"n={n}: graph route {lhs} != recurrence {rhs}"
 
@@ -123,17 +123,17 @@ def _thm33(n_max: int) -> Iterator[str]:
         if not report.matches:
             yield (f"n={report.n}: val2 of count is {report.computed}, "
                    f"closed form {report.predicted}")
-    for n, count in zip(range(_BETA_MAX + 1), sequences.pth_root_counts(2)):
+    for n, count, rhs in zip(range(_BETA_MAX + 1), sequences.pth_root_counts(2),
+                             sequences.odd_factors_closed()):
         lhs = odd_part(count)
-        rhs = sequences.odd_factor_closed(n)
         if lhs != rhs:
             yield f"n={n}: odd factor {lhs} != graph formula {rhs}"
 
 
 def _thm41(n_max: int) -> Iterator[str]:
     """Polynomial identity between the graph route and the recurrence."""
-    for n, poly in zip(range(n_max + 1), sequences.involution_polys()):
-        via = sequences.involution_poly_via_graphs(n)
+    for n, poly, via in zip(range(n_max + 1), sequences.involution_polys(),
+                            sequences.involution_polys_via_graphs()):
         if via != poly:
             yield f"n={n}: polynomial routes disagree"
         if not via.is_integral:
@@ -290,12 +290,13 @@ def _coeffs(n_max: int) -> Iterator[str]:
 
 def _cross(n_max: int) -> Iterator[str]:
     """All four involution-count routes agree."""
-    for n, poly, t in zip(range(n_max + 1), sequences.involution_polys(),
-                          sequences.pth_root_counts(2)):
+    for n, poly, t, via in zip(range(n_max + 1), sequences.involution_polys(),
+                               sequences.pth_root_counts(2),
+                               sequences.involution_counts_via_graphs()):
         routes = {
             "direct sum": sequences.involution_count_direct(n),
             "polynomial at (1,1)": poly.evaluate(1, 1),
-            "graph formula": sequences.involution_count_via_graphs(n),
+            "graph formula": via,
         }
         for name, value in routes.items():
             if value != t:

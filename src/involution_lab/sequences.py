@@ -9,36 +9,36 @@ Each recurrence is written once, generic over the ring it runs in:
   count at p = 2), at (1, -1) the signed count, at (x, y) the involution
   polynomials; its residue stream mod m at (1, 1) for p = 2,
   ``removal_residues``, feeds the period scan mod m;
-* the degree-and-collapse graph recurrence gives the graph counts at
-  (1, 1) and (1, -1) and the graph polynomial at (x, y); over ints masked
-  to J bits it feeds the 2-adic engine of :mod:`involution_lab.twoadic`,
-  which rests on the graph-route identity (``verify --check thm32`` and
-  ``thm41``) instead of the removal recurrence.
+* the degree-and-collapse graph recurrence, also only streamed, gives the
+  graph counts at (1, 1) and (1, -1) and the graph polynomial at (x, y);
+  its counts masked to J bits feed the 2-adic engine of
+  :mod:`involution_lab.twoadic`, which rests on the graph-route identity
+  (``verify --check thm32`` and ``thm41``) instead of the removal recurrence.
 
 The graph-route closed forms (the count, its odd factor and the polynomial)
 share one term iterator, which steps the binomials and yields each term's odd
-factor.  The int sum nests the terms in Horner form, so a term costs one
-product of a binomial by a graph count and one small multiply of the sum so
-far; the polynomial steps each term's odd-product ratio, adds all its terms
-in one pass over their common power of two (``BivariatePoly.combination``)
-and normalizes once.  Several quantities are computed along two
-independent routes (a direct recurrence and a closed form through the graph
-counts); the test suite pins the routes against each other and against the
-enumeration oracles.
+factor, and read the graph values of their residue class mod 4 in ascending
+order: a point read slices them from a fresh stream, and the walks in n order
+keep each class's values in their generator.  The int sum nests the terms in
+Horner form, so a term costs one product of a binomial by a graph count and
+one small multiply of the sum so far; the polynomial steps each term's
+odd-product ratio, adds all its terms in one pass over their common power of
+two (``BivariatePoly.combination``) and normalizes once.  Several quantities
+are computed along two independent routes (a direct recurrence and a closed
+form through the graph counts); the test suite pins the routes against each
+other and against the enumeration oracles.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from itertools import count, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .algebra import BivariatePoly, is_prime, odd_part
 from .errors import ExactnessError
 
 __all__ = [
-    "SequenceCache",
     "removal_residues",
     "stepped",
     "removal_step",
@@ -52,34 +52,20 @@ __all__ = [
     "pth_root_count",
     "involution_polys",
     "involution_poly",
+    "graph_polys",
     "graph_poly",
+    "graph_counts",
     "graph_count",
     "graph_count_signed",
+    "involution_counts_via_graphs",
     "involution_count_via_graphs",
+    "involution_polys_via_graphs",
     "involution_poly_via_graphs",
     "odd_factor",
+    "odd_factors_closed",
     "odd_factor_closed",
     "odd_factor_step",
 ]
-
-
-class SequenceCache:
-    """Append-only memo of a prefix the graph route reads whole (g(1, 1) and
-    the graph polynomial): values[n] never changes once written, so reads of
-    computed entries take no lock; a single lock serializes extension."""
-
-    def __init__(self, step: Callable[[int, list], object]):
-        self._step = step
-        self._values: list = []
-        self._lock = threading.Lock()
-
-    def get(self, n: int):
-        _require_nonnegative(n)
-        if n >= len(self._values):
-            with self._lock:
-                while len(self._values) <= n:
-                    self._values.append(self._step(len(self._values), self._values))
-        return self._values[n]
 
 
 def _require_nonnegative(n: int) -> None:
@@ -234,30 +220,39 @@ def graph_step(one, x, y, half) -> Callable[[int, list], object]:
     return step
 
 
-_graph_poly_cache = SequenceCache(graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y))
-_graph_at_one = SequenceCache(graph_step(1, 1, 1, 1))
+def graph_polys() -> Iterator[BivariatePoly]:
+    """graph_poly(n) for n = 0, 1, ..., holding only the last eight."""
+    return stepped(graph_step(BivariatePoly.one(), _X, _Y, _HALF_X2_PLUS_Y), 8)
 
 
 def graph_poly(n: int) -> BivariatePoly:
     """Weight sum over the admissible graphs without doubled edges, by the
-    degree-and-collapse recurrence; zero for negative n."""
+    degree-and-collapse recurrence; zero for negative n.  Each call steps
+    ``graph_polys()`` from 0."""
     if n < 0:
         return BivariatePoly.zero()
-    return _graph_poly_cache.get(n)
+    return next(islice(graph_polys(), n, None))
+
+
+def graph_counts(y: int = 1) -> Iterator[int]:
+    """graph_poly(n) at (1, y) for n = 0, 1, ..., y = 1 or -1, holding only
+    the last eight."""
+    return stepped(graph_step(1, 1, y, (1 + y) // 2), 8)
 
 
 def graph_count(n: int) -> int:
     """graph_poly(n) at (1, 1): the number of admissible graphs without
-    doubled edges."""
-    return _graph_at_one.get(n)
+    doubled edges.  Each call steps ``graph_counts()`` from 0, and a negative
+    n raises ValueError."""
+    _require_nonnegative(n)
+    return next(islice(graph_counts(), n, None))
 
 
 def graph_count_signed(n: int) -> int:
-    """graph_poly(n) at (1, -1).  Nothing is kept between calls: each steps
-    the graph recurrence from 0, O(n) steps, and a negative n raises
-    ValueError."""
+    """graph_poly(n) at (1, -1).  Each call steps ``graph_counts(-1)`` from
+    0, and a negative n raises ValueError."""
     _require_nonnegative(n)
-    return next(islice(stepped(graph_step(1, 1, -1, 0), 8), n, None))
+    return next(islice(graph_counts(-1), n, None))
 
 
 def _graph_route_terms(n: int):
@@ -265,9 +260,9 @@ def _graph_route_terms(n: int):
 
         S(n) = sum_i 2**i C(k, i) [oddprod(k + f) / oddprod(i + f)] g(4i + r)
 
-    iterates (C(k, i), i, 2(i + f) - 1, 4i + r, k - i) for i = 0 up to k:
-    the binomial, the power of two, the odd factor that every term below i
-    picks up, the graph index and the number of doubled edges.  The
+    iterates (C(k, i), i, 2(i + f) - 1) for i = 0 up to k: the binomial, the
+    power of two and the odd factor that every term below i picks up.  Term
+    i reads the graph value at 4i + r and has k - i doubled edges.  The
     odd-product ratio of term i is the product of the factors of the terms
     above it, (2(i + f) + 1)(2(i + f) + 3)...(2(k + f) - 1), never a
     quotient of factorials, so the sum nests in Horner form in ascending i.
@@ -285,45 +280,62 @@ def _graph_route_terms(n: int):
             raise ExactnessError(f"binomial C({k}, {i + 1}) is not an integer")
         binomials.append(binom)
     binomials.extend(reversed(binomials[:k - k // 2]))  # C(k, i) = C(k, k - i)
-    return zip(binomials, range(k + 1), range(2 * fl - 1, 2 * (k + fl), 2),
-               range(r, n + 1, 4), range(k, -1, -1))
+    return zip(binomials, range(k + 1), range(2 * fl - 1, 2 * (k + fl), 2))
 
 
-def _graph_count_sum(n: int) -> int:
+def _by_class(value: Callable, graphs: Iterator) -> Iterator:
+    """value(n, [g(r), g(r + 4), ..., g(n)]) for n = 0, 1, ..., r = n % 4,
+    from a stream of g(0), g(1), ...: each residue class's values are kept
+    in this generator, and go with it."""
+    classes: tuple[list, ...] = ([], [], [], [])
+    for n, g in enumerate(graphs):
+        classes[n % 4].append(g)
+        yield value(n, classes[n % 4])
+
+
+def _count_via_graphs(n: int, graphs: Iterable[int]) -> int:
     # Horner in ascending i: each term is C(k, i) g(4i + r), shifted by i,
     # and the sum so far takes the term's odd factor before it is added.
-    terms = _graph_route_terms(n)  # refuses a negative n before the cache is read
-    graph_count(n)  # fills the cache to n, the largest index the terms read
-    counts = _graph_at_one._values
+    # The terms come first in the zip, so no graph value past g(n) is read.
     acc = 0
-    for binom, i, factor, m, _ in terms:
-        acc = acc * factor + ((binom * counts[m]) << i)
-    return acc
+    for (binom, i, factor), g in zip(_graph_route_terms(n), graphs):
+        acc = acc * factor + ((binom * g) << i)
+    return acc << (n // 4 + n % 4 // 2)
 
 
 def involution_count_via_graphs(n: int) -> int:
     """Involution count reassembled from the doubled-edge-free graph counts:
-    t(n) = 2**(k + r//2) S(n) with n = 4k + r and S the graph-route sum."""
+    t(n) = 2**(k + r//2) S(n) with n = 4k + r and S the graph-route sum.
+    Each call steps ``graph_counts()`` from 0 to n, O(n) steps."""
+    return _count_via_graphs(n, islice(graph_counts(), n % 4, None, 4))
+
+
+def involution_counts_via_graphs() -> Iterator[int]:
+    """involution_count_via_graphs(n) for n = 0, 1, ..., from one graph stream."""
+    return _by_class(_count_via_graphs, graph_counts())
+
+
+def _poly_via_graphs(n: int, graphs: Iterable[BivariatePoly]) -> BivariatePoly:
     k, r = divmod(n, 4)
-    return _graph_count_sum(n) << (k + r // 2)
+    terms, ratio = [], 1
+    for (binom, i, factor), poly in reversed(list(zip(_graph_route_terms(n), graphs))):
+        terms.append(((binom * ratio) << (i + k + r // 2), poly, 0, 2 * (k - i)))
+        ratio *= factor
+    return BivariatePoly.combination(terms)
 
 
 def involution_poly_via_graphs(n: int) -> BivariatePoly:
     """Polynomial analogue of involution_count_via_graphs: each graph term
     picks up y**(2k-2i) for its doubled edges.  The terms are read from
     i = k down, each coefficient times its odd-product ratio, stepped by one
-    factor a term; the power of two is folded into every coefficient, and
-    the terms are summed in one pass."""
-    k, r = divmod(n, 4)
-    scale = k + r // 2
+    factor a term, with the power of two folded in, and summed in one pass.
+    Each call steps ``graph_polys()`` from 0 to n."""
+    return _poly_via_graphs(n, islice(graph_polys(), n % 4, None, 4))
 
-    def terms():
-        ratio = 1
-        for binom, i, factor, m, doubled in reversed(list(_graph_route_terms(n))):
-            yield (binom * ratio) << (i + scale), graph_poly(m), 0, 2 * doubled
-            ratio *= factor
 
-    return BivariatePoly.combination(terms())
+def involution_polys_via_graphs() -> Iterator[BivariatePoly]:
+    """involution_poly_via_graphs(n) for n = 0, 1, ..., from one graph stream."""
+    return _by_class(_poly_via_graphs, graph_polys())
 
 
 def odd_factor(n: int) -> int:
@@ -331,14 +343,24 @@ def odd_factor(n: int) -> int:
     return odd_part(involution_count(n))
 
 
-def odd_factor_closed(n: int) -> int:
-    """Odd factor by the graph-count formula: beta(n) = S(n) / 2**[r == 3]
-    with n = 4k + r and S the graph-route sum.  For r = 3 the sum must be
-    even; an odd sum raises ExactnessError."""
-    beta, rem = divmod(_graph_count_sum(n), 2 if n % 4 == 3 else 1)
+def _odd_factor_via_graphs(n: int, graphs: Iterable[int]) -> int:
+    beta, rem = divmod(_count_via_graphs(n, graphs), 1 << involution_val2(n))
     if rem:
         raise ExactnessError(f"graph-route sum for beta({n}) is odd")
     return beta
+
+
+def odd_factor_closed(n: int) -> int:
+    """Odd factor by the graph-count formula: beta(n) = S(n) / 2**[r == 3]
+    with n = 4k + r and S the graph-route sum.  For r = 3 the sum must be
+    even; an odd sum raises ExactnessError.  Each call steps
+    ``graph_counts()`` from 0 to n."""
+    return _odd_factor_via_graphs(n, islice(graph_counts(), n % 4, None, 4))
+
+
+def odd_factors_closed() -> Iterator[int]:
+    """odd_factor_closed(n) for n = 0, 1, ..., from one graph stream."""
+    return _by_class(_odd_factor_via_graphs, graph_counts())
 
 
 def odd_factor_step(n: int, prev, curr):

@@ -9,12 +9,13 @@ odd.  The graph route of the paper (Theorems 3.2 and 4.1, checked by
     F_r(k) = sum_i C(k, i) a_i,   a_i = 2**i g(4i + r) / D(i + f),
 
 and the signed sum s(n) the same way with g(1, -1) in place of g = g(1, 1).
-This engine rests on that identity, not on the removal recurrence; the exact
-caches of :mod:`involution_lab.sequences` remain the tests' oracle.
+This engine rests on that identity, not on the removal recurrence; the
+exact counts of :func:`involution_lab.valuations.valuation_report` remain the
+tests' oracle.
 
 F_r is a Mahler series in k whose coefficient a_i is a multiple of 2**i, so
 F_r(k) mod 2**J needs only the a_i with i < J, that is g(m) mod 2**J for
-m < 4J + 4, stepped by ``sequences.graph_step`` over ints masked to J bits.
+m < 4J + 4, read from ``sequences.graph_counts`` and masked to J bits.
 The coefficients are the forward differences of F_r at k = 0.  Their table
 sits in one int, one lane of J + 1 bits per difference, and one step of
 every lane, F_r(k) to F_r(k + 1), is ``(table + (table >> (J + 1))) & lanes``.
@@ -44,7 +45,7 @@ from itertools import islice, repeat
 
 from .algebra import INFINITY, Valuation, val2
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError
-from .sequences import graph_step
+from .sequences import graph_counts
 
 __all__ = [
     "COLUMNS",
@@ -122,14 +123,10 @@ def _refuse_window(count: int, what: str) -> None:
 
 
 def _graph_residues(y: int, bits: int) -> list[int]:
-    """g(m, y) mod 2**bits for m < 4 bits + 4, y = 1 or -1: the graph
-    recurrence of :func:`sequences.graph_step` over ints masked to bits."""
+    """g(m, y) mod 2**bits for m < 4 bits + 4, y = 1 or -1, from the exact
+    stream :func:`sequences.graph_counts`: masking is a ring map."""
     mask = (1 << bits) - 1
-    step = graph_step(1, 1, y, (1 + y) // 2)
-    values: list[int] = []
-    for m in range(4 * bits + 4):
-        values.append(step(m, values) & mask)
-    return values
+    return [g & mask for g in islice(graph_counts(y), 4 * bits + 4)]
 
 
 def _series_values(numbers: list[int], r: int, bits: int):

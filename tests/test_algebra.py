@@ -8,6 +8,7 @@ operands.
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from involution_lab.algebra import (
     val_p,
 )
 from involution_lab.errors import ExactnessError
-from involution_lab.sequences import SequenceCache, graph_poly, involution_poly
+from involution_lab.sequences import graph_poly, involution_poly
 
 
 def val_by_division(x: int, p: int) -> int:
@@ -334,14 +335,10 @@ class TestKernelFastPaths:
             x2.shift(-3, 0)
 
     def test_recurrences_skip_the_checked_constructor(self, monkeypatch):
-        # A work count, not a timing: stepping a fresh polynomial stream and
-        # building the graph-polynomial cache from fresh must never go
-        # through the validating __init__.
-        one = BivariatePoly.one()
-        x, y = sequences._X, sequences._Y
-        stream = sequences.involution_polys()  # builds its one before the count
-        monkeypatch.setattr(sequences, "_graph_poly_cache", SequenceCache(
-            sequences.graph_step(one, x, y, sequences._HALF_X2_PLUS_Y)))
+        # A work count, not a timing: stepping fresh involution and graph
+        # polynomial streams must never go through the validating __init__.
+        stream = sequences.involution_polys()  # each builds its one before the count
+        graphs = sequences.graph_polys()
         calls = []
         checked_init = BivariatePoly.__init__
 
@@ -350,7 +347,7 @@ class TestKernelFastPaths:
             checked_init(self, *args, **kwargs)
 
         monkeypatch.setattr(BivariatePoly, "__init__", counted_init)
-        built = [(poly, graph_poly(n)) for n, poly in zip(range(41), stream)]
+        built = list(zip(islice(stream, 41), graphs))
         assert calls == []
         monkeypatch.undo()
         assert built == [(involution_poly(n), graph_poly(n)) for n in range(41)]

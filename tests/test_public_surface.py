@@ -3,15 +3,18 @@ and every name the package re-exports exists, and names removed from the
 library stay gone, so ``from module import *`` cannot break on a stale
 entry."""
 
+import __future__
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
 
 import involution_lab
 from involution_lab import twoadic, valuations
+from involution_lab.algebra import INFINITY, BivariatePoly
 from involution_lab.conjecture import TwoAdicPrefix, Violation
 from involution_lab.enumeration import ConstrainedGraph, RefinedClass, Signature
 from involution_lab.periodicity import PeriodReport
@@ -57,9 +60,12 @@ REMOVED = {
         "_t_poly_cache",  # involution_polys(), a stream in n order
         "_tau_caches", "_tau_lock",  # pth_root_counts(p), a stream in n order
         "_graph_at_minus_one",  # graph_count_signed(n) steps graph_step from 0
-        "_int_graph_cache",  # SequenceCache(graph_step(1, x, y, (x * x + y) // 2))
+        "_int_graph_cache",  # stepped(graph_step(1, x, y, (x * x + y) // 2), 8)
         "_t_cache",  # pth_root_counts(2), a stream in n order; involution_count(n) steps it
         "_signed_cache",  # stepped(removal_step(1, 1, -1), 2), a stream in n order
+        "SequenceCache",  # stepped(step, window); no sequence is cached
+        "_graph_at_one",  # graph_counts(), a stream in n order; graph_count(n) steps it
+        "_graph_poly_cache",  # graph_polys(), a stream in n order; graph_poly(n) steps it
     ],
     "valuations": ["_prediction"],  # _PREDICTED[kind](n), and ValuationReport.matches
 }
@@ -104,7 +110,42 @@ def test_removed_names_are_gone():
                 exec(f"from involution_lab import {name}", {})
     assert not hasattr(involution_lab.algebra.BivariatePoly, "to_json_terms")
     assert not hasattr(involution_lab.algebra.BivariatePoly, "from_json_terms")
-    assert not hasattr(involution_lab.sequences.SequenceCache, "prefix")
+
+
+# The only module-level values that are not immutable: constant tables,
+# built at import and never written, as (module, name).  Anything else at
+# module level is immutable, so no state is shared between calls or threads.
+CONSTANT_TABLES = {
+    ("checks", "ROWS"), ("checks", "CHECKS"),
+    ("checks", "_ROOTS"), ("checks", "_VERTICES"), ("checks", "_CAPS"),
+    ("checks", "_G1"), ("checks", "_G2"),
+    ("cli", "_SEQ_VALUES"),
+    ("reference_tables", "G_AT_ONE"), ("reference_tables", "G_AT_MINUS_ONE"),
+    ("reference_tables", "CORRECTED_G_AT_ONE"),
+    ("twoadic", "COLUMNS"), ("valuations", "COLUMNS"),
+    ("valuations", "_PREDICTED"),
+}
+
+_IMMUTABLE = (int, float, str, BivariatePoly, types.FunctionType, types.BuiltinFunctionType,
+              type, types.ModuleType, types.GenericAlias, __future__._Feature)
+
+
+def _immutable(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    # Type aliases and special forms (Iterator, Union[...], Callable) live in typing.
+    return (isinstance(value, _IMMUTABLE) or value is INFINITY
+            or type(value).__module__ == "typing")
+
+
+def test_module_level_values_are_immutable_or_constant_tables():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr, value in vars(module).items():
+            if not (attr.startswith("__") and attr.endswith("__")) and not _immutable(value):
+                found.add((name.rpartition(".")[2], attr))
+    assert found == CONSTANT_TABLES
 
 
 _VIOLATION = Violation(3, "odd_exponent", "count at odd k=3 vanished")

@@ -5,32 +5,35 @@ misprinted reference cells pinned to their recurrence-confirmed values).
 
 import math
 import threading
-import time
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involution_lab import sequences
+from involution_lab import checks, sequences
 from involution_lab.algebra import BivariatePoly, val2
 from involution_lab.errors import ExactnessError
 from involution_lab.enumeration import graph_weight_sum_bruteforce, pth_roots
 from involution_lab.reference_tables import CORRECTED_G_AT_ONE, G_AT_MINUS_ONE, G_AT_ONE
 from involution_lab.sequences import (
-    SequenceCache,
     graph_count,
     graph_count_signed,
+    graph_counts,
     graph_poly,
+    graph_polys,
     involution_count,
     involution_count_direct,
     transposition_counts,
     involution_count_via_graphs,
+    involution_counts_via_graphs,
     involution_poly,
     involution_poly_via_graphs,
     involution_polys,
+    involution_polys_via_graphs,
     odd_factor,
     odd_factor_closed,
+    odd_factors_closed,
     odd_factor_step,
     pth_root_count,
     pth_root_counts,
@@ -187,31 +190,44 @@ class TestGraphPoly:
             assert graph_poly(n).evaluate(1, 1) == graph_count(n)
             assert graph_poly(n).evaluate(1, -1) == graph_count_signed(n)
 
+    def test_points_are_the_streams_stepped_to_n(self):
+        assert [graph_poly(n) for n in range(41)] == list(islice(graph_polys(), 41))
+        assert [graph_count(n) for n in range(201)] == list(islice(graph_counts(), 201))
+        assert [graph_count_signed(n) for n in range(201)] == list(islice(graph_counts(-1), 201))
 
-def int_graph_cache(x, y):
+
+def int_graph_step(x, y):
     """The graph recurrence over the integers, at an (x, y) where 2 divides
     x**2 + y."""
-    return SequenceCache(sequences.graph_step(1, x, y, (x * x + y) // 2))
+    return sequences.graph_step(1, x, y, (x * x + y) // 2)
+
+
+def whole_prefix(step, count: int) -> list:
+    """The step's first ``count`` values, each step handed every value before
+    it: the reference for a stream that keeps only a window."""
+    values: list = []
+    for n in range(count):
+        values.append(step(n, values))
+    return values
 
 
 class TestGenericRecurrences:
     @pytest.mark.parametrize("x, y", [(1, 1), (1, -1), (3, 1), (2, -2), (0, 4)])
     def test_int_instances_match_poly_eval(self, x, y):
-        removal = SequenceCache(sequences.removal_step(1, x, y))
-        graph = int_graph_cache(x, y)
-        for n in range(25):
-            assert removal.get(n) == involution_poly(n).evaluate(x, y)
-            assert graph.get(n) == graph_poly(n).evaluate(x, y)
+        removal = sequences.stepped(sequences.removal_step(1, x, y), 2)
+        graph = sequences.stepped(int_graph_step(x, y), 8)
+        for n, u, g, t_poly, g_poly in zip(range(25), removal, graph,
+                                           involution_polys(), graph_polys()):
+            assert u == t_poly.evaluate(x, y)
+            assert g == g_poly.evaluate(x, y)
 
     @pytest.mark.parametrize("x, y", [(1, 1), (1, -1), (3, 1), (2, -2)])
     def test_streams_match_the_caches(self, x, y):
+        # The window drops no value a step reads.
         removal = sequences.stepped(sequences.removal_step(1, x, y), 2)
-        half = (x * x + y) // 2
-        graph = sequences.stepped(sequences.graph_step(1, x, y, half), 8)
-        cached_removal = SequenceCache(sequences.removal_step(1, x, y))
-        cached_graph = int_graph_cache(x, y)
-        assert list(islice(removal, 60)) == [cached_removal.get(n) for n in range(60)]
-        assert list(islice(graph, 60)) == [cached_graph.get(n) for n in range(60)]
+        graph = sequences.stepped(int_graph_step(x, y), 8)
+        assert list(islice(removal, 60)) == whole_prefix(sequences.removal_step(1, x, y), 60)
+        assert list(islice(graph, 60)) == whole_prefix(int_graph_step(x, y), 60)
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_stream_holds_only_its_window(self, p):
@@ -236,8 +252,7 @@ class TestGenericRecurrences:
 
         monkeypatch.setattr(BivariatePoly, "__init__", no_poly)
         monkeypatch.setattr(BivariatePoly, "_normalized", classmethod(no_poly))
-        graph = int_graph_cache(1, 1)
-        assert type(graph.get(200)) is int
+        assert {type(g) for g in islice(graph_counts(), 201)} == {int}
         for n in range(120):
             assert type(graph_count(n)) is int
             assert type(graph_count_signed(n)) is int
@@ -290,27 +305,27 @@ class TestGraphFormulas:
             assert involution_count_via_graphs(n) == involution_count(n)
 
     def test_route_terms_match_explicit_products(self):
-        # The terms come in ascending i, each with its binomial, power of two,
-        # odd factor, graph index and doubled edges; the factors of the terms
-        # above term i multiply to its explicit odd-product ratio.
+        # The terms come in ascending i, each with its binomial, power of two
+        # and odd factor; the factors of the terms above term i multiply to
+        # its explicit odd-product ratio.
         for n in range(201):
             k, r = divmod(n, 4)
             fl = r // 2
             terms = list(sequences._graph_route_terms(n))
-            assert terms == [(math.comb(k, i), i, 2 * (i + fl) - 1, 4 * i + r, k - i)
-                             for i in range(k + 1)]
-            for i, (binom, shift, _, _, _) in enumerate(terms):
-                ratio = math.prod(factor for _, _, factor, _, _ in terms[i + 1:])
+            assert terms == [(math.comb(k, i), i, 2 * (i + fl) - 1) for i in range(k + 1)]
+            for i, (binom, shift, _) in enumerate(terms):
+                ratio = math.prod(factor for _, _, factor in terms[i + 1:])
                 assert (binom << shift) * ratio == (
                     (1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl))
 
     def test_count_sum_matches_explicit_products(self):
+        counts = list(islice(graph_counts(), 201))
         for n in range(201):
             k, r = divmod(n, 4)
             fl = r // 2
             want = sum((1 << i) * math.comb(k, i) * odd_product_ratio(i + fl, k + fl)
-                       * graph_count(4 * i + r) for i in range(k + 1))
-            assert sequences._graph_count_sum(n) == want
+                       * counts[4 * i + r] for i in range(k + 1))
+            assert sequences._count_via_graphs(n, counts[r::4]) == want << (k + fl)
 
     @pytest.mark.parametrize("n", [401, 1603])
     def test_count_identity_far_out(self, n):
@@ -318,26 +333,39 @@ class TestGraphFormulas:
         assert odd_factor_closed(n) == odd_factor(n)
 
     def test_count_sum_steps_its_binomials(self, monkeypatch):
-        # With the graph cache filled, the int route calls no math.comb.
+        # The route terms call no math.comb (the graph step does, for its
+        # own coefficients, so the patch covers the terms alone).
         want = [(involution_count(n), odd_factor(n)) for n in (400, 401, 402, 403)]
-        graph_count(403)
+        real_terms = sequences._graph_route_terms
 
         def no_comb(*args):
             raise AssertionError("math.comb called")
 
-        monkeypatch.setattr(sequences.math, "comb", no_comb)
+        def terms_without_comb(n):
+            with monkeypatch.context() as patch:
+                patch.setattr(sequences.math, "comb", no_comb)
+                return real_terms(n)
+
+        monkeypatch.setattr(sequences, "_graph_route_terms", terms_without_comb)
         assert [(involution_count_via_graphs(n), odd_factor_closed(n))
                 for n in (400, 401, 402, 403)] == want
 
-    def test_count_sum_reads_its_cache_once(self, monkeypatch):
-        # One cache read per sum, for its largest index, however many terms.
-        want = involution_count(401), odd_factor(403)
-        reads = []
-        real_get = sequences.SequenceCache.get
-        monkeypatch.setattr(sequences.SequenceCache, "get",
-                            lambda cache, n: reads.append(n) or real_get(cache, n))
-        assert (involution_count_via_graphs(401), odd_factor_closed(403)) == want
-        assert reads == [401, 403]
+    def test_point_read_steps_the_graph_recurrence_n_plus_one_times(self, monkeypatch):
+        # g(0) to g(n), each once, however many terms the sum has.
+        points = (involution_count_via_graphs, odd_factor_closed, graph_count)
+        want = [point(403) for point in points]
+        steps = []
+        real_step = sequences.graph_step
+
+        def counted_step(*ring):
+            step = real_step(*ring)
+            return lambda n, values: steps.append(n) or step(n, values)
+
+        monkeypatch.setattr(sequences, "graph_step", counted_step)
+        for point, value in zip(points, want):
+            steps.clear()
+            assert point(403) == value
+            assert steps == list(range(404)), point.__name__
 
     def test_poly_examples(self):
         assert involution_poly_via_graphs(2) == involution_poly(2)
@@ -349,6 +377,45 @@ class TestGraphFormulas:
             via = involution_poly_via_graphs(n)
             assert via == involution_poly(n)
             assert via.is_integral
+
+    @pytest.mark.parametrize("walk, point, n_max", [
+        (involution_counts_via_graphs, involution_count_via_graphs, 200),
+        (odd_factors_closed, odd_factor_closed, 200),
+        (involution_polys_via_graphs, involution_poly_via_graphs, 40),
+    ], ids=["count", "odd_factor", "poly"])
+    def test_walks_are_their_points_in_n_order(self, walk, point, n_max):
+        assert list(islice(walk(), n_max + 1)) == [point(n) for n in range(n_max + 1)]
+
+
+# One planted fault at n = 13, in the graph counts g(1, 1) or in the graph
+# polynomial, turns red exactly the rows that read that stream, each naming
+# the cell first; table1 is red by design, and the count fault adds row 13
+# to its message.
+@pytest.mark.parametrize("stream, fault, first_messages", [
+    ("graph_counts", 1, {"thm32": "n=13:", "cross": "n=13:", "thm33": "n=13:",
+                         "table1": "g(1,1) reference table, row n=13:"}),
+    ("graph_polys", BivariatePoly.one(), {"thm41": "n=13:", "prop42": "n=13:",
+                                          "table1": "g(1,1) reference table, row n=20:"}),
+], ids=["graph_counts", "graph_polys"])
+def test_a_graph_fault_at_n_13_turns_exactly_its_readers_red(
+        monkeypatch, stream, fault, first_messages):
+    real = getattr(sequences, stream)
+
+    def planted(*args):
+        values = real(*args)
+        if args in ((), (1,)):  # g(1, -1) is left whole
+            values = (value + fault if n == 13 else value for n, value in enumerate(values))
+        return values
+
+    monkeypatch.setattr(sequences, stream, planted)
+    red = {}
+    for name, check in checks.CHECKS.items():
+        passed, detail = check({})
+        if not passed:
+            red[name] = detail
+    assert set(red) == set(first_messages)
+    for name, detail in red.items():
+        assert detail.startswith(first_messages[name]), (name, detail)
 
 
 class TestOddFactor:
@@ -406,32 +473,23 @@ class TestRemovalResidues:
 
 
 class TestSequenceCache:
-    def test_prefix_consistency(self):
-        cache = SequenceCache(lambda n, v: 1 if n < 2 else v[n - 1] + (n - 1) * v[n - 2])
-        assert cache.get(10) == 9496
-        assert [cache.get(n) for n in range(6)] == [1, 1, 2, 4, 10, 26]
-
-    def test_negative_index_rejected(self):
-        cache = SequenceCache(lambda n, v: n)
-        with pytest.raises(ValueError, match="^n must be nonnegative$"):
-            cache.get(-1)
-
-    def test_threads_extend_one_cache_as_one_thread_does(self):
-        step = sequences.removal_step(1, 1, 1)
-
-        def yielding_step(n, values):
-            time.sleep(0)  # hand the interpreter to another thread mid-extension
-            return step(n, values)
-
-        cache = SequenceCache(yielding_step)
-        _in_four_threads(lambda: [cache.get(n) for n in range(0, 301, 7)] + [cache.get(300)])
-        alone = SequenceCache(step)
-        assert cache._values == [alone.get(n) for n in range(301)]
+    """Reads from several threads: every read steps a fresh stream, so
+    threads share nothing."""
 
     def test_threads_count_roots_as_one_thread_does(self):
         counts = []
         _in_four_threads(lambda: counts.append(pth_root_count(40, 13)))
         assert counts == [pth_root_count(40, 13)] * 4
+
+    @pytest.mark.parametrize("read", [
+        lambda: involution_count_via_graphs(403),
+        lambda: graph_poly(40),
+        lambda: list(islice(involution_counts_via_graphs(), 101)),
+    ], ids=["count_via_graphs", "graph_poly", "counts_via_graphs"])
+    def test_threads_read_the_graph_route_as_one_thread_does(self, read):
+        values = []
+        _in_four_threads(lambda: values.append(read()))
+        assert values == [read()] * 4
 
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=30, deadline=None)

@@ -271,11 +271,12 @@ def test_exact_oracle_reads_only_its_column(kind, read, unread, monkeypatch):
 
 
 def test_exact_point_read_stays_small():
-    # The exact caches kept every t(n) and s(n) up to the read: 85.7 MB at n = 10000.
-    run = fresh_run("-c", "from involution_lab import valuations; "
-                          "valuations.even_involution_count(10000)")
-    assert run.code == 0
-    assert run.peak_kb < 30 * 1024
+    # The exact caches kept every value up to the read: 85.7 MB for t(n) and
+    # s(n) at n = 10000, 165 MB for the graph counts at n = 20000.
+    for read in ("valuations.even_involution_count(10000)", "sequences.graph_count(20000)"):
+        run = fresh_run("-c", f"from involution_lab import sequences, valuations; {read}")
+        assert run.code == 0
+        assert run.peak_kb < 30 * 1024, read
 
 
 _NONNEGATIVE = "n must be nonnegative"
