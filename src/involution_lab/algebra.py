@@ -19,7 +19,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import reduce, total_ordering
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
@@ -32,6 +32,12 @@ __all__ = [
     "INFINITY",
     "Valuation",
     "is_prime",
+    "require_at_least",
+    "require_positive",
+    "require_prime",
+    "require_kind",
+    "require_sign",
+    "require_letter",
     "val_p",
     "val2",
     "odd_part",
@@ -39,10 +45,11 @@ __all__ = [
 ]
 
 
+@total_ordering
 class _Infinity:
     """Sentinel for the valuation of zero: larger than every integer, and
     absorbing under addition so degenerate inputs flow through closed forms
-    without special-casing."""
+    without special-casing.  Equality is identity; the order is derived from ``<``."""
 
     __slots__ = ()
     _instance = None
@@ -65,21 +72,6 @@ class _Infinity:
     def __lt__(self, other: object) -> bool:
         if isinstance(other, (int, _Infinity)):
             return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinity)):
-            return other is self
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinity)):
-            return other is not self
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (int, _Infinity)):
-            return True
         return NotImplemented
 
 
@@ -105,14 +97,46 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+# The argument guards: each input rule is stated once, here, and called by
+# every public entry that takes such an argument.
+
+def require_at_least(value: int, low: int, name: str = "n", error: type = ValueError) -> None:
+    """Refuse an integer argument below ``low``, as ``error``."""
+    if value < low:
+        raise error(f"{name} must be nonnegative" if low == 0 else
+                    f"{name} must be at least {low}")
+
+
+def require_positive(value: int, name: str) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
+def require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
+def require_kind(kind: str, kinds: Iterable[str]) -> None:
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}")
+
+
+def require_sign(y: int) -> None:
+    if y not in (1, -1):
+        raise ValueError(f"y must be 1 or -1, got {y}")
+
+
+def require_letter(pi: tuple, j: int, seen: list) -> None:
+    """The permutation rule, one letter at a time: j, met while following
+    the cycles of ``pi``, is one of 1..len(pi) and not ``seen`` before."""
+    if not 0 < j <= len(pi) or seen[j]:
+        raise ValueError(f"{pi} is not a permutation of 1..{len(pi)}")
+
+
 def val_p(x: int, p: int) -> Valuation:
     """Largest k with p**k dividing x; INFINITY when x == 0."""
-    _require_prime(p)
+    require_prime(p)
     if x == 0:
         return INFINITY
     if p == 2:

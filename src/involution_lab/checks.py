@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from . import enumeration, periodicity, reference_tables, sequences, valuations
-from .algebra import BivariatePoly, odd_part, val2, val_p
+from .algebra import BivariatePoly, odd_part, require_at_least, val2, val_p
 from .errors import VerificationError
 
 __all__ = ["CHECKS", "ROWS", "EmptyRangeError", "option", "resolve"]
@@ -46,10 +46,9 @@ def resolve(name: str, params: dict) -> dict:
         if value is None:
             value = default(values) if callable(default) else default
         elif first is not None and value < first:
+            require_at_least(value, 0, option(key), EmptyRangeError)
             raise EmptyRangeError(
-                f"{option(key)} must be nonnegative" if value < 0 else
-                f"{option(key)} {value} leaves no cell to check; the range starts at {first}"
-            )
+                f"{option(key)} {value} leaves no cell to check; the range starts at {first}")
         values[key] = value
     return values
 
@@ -169,15 +168,11 @@ def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> It
     """Column valuations against their closed forms on n = 4k + r, k <= k_max,
     for r in the ascending ``residues``; for the signed sum (r = 0..3) that is
     every n < 4 k_max + 4, zero case included.  The 2-adic engine reads only
-    these kinds, in one read of every n when all four residues are checked,
-    else one read of every fourth n per residue, merged back into n order."""
-    reads = ([range(4 * k_max + 4)] if len(residues) == 4 else
-             [range(r, 4 * k_max + r + 1, 4) for r in residues])
-    reports = [valuations.column_reports(kinds, indices) for indices in reads]
+    these kinds, one read of every fourth n per residue, merged back into n
+    order.  No checked class is open, so every report has a prediction."""
+    reports = [valuations.column_reports(kinds, range(r, 4 * k_max + r + 1, 4)) for r in residues]
     for report in chain.from_iterable(zip(*reports)):
-        if report.predicted is None:
-            yield f"n={report.n}: no closed form on this residue class"
-        elif not report.matches:
+        if not report.matches:
             yield (f"n={report.n} ({report.kind}): computed {report.computed}, "
                    f"predicted {report.predicted}")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import val2
+from .algebra import require_at_least, require_positive, val2
 from .twoadic import certified_columns
 
 __all__ = [
@@ -85,10 +85,8 @@ def fit_shift_digits(k_max: int, bit_budget: int = 11) -> TwoAdicPrefix:
     and the first conflicting digit.  Inside the fold the full determined
     precision is kept; only the report is trimmed to the bit budget.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    if bit_budget < 1:
-        raise ValueError("bit_budget must be positive")
+    require_at_least(k_max, 0, "k_max")
+    require_positive(bit_budget, "bit_budget")
     residue = 0
     bits = 0
     violations: list[Violation] = []

@@ -49,7 +49,7 @@ import math
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import BivariatePoly, is_prime
+from .algebra import BivariatePoly, require_at_least, require_letter, require_prime
 from .errors import ExactnessError, ResourceLimitError
 
 __all__ = [
@@ -85,7 +85,8 @@ Permutation = tuple[int, ...]
 
 def permutation_cycles(pi: Permutation) -> list[tuple[int, ...]]:
     """Disjoint cycles (fixed points included), each starting at its least
-    element, listed by increasing least element."""
+    element, listed by increasing least element.  A pi that is not a
+    permutation of 1..n raises ValueError at the first letter that breaks it."""
     n = len(pi)
     seen = [False] * (n + 1)
     out = []
@@ -96,6 +97,7 @@ def permutation_cycles(pi: Permutation) -> list[tuple[int, ...]]:
         seen[start] = True
         j = pi[start - 1]
         while j != start:
+            require_letter(pi, j, seen)
             cyc.append(j)
             seen[j] = True
             j = pi[j - 1]
@@ -143,10 +145,8 @@ def _walk_roots(
     labeled-cycle counts.  Raises ResourceLimitError (naming the predicted
     count at n_max) at the call, before any root is walked.
     """
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_at_least(n_max, 0)
+    require_prime(p)
     predicted = _predicted_root_count(n_max, p)
     if predicted > cap:
         raise ResourceLimitError(
@@ -322,6 +322,8 @@ def _class_from_counts(counts: dict[tuple[int, ...], int], n: int, p: int) -> Re
 
 
 def refined_class(pi: Permutation, p: int) -> RefinedClass:
+    """The refined class of a p-th root of the identity, for a prime p."""
+    require_prime(p)
     cycles = permutation_cycles(pi)
     if any(p % len(cycle) for cycle in cycles):
         raise ValueError("permutation is not a p-th root of the identity")
@@ -360,10 +362,8 @@ def _class_tallies(
 
 
 def _validate_refined_class(cls: RefinedClass, p: int, n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_at_least(n, 0)
+    require_prime(p)
     t, r = divmod(n, p)
     usage: Counter = Counter()
     for label in cls.bag:
@@ -466,8 +466,7 @@ def _free_degrees(n: int) -> list[int]:
 def _validate_graph(g: ConstrainedGraph, n: int) -> list[int]:
     """Check ``g`` against n and return its free degrees (as ``_free_degrees``
     lists them, less each vertex's degree in ``g``)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    require_at_least(n, 0)
     free = _free_degrees(n)
     v = len(free) - 1
     if g.vertex_count != v:
@@ -604,8 +603,7 @@ def _walk_graphs(
     Raises ResourceLimitError before walking when the graphs for n_max have
     more vertices than ``vertex_cap``.
     """
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
+    require_at_least(n_max, 0)
     v = _graph_vertex_count(n_max)
     if v > vertex_cap:
         raise ResourceLimitError(
@@ -758,21 +756,13 @@ def fiber_size(g: ConstrainedGraph, n: int) -> int:
     return graph_signature(g, n).fiber_size(n)
 
 
-def _involution_degrees(pi: Permutation) -> tuple[int, int]:
-    """(fixed points, transpositions) of an involution; anything else
-    raises ValueError."""
-    fixed = 0
-    for i, j in enumerate(pi, 1):
-        if j == i:
-            fixed += 1
-        elif pi[j - 1] != i:
-            raise ValueError("permutation is not an involution")
-    return fixed, (len(pi) - fixed) // 2
-
-
 def involution_weight(pi: Permutation) -> BivariatePoly:
-    """Monomial x**(fixed points) * y**(transpositions)."""
-    return BivariatePoly.monomial(*_involution_degrees(pi))
+    """Monomial x**(fixed points) * y**(transpositions), read from the cycles
+    of pi; a permutation that is not an involution raises ValueError."""
+    lengths = [len(cycle) for cycle in permutation_cycles(pi)]
+    if max(lengths, default=1) > 2:
+        raise ValueError("permutation is not an involution")
+    return BivariatePoly.monomial(lengths.count(1), lengths.count(2))
 
 
 def graph_weight(g: ConstrainedGraph, n: int) -> BivariatePoly:

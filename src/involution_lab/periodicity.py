@@ -46,7 +46,7 @@ from array import array
 from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .algebra import val2
+from .algebra import require_at_least, require_positive, val2
 from .errors import InconclusiveError, VerificationError
 from .sequences import removal_residues
 from .twoadic import STEP_CAP, _refuse_window, _residue_array, odd_factor_residues
@@ -190,8 +190,7 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     checkpoint of at least cap, with the hare going at most cap steps ahead,
     finds the cycle; a miss there raises.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    require_positive(m, "modulus")
     inconclusive = InconclusiveError(
         f"no state repetition within {state_cap} steps for modulus {m}"
     )
@@ -232,8 +231,7 @@ def mod_period_law(m: int) -> tuple[int, int]:
     """(preperiod, period) the paper proves for the involution counts mod m:
     purely periodic with period m for odd m (Theorem 6.2), and preperiod
     4k - 2 with period ell for m = 2**k * ell, k >= 1 (Theorem 6.3)."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    require_positive(m, "modulus")
     k = val2(m)
     return (4 * k - 2 if k else 0, m >> k)
 
@@ -242,8 +240,7 @@ def odd_product_congruence(s: int) -> bool:
     """Check that the product of the first 2**(s-1) odd integers is 1 modulo
     2**s (asserted only for s >= 3).  More than STEP_CAP factors raises
     ResourceLimitError before the first is multiplied."""
-    if s < 3:
-        raise ValueError("s must be at least 3")
+    require_at_least(s, 3, "s")
     _refuse_window(1 << (s - 1), f"odd factors of the product at s={s}")
     mod = 1 << s
     prod = 1
@@ -254,10 +251,8 @@ def odd_product_congruence(s: int) -> bool:
 
 def odd_factor_shift_congruence(s: int, n_max: int) -> bool:
     """Check beta(n + 2**(s+1)) = beta(n) modulo 2**s for all n <= n_max."""
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    require_at_least(s, 3, "s")
+    require_at_least(n_max, 0, "n_max")
     shift = 1 << (s + 1)
     vals = odd_factor_residues(s, n_max + shift + 1)
     return all(vals[n + shift] == vals[n] for n in range(n_max + 1))
@@ -271,8 +266,9 @@ def odd_factor_period(s: int) -> PeriodReport:
     VerificationError.  Below s = 3 they are reductions of those mod 8, so
     16 is a period, and no law is asserted.  That proven multiple is
     certified from index 0 across 3 * 2**(s+1) values (12 * 2**(s+1) below
-    s = 3).
+    s = 3).  An s below 1 raises ValueError.
     """
+    require_positive(s, "s")
     multiple = 1 << (max(s, 3) + 1)
     values = odd_factor_residues(s, 3 << (s + 1 if s >= 3 else s + 3))
     report = _certify(values, 1 << s, 0, multiple)

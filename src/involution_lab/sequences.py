@@ -35,7 +35,9 @@ import math
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
-from .algebra import BivariatePoly, is_prime, odd_part
+from .algebra import (
+    BivariatePoly, odd_part, require_at_least, require_positive, require_prime, require_sign,
+)
 from .errors import ExactnessError
 
 __all__ = [
@@ -68,9 +70,11 @@ __all__ = [
 ]
 
 
-def _require_nonnegative(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def _at(n: int, stream: Callable[..., Iterator], *args):
+    """The value at n of ``stream(*args)``, a stream from 0, stepped to n; a
+    negative n raises ValueError before the stream is made."""
+    require_at_least(n, 0)
+    return next(islice(stream(*args), n, None))
 
 
 def stepped(step: Callable, window: int) -> Iterator:
@@ -98,8 +102,7 @@ def removal_residues(m: int) -> Iterator[int]:
     """t(0) mod m, t(1) mod m, ... for the involution counts, t(n) = t(n-1)
     + (n-1) t(n-2) with t(0) = t(1) = 1, keeping only the last two
     residues.  A modulus below 1 raises ValueError at the call."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    require_positive(m, "modulus")
     return _removal_residues(m)
 
 
@@ -124,8 +127,7 @@ def involution_val2(n: int) -> int:
 
     It holds down to n = -1, which odd_factor_step reads, and refuses a lower n.
     """
-    if n < -1:
-        raise ValueError("n must be at least -1")
+    require_at_least(n, -1)
     return n // 2 - 2 * (n // 4) + (n + 1) // 4
 
 
@@ -134,7 +136,7 @@ def transposition_counts(n: int) -> list[int]:
     fixed points, n!/(2**i i! j!), for i = 0 .. n//2.  Each term is stepped
     from the one before it, by (j + 2)(j + 1)/(2i); a division that leaves a
     remainder raises ExactnessError."""
-    _require_nonnegative(n)
+    require_at_least(n, 0)
     terms = [1]
     for i in range(1, n // 2 + 1):
         j = n - 2 * i
@@ -154,15 +156,13 @@ def involution_count_direct(n: int) -> int:
 def signed_involution_count(n: int) -> int:
     """Sum of signs over involutions (each involution contributes
     (-1)**transpositions), stepped from 0 by s(n) = s(n-1) - (n-1) s(n-2)."""
-    _require_nonnegative(n)
-    return next(islice(stepped(removal_step(1, 1, -1), 2), n, None))
+    return _at(n, stepped, removal_step(1, 1, -1), 2)
 
 
 def pth_root_counts(p: int) -> Iterator[int]:
     """pth_root_count(n, p) for n = 0, 1, ..., holding only the last p.  A
-    p that is not prime raises ValueError at the call."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p that is not prime raises ValueError at the call, before a step is made."""
+    require_prime(p)
     return stepped(removal_step(1, 1, 1, p), p)
 
 
@@ -173,8 +173,7 @@ def pth_root_count(n: int, p: int) -> int:
     lies on a p-cycle with p-1 of the remaining letters in any order; each
     call steps ``pth_root_counts(p)`` from 0.  A negative n raises ValueError.
     """
-    _require_nonnegative(n)
-    return next(islice(pth_root_counts(p), n, None))
+    return _at(n, pth_root_counts, p)
 
 
 _X = BivariatePoly.monomial(1, 0)
@@ -192,8 +191,7 @@ def involution_poly(n: int) -> BivariatePoly:
     y**(transpositions); the coefficient of x**(n-2i) y**i is
     n!/(2**i i! (n-2i)!).  Each call steps ``involution_polys()`` from 0;
     a negative n raises ValueError."""
-    _require_nonnegative(n)
-    return next(islice(involution_polys(), n, None))
+    return _at(n, involution_polys)
 
 
 def graph_step(one, x, y, half) -> Callable[[int, list], object]:
@@ -229,14 +227,13 @@ def graph_poly(n: int) -> BivariatePoly:
     """Weight sum over the admissible graphs without doubled edges, by the
     degree-and-collapse recurrence; zero for negative n.  Each call steps
     ``graph_polys()`` from 0."""
-    if n < 0:
-        return BivariatePoly.zero()
-    return next(islice(graph_polys(), n, None))
+    return _at(n, graph_polys) if n >= 0 else BivariatePoly.zero()
 
 
 def graph_counts(y: int = 1) -> Iterator[int]:
-    """graph_poly(n) at (1, y) for n = 0, 1, ..., y = 1 or -1, holding only
-    the last eight."""
+    """graph_poly(n) at (1, y) for n = 0, 1, ..., holding only the last
+    eight.  A y other than 1 or -1 raises ValueError at the call."""
+    require_sign(y)
     return stepped(graph_step(1, 1, y, (1 + y) // 2), 8)
 
 
@@ -244,15 +241,13 @@ def graph_count(n: int) -> int:
     """graph_poly(n) at (1, 1): the number of admissible graphs without
     doubled edges.  Each call steps ``graph_counts()`` from 0, and a negative
     n raises ValueError."""
-    _require_nonnegative(n)
-    return next(islice(graph_counts(), n, None))
+    return _at(n, graph_counts)
 
 
 def graph_count_signed(n: int) -> int:
     """graph_poly(n) at (1, -1).  Each call steps ``graph_counts(-1)`` from
     0, and a negative n raises ValueError."""
-    _require_nonnegative(n)
-    return next(islice(graph_counts(-1), n, None))
+    return _at(n, graph_counts, -1)
 
 
 def _graph_route_terms(n: int):
@@ -270,7 +265,7 @@ def _graph_route_terms(n: int):
     / (i + 1), a remainder raising ExactnessError, and mirrored above it.  A
     negative n raises ValueError at the call.
     """
-    _require_nonnegative(n)
+    require_at_least(n, 0)
     k, r = divmod(n, 4)
     fl = r // 2
     binomials = [1]
@@ -373,8 +368,7 @@ def odd_factor_step(n: int, prev, curr):
     be an integer; a remainder raises ExactnessError (the inputs were not
     genuine consecutive odd factors).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_at_least(n, 1)
     r = n % 4
     e1 = involution_val2(r) - involution_val2(r + 1)
     e2 = involution_val2(r - 1) - involution_val2(r + 1)

@@ -43,7 +43,7 @@ import math
 from array import array
 from itertools import islice, repeat
 
-from .algebra import INFINITY, Valuation, val2
+from .algebra import INFINITY, Valuation, require_kind, require_positive, val2
 from .errors import ExactnessError, InconclusiveError, ResourceLimitError
 from .sequences import graph_counts
 
@@ -89,18 +89,12 @@ COLUMNS = {
 }
 
 
-def _rule(kind: str) -> tuple:
-    try:
-        return COLUMNS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kind {kind!r}") from None
-
-
 def column_number(kind: str, n: int, t, s):
     """The number of column ``kind`` at n, exactly, from t(n) and s(n) in any
     ring (ints, or exact Decimals): its COLUMNS rule, halved where the rule
     says so.  An odd number where it must be halved raises ExactnessError."""
-    number_of, halved, name = _rule(kind)
+    require_kind(kind, COLUMNS)
+    number_of, halved, name = COLUMNS[kind]
     number, odd = divmod(number_of(t, s), 1 << halved)
     if odd:
         raise ExactnessError(f"{name} is odd at n={n}")
@@ -115,11 +109,9 @@ def _residue_array(m: int) -> array:
     raise ResourceLimitError(f"residues mod {m} do not fit in a machine word")
 
 
-def _refuse_window(count: int, what: str) -> None:
-    if count > STEP_CAP:
-        raise ResourceLimitError(
-            f"{count} {what} asked for, more than the cap of {STEP_CAP} steps"
-        )
+def _refuse_window(count: int, what: str, cap: int = STEP_CAP, unit: str = "steps") -> None:
+    if count > cap:
+        raise ResourceLimitError(f"{count} {what} asked for, more than the cap of {cap} {unit}")
 
 
 def _graph_residues(y: int, bits: int) -> list[int]:
@@ -166,8 +158,7 @@ def odd_factor_residues(s: int, count: int) -> array:
     residue whose exponent is not [r == 3] raises InconclusiveError.  A
     count above STEP_CAP raises ResourceLimitError before any stepping.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
+    require_positive(s, "s")
     _refuse_window(count, "odd factors")
     out = _residue_array(1 << s)
     if count <= 0:
@@ -223,10 +214,7 @@ def _columns_pass(
     Each rule's numbers are the rule applied term by term to g and g',
     built once per pass, and each residue class mod 4 of ``indices`` is
     read from the rule's own series over them."""
-    unread = [0] * (4 * bits + 4)
-    # A graph count that no rule weighs (by its value at t = 1 or at s = 1) is not built.
-    graphs = [_graph_residues(y, bits) if any(rule(*unit) for rule, _, _ in readers) else unread
-              for y, unit in ((1, (1, 0)), (-1, (0, 1)))]
+    graphs = [_graph_residues(y, bits) for y in (1, -1)]
     numbers = [list(map(number_of, *graphs)) for number_of, _, _ in readers]
     columns: list[list] = [[None] * len(indices) for _ in readers]
     period = 4 // math.gcd(indices.step, 4)
@@ -247,22 +235,19 @@ def certified_columns(kinds: tuple[str, ...], indices: range) -> list[list[Valua
 
     Each kind's series is stepped modulo 2**J from J = _START_BITS, doubling
     J until every cell certifies; see ``_read_val2`` for what a residue
-    certifies.  Only the graph counts a kind's rule weighs are built.  The
-    zeros are the odd count at n = 0 and 1 and the signed sum at n = 2.  An
-    unknown kind raises ValueError, and a window over STEP_CAP series steps
-    (k + 1 for the last n = 4k + r of each residue class) or over CELL_CAP
-    cells ResourceLimitError, before any stepping, as a restart past
-    _MAX_BITS does."""
+    certifies.  The zeros are the odd count at n = 0 and 1 and the signed
+    sum at n = 2.  A kind not in COLUMNS raises ValueError, and a window over
+    STEP_CAP series steps (k + 1 for the last n = 4k + r of each residue
+    class) or over CELL_CAP cells ResourceLimitError, before any stepping,
+    as a restart past _MAX_BITS does."""
     if min(indices.start, indices.stop) < 0 or indices.step < 1:
         raise ValueError("indices must be an increasing range of nonnegative n")
-    readers = [_rule(kind) for kind in kinds]
+    for kind in kinds:
+        require_kind(kind, COLUMNS)
+    readers = [COLUMNS[kind] for kind in kinds]
     period = 4 // math.gcd(indices.step, 4)  # the last `period` n end the classes
     _refuse_window(sum(n // 4 + 1 for n in indices[-period:]), "series steps")
-    cells = len(readers) * len(indices)
-    if cells > CELL_CAP:
-        raise ResourceLimitError(
-            f"{cells} cells asked for, more than the cap of {CELL_CAP} cells"
-        )
+    _refuse_window(len(readers) * len(indices), "cells", CELL_CAP, "cells")
     bits = _START_BITS
     while (columns := _columns_pass(bits, readers, indices)) is None:
         bits *= 2

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import INFINITY, Valuation, val2
+from .algebra import (
+    INFINITY, Valuation, require_at_least, require_kind, require_positive, require_prime, val2,
+)
 from .sequences import involution_count, involution_val2, signed_involution_count
 from .twoadic import COLUMNS, certified_columns, column_number
 
@@ -58,9 +60,9 @@ def chi_even(n: int) -> int:
 
 def tau_valuation_bound(n: int, p: int) -> int:
     """Proven lower bound floor(n/p) - floor(n/p**2) for the p-adic valuation
-    of the p-th-root count; a negative n raises ValueError."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    of the p-th-root count, for a prime p; a negative n raises ValueError."""
+    require_at_least(n, 0)
+    require_prime(p)
     return n // p - n // (p * p)
 
 
@@ -70,16 +72,14 @@ def binomial_shift_bound_holds(k: int, i: int, exponent: Valuation) -> bool:
     working specializations (val2(k) + 1 always, and val2(k) + 3 once
     i >= 5).  Above i = k the binomial is zero and the exponent INFINITY
     meets every bound."""
-    if k < 1 or i < 1:
-        raise ValueError("k and i must be positive")
+    require_positive(min(k, i), "k and i")
     vk = val2(k)
     return exponent >= vk + i - val2(i) and exponent >= vk + 1 and (i < 5 or exponent >= vk + 3)
 
 
 def _quarter(n: int) -> tuple[int, int]:
     """(k, r) with n = 4k + r and 0 <= r < 4; a negative n raises ValueError."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    require_at_least(n, 0)
     return divmod(n, 4)
 
 
@@ -95,12 +95,8 @@ def signed_val2_predicted(n: int) -> Valuation:
 
 def _exact_count(n: int, kind: str) -> int:
     """The number of column ``kind`` at n, exactly, by
-    :func:`twoadic.column_number`.  Every COLUMNS rule is linear in (t, s),
-    so a sequence it weighs by zero is not computed."""
-    number_of = COLUMNS[kind][0]
-    t = involution_count(n) if number_of(1, 0) else 0
-    s = signed_involution_count(n) if number_of(0, 1) else 0
-    return column_number(kind, n, t, s)
+    :func:`twoadic.column_number` from the exact t(n) and s(n)."""
+    return column_number(kind, n, involution_count(n), signed_involution_count(n))
 
 
 def even_involution_count(n: int) -> int:
@@ -168,8 +164,7 @@ _PREDICTED = {
 
 def valuation_report(n: int, kind: str) -> ValuationReport:
     """The cell at n of one kind, computed from the exact counts."""
-    if kind not in REPORT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+    require_kind(kind, REPORT_KINDS)
     return ValuationReport(n, kind, val2(_exact_count(n, kind)), _PREDICTED[kind](n))
 
 
@@ -220,7 +215,6 @@ def table_rows(k_max: int) -> Iterator[dict[str, str]]:
     Every computed column is certified before this returns, so a failure
     raises before the first row exists; the rows are then built lazily.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    require_at_least(k_max, 0, "k_max")
     cells = zip(*certified_columns(REPORT_KINDS, range(4 * k_max + 4)))
     return (table_row(n, computed) for n, computed in enumerate(cells))

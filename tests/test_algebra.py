@@ -93,6 +93,27 @@ class TestValuations:
         assert INFINITY != 7
         assert repr(INFINITY) == "INFINITY"
 
+    @pytest.mark.parametrize("other", [-(10**100), -1, 0, 7, 10**100])
+    def test_infinity_is_above_every_int(self, other):
+        assert (INFINITY < other, INFINITY <= other, INFINITY > other, INFINITY >= other) == (
+            False, False, True, True)
+        assert (other < INFINITY, other <= INFINITY, other > INFINITY, other >= INFINITY) == (
+            True, True, False, False)
+
+    def test_infinity_compares_equal_only_to_itself(self):
+        assert (INFINITY < INFINITY, INFINITY <= INFINITY, INFINITY > INFINITY,
+                INFINITY >= INFINITY) == (False, True, False, True)
+        assert INFINITY == INFINITY and INFINITY != float("inf")
+
+    @pytest.mark.parametrize("compare", [
+        lambda: INFINITY < 1.5, lambda: INFINITY <= 1.5, lambda: INFINITY > 1.5,
+        lambda: INFINITY >= 1.5, lambda: 1.5 <= INFINITY, lambda: float("inf") > INFINITY,
+    ], ids=["lt", "le", "gt", "ge", "float-le", "inf-gt"])
+    def test_infinity_refuses_to_order_floats(self, compare):
+        # Each derived comparison returns NotImplemented, so Python raises.
+        with pytest.raises(TypeError):
+            compare()
+
 
 class TestOddPart:
     def test_examples(self):

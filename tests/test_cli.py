@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from involution_lab import checks, cli, enumeration, sequences, twoadic, valuations
+from involution_lab import checks, cli, enumeration, periodicity, sequences, twoadic, valuations
 from involution_lab.algebra import BivariatePoly
 from involution_lab.cli import main
 from involution_lab.enumeration import ConstrainedGraph, RefinedClass
@@ -500,6 +501,78 @@ class TestCor31Mismatch:
         assert checks.CHECKS[name]({"n_max": 10})[0]
         assert len(seen) == calls
         assert len(set(seen)) == 646
+
+
+class TestRedBranches:
+    """A planted fault reaches each red branch that no honest run takes, and
+    the check's first message names the cell."""
+
+    EMPTY = ConstrainedGraph(2, ())  # the graph of the class {1, 2; -} at n = 4
+
+    def test_cor31_graph_round_trip(self, monkeypatch):
+        real = enumeration.graph_class
+        monkeypatch.setattr(enumeration, "graph_class", lambda g, n: RefinedClass((), ())
+                            if (g, n) == (self.EMPTY, 4) else real(g, n))
+        assert checks.CHECKS["cor31"]({"n_max": 4}) == (
+            False, "n=4: graph round-trip broke on {'bag': [1, 2], 'cycles': []}")
+
+    def test_cor31_fiber_size(self, monkeypatch):
+        real = enumeration.fiber_size
+        monkeypatch.setattr(enumeration, "fiber_size",
+                            lambda g, n: real(g, n) + ((g, n) == (self.EMPTY, 4)))
+        assert checks.CHECKS["cor31"]({"n_max": 4}) == (
+            False, "n=4, graph {'vertices': 2, 'edges': []}: fiber size 5 != class size 4")
+
+    def test_thm41_non_integral_coefficient(self, monkeypatch):
+        # Both routes gain 1/2 at n = 5, so they agree and only integrality fails.
+        half = BivariatePoly.constant(Fraction(1, 2))
+        for name in ("involution_polys", "involution_polys_via_graphs"):
+            real = getattr(sequences, name)
+            monkeypatch.setattr(sequences, name, lambda real=real: (
+                poly + half if n == 5 else poly for n, poly in enumerate(real())))
+        assert checks.CHECKS["thm41"]({}) == (
+            False, "n=5: graph route left a non-integer coefficient")
+
+    def test_lemma51_bound(self, monkeypatch):
+        real = valuations.binomial_shift_bound_holds
+        monkeypatch.setattr(valuations, "binomial_shift_bound_holds",
+                            lambda k, i, e: (k, i) != (6, 4) and real(k, i, e))
+        assert checks.CHECKS["lemma51"]({}) == (False, "bound fails at k=6, i=4")
+
+    def test_lemma64_congruence(self, monkeypatch):
+        monkeypatch.setattr(periodicity, "odd_product_congruence", lambda s: s != 9)
+        assert checks.CHECKS["lemma64"]({}) == (False, "odd product congruence fails at s=9")
+
+    def test_an_odd_factor_fault_turns_lemma65_and_thm66_red(self, monkeypatch):
+        # beta(20) mod 2**s plus two: still odd, but no longer 2**(s+1)-periodic.
+        real = periodicity.odd_factor_residues
+
+        def planted(s, count):
+            values = real(s, count)
+            if count > 20:
+                values[20] = (values[20] + 2) % (1 << s)
+            return values
+
+        monkeypatch.setattr(periodicity, "odd_factor_residues", planted)
+        assert checks.CHECKS["lemma65"]({}) == (
+            False, "odd factor shift congruence fails at s=3")
+        assert checks.CHECKS["thm66"]({}) == (
+            False, "16 is not a period of the values mod 8 from index 0")
+
+    def test_coeffs_missing_term(self, monkeypatch):
+        real = sequences.involution_polys
+        monkeypatch.setattr(sequences, "involution_polys", lambda: (
+            poly - BivariatePoly.monomial(6, 0) if n == 6 else poly
+            for n, poly in enumerate(real())))
+        assert checks.CHECKS["coeffs"]({}) == (False, "n=6: missing terms [(6, 0)]")
+
+
+def test_residues_past_a_machine_word_exit_3(capsys):
+    # 2**64 + 1 residues fit no array typecode; the state cap lets the scan start.
+    code, out, err = run(capsys, "period", "--t-mod", str(2**64 + 1), "--window", str(2**64 + 2))
+    assert (code, out) == (3, "")
+    assert err == ("involution-lab: residues mod 18446744073709551617 do not fit in a "
+                   "machine word\n")
 
 
 def _readme_default(default) -> str:

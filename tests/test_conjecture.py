@@ -1,12 +1,15 @@
 """Digit-fitting tests: exponents in the unproven column, single-constraint
 fits, order independence, and monotone growth of the determined prefix."""
 
+import json
 import random
 
 import pytest
 
-from involution_lab.algebra import val2
-from involution_lab.conjecture import fit_shift_digits
+from involution_lab import conjecture
+from involution_lab.algebra import INFINITY, val2
+from involution_lab.cli import main
+from involution_lab.conjecture import Violation, fit_shift_digits
 from involution_lab.valuations import even_involution_count, valuation_report
 
 EXPECTED_PREFIX = (1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1)  # shift = 1291 mod 2**11
@@ -120,3 +123,54 @@ class TestConstraintSemantics:
             v = even_count_exponent(k) - k - 1
             if v + 1 <= bits:
                 assert val2((k + rho) % (1 << (v + 1))) == v
+
+
+# One planted fault per violation kind in the even-count column at k <= 9,
+# whose true exponents are 0, 4, 2, 5, 4, 10, 6, 9, 8, 12 (digits 1, 1, 0, 1,
+# 0): the violation it records, and the digits the fit keeps.
+PLANTED = [
+    (4, 5, Violation(4, "even_exponent", "exponent at even k=4 is 5, expected 4"),
+     (1, 1, 0, 1, 0)),
+    (3, INFINITY, Violation(3, "odd_exponent", "count at odd k=3 vanished"), (1, 1, 0, 1, 0)),
+    (7, 7, Violation(7, "odd_exponent", "exponent at odd k=7 is 7, below the floor 8"),
+     (1, 1, 0, 1, 0)),
+    # v = 0 at k = 5 asks for rho = 1 - 5 = 0 (mod 2); k = 1 fixed rho = 3 (mod 8).
+    (5, 6, Violation(5, "digit_conflict", "constraint at k=5 forces digit 0 to 0, "
+                     "contradicting the digits fixed by smaller k"), (1, 1, 0)),
+]
+
+
+def _plant(monkeypatch, k, exponent):
+    """Read the even-count column with the cell at k replaced by ``exponent``."""
+    real = conjecture.certified_columns
+
+    def planted(kinds, indices):
+        (column,) = real(kinds, indices)
+        column[k] = exponent
+        return [column]
+
+    monkeypatch.setattr(conjecture, "certified_columns", planted)
+
+
+class TestPlantedViolations:
+    def test_the_true_column(self):
+        assert [even_count_exponent(k) for k in range(10)] == [0, 4, 2, 5, 4, 10, 6, 9, 8, 12]
+        assert fit_shift_digits(9).digits == (1, 1, 0, 1, 0)
+
+    @pytest.mark.parametrize("k, exponent, violation, digits", PLANTED,
+                             ids=[v.kind + f"-k{v.k}" for _, _, v, _ in PLANTED])
+    def test_each_fault_is_recorded_and_skipped(self, monkeypatch, k, exponent, violation,
+                                                digits):
+        _plant(monkeypatch, k, exponent)
+        fit = fit_shift_digits(9)
+        assert fit.violations == (violation,)
+        assert fit.digits == digits
+        assert not fit.consistent
+
+    def test_rho_exits_1_and_lists_the_violation(self, monkeypatch, capsys):
+        k, exponent, violation, digits = PLANTED[-1]
+        _plant(monkeypatch, k, exponent)
+        assert main(["rho", "--k-max", "9"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == [violation.to_json_obj()]
+        assert doc["digits"] == list(digits)

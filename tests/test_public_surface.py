@@ -7,17 +7,24 @@ import __future__
 import ast
 import importlib
 import pkgutil
+import re
+import signal
 import types
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import involution_lab
-from involution_lab import twoadic, valuations
+from involution_lab import algebra, twoadic, valuations
 from involution_lab.algebra import INFINITY, BivariatePoly
 from involution_lab.conjecture import TwoAdicPrefix, Violation
-from involution_lab.enumeration import ConstrainedGraph, RefinedClass, Signature
-from involution_lab.periodicity import PeriodReport
+from involution_lab.enumeration import (
+    ConstrainedGraph, RefinedClass, Signature, involution_weight, is_pth_root, permutation_cycles,
+    refined_class,
+)
+from involution_lab.periodicity import PeriodReport, odd_factor_period
+from involution_lab.sequences import graph_counts
 from involution_lab.valuations import ValuationReport
 
 SRC = Path(involution_lab.__file__).parent
@@ -221,3 +228,57 @@ def _private_crossings(path: Path) -> set[tuple[str, str]]:
 def test_private_names_stay_inside_their_module():
     crossings = set().union(*(_private_crossings(path) for path in sorted(SRC.glob("*.py"))))
     assert crossings == PRIVATE_CROSSINGS
+
+
+@contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the body once ``seconds`` have passed: a call
+    that loops forever fails instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Calls that once answered wrongly, looped forever or failed with another
+# error, each with the message of the rule it breaks.
+REFUSED = [
+    (lambda: graph_counts(0), "y must be 1 or -1, got 0"),
+    (lambda: graph_counts(2), "y must be 1 or -1, got 2"),
+    (lambda: permutation_cycles((1, 1)), "(1, 1) is not a permutation of 1..2"),
+    (lambda: permutation_cycles((0, 1)), "(0, 1) is not a permutation of 1..2"),
+    (lambda: is_pth_root((2, 2), 2), "(2, 2) is not a permutation of 1..2"),
+    (lambda: refined_class((1, 2, 3, 4), 4), "p must be prime, got 4"),
+    (lambda: refined_class((1, 2), 0), "p must be prime, got 0"),
+    (lambda: involution_weight((3, 1)), "(3, 1) is not a permutation of 1..2"),
+    (lambda: valuations.tau_valuation_bound(5, 4), "p must be prime, got 4"),
+    (lambda: odd_factor_period(-4), "s must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSED, ids=[
+    "graph_counts-0", "graph_counts-2", "permutation_cycles-repeat", "permutation_cycles-zero",
+    "is_pth_root", "refined_class-4", "refined_class-0", "involution_weight",
+    "tau_valuation_bound", "odd_factor_period"])
+def test_bad_arguments_are_refused_at_the_call(call, message):
+    with _within(1.0), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_each_rule_message_has_one_source():
+    # The library's input rules are stated by the guards in ``algebra``; the
+    # command line's usage messages are its own.
+    for text in ("must be nonnegative", "must be positive", "must be prime", "unknown kind",
+                 "must be 1 or -1", "is not a permutation of"):
+        sources = [path.name for path in sorted(SRC.glob("*.py"))
+                   if path.name != "cli.py" and text in path.read_text(encoding="utf-8")]
+        assert sources == ["algebra.py"], text
+    assert [name for name in algebra.__all__ if name.startswith("require_")] == [
+        "require_at_least", "require_positive", "require_prime", "require_kind", "require_sign",
+        "require_letter"]

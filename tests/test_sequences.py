@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involution_lab import checks, sequences
+from involution_lab import checks, periodicity, sequences
 from involution_lab.algebra import BivariatePoly, val2
 from involution_lab.errors import ExactnessError
 from involution_lab.enumeration import graph_weight_sum_bruteforce, pth_roots
@@ -408,6 +408,12 @@ def test_a_graph_fault_at_n_13_turns_exactly_its_readers_red(
         return values
 
     monkeypatch.setattr(sequences, stream, planted)
+    _assert_red_rows(first_messages)
+
+
+def _assert_red_rows(first_messages: dict[str, str]) -> None:
+    """Run every verify row at its defaults: exactly the rows named go red,
+    and each one's first message starts as given."""
     red = {}
     for name, check in checks.CHECKS.items():
         passed, detail = check({})
@@ -416,6 +422,43 @@ def test_a_graph_fault_at_n_13_turns_exactly_its_readers_red(
     assert set(red) == set(first_messages)
     for name, detail in red.items():
         assert detail.startswith(first_messages[name]), (name, detail)
+
+
+_TABLE1 = "g(1,1) reference table, row n=20:"  # red by design: the misprinted rows
+
+
+def test_a_count_fault_at_n_9_turns_exactly_its_readers_red(monkeypatch):
+    # t(9) += 2 in the tau_2 stream, which t is read from wherever it is read
+    # by value: 2622 has one factor of two less than 2620.
+    real = sequences.pth_root_counts
+
+    def planted(p):
+        values = real(p)
+        return (value + 2 if p == 2 and n == 9 else value for n, value in enumerate(values))
+
+    monkeypatch.setattr(sequences, "pth_root_counts", planted)
+    _assert_red_rows({
+        "cross": "n=9: direct sum gives 2620, recurrence 2622",
+        "fibersum": "n=9: fibers sum to 2620, count is 2622",
+        "lemma21": "p=2, n=9: enumerated 2620 roots, recurrence says 2622",
+        "thm23": "p=2, n=9: valuation 1 below bound 2",
+        "thm32": "n=9: graph route 2620 != recurrence 2622",
+        "thm33": "n=9: odd factor 1311 != graph formula 655",
+        "weights": "n=9: fibers sum to 2620, count is 2622",
+        "table1": _TABLE1,
+    })
+
+
+def test_a_residue_fault_at_n_5_turns_exactly_its_readers_red(monkeypatch):
+    # t(5) mod m plus one, in the residue stream that the period scan mod m
+    # reads: the first modulus whose window reaches n = 5 goes red.
+    real = sequences.removal_residues
+
+    def planted(m):
+        return ((value + 1) % m if n == 5 else value for n, value in enumerate(real(m)))
+
+    monkeypatch.setattr(periodicity, "removal_residues", planted)
+    _assert_red_rows({"thm62": "m=5:", "thm63": "m=2:", "table1": _TABLE1})
 
 
 class TestOddFactor:

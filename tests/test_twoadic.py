@@ -283,22 +283,6 @@ class TestValuationColumns:
         with pytest.raises(ValueError, match="unknown kind 'nope'"):
             call()
 
-    @pytest.mark.parametrize("kinds, opened", [
-        (("t",), [1]), (("t_signed",), [-1]), (("t", "t_odd"), [1, -1]),
-    ])
-    def test_only_the_streams_a_column_reads_are_stepped(self, monkeypatch, kinds, opened):
-        want = certified_columns(kinds, range(40))
-        real = twoadic._graph_residues
-        streams = []
-
-        def recorded(y, bits):
-            streams.append(y)
-            return real(y, bits)
-
-        monkeypatch.setattr(twoadic, "_graph_residues", recorded)
-        assert certified_columns(kinds, range(40)) == want
-        assert streams == opened
-
     def test_window_over_cap_refused_before_stepping(self, monkeypatch):
         monkeypatch.setattr(twoadic, "_graph_residues", None)
         # Four residue classes of k_max + 1 series steps each: the largest
@@ -339,6 +323,16 @@ class TestParityReads:
         monkeypatch.setattr(valuations, "certified_columns", recorded)
         assert list(checks._parity((2, 3), ("t_even", "t_odd"), 10)) == []
         assert reads == [range(2, 43, 4), range(3, 44, 4)]
+
+    def test_every_class_is_its_own_read(self, monkeypatch):
+        # With all four residues checked, as thm52 does, still one read per
+        # class: no whole-range read plan.
+        real = twoadic.certified_columns
+        reads = []
+        monkeypatch.setattr(valuations, "certified_columns",
+                            lambda kinds, indices: reads.append(indices) or real(kinds, indices))
+        assert list(checks._parity((0, 1, 2, 3), ("t_signed",), 10)) == []
+        assert reads == [range(r, 41 + r, 4) for r in range(4)]
 
 
 def test_cli_routes_never_read_exact_counts(monkeypatch):
@@ -394,8 +388,9 @@ def test_beta_period_at_s_17_is_found():
 
 
 @pytest.mark.parametrize("argv, refusal", [
-    # One read of every n < 3,000,004: one cell over the cap.
-    ("thm52 --k-max 750000", "3000004 cells asked for, more than the cap of 3000000 cells"),
+    # Four reads of one residue class each, the first of 3,000,001 cells: one
+    # over the cap.
+    ("thm52 --k-max 3000000", "3000001 cells asked for, more than the cap of 3000000 cells"),
     # Two reads of one residue class each, 2,500,001 series steps and, for
     # two kinds, 5,000,002 cells.
     ("cor53 --k-max 2500000", "5000002 cells asked for, more than the cap of 3000000 cells"),

@@ -256,20 +256,6 @@ class TestReports:
         assert all(set(row) == set(table_fieldnames()) for row in table_rows(1))
 
 
-@pytest.mark.parametrize("kind,read,unread", [
-    ("t", "involution_count", "signed_involution_count"),
-    ("t_signed", "signed_involution_count", "involution_count"),
-])
-def test_exact_oracle_reads_only_its_column(kind, read, unread, monkeypatch):
-    calls: dict[str, list[int]] = {read: [], unread: []}
-    for name, seen in calls.items():
-        real = getattr(valuations, name)
-        monkeypatch.setattr(valuations, name,
-                            lambda n, real=real, seen=seen: seen.append(n) or real(n))
-    valuation_report(50, kind)
-    assert calls == {read: [50], unread: []}
-
-
 def test_exact_point_read_stays_small():
     # The exact caches kept every value up to the read: 85.7 MB for t(n) and
     # s(n) at n = 10000, 165 MB for the graph counts at n = 20000.
