@@ -37,7 +37,6 @@ __all__ = [
     "require_prime",
     "require_kind",
     "require_sign",
-    "require_letter",
     "val_p",
     "val2",
     "odd_part",
@@ -98,7 +97,8 @@ def is_prime(p: int) -> bool:
 
 
 # The argument guards: each input rule is stated once, here, and called by
-# every public entry that takes such an argument.
+# every public entry that takes such an argument.  The permutation rule has
+# one reader and is stated in its loop, ``enumeration.permutation_cycles``.
 
 def require_at_least(value: int, low: int, name: str = "n", error: type = ValueError) -> None:
     """Refuse an integer argument below ``low``, as ``error``."""
@@ -125,13 +125,6 @@ def require_kind(kind: str, kinds: Iterable[str]) -> None:
 def require_sign(y: int) -> None:
     if y not in (1, -1):
         raise ValueError(f"y must be 1 or -1, got {y}")
-
-
-def require_letter(pi: tuple, j: int, seen: list) -> None:
-    """The permutation rule, one letter at a time: j, met while following
-    the cycles of ``pi``, is one of 1..len(pi) and not ``seen`` before."""
-    if not 0 < j <= len(pi) or seen[j]:
-        raise ValueError(f"{pi} is not a permutation of 1..{len(pi)}")
 
 
 def val_p(x: int, p: int) -> Valuation:

@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 from . import enumeration, periodicity, reference_tables, sequences, valuations
 from .algebra import BivariatePoly, odd_part, require_at_least, val2, val_p
 from .errors import VerificationError
+from .twoadic import CELL_CAP, _refuse_window
 
 __all__ = ["CHECKS", "ROWS", "EmptyRangeError", "option", "resolve"]
 
@@ -169,7 +170,12 @@ def _parity(residues: tuple[int, ...], kinds: tuple[str, ...], k_max: int) -> It
     for r in the ascending ``residues``; for the signed sum (r = 0..3) that is
     every n < 4 k_max + 4, zero case included.  The 2-adic engine reads only
     these kinds, one read of every fourth n per residue, merged back into n
-    order.  No checked class is open, so every report has a prediction."""
+    order.  The reads are held together, so the check's series steps and
+    cells, over all of them, are refused against the caps before the first.
+    No checked class is open, so every report has a prediction."""
+    steps = len(residues) * (k_max + 1)
+    _refuse_window(steps, "series steps")
+    _refuse_window(len(kinds) * steps, "cells", CELL_CAP, "cells")
     reports = [valuations.column_reports(kinds, range(r, 4 * k_max + r + 1, 4)) for r in residues]
     for report in chain.from_iterable(zip(*reports)):
         if not report.matches:

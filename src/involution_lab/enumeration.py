@@ -49,7 +49,7 @@ import math
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import BivariatePoly, require_at_least, require_letter, require_prime
+from .algebra import BivariatePoly, require_at_least, require_prime
 from .errors import ExactnessError, ResourceLimitError
 
 __all__ = [
@@ -97,7 +97,8 @@ def permutation_cycles(pi: Permutation) -> list[tuple[int, ...]]:
         seen[start] = True
         j = pi[start - 1]
         while j != start:
-            require_letter(pi, j, seen)
+            if not 0 < j <= n or seen[j]:
+                raise ValueError(f"{pi} is not a permutation of 1..{n}")
             cyc.append(j)
             seen[j] = True
             j = pi[j - 1]

@@ -60,7 +60,8 @@ __all__ = [
 # it is the ceiling of the default state cap of the period scan mod m.
 STEP_CAP = 10**7
 
-# Most cells (kinds times indices) one read of exponent columns may return.
+# Most cells (kinds times indices) one read of exponent columns may return,
+# and one parity check of `verify` may read over all its residue classes.
 # They are held in lists: at the cap, `rho --k-max 2999999` peaks at 176 MB
 # (one process on a 2-vCPU host).  It takes `table --k-max 158081` (2,529,312
 # cells, the largest window of the residue engine this one replaced) and

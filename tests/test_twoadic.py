@@ -334,6 +334,29 @@ class TestParityReads:
         assert list(checks._parity((0, 1, 2, 3), ("t_signed",), 10)) == []
         assert reads == [range(r, 41 + r, 4) for r in range(4)]
 
+    @pytest.mark.parametrize("residues, kinds, k_max, refusal", [
+        # The whole range, as one read of it was refused.
+        ((0, 1, 2, 3), ("t_signed",), 2_500_000, "10000004 series steps asked for"),
+        # Two classes of 1,500,002 cells, each within the cap on its own.
+        ((2, 3), ("t_even", "t_odd"), 750_000, "3000004 cells asked for"),
+    ])
+    def test_the_check_total_is_refused_before_the_first_read(
+            self, monkeypatch, residues, kinds, k_max, refusal):
+        reads = []
+        monkeypatch.setattr(valuations, "certified_columns",
+                            lambda kinds, indices: reads.append(indices))
+        with pytest.raises(ResourceLimitError, match=f"^{refusal}, more than the cap"):
+            next(checks._parity(residues, kinds, k_max))
+        assert reads == []
+
+    def test_a_check_of_exactly_the_cap_is_read(self, monkeypatch):
+        # 4 * 750,000 cells: every class is read.
+        reads = []
+        monkeypatch.setattr(valuations, "certified_columns",
+                            lambda kinds, indices: reads.append(indices) or [[]])
+        assert list(checks._parity((0, 1, 2, 3), ("t_signed",), 749_999)) == []
+        assert reads == [range(r, 2_999_997 + r, 4) for r in range(4)]
+
 
 def test_cli_routes_never_read_exact_counts(monkeypatch):
     # Every read of t(n) or s(n) by value goes through one of these names.
@@ -388,12 +411,11 @@ def test_beta_period_at_s_17_is_found():
 
 
 @pytest.mark.parametrize("argv, refusal", [
-    # Four reads of one residue class each, the first of 3,000,001 cells: one
-    # over the cap.
-    ("thm52 --k-max 3000000", "3000001 cells asked for, more than the cap of 3000000 cells"),
-    # Two reads of one residue class each, 2,500,001 series steps and, for
-    # two kinds, 5,000,002 cells.
-    ("cor53 --k-max 2500000", "5000002 cells asked for, more than the cap of 3000000 cells"),
+    # Four residue classes of 750,001 cells each, refused on their total.
+    ("thm52 --k-max 750000", "3000004 cells asked for, more than the cap of 3000000 cells"),
+    # Two residue classes of 2,500,001 series steps each, and two kinds:
+    # 10,000,004 cells over the check.
+    ("cor53 --k-max 2500000", "10000004 cells asked for, more than the cap of 3000000 cells"),
     # Four residue classes of 2,500,001 or 2,500,000 series steps.
     ("thm33 --n-max 10000001", "10000002 series steps asked for"),
 ], ids=["thm52", "cor53", "thm33"])
