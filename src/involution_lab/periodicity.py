@@ -14,25 +14,37 @@ For the counts mod m the bound and the multiple come from the deterministic
 finite state (n mod m, t(n-1) mod m, t(n) mod m), whose values are read
 from the removal recurrence's residue stream
 :func:`involution_lab.sequences.removal_residues`: its first repeat bounds
-the preperiod, and its cycle length is a multiple of the period.  The first
-repeat is found without a table of states, by a variant of Brent's cycle
-detection (Brent, BIT 20, 1980).  The state cycle length is a multiple of
-m, because n mod m is part of the state, so a saved checkpoint state can
-only recur m, 2m, ... steps later.  Checkpoints sit at n = 1, 2, 4, ...;
-one below m is compared with the state m steps ahead only, and one at
-c >= m with the states m, 2m, ... up to c steps ahead.  A round whose
-checkpoint lies on the cycle and that looks at least the cycle length
-ahead finds it, and the first hit is the cycle length itself.  For the
-counts mod m the state cycle is m itself (the period divides m, Theorems
-6.2 and 6.3), so the hare stops m steps past the first checkpoint on the
-cycle.  The values are kept in an array of machine words, cut or extended
-to exactly the window the report covers: the preperiod bound plus two
-state cycles.  Only the values up to the hit are stepped.  The state at
-the first repeat is the state at its first occurrence, so every later
-value is the one a cycle earlier, and the rest of the window is copied
-from the array in blocks of a few thousand words.  The scan is
-inconclusive exactly when more than the state cap of distinct states
-precede the first repeat.  For the odd factors mod 2**s, read from
+the preperiod, and its cycle length is a multiple of the period.  The
+repeat is read off the reduced state (n mod m/g, t(n-1) mod m, t(n) mod m),
+g = gcd(m, t(n-1), t(n)).  The gcd lemma: g divides every later count, and
+(n + m/g) t(n-1) = n t(n-1) mod m, so the reduced state fixes the next one
+and g(n) divides g(n+1); g is then constant on the reduced cycle, whose
+length c' is a multiple of m/g.  Every state repeat is a reduced repeat, and
+from a reduced repeat on the pairs recur after every multiple of c', so the
+state cycle is C = lcm(m, c'), and the state's first repeat ``first`` is
+the reduced state's: the smallest n whose pair recurs c' later with
+m/g(n) dividing c'.  For odd m, g stays 1 and nothing changes; for m =
+2**k * ell, g is a multiple of 2**k past the preperiod, and c' is about ell.
+The reduced repeat is found without a table of states, by a variant of
+Brent's cycle detection (Brent, BIT 20, 1980).  Checkpoints sit at n = 1,
+2, 4, ...; a checkpoint c can only recur a multiple of m/g(c) steps later,
+so one below m/g(c) is compared with the state m/g(c) steps ahead only, and
+one at or past it with the states m/g(c), 2m/g(c), ... up to c steps ahead.
+A checkpoint whose g is below the g of the newest stepped pair is not on
+the cycle, and its round gives up.  A round whose checkpoint lies on the
+cycle and that looks at least c' ahead finds it, and the first hit is c'
+itself.  The values are kept in an array of machine words, cut or extended
+to exactly the window a scan of the full state certifies: the preperiod
+bound plus two state cycles, first + 2C + 1 values.  Its length is the
+report's ``window_checked``, and ``_certify`` is handed the same values,
+bound and multiple, so the report stays the same byte for byte.  Only the
+values up to the hit are stepped; the pairs recur c' apart from ``first``
+on, so the rest of the window is copied from the array in blocks of a few
+thousand words, each from a whole number of reduced cycles earlier.  The
+scan is inconclusive exactly when more than the state cap of distinct
+states precede the first repeat (first + C - 1 of them).
+
+For the odd factors mod 2**s, read from
 :func:`involution_lab.twoadic.odd_factor_residues`, the bound is 0 and the
 multiple is the proven period (see ``odd_factor_period``).
 
@@ -44,9 +56,10 @@ from __future__ import annotations
 
 from array import array
 from itertools import islice
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .algebra import require_at_least, require_positive, val2
+from .algebra import odd_part, require_at_least, require_positive, val2
 from .errors import InconclusiveError, VerificationError
 from .sequences import removal_residues
 from .twoadic import STEP_CAP, _refuse_window, _residue_array, odd_factor_residues
@@ -167,28 +180,43 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     minimization and witnesses then work on the window of 2 * again - first
     + 1 values.
 
-    The repeat is found by Brent's cycle detection with checkpoints at
-    n = 1, 2, 4, ...  The cycle length is a multiple of m, so the hare is
-    compared with the checkpoint only every m steps: once, m steps ahead,
-    for a checkpoint below m, and up to the checkpoint's own distance ahead
-    from m on.  A hit at checkpoint c puts c on the cycle, and the first
-    hit in a round is the cycle length; ``first`` is then the smallest n
-    whose state recurs one cycle later, read from the recorded values.
-    Every value the hare steps into is kept in an array of machine words
-    (all are below m), which is then cut or extended to the window.  The
-    extension is not stepped: the state at ``again`` is the state at
-    ``first``, so values[n] = values[n - cycle] for n >= again, and those
-    values are copied from the array in blocks of ``_COPY_BLOCK`` words, so
-    that no copy of a whole cycle is ever held.  Memory is the window in
+    The repeat is read off the reduced state (n mod m/g, t(n-1) mod m, t(n)
+    mod m), g = gcd(m, t(n-1), t(n)), which fixes the next one: g divides
+    t(n+1), and m/g times t(n-1) is 0 mod m, so t(n+1) depends on n only
+    mod m/g.  So g(n) divides g(n+1), g is constant on the reduced cycle,
+    and its length c' is a multiple of m/g there.  Every state repeat is a
+    reduced repeat, and the pairs recur after every multiple of c' from a
+    reduced repeat on, so the state cycle is C = lcm(m, c') and ``first`` is
+    the reduced first repeat: the smallest n whose pair recurs c' later with
+    m/g(n) dividing c'.  Then again = first + C.
+
+    The reduced repeat is found by Brent's cycle detection with checkpoints
+    at n = 1, 2, 4, ...  A checkpoint c is compared with the hare only every
+    m/g(c) steps: once, m/g(c) steps ahead, below that distance, and up to
+    its own distance ahead from there on.  A hit at checkpoint c puts c on
+    the cycle, and the first hit in a round is c'.  A round gives up on a
+    checkpoint whose g is below the g of the newest stepped pair, which is
+    read once a stepped block; the blocks double from the odd part of m
+    plus two, which covers an odd modulus's one round.  Every value the
+    hare steps into is kept in an array of machine words (all are below m).
+
+    The window is the one a scan of the full state certifies, and
+    ``_certify`` gets the same values, bound first - 1 and multiple C, so
+    the report is the same.  Its tail is not stepped: the pairs recur c'
+    apart from ``first`` on, so values[n] = values[n - c'] for n >= first -
+    1 + c', and those values are copied from the array in blocks of at most
+    ``_COPY_BLOCK`` words, each from a whole number of reduced cycles back,
+    so that no copy of a whole cycle is ever held.  Memory is the window in
     words, and no state table is kept.
 
     The scan is inconclusive, and raises, exactly when more than
     ``state_cap`` distinct states precede the first repeat (again - 1 >
-    state_cap).  A modulus above the cap raises at once, since the cycle
-    holds at least m states.  Otherwise, if again - 1 <= cap then both first
-    and the cycle length are at most cap, so the round at the first
-    checkpoint of at least cap, with the hare going at most cap steps ahead,
-    finds the cycle; a miss there raises.
+    state_cap), which is checked before the window is copied.  A modulus
+    above the cap raises at once, since the state cycle holds at least m
+    states.  Otherwise, if again - 1 <= cap then both first and c' are at
+    most cap, so the round at the first checkpoint of at least cap, with the
+    hare going at most cap steps ahead, finds the reduced cycle; a miss
+    there raises.
     """
     require_positive(m, "modulus")
     inconclusive = InconclusiveError(
@@ -198,33 +226,50 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
         raise inconclusive
     values = _residue_array(m)
     stream = removal_residues(m)
+    block = odd_part(m) + 2
+    values.extend(islice(stream, block))
+    newest = gcd(m, values[-2], values[-1])  # g of the newest stepped pair
     checkpoint, cycle = 1, 0
     while not cycle:
-        for j in range(m, max(min(checkpoint, state_cap), m) + 1, m):
+        if len(values) <= checkpoint:
+            values.extend(islice(stream, checkpoint + 1 - len(values)))
+            newest = gcd(m, values[-2], values[-1])
+        g = gcd(m, values[checkpoint - 1], values[checkpoint])
+        step = m // g
+        for j in range(step, max(min(checkpoint, state_cap), step) + 1, step):
             hare = checkpoint + j
-            values.extend(islice(stream, hare + 1 - len(values)))
+            while g >= newest and len(values) <= hare:
+                block *= 2
+                values.extend(islice(stream, min(block, hare + 1 - len(values))))
+                newest = gcd(m, values[-2], values[-1])
+            if g < newest:
+                break
             if (values[hare] == values[checkpoint]
                     and values[hare - 1] == values[checkpoint - 1]):
                 cycle = j
                 break
-        else:
+        if not cycle:
             if checkpoint >= state_cap:
                 raise inconclusive
             checkpoint *= 2
     first = next(
         n for n in range(1, checkpoint + 1)
         if values[n - 1] == values[n - 1 + cycle] and values[n] == values[n + cycle]
+        and cycle % (m // gcd(m, values[n - 1], values[n])) == 0
     )
-    again = first + cycle
+    state_cycle = lcm(m, cycle)
+    again = first + state_cycle
     if again - 1 > state_cap:
         raise inconclusive
     window = 2 * again - first + 1
-    # At most one cycle is missing, and every source index is below the
-    # values already stepped.
-    for start in range(len(values), window, _COPY_BLOCK):
-        values.extend(values[start - cycle:min(start + _COPY_BLOCK, window) - cycle])
+    while len(values) < window:
+        # Every source index is at least first - 1 and below the values
+        # already held, and it lies a whole number of reduced cycles back.
+        start = len(values)
+        back = (start - first + 1) // cycle * cycle
+        values.extend(values[start - back:start - back + min(back, _COPY_BLOCK, window - start)])
     del values[window:]
-    return _certify(values, m, first - 1, cycle)
+    return _certify(values, m, first - 1, state_cycle)
 
 
 def mod_period_law(m: int) -> tuple[int, int]:

@@ -78,7 +78,16 @@ def _at(n: int, stream: Callable[..., Iterator], *args):
 
 
 def stepped(step: Callable, window: int) -> Iterator:
-    """The step's values from n = 0 on, holding only the last ``window``."""
+    """The step's values from n = 0 on, holding only the last ``window``.  A
+    step made by ``removal_step`` or ``graph_step`` carries its ``reach``,
+    how far back it reads; a smaller window raises ValueError at the call."""
+    reach = getattr(step, "reach", 0)
+    if window < reach:
+        raise ValueError(f"a window of {window} values is below the step's reach of {reach}")
+    return _stepped(step, window)
+
+
+def _stepped(step: Callable, window: int) -> Iterator:
     values: dict = {}
     for n in count():
         values[n] = value = step(n, values)
@@ -89,12 +98,14 @@ def stepped(step: Callable, window: int) -> Iterator:
 def removal_step(one, x, y, p: int = 2) -> Callable[[int, list], object]:
     """The step of u(n) = x u(n-1) + (n-1)...(n-p+1) y u(n-p), u(0) = one, in
     any ring holding one, x and y: remove the largest letter, a fixed point
-    (weight x) or on a p-cycle with p - 1 of the n - 1 others (weight y)."""
+    (weight x) or on a p-cycle with p - 1 of the n - 1 others (weight y).
+    It reads back as far as u(n-p): its reach is p."""
     def step(n: int, values: list):
         if n < p:
             return x * values[n - 1] if n else one
         return x * values[n - 1] + math.perm(n - 1, p - 1) * y * values[n - p]
 
+    step.reach = p
     return step
 
 
@@ -196,7 +207,8 @@ def involution_poly(n: int) -> BivariatePoly:
 
 def graph_step(one, x, y, half) -> Callable[[int, list], object]:
     """The step of the weight sum over the doubled-edge-free graphs, in any
-    ring holding one, x, y and half = (x**2 + y)/2."""
+    ring holding one, x, y and half = (x**2 + y)/2.  It reads back as far as
+    n - 8: its reach is 8."""
     xy = x * y
     yy = y * y
     yyyy = yy * yy
@@ -215,6 +227,7 @@ def graph_step(one, x, y, half) -> Callable[[int, list], object]:
                 out = out + 3 * math.comb(m - 1, 3) * yyyy * values[n - 8]
         return out
 
+    step.reach = 8
     return step
 
 

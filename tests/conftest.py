@@ -43,6 +43,7 @@ class FreshRun(NamedTuple):
     code: int
     sha256: str  # of stdout
     stdout: bytes  # empty unless kept
+    stderr: bytes
     seconds: float  # wall time
     peak_kb: int
     cpu_seconds: float
@@ -52,7 +53,7 @@ def fresh_run(*argv: str, keep_stdout: bool = False) -> FreshRun:
     """Run ``python *argv`` (say ``fresh_run(*CLI, "verify")``) in a fresh
     process with the package on its path, and return its exit code, the
     sha256 of its stdout (and the stdout itself when ``keep_stdout``), its
-    wall seconds, peak KB and CPU seconds."""
+    stderr, its wall seconds, peak KB and CPU seconds."""
     proc = subprocess.run(
         [sys.executable, "-c", _WRAPPER, "keep" if keep_stdout else "hash", *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -62,8 +63,8 @@ def fresh_run(*argv: str, keep_stdout: bool = False) -> FreshRun:
     assert proc.returncode == 0, proc.stderr.decode()
     figures, _, stdout = proc.stdout.partition(b"\n")
     code, sha256, seconds, peak_kb, cpu_seconds = figures.split()
-    return FreshRun(int(code), sha256.decode(), stdout, float(seconds), int(peak_kb),
-                    float(cpu_seconds))
+    return FreshRun(int(code), sha256.decode(), stdout, proc.stderr, float(seconds),
+                    int(peak_kb), float(cpu_seconds))
 
 
 def exact_numbers(n_stop: int) -> Iterator[tuple[int, dict[str, int]]]:

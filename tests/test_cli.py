@@ -2,6 +2,7 @@
 code protocol (0 pass, 1 verification failure, 2 usage, 3 inconclusive)."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -573,6 +574,19 @@ def test_residues_past_a_machine_word_exit_3(capsys):
     assert (code, out) == (3, "")
     assert err == ("involution-lab: residues mod 18446744073709551617 do not fit in a "
                    "machine word\n")
+
+
+def test_t_mod_ten_million_is_refused_fast():
+    # 10**7 = 2**7 * 5**7: the reduced scan finds its cycle of 78125 states,
+    # and the state cycle, lcm(10**7, 78125) = 10**7 states past the first
+    # repeat, is over the default cap of 10**7.  Stepping the full state
+    # took 1.2 s and 52 MB to say so.
+    run = fresh_run(*CLI, "period", "--t-mod", "10000000")
+    assert (run.code, run.sha256) == (3, hashlib.sha256(b"").hexdigest())
+    assert run.stderr == (b"involution-lab: no state repetition within 10000000 steps "
+                          b"for modulus 10000000\n")
+    assert run.seconds < 1
+    assert run.peak_kb < 30 * 1024
 
 
 def _readme_default(default) -> str:

@@ -5,14 +5,15 @@ congruence lemmas behind the odd-factor period."""
 
 import tracemalloc
 from array import array
-from itertools import islice
+from itertools import count, islice
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from involution_lab import periodicity
-from involution_lab.algebra import odd_part
+from involution_lab.algebra import odd_part, val2
 from involution_lab.errors import InconclusiveError, ResourceLimitError, VerificationError
 from involution_lab.periodicity import (
     _divisors,
@@ -70,6 +71,16 @@ def table_mod_period(m, cap=float("inf")):
     return reference_report(values, m, lam, mu), again
 
 
+# The moduli of the benchmark's tmod bands: the first eight primes above
+# 10**6, and 2**k * ell with ell the least prime at or above 10**6 / 2**k.
+BAND_MODULI = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121,
+               1000028, 1000024, 1000016, 1000096, 1000256, 1000576, 1000192, 1000448)
+
+# Every m = 2**k * ell <= 5000 with k >= 3, in ten slices of 500: the scan
+# steps about ell residues there, the table about m.
+HIGH_TWO_POWER_SLICES = [range(low + 8, low + 501, 8) for low in range(0, 5000, 500)]
+
+
 class TestModularScan:
     def test_matches_exact_reduction(self):
         for m in (2, 3, 16, 99, 512):
@@ -98,6 +109,11 @@ class TestCycleDetector:
         for m in range(1, 301):
             assert involution_mod_period(m).to_json_obj() == table_mod_period(m)[0], m
 
+    @pytest.mark.parametrize("moduli", HIGH_TWO_POWER_SLICES, ids=lambda r: f"m{r.start}")
+    def test_matches_state_table_at_high_powers_of_two(self, moduli):
+        for m in moduli:
+            assert involution_mod_period(m).to_json_obj() == table_mod_period(m)[0], m
+
     def test_cap_boundary(self):
         # The cap counts the distinct states before the first repeat, and
         # again - 1 of them come first, so every smaller cap is inconclusive.
@@ -107,6 +123,17 @@ class TestCycleDetector:
             with pytest.raises(InconclusiveError, match="no state repetition"):
                 table_mod_period(m, cap=again - 2)
             for cap in range(again - 1):
+                with pytest.raises(InconclusiveError, match="no state repetition"):
+                    involution_mod_period(m, state_cap=cap)
+
+    @pytest.mark.parametrize("moduli", HIGH_TWO_POWER_SLICES, ids=lambda r: f"m{r.start}")
+    def test_cap_boundary_at_high_powers_of_two(self, moduli):
+        # Every cap below m is refused before a step (test_cap_boundary);
+        # from m - 1 on, each cap below again - 1 is refused too.
+        for m in moduli:
+            _, _, again = table_first_repeat(m)
+            assert involution_mod_period(m, state_cap=again - 1) == involution_mod_period(m)
+            for cap in range(m - 1, again - 1):
                 with pytest.raises(InconclusiveError, match="no state repetition"):
                     involution_mod_period(m, state_cap=cap)
 
@@ -145,6 +172,18 @@ class TestCycleDetector:
         window_bytes = report.window_checked * array("I").itemsize
         assert peak <= window_bytes + 256 * 2**10
 
+    def test_peak_memory_of_an_even_modulus_is_its_window(self):
+        # 100004 = 4 * 25001: about 25,000 residues are stepped and the rest
+        # of the 200,000-word window is copied in blocks.
+        tracemalloc.start()
+        try:
+            report = involution_mod_period(100_004)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.preperiod, report.period) == (6, 25_001)
+        assert peak <= report.window_checked * array("I").itemsize + 256 * 2**10
+
     def test_steps_one_cycle_past_the_first_checkpoint(self, monkeypatch):
         # Only the residues up to the hit are drawn; the rest of the window
         # is copied.  Stepping two whole cycles drew 2m + 2 at m = 100003.
@@ -163,6 +202,27 @@ class TestCycleDetector:
             _, first, again = table_first_repeat(m)
             involution_mod_period(m)
             assert drawn[0] <= 2 * first + (again - first) + 1, m
+
+    @pytest.mark.parametrize("moduli", [
+        *(range(low + 1, low + 501) for low in range(0, 3000, 500)),
+        *((m,) for m in BAND_MODULI[:8]), BAND_MODULI[8:],
+    ], ids=lambda moduli: f"m{moduli[0]}")
+    def test_draws_about_the_odd_part_of_m(self, monkeypatch, moduli):
+        # The reduced scan's cycle is about the odd part ell of m, so it draws
+        # at most the preperiod twice plus two of those cycles; the scan of
+        # the full state drew about m + first.  The draws are counted in C:
+        # zip pulls one number from its counter for each residue.
+        counters = []
+
+        def counted(m):
+            counters.append(count())
+            return map(itemgetter(1), zip(counters[-1], removal_residues(m)))
+
+        monkeypatch.setattr(periodicity, "removal_residues", counted)
+        for m in moduli:
+            report = involution_mod_period(m)
+            bound = 2 * (report.preperiod + 1) + 2 * (m >> val2(m)) + 16
+            assert next(counters[-1]) <= bound, m
 
     def test_certified_window_is_the_stepped_one(self, monkeypatch):
         # The copied tail is exactly what stepping on would have drawn.

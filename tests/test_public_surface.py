@@ -276,8 +276,9 @@ def test_bad_arguments_are_refused_at_the_call(call, message):
     ("must be nonnegative", "algebra.py"), ("must be positive", "algebra.py"),
     ("must be prime", "algebra.py"), ("unknown kind", "algebra.py"),
     ("must be 1 or -1", "algebra.py"),
-    # One reader, so the rule is stated in its loop.
+    # One reader each, so the rule is stated where it is read.
     ("is not a permutation of", "enumeration.py"),
+    ("below the step's reach", "sequences.py"),
 ])
 def test_each_rule_message_has_one_source(text, source):
     # The library's input rules are stated by the guards in ``algebra``; the

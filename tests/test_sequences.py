@@ -5,13 +5,14 @@ misprinted reference cells pinned to their recurrence-confirmed values).
 
 import math
 import threading
+from decimal import Decimal
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involution_lab import checks, periodicity, sequences
+from involution_lab import checks, cli, periodicity, sequences
 from involution_lab.algebra import BivariatePoly, val2
 from involution_lab.errors import ExactnessError
 from involution_lab.enumeration import graph_weight_sum_bruteforce, pth_roots
@@ -228,6 +229,35 @@ class TestGenericRecurrences:
         graph = sequences.stepped(int_graph_step(x, y), 8)
         assert list(islice(removal, 60)) == whole_prefix(sequences.removal_step(1, x, y), 60)
         assert list(islice(graph, 60)) == whole_prefix(int_graph_step(x, y), 60)
+
+    @pytest.mark.parametrize("stream, window, reach", [
+        (lambda: sequences.stepped(sequences.removal_step(1, 1, 1), 0), 0, 2),
+        (lambda: sequences.stepped(sequences.graph_step(1, 1, 1, 1), 4), 4, 8),
+        (lambda: sequences.stepped(sequences.removal_step(1, 1, 1, 5), 4), 4, 5),
+        (lambda: sequences.stepped(int_graph_step(1, -1), 7), 7, 8),
+    ])
+    def test_a_window_below_the_reach_is_refused_at_the_call(self, stream, window, reach):
+        # It failed with KeyError: 0 from inside the stream, at the first
+        # value past the window, when the stream was read.
+        with pytest.raises(ValueError, match=f"^a window of {window} values is below "
+                                             f"the step's reach of {reach}$"):
+            stream()
+
+    def test_the_reported_short_windows_raise_before_a_value_is_read(self):
+        with pytest.raises(ValueError, match="window of 0 .* reach of 2"):
+            list(islice(sequences.stepped(sequences.removal_step(1, 1, 1), 0), 4))
+        with pytest.raises(ValueError, match="window of 4 .* reach of 8"):
+            list(islice(sequences.stepped(sequences.graph_step(1, 1, 1, 1), 4), 10))
+
+    def test_every_window_in_use_covers_its_step(self):
+        # Each stream the library and ``seq`` build, read past its window.
+        streams = [pth_root_counts(p) for p in (2, 3, 5, 7)]
+        streams += [involution_polys(), graph_polys(), graph_counts(), graph_counts(-1)]
+        streams += [cli._SEQ_VALUES[kind](Decimal(1), p)
+                    for kind in cli._SEQ_VALUES for p in (2, 3, 7)]
+        for stream in streams:
+            assert len(list(islice(stream, 12))) == 12
+        assert signed_involution_count(12) == whole_prefix(sequences.removal_step(1, 1, -1), 13)[12]
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_stream_holds_only_its_window(self, p):
