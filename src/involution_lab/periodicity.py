@@ -59,7 +59,7 @@ from itertools import islice
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .algebra import odd_part, require_at_least, require_positive, val2
+from .algebra import require_at_least, require_positive, val2
 from .errors import InconclusiveError, VerificationError
 from .sequences import removal_residues
 from .twoadic import STEP_CAP, _refuse_window, _residue_array, odd_factor_residues
@@ -171,6 +171,11 @@ def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> Peri
     )
 
 
+def _no_repeat(m: int, state_cap: int) -> InconclusiveError:
+    # Made only when raised: most scans find their repeat.
+    return InconclusiveError(f"no state repetition within {state_cap} steps for modulus {m}")
+
+
 def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     """Exact minimal preperiod and period of the involution counts mod m.
 
@@ -219,14 +224,11 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     there raises.
     """
     require_positive(m, "modulus")
-    inconclusive = InconclusiveError(
-        f"no state repetition within {state_cap} steps for modulus {m}"
-    )
     if m > state_cap:
-        raise inconclusive
+        raise _no_repeat(m, state_cap)
     values = _residue_array(m)
     stream = removal_residues(m)
-    block = odd_part(m) + 2
+    block = m // (m & -m) + 2  # the odd part of m, plus two
     values.extend(islice(stream, block))
     newest = gcd(m, values[-2], values[-1])  # g of the newest stepped pair
     checkpoint, cycle = 1, 0
@@ -243,14 +245,14 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
                 values.extend(islice(stream, min(block, hare + 1 - len(values))))
                 newest = gcd(m, values[-2], values[-1])
             if g < newest:
-                break
+                break  # g grows along the orbit, so this checkpoint is off the cycle
             if (values[hare] == values[checkpoint]
                     and values[hare - 1] == values[checkpoint - 1]):
                 cycle = j
                 break
         if not cycle:
             if checkpoint >= state_cap:
-                raise inconclusive
+                raise _no_repeat(m, state_cap)
             checkpoint *= 2
     first = next(
         n for n in range(1, checkpoint + 1)
@@ -260,7 +262,7 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     state_cycle = lcm(m, cycle)
     again = first + state_cycle
     if again - 1 > state_cap:
-        raise inconclusive
+        raise _no_repeat(m, state_cap)
     window = 2 * again - first + 1
     while len(values) < window:
         # Every source index is at least first - 1 and below the values

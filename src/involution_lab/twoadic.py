@@ -102,10 +102,14 @@ def column_number(kind: str, n: int, t, s):
     return number
 
 
+# (number of values a word holds, typecode) for the machine words, narrowest first.
+_WORDS = tuple((1 << 8 * array(typecode).itemsize, typecode) for typecode in "BHIQ")
+
+
 def _residue_array(m: int) -> array:
     """An empty array of the narrowest machine word that holds 0..m-1."""
-    for typecode in "BHIQ":
-        if m <= 1 << (8 * array(typecode).itemsize):
+    for values, typecode in _WORDS:
+        if m <= values:
             return array(typecode)
     raise ResourceLimitError(f"residues mod {m} do not fit in a machine word")
 
