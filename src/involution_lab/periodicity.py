@@ -74,7 +74,8 @@ __all__ = [
 ]
 
 
-# Words per block when the window's tail is copied from one cycle earlier.
+# Most words per block when the window's tail is copied from whole reduced
+# cycles earlier.
 _COPY_BLOCK = 4096
 
 
