@@ -208,9 +208,14 @@ def _lemma65(s_max: int, n_max: int) -> Iterator[str]:
 
 def _mod_period(first: int, m_max: int) -> Iterator[str]:
     """The counts mod m, for m = first, first + 2, ... up to m_max, follow
-    periodicity.mod_period_law: odd m from first = 1, even m from 2."""
+    periodicity.mod_period_law: odd m from first = 1, even m from 2.  A
+    report whose certificate fails turns the row red with m named."""
     for m in range(first, m_max + 1, 2):
-        report = periodicity.involution_mod_period(m)
+        try:
+            report = periodicity.involution_mod_period(m)
+        except VerificationError as exc:
+            yield f"m={m}: {exc}"
+            continue
         law = periodicity.mod_period_law(m)
         if (report.preperiod, report.period) != law:
             yield (f"m={m}: preperiod {report.preperiod}, period {report.period}; "

@@ -8,7 +8,12 @@ multiple, so only its divisors are tried, each across one stretch of the
 multiple from lam_bound, and the first that holds is the period.  The
 preperiod is then scanned backwards from lam_bound, the period is re-checked
 across the whole window, and every proper divisor of it is rejected with a
-concrete counterexample index.
+concrete counterexample index.  Only a prefix of the window need be held,
+at least lam_bound + multiple + 2 values; a read past the held values wraps
+one multiple back, v[n] = v[n - multiple], which is what the tail's
+repetition says.  The pairs (v[i], v[i + d]) a range compares then repeat
+every multiple from the end of the held values, so a range is cut there and
+its rest compared once, one multiple back: at most two slice compares.
 
 For the counts mod m the bound and the multiple come from the deterministic
 finite state (n mod m, t(n-1) mod m, t(n) mod m), whose values are read
@@ -23,8 +28,8 @@ length c' is a multiple of m/g.  Every state repeat is a reduced repeat, and
 from a reduced repeat on the pairs recur after every multiple of c', so the
 state cycle is C = lcm(m, c'), and the state's first repeat ``first`` is
 the reduced state's: the smallest n whose pair recurs c' later with
-m/g(n) dividing c'.  For odd m, g stays 1 and nothing changes; for m =
-2**k * ell, g is a multiple of 2**k past the preperiod, and c' is about ell.
+m/g(n) dividing c'.  For odd m, g stays 1 and c' = m; for m = 2**k * ell,
+g is a multiple of 2**k past the preperiod, and c' is about ell.
 The reduced repeat is found without a table of states, by a variant of
 Brent's cycle detection (Brent, BIT 20, 1980).  Checkpoints sit at n = 1,
 2, 4, ...; a checkpoint c can only recur a multiple of m/g(c) steps later,
@@ -33,16 +38,15 @@ one at or past it with the states m/g(c), 2m/g(c), ... up to c steps ahead.
 A checkpoint whose g is below the g of the newest stepped pair is not on
 the cycle, and its round gives up.  A round whose checkpoint lies on the
 cycle and that looks at least c' ahead finds it, and the first hit is c'
-itself.  The values are kept in an array of machine words, cut or extended
-to exactly the window a scan of the full state certifies: the preperiod
-bound plus two state cycles, first + 2C + 1 values.  Its length is the
-report's ``window_checked``, and ``_certify`` is handed the same values,
-bound and multiple, so the report stays the same byte for byte.  Only the
-values up to the hit are stepped; the pairs recur c' apart from ``first``
-on, so the rest of the window is copied from the array in blocks of a few
-thousand words, each from a whole number of reduced cycles earlier.  The
-scan is inconclusive exactly when more than the state cap of distinct
-states precede the first repeat (first + C - 1 of them).
+itself.  Every stepped value is held, in an array of machine words, and
+certified with bound first - 1 and multiple c': by the lemma, the values
+from first - 1 on repeat every c', and they are held through the hit, for
+at least first + c' + 1 values.  The report's ``window_checked`` is the
+window a scan of the full state certifies, the preperiod bound plus two
+state cycles, first + 2C + 1 values: it is computed, not held, and the
+report is the same byte for byte.  The scan is inconclusive exactly when
+more than the state cap of distinct states precede the first repeat
+(first + C - 1 of them).
 
 For the odd factors mod 2**s, read from
 :func:`involution_lab.twoadic.odd_factor_residues`, the bound is 0 and the
@@ -72,11 +76,6 @@ __all__ = [
     "odd_factor_shift_congruence",
     "odd_factor_period",
 ]
-
-
-# Most words per block when the window's tail is copied from whole reduced
-# cycles earlier.
-_COPY_BLOCK = 4096
 
 
 class PeriodReport(NamedTuple):
@@ -125,48 +124,62 @@ def _divisors(d: int) -> list[int]:
     return small + large[::-1]
 
 
-def _first_mismatch(values: Sequence[int], d: int, start: int, stop: int) -> int | None:
-    """Smallest i in [start, stop) with values[i] != values[i + d], or None.
+def _first_mismatch(values: Sequence[int], d: int, start: int, stop: int,
+                    wrap: int) -> int | None:
+    """Smallest i in [start, stop) with v[i] != v[i + d], or None, where v
+    reads the values past their end one wrap back (d <= wrap <= len(values) - start).
 
-    The two slices are compared in C first (a memoryview slices without
-    copying), so only a range that fails is scanned index by index.
+    The range is cut where i + d leaves the values, and the rest up to their
+    end is compared one wrap back, which at d = wrap is no compare; the pairs
+    past it repeat those.  Each part is compared in C first (a memoryview
+    slices without copying), and only one that fails is scanned by index.
     """
-    if stop <= start or values[start:stop] == values[start + d:stop + d]:
-        return None
-    return next(i for i in range(start, stop) if values[i] != values[i + d])
+    held = len(values)
+    cut = min(stop, held - d)
+    if start < cut and values[start:cut] != values[start + d:cut + d]:
+        return next(i for i in range(start, cut) if values[i] != values[i + d])
+    lo, hi, back = max(start, cut), min(stop, held), d - wrap
+    if back and lo < hi and values[lo:hi] != values[lo + back:hi + back]:
+        return next(i for i in range(lo, hi) if values[i] != values[i + back])
+    return None
 
 
-def _finalize(values: Sequence[int], modulus: int, lam: int, d: int) -> PeriodReport:
+def _finalize(values: Sequence[int], modulus: int, lam: int, d: int, window: int,
+              wrap: int) -> PeriodReport:
     """Shrink the preperiod, re-verify periodicity across the window, and
     collect the minimality witnesses."""
-    w = len(values)
     while lam > 0 and values[lam - 1] == values[lam - 1 + d]:
         lam -= 1
-    i = _first_mismatch(values, d, lam, w - d)
+    i = _first_mismatch(values, d, lam, window - d, wrap)
     if i is not None:
         raise VerificationError(
             f"internal: period {d} fails at index {i} inside the window"
         )
+    # The window is d-periodic from lam and dd divides d, so dd fails in it
+    # exactly when it fails within [lam, lam + d - dd): no read wraps.
     rejected = []
     for dd in _divisors(d)[:-1]:
-        i = _first_mismatch(values, dd, lam, w - dd)
+        i = _first_mismatch(values, dd, lam, lam + d - dd, wrap)
         if i is None:
             raise VerificationError(
                 f"internal: divisor {dd} of {d} has no counterexample in window"
             )
         rejected.append((dd, i))
-    return PeriodReport(modulus, lam, d, w, tuple(rejected))
+    return PeriodReport(modulus, lam, d, window, tuple(rejected))
 
 
-def _certify(values: array, modulus: int, lam_bound: int, multiple: int) -> PeriodReport:
-    """Report on a window of at least lam_bound + 2 * multiple values whose
-    tail from lam_bound repeats with period ``multiple``: the smallest
-    divisor of it that holds across one stretch of ``multiple`` values from
-    lam_bound is the period, and _finalize does the rest."""
+def _certify(values: array, modulus: int, lam_bound: int, multiple: int,
+             window: int) -> PeriodReport:
+    """Report on a window of ``window`` values, at least lam_bound + 2 *
+    multiple, whose tail from lam_bound repeats with period ``multiple``:
+    the smallest divisor of it that holds across one stretch of
+    ``multiple`` values from lam_bound is the period, and _finalize does
+    the rest.  At least lam_bound + multiple + 2 of the values are held,
+    and a read past them wraps one multiple back."""
     with memoryview(values) as view:
         for d in _divisors(multiple):
-            if _first_mismatch(view, d, lam_bound, lam_bound + multiple) is None:
-                return _finalize(view, modulus, lam_bound, d)
+            if _first_mismatch(view, d, lam_bound, lam_bound + multiple, multiple) is None:
+                return _finalize(view, modulus, lam_bound, d, window, multiple)
     raise VerificationError(
         f"{multiple} is not a period of the values mod {modulus} from index {lam_bound}"
     )
@@ -182,19 +195,11 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
 
     The driving state at n is (n mod m, t(n-1) mod m, t(n) mod m).  Its first
     repeat, state ``first`` seen again at ``again``, bounds the preperiod by
-    first - 1 and gives the multiple again - first of the period;
-    minimization and witnesses then work on the window of 2 * again - first
-    + 1 values.
-
-    The repeat is read off the reduced state (n mod m/g, t(n-1) mod m, t(n)
-    mod m), g = gcd(m, t(n-1), t(n)), which fixes the next one: g divides
-    t(n+1), and m/g times t(n-1) is 0 mod m, so t(n+1) depends on n only
-    mod m/g.  So g(n) divides g(n+1), g is constant on the reduced cycle,
-    and its length c' is a multiple of m/g there.  Every state repeat is a
-    reduced repeat, and the pairs recur after every multiple of c' from a
-    reduced repeat on, so the state cycle is C = lcm(m, c') and ``first`` is
-    the reduced first repeat: the smallest n whose pair recurs c' later with
-    m/g(n) dividing c'.  Then again = first + C.
+    first - 1, and its cycle C = again - first is a multiple of the period.
+    Both are read off the cycle c' of the reduced state (n mod m/g, t(n-1)
+    mod m, t(n) mod m), g = gcd(m, t(n-1), t(n)), by the gcd lemma in the
+    module docstring: C = lcm(m, c'), and ``first`` is the smallest n whose
+    pair recurs c' later with m/g(n) dividing c'.
 
     The reduced repeat is found by Brent's cycle detection with checkpoints
     at n = 1, 2, 4, ...  A checkpoint c is compared with the hare only every
@@ -206,18 +211,16 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     plus two, which covers an odd modulus's one round.  Every value the
     hare steps into is kept in an array of machine words (all are below m).
 
-    The window is the one a scan of the full state certifies, and
-    ``_certify`` gets the same values, bound first - 1 and multiple C, so
-    the report is the same.  Its tail is not stepped: the pairs recur c'
-    apart from ``first`` on, so values[n] = values[n - c'] for n >= first -
-    1 + c', and those values are copied from the array in blocks of at most
-    ``_COPY_BLOCK`` words, each from a whole number of reduced cycles back,
-    so that no copy of a whole cycle is ever held.  Memory is the window in
-    words, and no state table is kept.
+    Every stepped value, at least those through the hit, is held and
+    certified, with bound first - 1 and multiple c' (by the gcd lemma in the
+    module docstring).  ``window_checked`` is the full state's window, first
+    + 2C + 1, computed and not held, so the report is the one a scan of the
+    full state gives.  Memory is the stepped values in words, and no state
+    table is kept.
 
     The scan is inconclusive, and raises, exactly when more than
     ``state_cap`` distinct states precede the first repeat (again - 1 >
-    state_cap), which is checked before the window is copied.  A modulus
+    state_cap), which is checked before anything is certified.  A modulus
     above the cap raises at once, since the state cycle holds at least m
     states.  Otherwise, if again - 1 <= cap then both first and c' are at
     most cap, so the round at the first checkpoint of at least cap, with the
@@ -264,15 +267,7 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     again = first + state_cycle
     if again - 1 > state_cap:
         raise _no_repeat(m, state_cap)
-    window = 2 * again - first + 1
-    while len(values) < window:
-        # Every source index is at least first - 1 and below the values
-        # already held, and it lies a whole number of reduced cycles back.
-        start = len(values)
-        back = (start - first + 1) // cycle * cycle
-        values.extend(values[start - back:start - back + min(back, _COPY_BLOCK, window - start)])
-    del values[window:]
-    return _certify(values, m, first - 1, state_cycle)
+    return _certify(values, m, first - 1, cycle, again + state_cycle + 1)
 
 
 def mod_period_law(m: int) -> tuple[int, int]:
@@ -319,7 +314,7 @@ def odd_factor_period(s: int) -> PeriodReport:
     require_positive(s, "s")
     multiple = 1 << (max(s, 3) + 1)
     values = odd_factor_residues(s, 3 << (s + 1 if s >= 3 else s + 3))
-    report = _certify(values, 1 << s, 0, multiple)
+    report = _certify(values, 1 << s, 0, multiple, len(values))
     if s >= 3 and (report.preperiod, report.period) != (0, multiple):
         raise VerificationError(
             f"odd factors mod 2**{s}: expected pure period {multiple}, found "

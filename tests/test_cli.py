@@ -589,6 +589,17 @@ def test_t_mod_ten_million_is_refused_fast():
     assert run.peak_kb < 30 * 1024
 
 
+def test_t_mod_a_power_of_two_stays_small():
+    # 2**23 draws 130 residues; its full state's window of
+    # 16,777,308 values is reported, not held.  Copying that window took
+    # 78 MB.
+    run = fresh_run(*CLI, "period", "--t-mod", "8388608", keep_stdout=True)
+    assert run.code == 0
+    assert run.stdout == b"modulus,preperiod,period,window_checked\n8388608,90,1,16777308\n"
+    assert run.seconds < 1
+    assert run.peak_kb < 30 * 1024
+
+
 def _readme_default(default) -> str:
     if callable(default):  # lemma21's --n-max default depends on --p
         by_p = "; ".join(f"p={p}: {default({'p': p})}" for p in (2, 3, 5))

@@ -2,7 +2,9 @@
 
 Each gate command is replayed in-process; its exit code and the sha256 of
 its stdout must equal the recorded values in ``tests/data/cli_golden.json``.
-A refactor that changes any printed byte fails here.
+A refactor that changes any printed byte fails here.  The benchmark's
+t mod m jobs are replayed the same way against ``bench/golden.json``, which
+is only read here.
 
 The record is rewritten (only when an output change is intended) with
 
@@ -15,13 +17,22 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from involution_lab.cli import _SEQ_VALUES, main
+from test_periodicity import BAND_MODULI
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
+
+# The benchmark's jobs that scan t mod m: no gate command reaches their
+# moduli, so only the benchmark would see their bytes change.
+BENCH_T_MOD_JOBS = [f"period --t-mod {m}" for m in BAND_MODULI] + [
+    "verify --check thm62 --m-max 999", "verify --check thm63 --m-max 960",
+]
 
 _CHECKS = (
     "coeffs", "cor31", "cor53", "cross", "fibersum", "lemma21", "lemma51",
@@ -91,6 +102,17 @@ def test_gate_covers_every_command():
 def test_output_is_byte_identical(entry, monkeypatch):
     monkeypatch.delenv("INVOLUTION_LAB_CAP", raising=False)
     assert replay(entry["argv"]) == entry
+
+
+@pytest.mark.parametrize("job", BENCH_T_MOD_JOBS)
+def test_benchmark_t_mod_job_is_byte_identical(job, monkeypatch):
+    monkeypatch.delenv("INVOLUTION_LAB_CAP", raising=False)
+    want = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["jobs"][job]
+    start = time.perf_counter()
+    got = replay(job.split())
+    seconds = time.perf_counter() - start
+    assert (got["exit"], got["sha256"]) == (want["exit"], want["sha256"])
+    assert seconds < 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ congruence lemmas behind the odd-factor period."""
 
 import tracemalloc
 from array import array
-from itertools import count, islice
+from itertools import count, islice, product
 from operator import itemgetter
 
 import pytest
@@ -69,6 +69,21 @@ def table_mod_period(m, cap=float("inf")):
         values.append((values[-1] + n * values[-2]) % m)
         n += 1
     return reference_report(values, m, lam, mu), again
+
+
+def count_draws(monkeypatch):
+    """Route the scan's residue stream through a counter, one per scan, and
+    return the list of them: next(counter) is then the number of residues
+    that scan drew.  The draws are counted in C: zip pulls one number from
+    its counter for each residue."""
+    counters = []
+
+    def counted(m):
+        counters.append(count())
+        return map(itemgetter(1), zip(counters[-1], removal_residues(m)))
+
+    monkeypatch.setattr(periodicity, "removal_residues", counted)
+    return counters
 
 
 # The moduli of the benchmark's tmod bands: the first eight primes above
@@ -155,10 +170,25 @@ class TestCycleDetector:
         for d in list(range(1, 400)) + [1024, 3 * 3 * 5 * 5 * 7, 999_983, 1_000_000]:
             assert _divisors(d) == [x for x in range(1, d + 1) if d % x == 0]
 
+    def test_a_read_past_the_held_values_wraps(self):
+        # Against the values read past their end one wrap back, for every
+        # held run of up to five bits, whether it repeats or not.
+        for size in range(1, 6):
+            for held in product((0, 1), repeat=size):
+                for wrap in range(1, size + 1):
+                    v = list(held)
+                    while len(v) < size + 4 * wrap:
+                        v.append(v[-wrap])
+                    for d, start, stop in product(range(1, wrap + 1), range(size - wrap + 1),
+                                                  range(size + 3 * wrap)):
+                        want = next((i for i in range(start, stop) if v[i] != v[i + d]), None)
+                        assert periodicity._first_mismatch(held, d, start, stop, wrap) == want
+
     def test_peak_memory_stays_small(self):
         # Traced allocations only, so nothing earlier in this process counts.
-        # A table of every state peaked at about 25 MiB for m = 100003; the
-        # array of window values peaks at about 0.8 MiB.
+        # A table of every state peaked at about 25 MiB for m = 100003, and
+        # the full state's window of 200,008 words at about 0.8 MiB; the
+        # m + 2 stepped residues are what is held.
         tracemalloc.start()
         try:
             report = involution_mod_period(100_003)
@@ -166,15 +196,12 @@ class TestCycleDetector:
         finally:
             tracemalloc.stop()
         assert (report.preperiod, report.period) == (0, 100_003)
-        assert peak < 4 * 2**20
-        # The tail is copied in blocks: a slice of the whole cycle would
-        # add about 0.4 MiB to the window's 0.76 MiB of words.
-        window_bytes = report.window_checked * array("I").itemsize
-        assert peak <= window_bytes + 256 * 2**10
+        assert peak <= (100_003 + 2) * array("I").itemsize + 256 * 2**10
 
-    def test_peak_memory_of_an_even_modulus_is_its_window(self):
-        # 100004 = 4 * 25001: about 25,000 residues are stepped and the rest
-        # of the 200,000-word window is copied in blocks.
+    def test_peak_memory_of_an_even_modulus_is_its_draws(self, monkeypatch):
+        # 100004 = 4 * 25001: about 25,000 residues are stepped and held; the
+        # 200,000-word window is not.
+        counters = count_draws(monkeypatch)
         tracemalloc.start()
         try:
             report = involution_mod_period(100_004)
@@ -182,26 +209,19 @@ class TestCycleDetector:
         finally:
             tracemalloc.stop()
         assert (report.preperiod, report.period) == (6, 25_001)
-        assert peak <= report.window_checked * array("I").itemsize + 256 * 2**10
+        assert peak <= next(counters[-1]) * array("I").itemsize + 256 * 2**10
 
     def test_steps_one_cycle_past_the_first_checkpoint(self, monkeypatch):
-        # Only the residues up to the hit are drawn; the rest of the window
-        # is copied.  Stepping two whole cycles drew 2m + 2 at m = 100003.
-        drawn = [0]
-
-        def counted(m):
-            for residue in removal_residues(m):
-                drawn[0] += 1
-                yield residue
-
-        monkeypatch.setattr(periodicity, "removal_residues", counted)
+        # Only the residues up to the hit are drawn, and nothing past them is
+        # certified from a copy.  Stepping two whole cycles drew 2m + 2 at
+        # m = 100003.
+        counters = count_draws(monkeypatch)
         involution_mod_period(100_003)
-        assert drawn[0] == 100_003 + 2
+        assert next(counters[-1]) == 100_003 + 2
         for m in range(1, 301):
-            drawn[0] = 0
             _, first, again = table_first_repeat(m)
             involution_mod_period(m)
-            assert drawn[0] <= 2 * first + (again - first) + 1, m
+            assert next(counters[-1]) <= 2 * first + (again - first) + 1, m
 
     @pytest.mark.parametrize("moduli", [
         *(range(low + 1, low + 501) for low in range(0, 3000, 500)),
@@ -210,33 +230,32 @@ class TestCycleDetector:
     def test_draws_about_the_odd_part_of_m(self, monkeypatch, moduli):
         # The reduced scan's cycle is about the odd part ell of m, so it draws
         # at most the preperiod twice plus two of those cycles; the scan of
-        # the full state drew about m + first.  The draws are counted in C:
-        # zip pulls one number from its counter for each residue.
-        counters = []
-
-        def counted(m):
-            counters.append(count())
-            return map(itemgetter(1), zip(counters[-1], removal_residues(m)))
-
-        monkeypatch.setattr(periodicity, "removal_residues", counted)
+        # the full state drew about m + first.
+        counters = count_draws(monkeypatch)
         for m in moduli:
             report = involution_mod_period(m)
             bound = 2 * (report.preperiod + 1) + 2 * (m >> val2(m)) + 16
             assert next(counters[-1]) <= bound, m
 
     def test_certified_window_is_the_stepped_one(self, monkeypatch):
-        # The copied tail is exactly what stepping on would have drawn.
+        # _certify gets the stepped residues, nothing copied: at least first
+        # + c' + 1 of them (lam_bound + multiple + 2), m + 2 for odd m, while
+        # window_checked stays the full state's first + 2C + 1.
         real = periodicity._certify
-        windows = []
+        held = []
 
-        def spied(values, modulus, lam_bound, multiple):
-            windows.append(values.tolist())
-            return real(values, modulus, lam_bound, multiple)
+        def spied(values, modulus, lam_bound, multiple, window):
+            held.append((values.tolist(), lam_bound + multiple + 2))
+            return real(values, modulus, lam_bound, multiple, window)
 
         monkeypatch.setattr(periodicity, "_certify", spied)
         for m in range(1, 301):
             report = involution_mod_period(m)
-            assert windows.pop() == list(islice(removal_residues(m), report.window_checked)), m
+            values, least = held.pop()
+            assert values == list(islice(removal_residues(m), len(values))), m
+            assert len(values) >= least, m
+            assert m % 2 == 0 or len(values) == m + 2, m
+            assert report.window_checked == table_mod_period(m)[0]["window_checked"], m
 
 
 class TestModPeriodLaw:

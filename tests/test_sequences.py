@@ -491,6 +491,23 @@ def test_a_residue_fault_at_n_5_turns_exactly_its_readers_red(monkeypatch):
     _assert_red_rows({"thm62": "m=5:", "thm63": "m=2:", "table1": _TABLE1})
 
 
+@pytest.mark.parametrize("k", range(41))
+def test_a_residue_fault_turns_a_period_row_red_with_m_named(monkeypatch, k):
+    # t(k) mod m plus one in the residue stream that the period scan mod m
+    # reads.  A certificate that fails on it turns its row red with the
+    # modulus named; uncaught, it aborted verify in 25 of these 82 runs.
+    real = sequences.removal_residues
+
+    def planted(m):
+        return ((value + 1) % m if n == k else value for n, value in enumerate(real(m)))
+
+    monkeypatch.setattr(periodicity, "removal_residues", planted)
+    verdicts = [checks.CHECKS[name]({}) for name in ("thm62", "thm63")]
+    assert not all(passed for passed, _ in verdicts)
+    for passed, detail in verdicts:
+        assert passed or detail.startswith("m="), detail
+
+
 class TestOddFactor:
     def test_examples(self):
         assert odd_factor(7) == 29
