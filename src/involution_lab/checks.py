@@ -208,18 +208,35 @@ def _lemma65(s_max: int, n_max: int) -> Iterator[str]:
 
 def _mod_period(first: int, m_max: int) -> Iterator[str]:
     """The counts mod m, for m = first, first + 2, ... up to m_max, follow
-    periodicity.mod_period_law: odd m from first = 1, even m from 2.  A
-    report whose certificate fails turns the row red with m named."""
-    for m in range(first, m_max + 1, 2):
+    periodicity.mod_period_law: odd m from first = 1, even m from 2.  Each m
+    is read from the reports of its prime-power parts, each part scanned
+    once for the row, and the lcm of the parts' minimal periods is minimal,
+    so no composite witness is needed.  A report whose certificate fails
+    turns the row red with m named.  Last, the residue stream the scans read
+    is held to the counts mod the row's largest modulus M for n <= M + 2,
+    which covers every index a scan of the row holds."""
+    moduli = range(first, m_max + 1, 2)
+    reports: dict[int, periodicity.PeriodReport] = {}
+    for m in moduli:
+        parts = periodicity.prime_power_parts(m)
         try:
-            report = periodicity.involution_mod_period(m)
+            for q in parts:
+                if q not in reports:
+                    reports[q] = periodicity.involution_mod_period(q)
         except VerificationError as exc:
             yield f"m={m}: {exc}"
             continue
+        preperiod, period = periodicity.joined_period(reports[q] for q in parts)
         law = periodicity.mod_period_law(m)
-        if (report.preperiod, report.period) != law:
-            yield (f"m={m}: preperiod {report.preperiod}, period {report.period}; "
+        if (preperiod, period) != law:
+            yield (f"m={m}: preperiod {preperiod}, period {period}; "
                    f"the law gives {law[0]}, {law[1]}")
+    top = moduli[-1]
+    for n, residue, count in zip(range(top + 3), periodicity.removal_residues(top),
+                                 sequences.pth_root_counts(2)):
+        if residue != count % top:
+            yield f"m={top}: the residue stream gives {residue} at n={n}, the count is {count % top}"
+            return
 
 
 def _thm66(s_max: int) -> Iterator[str]:
@@ -228,7 +245,7 @@ def _thm66(s_max: int) -> Iterator[str]:
         try:
             periodicity.odd_factor_period(s)
         except VerificationError as exc:
-            yield str(exc)
+            yield f"s={s}: {exc}"
 
 
 def _fiber_sum(n: int, tally: dict) -> Iterator[str]:

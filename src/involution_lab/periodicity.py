@@ -48,6 +48,22 @@ report is the same byte for byte.  The scan is inconclusive exactly when
 more than the state cap of distinct states precede the first repeat
 (first + C - 1 of them).
 
+Only a prime power is scanned; any other m is composed from its prime-power
+parts q, and the composition is exact.  By the Chinese remainder theorem the
+counts mod m are the tuple of the counts mod each q, and so is the state.
+The state mod m recurs between n and n' exactly when every part's does, so
+its first repeat is the largest of the parts' ``first`` and its cycle C the
+lcm of theirs; the window first + 2C + 1 and the refusal rule read those
+two.  The counts mod m repeat with period d from an index exactly when every
+part's do, and an eventually periodic sequence has one preperiod for every
+multiple of its period, so the preperiod is the largest of the parts' and
+the period the lcm of theirs: that lcm is minimal, since each part's minimal
+period divides every period.  The counts mod m differ at i and i + dd
+exactly when some part's do, and a part's do only if its period does not
+divide dd, so a proper divisor dd's witness, the first mismatch from the
+preperiod, is the smallest over those parts; a part's mismatches repeat
+every one of its periods from its preperiod, so each is found within one.
+
 For the odd factors mod 2**s, read from
 :func:`involution_lab.twoadic.odd_factor_residues`, the bound is 0 and the
 multiple is the proven period (see ``odd_factor_period``).
@@ -61,7 +77,7 @@ from __future__ import annotations
 from array import array
 from itertools import islice
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import require_at_least, require_positive, val2
 from .errors import InconclusiveError, VerificationError
@@ -71,10 +87,12 @@ from .twoadic import STEP_CAP, _refuse_window, _residue_array, odd_factor_residu
 __all__ = [
     "PeriodReport",
     "involution_mod_period",
+    "joined_period",
     "mod_period_law",
     "odd_product_congruence",
     "odd_factor_shift_congruence",
     "odd_factor_period",
+    "prime_power_parts",
 ]
 
 
@@ -190,8 +208,10 @@ def _no_repeat(m: int, state_cap: int) -> InconclusiveError:
     return InconclusiveError(f"no state repetition within {state_cap} steps for modulus {m}")
 
 
-def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
-    """Exact minimal preperiod and period of the involution counts mod m.
+def _scan(m: int, state_cap: int) -> tuple[PeriodReport, array, int, int, int]:
+    """The report mod m from a scan of the residues, m <= state_cap, with
+    the certified values, their first repeat ``first``, the reduced cycle c'
+    and the state cycle C.
 
     The driving state at n is (n mod m, t(n-1) mod m, t(n) mod m).  Its first
     repeat, state ``first`` seen again at ``again``, bounds the preperiod by
@@ -220,16 +240,11 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
 
     The scan is inconclusive, and raises, exactly when more than
     ``state_cap`` distinct states precede the first repeat (again - 1 >
-    state_cap), which is checked before anything is certified.  A modulus
-    above the cap raises at once, since the state cycle holds at least m
-    states.  Otherwise, if again - 1 <= cap then both first and c' are at
-    most cap, so the round at the first checkpoint of at least cap, with the
-    hare going at most cap steps ahead, finds the reduced cycle; a miss
-    there raises.
+    state_cap), which is checked before anything is certified.  If again - 1
+    <= cap then both first and c' are at most cap, so the round at the first
+    checkpoint of at least cap, with the hare going at most cap steps ahead,
+    finds the reduced cycle; a miss there raises.
     """
-    require_positive(m, "modulus")
-    if m > state_cap:
-        raise _no_repeat(m, state_cap)
     values = _residue_array(m)
     stream = removal_residues(m)
     block = m // (m & -m) + 2  # the odd part of m, plus two
@@ -267,7 +282,96 @@ def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
     again = first + state_cycle
     if again - 1 > state_cap:
         raise _no_repeat(m, state_cap)
-    return _certify(values, m, first - 1, cycle, again + state_cycle + 1)
+    report = _certify(values, m, first - 1, cycle, again + state_cycle + 1)
+    return report, values, first, cycle, state_cycle
+
+
+def prime_power_parts(m: int) -> tuple[int, ...]:
+    """The prime-power parts of m, by trial division, in ascending order of
+    their primes: (1,) for m = 1.  A modulus below 1 raises ValueError."""
+    require_positive(m, "modulus")
+    parts, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            part = 1
+            while m % p == 0:
+                m //= p
+                part *= p
+            parts.append(part)
+        p += 1 if p == 2 else 2
+    if m > 1 or not parts:
+        parts.append(m)
+    return tuple(parts)
+
+
+def joined_period(parts: Iterable[PeriodReport]) -> tuple[int, int]:
+    """(preperiod, period) of the counts mod m from the reports of m's
+    prime-power parts: the largest of their preperiods and the lcm of their
+    periods (the composition in the module docstring)."""
+    preperiods, periods = zip(*((part.preperiod, part.period) for part in parts))
+    return max(preperiods), lcm(*periods)
+
+
+def _part_mismatch(values: array, report: PeriodReport, cycle: int, shift: int,
+                   start: int) -> int:
+    """Smallest i >= start, start at least the preperiod, with v[i] != v[i +
+    shift] in one part's certified values, whose period does not divide
+    ``shift``.  From the preperiod on, the mismatches repeat every period,
+    so the one period after ``start`` is searched from its place in the
+    period's first stretch: from there to the stretch's end, then from the
+    stretch's start.  Reads past the held values wrap one c' back."""
+    lam, d = report.preperiod, report.period
+    shift %= d
+    mid = lam + (start - lam) % d
+    i = _first_mismatch(values, shift, mid, lam + d, cycle)
+    if i is None:
+        i = _first_mismatch(values, shift, lam, mid, cycle) + d
+    return i + start - mid
+
+
+def involution_mod_period(m: int, *, state_cap: int = STEP_CAP) -> PeriodReport:
+    """Exact minimal preperiod and period of the involution counts mod m.
+
+    A prime power m, and m = 1, is scanned by ``_scan``: the reduced state
+    (n mod m/g, t(n-1) mod m, t(n) mod m), g = gcd(m, t(n-1), t(n)), is
+    stepped to its first repeat by Brent's cycle detection, and the stepped
+    residues are certified.  Any other m is composed from its prime-power
+    parts, each scanned once (the composition in the module docstring): the
+    preperiod is the largest of theirs, the period the lcm, and each
+    proper divisor's witness the smallest part mismatch from the
+    preperiod.  ``window_checked`` is the full state's window, first + 2C +
+    1, for its first repeat ``first`` and state cycle C, so the report is
+    the one a scan of m gives, byte for byte.
+
+    The report is inconclusive, and raises, exactly when more than
+    ``state_cap`` distinct states of m precede the first repeat (first + C -
+    1 > state_cap).  A modulus above the cap raises at once, since the state
+    cycle holds at least m states, and so does one that no machine word
+    holds; a part's scan refuses only if m's does, and then m is named.
+    """
+    require_positive(m, "modulus")
+    if m > state_cap:
+        raise _no_repeat(m, state_cap)
+    _residue_array(m)  # refuses a modulus past a machine word before it is factored
+    parts = prime_power_parts(m)
+    if len(parts) == 1:
+        return _scan(m, state_cap)[0]
+    try:
+        scans = [_scan(q, state_cap) for q in parts]
+    except InconclusiveError:
+        raise _no_repeat(m, state_cap) from None
+    reports, _, firsts, _, state_cycles = zip(*scans)
+    first, state_cycle = max(firsts), lcm(*state_cycles)
+    again = first + state_cycle
+    if again - 1 > state_cap:
+        raise _no_repeat(m, state_cap)
+    lam, d = joined_period(reports)
+    rejected = tuple(
+        (dd, min(_part_mismatch(values, report, cycle, dd, lam)
+                 for report, values, _, cycle, _ in scans if dd % report.period))
+        for dd in _divisors(d)[:-1]
+    )
+    return PeriodReport(m, lam, d, again + state_cycle + 1, rejected)
 
 
 def mod_period_law(m: int) -> tuple[int, int]:

@@ -558,7 +558,23 @@ class TestRedBranches:
         assert checks.CHECKS["lemma65"]({}) == (
             False, "odd factor shift congruence fails at s=3")
         assert checks.CHECKS["thm66"]({}) == (
-            False, "16 is not a period of the values mod 8 from index 0")
+            False, "s=3: 16 is not a period of the values mod 8 from index 0")
+
+    def test_a_thm66_fault_names_its_s(self, monkeypatch):
+        # beta(20) mod 2**5 plus two, at s = 5 only: s = 3 and 4 stay green,
+        # and the red detail names s = 5.
+        real = periodicity.odd_factor_residues
+
+        def planted(s, count):
+            values = real(s, count)
+            if s == 5:
+                values[20] = (values[20] + 2) % (1 << s)
+            return values
+
+        monkeypatch.setattr(periodicity, "odd_factor_residues", planted)
+        passed, detail = checks.CHECKS["thm66"]({})
+        assert not passed
+        assert detail.startswith("s=5: "), detail
 
     def test_coeffs_missing_term(self, monkeypatch):
         real = sequences.involution_polys

@@ -5,23 +5,27 @@ congruence lemmas behind the odd-factor period."""
 
 import tracemalloc
 from array import array
-from itertools import count, islice, product
+from itertools import combinations, count, islice, product
+from math import gcd, prod
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from involution_lab import periodicity
+from involution_lab import checks, periodicity
 from involution_lab.algebra import odd_part, val2
 from involution_lab.errors import InconclusiveError, ResourceLimitError, VerificationError
 from involution_lab.periodicity import (
     _divisors,
+    _scan,
     involution_mod_period,
+    joined_period,
     mod_period_law,
     odd_factor_period,
     odd_factor_shift_congruence,
     odd_product_congruence,
+    prime_power_parts,
 )
 from involution_lab.sequences import involution_count, removal_residues
 from involution_lab.twoadic import STEP_CAP, odd_factor_residues
@@ -238,24 +242,97 @@ class TestCycleDetector:
             assert next(counters[-1]) <= bound, m
 
     def test_certified_window_is_the_stepped_one(self, monkeypatch):
-        # _certify gets the stepped residues, nothing copied: at least first
-        # + c' + 1 of them (lam_bound + multiple + 2), m + 2 for odd m, while
-        # window_checked stays the full state's first + 2C + 1.
+        # _certify gets each prime-power part's stepped residues, nothing
+        # copied: at least first + c' + 1 of them (lam_bound + multiple + 2),
+        # q + 2 for an odd part q, while window_checked stays the full state's
+        # first + 2C + 1 mod m.
         real = periodicity._certify
         held = []
 
         def spied(values, modulus, lam_bound, multiple, window):
-            held.append((values.tolist(), lam_bound + multiple + 2))
+            held.append((modulus, values.tolist(), lam_bound + multiple + 2))
             return real(values, modulus, lam_bound, multiple, window)
 
         monkeypatch.setattr(periodicity, "_certify", spied)
         for m in range(1, 301):
+            held.clear()
             report = involution_mod_period(m)
-            values, least = held.pop()
-            assert values == list(islice(removal_residues(m), len(values))), m
-            assert len(values) >= least, m
-            assert m % 2 == 0 or len(values) == m + 2, m
+            assert [q for q, _, _ in held] == list(prime_power_parts(m)), m
+            for q, values, least in held:
+                assert values == list(islice(removal_residues(q), len(values))), (m, q)
+                assert len(values) >= least, (m, q)
+                assert q % 2 == 0 or len(values) == q + 2, (m, q)
             assert report.window_checked == table_mod_period(m)[0]["window_checked"], m
+
+
+def scan_outcome(call):
+    """The report's JSON object, or the refusal text."""
+    try:
+        return call().to_json_obj()
+    except InconclusiveError as exc:
+        return str(exc)
+
+
+class TestComposition:
+    def test_prime_power_parts(self):
+        assert prime_power_parts(1) == (1,)
+        assert prime_power_parts(999_999) == (27, 7, 11, 13, 37)
+        assert prime_power_parts(1_000_016) == (16, 62_501)
+        for m in range(1, 2001):
+            parts = prime_power_parts(m)
+            assert prod(parts) == m and all(gcd(a, b) == 1 for a, b in combinations(parts, 2))
+            assert all(len(prime_power_parts(q)) == 1 for q in parts), m
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            prime_power_parts(0)
+
+    @pytest.mark.parametrize("moduli", [range(low + 1, low + 501) for low in range(0, 3000, 500)],
+                             ids=lambda moduli: f"m{moduli[0]}")
+    def test_composed_report_is_the_scan_of_m(self, moduli):
+        for m in moduli:
+            assert involution_mod_period(m).to_json_obj() == _scan(m, STEP_CAP)[0].to_json_obj(), m
+
+    @pytest.mark.parametrize("m", BAND_MODULI)
+    def test_composed_report_is_the_scan_of_a_band_modulus(self, m):
+        # The odd band moduli are primes, one part each, and take the scan's
+        # path; each even one joins 2**k and its prime ell.
+        assert involution_mod_period(m).to_json_obj() == _scan(m, STEP_CAP)[0].to_json_obj()
+
+    @pytest.mark.parametrize("moduli", [range(1, 50), range(50, 65), range(65, 80)],
+                             ids=lambda moduli: f"m{moduli[0]}")
+    def test_every_cap_refuses_as_the_scan_of_m(self, moduli):
+        # A cap below m is refused before anything is scanned, as before.
+        for m in (m for m in moduli if len(prime_power_parts(m)) > 1):
+            for cap in range(m, 3 * m + 41):
+                assert scan_outcome(lambda: involution_mod_period(m, state_cap=cap)) == \
+                    scan_outcome(lambda: _scan(m, cap)[0]), (m, cap)
+            for cap in range(m):
+                assert scan_outcome(lambda: involution_mod_period(m, state_cap=cap)) == (
+                    f"no state repetition within {cap} steps for modulus {m}"), (m, cap)
+
+    def test_draws_only_the_parts_residues(self, monkeypatch):
+        # 999999 = 27 * 7 * 11 * 13 * 37: each odd part q draws q + 2
+        # residues, 105 in all; the scan of 999999 drew about 10**6.
+        counters = count_draws(monkeypatch)
+        report = involution_mod_period(999_999)
+        assert [next(counter) for counter in counters] == [29, 9, 13, 15, 39]
+        assert (report.preperiod, report.period) == (0, 999_999)
+
+    def test_a_row_scans_each_distinct_part_once(self, monkeypatch):
+        # Every even m <= 96 is read from its prime-power parts, and each
+        # part is scanned once for the row; the last stream, mod 96, is the
+        # residue route check.
+        moduli = []
+        real = periodicity.removal_residues
+
+        def spied(m):
+            moduli.append(m)
+            return real(m)
+
+        monkeypatch.setattr(periodicity, "removal_residues", spied)
+        assert checks.CHECKS["thm63"]({"m_max": 96})[0]
+        parts = {q for m in range(2, 97, 2) for q in prime_power_parts(m)}
+        assert sorted(moduli[:-1]) == sorted(parts)
+        assert moduli[-1] == 96
 
 
 class TestModPeriodLaw:

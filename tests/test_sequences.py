@@ -459,7 +459,8 @@ _TABLE1 = "g(1,1) reference table, row n=20:"  # red by design: the misprinted r
 
 def test_a_count_fault_at_n_9_turns_exactly_its_readers_red(monkeypatch):
     # t(9) += 2 in the tau_2 stream, which t is read from wherever it is read
-    # by value: 2622 has one factor of two less than 2620.
+    # by value: 2622 has one factor of two less than 2620.  The period rows
+    # hold their residue stream to it mod their largest modulus.
     real = sequences.pth_root_counts
 
     def planted(p):
@@ -474,6 +475,8 @@ def test_a_count_fault_at_n_9_turns_exactly_its_readers_red(monkeypatch):
         "thm23": "p=2, n=9: valuation 1 below bound 2",
         "thm32": "n=9: graph route 2620 != recurrence 2622",
         "thm33": "n=9: odd factor 1311 != graph formula 655",
+        "thm62": "m=99: the residue stream gives 46 at n=9, the count is 48",
+        "thm63": "m=96: the residue stream gives 28 at n=9, the count is 30",
         "weights": "n=9: fibers sum to 2620, count is 2622",
         "table1": _TABLE1,
     })
