@@ -145,7 +145,8 @@ def _divisors(d: int) -> list[int]:
 def _first_mismatch(values: Sequence[int], d: int, start: int, stop: int,
                     wrap: int) -> int | None:
     """Smallest i in [start, stop) with v[i] != v[i + d], or None, where v
-    reads the values past their end one wrap back (d <= wrap <= len(values) - start).
+    reads the values past their end one wrap back (d <= wrap <= len(values),
+    and stop <= len(values) unless start <= len(values) - wrap).
 
     The range is cut where i + d leaves the values, and the rest up to their
     end is compared one wrap back, which at d = wrap is no compare; the pairs

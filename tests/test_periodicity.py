@@ -176,15 +176,18 @@ class TestCycleDetector:
 
     def test_a_read_past_the_held_values_wraps(self):
         # Against the values read past their end one wrap back, for every
-        # held run of up to five bits, whether it repeats or not.
+        # held run of up to five bits, whether it repeats or not, and every
+        # range that starts at least a wrap before their end or stops by it.
         for size in range(1, 6):
             for held in product((0, 1), repeat=size):
                 for wrap in range(1, size + 1):
                     v = list(held)
                     while len(v) < size + 4 * wrap:
                         v.append(v[-wrap])
-                    for d, start, stop in product(range(1, wrap + 1), range(size - wrap + 1),
+                    for d, start, stop in product(range(1, wrap + 1), range(size),
                                                   range(size + 3 * wrap)):
+                        if start > size - wrap and stop > size:
+                            continue
                         want = next((i for i in range(start, stop) if v[i] != v[i + d]), None)
                         assert periodicity._first_mismatch(held, d, start, stop, wrap) == want
 
